@@ -59,6 +59,7 @@ from .name_core import (
     NameRole,
     normalize_romaji,
     parse_csv_row,
+    part_text,
     read_corpus_csv,
     split_parts,
     write_corpus_csv,

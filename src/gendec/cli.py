@@ -35,24 +35,23 @@ from .corpus import (
 )
 from .errors import GendecError, NonFiniteError, UnknownKanaError
 from .evaluate import (
-    Cell,
-    ablation_grid,
-    classical_full_grid,
+    CellResult,
+    ExperimentGrid,
     evaluate_predictions,
     extract_texts,
-    run_cells,
+    run_experiment,
     train_cell_model,
     write_reports_csv,
     write_reports_json,
 )
 from .model_io import ModelFile, deterministic_created_at, load_model, save_model
-from .models import ModelKind, predict, predict_proba, supports_proba
+from .models import MODEL_KINDS, ModelKind, predict, predict_with_proba
 from .name_core import (
     Gender,
     InputVariant,
     NamePart,
     NameRole,
-    normalize_romaji,
+    part_text,
     read_corpus_csv,
     write_corpus_csv,
 )
@@ -204,8 +203,7 @@ def _sha256_file(path: str | Path) -> str:
 @click.option("--features-per-split", type=int, default=None)
 @click.option("--bootstrap/--no-bootstrap", default=None)
 def cmd_train(model_kind, features, part, variant, train_path, out, seed, tokenizer,
-              ngram_min, ngram_max, dict_path, alpha, learning_rate, epochs, l2, lam,
-              max_depth, min_samples_leaf, n_trees, features_per_split, bootstrap) -> None:
+              ngram_min, ngram_max, dict_path, **flags) -> None:
     """Train one grid cell's model and write a self-contained model file."""
     started = time.monotonic()
     try:
@@ -235,19 +233,10 @@ def cmd_train(model_kind, features, part, variant, train_path, out, seed, tokeni
         vocab = fit_vocabulary(texts, tok_config, weighting)
         X = transform(texts, vocab, weighting)
 
-        overrides = {}
-        flag_map = {
-            "alpha": alpha, "learning_rate": learning_rate, "epochs": epochs,
-            "l2": l2, "lam": lam, "max_depth": max_depth,
-            "min_samples_leaf": min_samples_leaf, "n_trees": n_trees,
-            "features_per_split": features_per_split, "bootstrap": bootstrap,
-        }
-        from .evaluate import DEFAULT_HYPERPARAMETERS
-
-        for name, value in flag_map.items():
-            if value is not None and name in DEFAULT_HYPERPARAMETERS[kind.value]:
-                overrides[name] = value
-
+        # Hyperparameter flags are named after the table's defaults; flags
+        # the chosen kind does not take are ignored.
+        overrides = {name: value for name, value in flags.items()
+                     if value is not None and name in MODEL_KINDS[kind].defaults}
         model = train_cell_model(kind, X, labels, seed, overrides)
         model_file = ModelFile(
             model=model,
@@ -299,37 +288,13 @@ def cmd_evaluate(model_file, test_path, report, csv_path) -> None:
             json.dump(result.to_json_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
         if csv_path:
-            from .evaluate import REPORT_CSV_HEADER
-
-            with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(REPORT_CSV_HEADER + "\n")
-                fh.write(result.csv_row() + "\n")
+            write_reports_csv(csv_path, [CellResult(cell=result.cell, report=result)])
         click.echo(
             f"{result.cell.label()}: macro_f1={result.macro_f1:.4f} "
             f"accuracy={result.accuracy:.4f}"
         )
     except GendecError as exc:
         _fail(str(exc))
-
-
-def _predict_one(loaded: ModelFile, name: str) -> str:
-    norm = normalize_romaji(name)
-    tokens = norm.split(" ")
-    if len(tokens) != 2 or not all(tokens):
-        raise GendecError(f"expected 'Family Given', got {name!r}")
-    family, given = tokens
-    if loaded.part is NamePart.LAST:
-        text = family
-    elif loaded.part is NamePart.FIRST:
-        text = given
-    else:
-        text = norm
-    X = transform([text], loaded.vocabulary, loaded.weighting)
-    gender = predict(loaded.model, X)[0]
-    if supports_proba(loaded.model):
-        proba = predict_proba(loaded.model, X)[0]
-        return f"{name}\t{gender.value}\t{max(proba):.6f}"
-    return f"{name}\t{gender.value}"
 
 
 @main.command("predict")
@@ -345,15 +310,17 @@ def cmd_predict(model_file, name, batch) -> None:
     try:
         loaded = load_model(model_file)
         if name is not None:
-            if not name.strip():
-                raise GendecError("empty name")
-            click.echo(_predict_one(loaded, name))
+            names = [name]
         else:
             with open(batch, encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if line:
-                        click.echo(_predict_one(loaded, line))
+                names = [line.strip() for line in fh if line.strip()]
+        # Every name is checked before anything is printed.
+        texts = [part_text(n, loaded.part) for n in names]
+        X = transform(texts, loaded.vocabulary, loaded.weighting)
+        genders, proba = predict_with_proba(loaded.model, X)
+        for i, (n, gender) in enumerate(zip(names, genders)):
+            line = f"{n}\t{gender.value}"
+            click.echo(line if proba is None else f"{line}\t{max(proba[i]):.6f}")
     except GendecError as exc:
         _fail(str(exc))
 
@@ -401,49 +368,7 @@ def cmd_translit(kana) -> None:
 def cmd_grid(config_path, report_json, report_csv) -> None:
     """Run a full experiment grid from one config file."""
     try:
-        with open(config_path, encoding="utf-8") as fh:
-            config = json.load(fh)
-        for key in ("train", "test"):
-            if key not in config:
-                raise GendecError(f"grid config missing {key!r}")
-            if not Path(config[key]).exists():
-                raise GendecError(f"grid config {key} path does not exist: {config[key]}")
-        if "cells" in config:
-            cells = [
-                Cell(
-                    model=ModelKind(c["model"]),
-                    weighting=Weighting(c["features"]),
-                    variant=InputVariant(c["variant"]),
-                    part=NamePart(c["part"]),
-                )
-                for c in config["cells"]
-            ]
-        else:
-            preset = config.get("preset", "classical-full")
-            if preset == "classical-full":
-                cells = classical_full_grid()
-            elif preset == "ablation":
-                cells = ablation_grid()
-            elif preset == "all":
-                cells = classical_full_grid()
-                cells += [c for c in ablation_grid() if c not in cells]
-            else:
-                raise GendecError(f"unknown preset {preset!r}")
-        tokenizer_doc = config.get("tokenizer")
-        tokenizer = (
-            TokenizerConfig.from_json_dict(tokenizer_doc) if tokenizer_doc
-            else TokenizerConfig()
-        )
-        train_records = read_corpus_csv(config["train"])
-        test_records = read_corpus_csv(config["test"])
-        results = run_cells(
-            cells,
-            train_records,
-            test_records,
-            seed=int(config.get("seed", 42)),
-            hyperparameters=config.get("hyperparameters", {}),
-            tokenizer=tokenizer,
-        )
+        results = run_experiment(ExperimentGrid.load(config_path))
         write_reports_json(report_json, results)
         write_reports_csv(report_csv, results)
         for result in results:
@@ -453,7 +378,7 @@ def cmd_grid(config_path, report_json, report_csv) -> None:
                 )
             else:
                 click.echo(f"{result.cell.label()}: FAILED ({result.error})")
-    except (GendecError, ValueError, KeyError) as exc:
+    except GendecError as exc:
         _fail(str(exc))
 
 

@@ -13,25 +13,22 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .errors import ConfigError, EmptyInputError, LengthMismatchError
-from .models import (
-    ModelKind,
-    TrainedModel,
-    predict,
-    train_forest,
-    train_logistic,
-    train_naive_bayes,
-    train_svm,
-    train_tree,
+from .errors import (
+    ConfigError,
+    EmptyInputError,
+    GendecError,
+    LengthMismatchError,
+    MissingDictionaryError,
 )
+from .models import MODEL_KINDS, ModelKind, TrainedModel, check_hyperparameters, predict
 from .name_core import (
     GENDERS,
     Gender,
     InputVariant,
     NamePart,
     NameRecord,
+    part_text,
     read_corpus_csv,
-    split_parts,
 )
 from .translit import ReadingDictionary, build_reading_dictionary, convert_name
 from .vectorize import TokenizerConfig, Weighting, fit_vocabulary, transform
@@ -132,6 +129,19 @@ class Cell:
             f"/{self.variant.value}/{self.part.value}"
         )
 
+    def to_json_dict(self) -> dict:
+        return {
+            "model": self.model.value,
+            "features": self.weighting.value,
+            "variant": self.variant.value,
+            "part": self.part.value,
+        }
+
+    @classmethod
+    def from_json_dict(cls, doc: dict) -> "Cell":
+        return cls(ModelKind(doc["model"]), Weighting(doc["features"]),
+                   InputVariant(doc["variant"]), NamePart(doc["part"]))
+
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -146,10 +156,7 @@ class EvalReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "model": self.cell.model.value,
-            "features": self.cell.weighting.value,
-            "variant": self.cell.variant.value,
-            "part": self.cell.part.value,
+            **self.cell.to_json_dict(),
             "f1_female": self.f1_female,
             "f1_male": self.f1_male,
             "macro_f1": self.macro_f1,
@@ -191,6 +198,49 @@ class ExperimentGrid:
     hyperparameters: dict = field(default_factory=dict)
     tokenizer: TokenizerConfig = field(default_factory=TokenizerConfig)
 
+    def __post_init__(self) -> None:
+        check_hyperparameters(self.hyperparameters)
+
+    @classmethod
+    def from_json_dict(cls, doc: dict) -> "ExperimentGrid":
+        """Grid from a config document: train/test paths, seed, cells or
+        preset, hyperparameters, tokenizer.
+
+        Any malformed or unknown entry raises ConfigError, before a corpus
+        is read.
+        """
+        try:
+            for key in ("train", "test"):
+                if key not in doc:
+                    raise ConfigError(f"grid config missing {key!r}")
+                if not Path(doc[key]).exists():
+                    raise ConfigError(f"grid config {key} path does not exist: {doc[key]}")
+            if "cells" in doc:
+                cells = [Cell.from_json_dict(c) for c in doc["cells"]]
+            else:
+                cells = preset_cells(doc.get("preset", "classical-full"))
+            tokenizer = doc.get("tokenizer")
+            return cls(
+                cells=cells,
+                train_path=doc["train"],
+                test_path=doc["test"],
+                seed=int(doc.get("seed", 42)),
+                hyperparameters=doc.get("hyperparameters") or {},
+                tokenizer=TokenizerConfig.from_json_dict(tokenizer) if tokenizer
+                else TokenizerConfig(),
+            )
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise ConfigError(f"malformed grid config: {type(exc).__name__}: {exc}") from None
+
+    @classmethod
+    def load(cls, path: str | Path) -> "ExperimentGrid":
+        with open(path, encoding="utf-8") as fh:
+            try:
+                doc = json.load(fh)
+            except ValueError as exc:
+                raise ConfigError(f"{path}: grid config is not JSON: {exc}") from None
+        return cls.from_json_dict(doc)
+
 
 def classical_full_grid() -> list[Cell]:
     """Every classifier x encoding x variant on full names (20 cells)."""
@@ -214,6 +264,18 @@ def ablation_grid() -> list[Cell]:
         for v in _VARIANT_ORDER
         for p in _PART_ORDER
     ]
+
+
+def preset_cells(name: str) -> list[Cell]:
+    """Cells of a named preset: classical-full, ablation, or all (their union)."""
+    if name == "classical-full":
+        return classical_full_grid()
+    if name == "ablation":
+        return ablation_grid()
+    if name == "all":
+        cells = classical_full_grid()
+        return cells + [c for c in ablation_grid() if c not in cells]
+    raise ConfigError(f"unknown preset {name!r}")
 
 
 def evaluate_predictions(
@@ -249,39 +311,19 @@ def extract_texts(
     absent from the dictionary.
     """
     if variant is InputVariant.ORIGINAL:
-        return [split_parts(r, part, variant) for r in records], 0.0
+        return [part_text(r.romaji, part) for r in records], 0.0
+    if reading_dict is None:
+        raise MissingDictionaryError("converted romaji requires a reading dictionary")
     texts = []
     fallbacks = 0
     for record in records:
         converted = convert_name(record, reading_dict)
-        if part is NamePart.LAST:
-            texts.append(converted.family)
-            fell_back = converted.family_fell_back
-        elif part is NamePart.FIRST:
-            texts.append(converted.given)
-            fell_back = converted.given_fell_back
-        else:
-            texts.append(f"{converted.family} {converted.given}")
-            fell_back = converted.family_fell_back or converted.given_fell_back
-        fallbacks += fell_back
+        texts.append(part_text(f"{converted.family} {converted.given}", part))
+        fallbacks += (converted.family_fell_back and part is not NamePart.FIRST) or (
+            converted.given_fell_back and part is not NamePart.LAST
+        )
     rate = fallbacks / len(records) if records else 0.0
     return texts, rate
-
-
-DEFAULT_HYPERPARAMETERS: dict[str, dict] = {
-    "nb": {"alpha": 1.0},
-    "lr": {"learning_rate": 0.1, "epochs": 200, "l2": 1e-4},
-    "dt": {"max_depth": None, "min_samples_leaf": 1},
-    "rf": {
-        "n_trees": 100,
-        "features_per_split": None,
-        "bootstrap": True,
-        "max_depth": None,
-        "min_samples_leaf": 1,
-        "exhaust_on_miss": True,
-    },
-    "svm": {"lam": 1e-4, "epochs": 20},
-}
 
 
 def train_cell_model(
@@ -291,19 +333,12 @@ def train_cell_model(
     seed: int,
     hyperparameters: Optional[dict] = None,
 ) -> TrainedModel:
-    params = dict(DEFAULT_HYPERPARAMETERS[kind.value])
-    params.update(hyperparameters or {})
-    if kind is ModelKind.NB:
-        return train_naive_bayes(X, y, **params)
-    if kind is ModelKind.LR:
-        return train_logistic(X, y, **params)
-    if kind is ModelKind.DT:
-        return train_tree(X, y, **params)
-    if kind is ModelKind.RF:
-        return train_forest(X, y, seed=seed, **params)
-    if kind is ModelKind.SVM:
-        return train_svm(X, y, seed=seed, **params)
-    raise ConfigError(f"unknown model kind {kind!r}")
+    """Train ``kind`` with its defaults overridden by ``hyperparameters``."""
+    spec = MODEL_KINDS[kind]
+    params = {**spec.defaults, **(hyperparameters or {})}
+    if spec.seeded:
+        params["seed"] = seed
+    return spec.train(X, y, **params)
 
 
 def run_cells(
@@ -325,6 +360,7 @@ def run_cells(
         raise EmptyInputError("train and test splits must be non-empty")
     tokenizer = tokenizer or TokenizerConfig()
     hyperparameters = hyperparameters or {}
+    check_hyperparameters(hyperparameters)
     y_train = [r.gender for r in train_records]
     y_test = [r.gender for r in test_records]
 
@@ -351,7 +387,7 @@ def run_cells(
             y_pred = predict(model, X_test)
             report = evaluate_predictions(y_test, y_pred, cell, fallback_rate)
             results.append(CellResult(cell=cell, report=report))
-        except Exception as exc:  # failed cell is reported, not fatal
+        except GendecError as exc:  # failed cell is reported, not fatal
             results.append(
                 CellResult(cell=cell, error=f"{type(exc).__name__}: {exc}")
             )
@@ -372,20 +408,11 @@ def run_experiment(grid: ExperimentGrid) -> list[CellResult]:
 
 
 def write_reports_json(path: str | Path, results: Sequence[CellResult]) -> None:
-    payload = []
-    for result in results:
-        if result.report is not None:
-            payload.append(result.report.to_json_dict())
-        else:
-            payload.append(
-                {
-                    "model": result.cell.model.value,
-                    "features": result.cell.weighting.value,
-                    "variant": result.cell.variant.value,
-                    "part": result.cell.part.value,
-                    "error": result.error,
-                }
-            )
+    payload = [
+        result.report.to_json_dict() if result.report is not None
+        else {**result.cell.to_json_dict(), "error": result.error}
+        for result in results
+    ]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -21,16 +21,8 @@ import numpy as np
 
 from .errors import SchemaError
 from .evaluate import Cell
-from .models import (
-    ForestModel,
-    LRModel,
-    ModelKind,
-    NBModel,
-    SVMModel,
-    TrainedModel,
-    TreeModel,
-)
-from .models.tree import TreeModel as _Tree
+from .models import MODEL_KINDS, ModelKind, TrainedModel, kind_of
+from .models.common import vector
 from .name_core import InputVariant, NamePart
 from .translit import ReadingDictionary
 from .vectorize import TokenizerConfig, Vocabulary, Weighting
@@ -49,139 +41,6 @@ def deterministic_created_at() -> str:
     return stamp.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _floats(array: np.ndarray) -> list[float]:
-    return [float(x) for x in np.asarray(array).ravel()]
-
-
-def _ints(array: np.ndarray) -> list[int]:
-    return [int(x) for x in np.asarray(array).ravel()]
-
-
-def _tree_payload(tree: _Tree) -> dict:
-    return {
-        "feature": _ints(tree.feature),
-        "threshold": _floats(tree.threshold),
-        "left": _ints(tree.left),
-        "right": _ints(tree.right),
-        "count_female": _ints(tree.count_female),
-        "count_male": _ints(tree.count_male),
-    }
-
-
-def _tree_from_payload(doc: dict, n_features: int, max_depth, min_samples_leaf) -> _Tree:
-    return TreeModel(
-        feature=np.asarray(doc["feature"], dtype=np.int32),
-        threshold=np.asarray(doc["threshold"], dtype=np.float64),
-        left=np.asarray(doc["left"], dtype=np.int32),
-        right=np.asarray(doc["right"], dtype=np.int32),
-        count_female=np.asarray(doc["count_female"], dtype=np.int64),
-        count_male=np.asarray(doc["count_male"], dtype=np.int64),
-        n_features=n_features,
-        max_depth=max_depth,
-        min_samples_leaf=min_samples_leaf,
-    )
-
-
-def _parameters_payload(model: TrainedModel) -> tuple[ModelKind, dict]:
-    if isinstance(model, NBModel):
-        return ModelKind.NB, {
-            "alpha": model.alpha,
-            "class_log_prior": _floats(model.class_log_prior),
-            "feature_log_prob": [_floats(row) for row in model.feature_log_prob],
-            "single_class": model.single_class,
-        }
-    if isinstance(model, LRModel):
-        return ModelKind.LR, {
-            "weights": _floats(model.weights),
-            "bias": model.bias,
-            "l2": model.l2,
-            "learning_rate": model.learning_rate,
-            "epochs": model.epochs,
-            "training_trace": model.training_trace,
-        }
-    if isinstance(model, TreeModel):
-        return ModelKind.DT, {
-            "max_depth": model.max_depth,
-            "min_samples_leaf": model.min_samples_leaf,
-            "nodes": _tree_payload(model),
-        }
-    if isinstance(model, ForestModel):
-        return ModelKind.RF, {
-            "n_trees": model.n_trees,
-            "features_per_split": model.features_per_split,
-            "bootstrap": model.bootstrap,
-            "seed": model.seed,
-            "max_depth": model.max_depth,
-            "min_samples_leaf": model.min_samples_leaf,
-            "exhaust_on_miss": model.exhaust_on_miss,
-            "tree_streams": list(range(model.n_trees)),
-            "trees": [_tree_payload(tree) for tree in model.trees],
-        }
-    if isinstance(model, SVMModel):
-        return ModelKind.SVM, {
-            "weights": _floats(model.weights),
-            "bias": model.bias,
-            "lambda": model.lam,
-            "epochs": model.epochs,
-            "seed": model.seed,
-        }
-    raise SchemaError(f"cannot serialize model type {type(model).__name__}")
-
-
-def _model_from_parameters(kind: ModelKind, doc: dict, n_features: int) -> TrainedModel:
-    if kind is ModelKind.NB:
-        return NBModel(
-            alpha=float(doc["alpha"]),
-            class_log_prior=np.asarray(doc["class_log_prior"], dtype=np.float64),
-            feature_log_prob=np.asarray(doc["feature_log_prob"], dtype=np.float64
-                                         ).reshape(2, n_features),
-            n_features=n_features,
-            single_class=bool(doc["single_class"]),
-        )
-    if kind is ModelKind.LR:
-        return LRModel(
-            weights=np.asarray(doc["weights"], dtype=np.float64),
-            bias=float(doc["bias"]),
-            l2=float(doc["l2"]),
-            learning_rate=float(doc["learning_rate"]),
-            epochs=int(doc["epochs"]),
-            training_trace=[float(x) for x in doc["training_trace"]],
-        )
-    if kind is ModelKind.DT:
-        return _tree_from_payload(
-            doc["nodes"],
-            n_features,
-            doc["max_depth"],
-            int(doc["min_samples_leaf"]),
-        )
-    if kind is ModelKind.RF:
-        trees = [
-            _tree_from_payload(t, n_features, doc["max_depth"],
-                               int(doc["min_samples_leaf"]))
-            for t in doc["trees"]
-        ]
-        return ForestModel(
-            trees=trees,
-            n_trees=int(doc["n_trees"]),
-            features_per_split=int(doc["features_per_split"]),
-            bootstrap=bool(doc["bootstrap"]),
-            seed=int(doc["seed"]),
-            max_depth=doc["max_depth"],
-            min_samples_leaf=int(doc["min_samples_leaf"]),
-            exhaust_on_miss=bool(doc["exhaust_on_miss"]),
-            n_features=n_features,
-        )
-    if kind is ModelKind.SVM:
-        return SVMModel(
-            weights=np.asarray(doc["weights"], dtype=np.float64),
-            bias=float(doc["bias"]),
-            lam=float(doc["lambda"]),
-            epochs=int(doc["epochs"]),
-            seed=int(doc["seed"]),
-        )
-    raise SchemaError(f"unknown model kind {kind!r}")
-
-
 @dataclass
 class ModelFile:
     """In-memory form of a persisted model plus everything predict needs."""
@@ -196,7 +55,7 @@ class ModelFile:
     metadata: dict
 
     def to_json_dict(self) -> dict:
-        kind, parameters = _parameters_payload(self.model)
+        kind = kind_of(self.model)
         return {
             "schema_version": SCHEMA_VERSION,
             "model_kind": kind.value,
@@ -207,9 +66,9 @@ class ModelFile:
             "vocabulary": {
                 "tokens": list(self.vocabulary.tokens),
                 "idf": None if self.vocabulary.idf is None
-                else _floats(self.vocabulary.idf),
+                else self.vocabulary.idf.tolist(),
             },
-            "parameters": parameters,
+            "parameters": MODEL_KINDS[kind].to_params(self.model),
             "reading_dictionary": None if self.reading_dictionary is None
             else self.reading_dictionary.to_json_dict(),
             "metadata": self.metadata,
@@ -217,32 +76,34 @@ class ModelFile:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ModelFile":
-        version = doc.get("schema_version")
+        """Model file from its JSON document; a malformed one raises SchemaError."""
+        version = doc.get("schema_version") if isinstance(doc, dict) else None
         if version != SCHEMA_VERSION:
             raise SchemaError(f"unsupported model file schema_version {version!r}")
-        tokenizer = TokenizerConfig.from_json_dict(doc["tokenizer"])
-        tokens = tuple(doc["vocabulary"]["tokens"])
-        idf_doc = doc["vocabulary"]["idf"]
-        vocabulary = Vocabulary(
-            tokens=tokens,
-            token_to_index={tok: i for i, tok in enumerate(tokens)},
-            tokenizer=tokenizer,
-            idf=None if idf_doc is None else np.asarray(idf_doc, dtype=np.float64),
-        )
-        kind = ModelKind(doc["model_kind"])
-        model = _model_from_parameters(kind, doc["parameters"], len(tokens))
-        reading = doc.get("reading_dictionary")
-        return cls(
-            model=model,
-            kind=kind,
-            weighting=Weighting(doc["weighting"]),
-            part=NamePart(doc["part"]),
-            variant=InputVariant(doc["variant"]),
-            vocabulary=vocabulary,
-            reading_dictionary=None if reading is None
-            else ReadingDictionary.from_json_dict(reading),
-            metadata=dict(doc["metadata"]),
-        )
+        try:
+            tokens = tuple(doc["vocabulary"]["tokens"])
+            idf_doc = doc["vocabulary"]["idf"]
+            vocabulary = Vocabulary(
+                tokens=tokens,
+                token_to_index={tok: i for i, tok in enumerate(tokens)},
+                tokenizer=TokenizerConfig.from_json_dict(doc["tokenizer"]),
+                idf=None if idf_doc is None else vector(idf_doc, np.float64, len(tokens)),
+            )
+            kind = ModelKind(doc["model_kind"])
+            reading = doc.get("reading_dictionary")
+            return cls(
+                model=MODEL_KINDS[kind].from_params(doc["parameters"], len(tokens)),
+                kind=kind,
+                weighting=Weighting(doc["weighting"]),
+                part=NamePart(doc["part"]),
+                variant=InputVariant(doc["variant"]),
+                vocabulary=vocabulary,
+                reading_dictionary=None if reading is None
+                else ReadingDictionary.from_json_dict(reading),
+                metadata=dict(doc["metadata"]),
+            )
+        except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+            raise SchemaError(f"malformed model file: {type(exc).__name__}: {exc}") from None
 
     @property
     def cell(self) -> Cell:
@@ -263,4 +124,8 @@ def save_model(path: str | Path, model_file: ModelFile) -> None:
 
 def load_model(path: str | Path) -> ModelFile:
     with open(path, encoding="utf-8") as fh:
-        return ModelFile.from_json_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # not UTF-8 or not JSON
+            raise SchemaError(f"{path}: not a JSON model file: {exc}") from None
+    return ModelFile.from_json_dict(doc)

@@ -15,8 +15,14 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..name_core import Gender
-from .common import MatrixLike, as_csr, labels_to_ints
-from .tree import TreeModel, _grow_tree, tree_predict_ints
+from .common import MatrixLike, as_csr, labels_to_ints, male_wins
+from .tree import (
+    TreeModel,
+    _grow_tree,
+    tree_from_nodes,
+    tree_leaf_counts,
+    tree_nodes_params,
+)
 
 
 @dataclass
@@ -108,15 +114,36 @@ def forest_vote_counts(model: ForestModel, X: MatrixLike) -> np.ndarray:
     matrix = as_csr(X)
     male_votes = np.zeros(matrix.shape[0], dtype=np.int64)
     for tree in model.trees:
-        male_votes += tree_predict_ints(tree, matrix)
+        male_votes += male_wins(tree_leaf_counts(tree, matrix))
     female_votes = model.n_trees - male_votes
     return np.column_stack([female_votes, male_votes]).astype(np.float64)
 
 
-def forest_predict_ints(model: ForestModel, X: MatrixLike) -> np.ndarray:
-    votes = forest_vote_counts(model, X)
-    return (votes[:, 1] > votes[:, 0]).astype(np.int8)
+def forest_params(model: ForestModel) -> dict:
+    return {
+        "n_trees": model.n_trees,
+        "features_per_split": model.features_per_split,
+        "bootstrap": model.bootstrap,
+        "seed": model.seed,
+        "max_depth": model.max_depth,
+        "min_samples_leaf": model.min_samples_leaf,
+        "exhaust_on_miss": model.exhaust_on_miss,
+        "tree_streams": list(range(model.n_trees)),
+        "trees": [tree_nodes_params(tree) for tree in model.trees],
+    }
 
 
-def forest_predict_proba(model: ForestModel, X: MatrixLike) -> np.ndarray:
-    return forest_vote_counts(model, X) / float(model.n_trees)
+def forest_from_params(doc: dict, n_features: int) -> ForestModel:
+    min_samples_leaf = int(doc["min_samples_leaf"])
+    return ForestModel(
+        trees=[tree_from_nodes(t, n_features, doc["max_depth"], min_samples_leaf)
+               for t in doc["trees"]],
+        n_trees=int(doc["n_trees"]),
+        features_per_split=int(doc["features_per_split"]),
+        bootstrap=bool(doc["bootstrap"]),
+        seed=int(doc["seed"]),
+        max_depth=doc["max_depth"],
+        min_samples_leaf=min_samples_leaf,
+        exhaust_on_miss=bool(doc["exhaust_on_miss"]),
+        n_features=n_features,
+    )

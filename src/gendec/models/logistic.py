@@ -16,7 +16,7 @@ from scipy.special import expit
 
 from ..errors import ConfigError, NonFiniteError
 from ..name_core import Gender
-from .common import MatrixLike, as_csr, check_n_features, labels_to_ints
+from .common import MatrixLike, as_csr, labels_to_ints, vector
 
 
 @dataclass
@@ -96,17 +96,29 @@ def train_logistic(
     )
 
 
-def lr_decision_scores(model: LRModel, X: MatrixLike) -> np.ndarray:
-    matrix = as_csr(X)
-    check_n_features(model.n_features, matrix)
-    return np.asarray(matrix @ model.weights).ravel() + model.bias
-
-
-def lr_predict_ints(model: LRModel, X: MatrixLike) -> np.ndarray:
-    # male iff P(male) > 0.5, i.e. score > 0; the 0.5 tie goes female.
-    return (lr_decision_scores(model, X) > 0.0).astype(np.int8)
-
-
-def lr_predict_proba(model: LRModel, X: MatrixLike) -> np.ndarray:
-    p_male = expit(lr_decision_scores(model, X))
+def lr_proba(scores: np.ndarray) -> np.ndarray:
+    """(P(female), P(male)) from ``linear_scores``: a sigmoid of the margin."""
+    p_male = expit(scores[:, 1] - scores[:, 0])
     return np.column_stack([1.0 - p_male, p_male])
+
+
+def lr_params(model: LRModel) -> dict:
+    return {
+        "weights": model.weights.tolist(),
+        "bias": model.bias,
+        "l2": model.l2,
+        "learning_rate": model.learning_rate,
+        "epochs": model.epochs,
+        "training_trace": model.training_trace,
+    }
+
+
+def lr_from_params(doc: dict, n_features: int) -> LRModel:
+    return LRModel(
+        weights=vector(doc["weights"], np.float64, n_features),
+        bias=float(doc["bias"]),
+        l2=float(doc["l2"]),
+        learning_rate=float(doc["learning_rate"]),
+        epochs=int(doc["epochs"]),
+        training_trace=[float(x) for x in doc["training_trace"]],
+    )

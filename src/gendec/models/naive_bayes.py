@@ -14,7 +14,7 @@ import numpy as np
 
 from ..errors import ConfigError, SingleClassWarning
 from ..name_core import Gender
-from .common import MatrixLike, as_csr, check_n_features, labels_to_ints
+from .common import MatrixLike, as_csr, check_n_features, labels_to_ints, vector
 
 
 @dataclass
@@ -69,13 +69,27 @@ def nb_joint_log_likelihood(model: NBModel, X: MatrixLike) -> np.ndarray:
     return matrix @ model.feature_log_prob.T + model.class_log_prior
 
 
-def nb_predict_ints(model: NBModel, X: MatrixLike) -> np.ndarray:
-    scores = nb_joint_log_likelihood(model, X)
-    # Ties (including all-zero rows with equal priors) break female-first.
-    return (scores[:, 1] > scores[:, 0]).astype(np.int8)
-
-
-def nb_predict_proba(model: NBModel, X: MatrixLike) -> np.ndarray:
-    scores = nb_joint_log_likelihood(model, X)
+def nb_proba(scores: np.ndarray) -> np.ndarray:
+    """Normalize joint log likelihoods into per-row class probabilities."""
     log_norm = np.logaddexp(scores[:, 0], scores[:, 1])
     return np.exp(scores - log_norm[:, None])
+
+
+def nb_params(model: NBModel) -> dict:
+    return {
+        "alpha": model.alpha,
+        "class_log_prior": model.class_log_prior.tolist(),
+        "feature_log_prob": model.feature_log_prob.tolist(),
+        "single_class": model.single_class,
+    }
+
+
+def nb_from_params(doc: dict, n_features: int) -> NBModel:
+    return NBModel(
+        alpha=float(doc["alpha"]),
+        class_log_prior=vector(doc["class_log_prior"], np.float64, 2),
+        feature_log_prob=np.asarray(doc["feature_log_prob"], dtype=np.float64
+                                    ).reshape(2, n_features),
+        n_features=n_features,
+        single_class=bool(doc["single_class"]),
+    )

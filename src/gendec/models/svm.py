@@ -12,11 +12,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..errors import ConfigError, NonFiniteError
 from ..name_core import Gender
-from .common import MatrixLike, as_csr, check_n_features, labels_to_ints
+from .common import MatrixLike, as_csr, labels_to_ints, vector
 
 
 @dataclass
@@ -84,12 +83,21 @@ def train_svm(
     return SVMModel(weights=weights, bias=bias, lam=lam, epochs=epochs, seed=seed)
 
 
-def svm_decision_scores(model: SVMModel, X: MatrixLike) -> np.ndarray:
-    matrix = as_csr(X)
-    check_n_features(model.n_features, matrix)
-    return np.asarray(matrix @ model.weights).ravel() + model.bias
+def svm_params(model: SVMModel) -> dict:
+    return {
+        "weights": model.weights.tolist(),
+        "bias": model.bias,
+        "lambda": model.lam,
+        "epochs": model.epochs,
+        "seed": model.seed,
+    }
 
 
-def svm_predict_ints(model: SVMModel, X: MatrixLike) -> np.ndarray:
-    # Zero scores tie-break female-first.
-    return (svm_decision_scores(model, X) > 0.0).astype(np.int8)
+def svm_from_params(doc: dict, n_features: int) -> SVMModel:
+    return SVMModel(
+        weights=vector(doc["weights"], np.float64, n_features),
+        bias=float(doc["bias"]),
+        lam=float(doc["lambda"]),
+        epochs=int(doc["epochs"]),
+        seed=int(doc["seed"]),
+    )

@@ -22,7 +22,7 @@ import scipy.sparse as sp
 
 from ..errors import ConfigError
 from ..name_core import Gender
-from .common import MatrixLike, as_csr, check_n_features, labels_to_ints
+from .common import MatrixLike, as_csr, check_n_features, labels_to_ints, vector
 
 # A sampler returns the sorted candidate column ids for one split search.
 FeatureSampler = Callable[[], np.ndarray]
@@ -317,11 +317,42 @@ def tree_leaf_counts(model: TreeModel, X: MatrixLike) -> np.ndarray:
     ).astype(np.float64)
 
 
-def tree_predict_ints(model: TreeModel, X: MatrixLike) -> np.ndarray:
-    counts = tree_leaf_counts(model, X)
-    return (counts[:, 1] > counts[:, 0]).astype(np.int8)
+# The flat node arrays as stored in model files, with their dtypes.
+_NODE_ARRAYS = {
+    "feature": np.int32,
+    "threshold": np.float64,
+    "left": np.int32,
+    "right": np.int32,
+    "count_female": np.int64,
+    "count_male": np.int64,
+}
 
 
-def tree_predict_proba(model: TreeModel, X: MatrixLike) -> np.ndarray:
-    counts = tree_leaf_counts(model, X)
-    return counts / counts.sum(axis=1, keepdims=True)
+def tree_nodes_params(tree: TreeModel) -> dict:
+    return {name: getattr(tree, name).tolist() for name in _NODE_ARRAYS}
+
+
+def tree_from_nodes(
+    doc: dict, n_features: int, max_depth: Optional[int], min_samples_leaf: int
+) -> TreeModel:
+    n_nodes = len(doc["feature"])
+    return TreeModel(
+        **{name: vector(doc[name], dtype, n_nodes) for name, dtype in _NODE_ARRAYS.items()},
+        n_features=n_features,
+        max_depth=max_depth,
+        min_samples_leaf=min_samples_leaf,
+    )
+
+
+def tree_params(model: TreeModel) -> dict:
+    return {
+        "max_depth": model.max_depth,
+        "min_samples_leaf": model.min_samples_leaf,
+        "nodes": tree_nodes_params(model),
+    }
+
+
+def tree_from_params(doc: dict, n_features: int) -> TreeModel:
+    return tree_from_nodes(
+        doc["nodes"], n_features, doc["max_depth"], int(doc["min_samples_leaf"])
+    )

@@ -11,17 +11,9 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import Iterable
 
-from .errors import (
-    LabelError,
-    MalformedNameError,
-    MissingDictionaryError,
-    SchemaError,
-)
-
-if TYPE_CHECKING:
-    from .translit import ReadingDictionary
+from .errors import LabelError, MalformedNameError, SchemaError
 
 CSV_HEADER = "romaji,kanji,hiragana,gender"
 
@@ -108,39 +100,22 @@ class NameRecord:
             raise LabelError(f"gender must be a Gender, got {self.gender!r}")
 
 
-def split_parts(
-    record: NameRecord,
-    part: NamePart,
-    variant: InputVariant = InputVariant.ORIGINAL,
-    reading_dict: Optional["ReadingDictionary"] = None,
-) -> str:
-    """Return the normalized romaji text of the requested name part.
-
-    With ``variant=ORIGINAL`` the stored romaji column is split on its
-    single space (left token is the family name).  With ``CONVERTED`` the
-    kanji column is transliterated through ``reading_dict``; parts absent
-    from the dictionary fall back to the original romaji token.
-    """
-    norm = normalize_romaji(record.romaji)
+def part_text(romaji: str, part: NamePart) -> str:
+    """Normalized text of ``part`` of a "Family Given" romaji full name."""
+    norm = normalize_romaji(romaji)
     tokens = norm.split(" ")
     if len(tokens) != 2 or not all(tokens):
-        raise MalformedNameError(f"expected 'Family Given', got {record.romaji!r}")
-    if variant is InputVariant.ORIGINAL:
-        family, given = tokens
-    else:
-        if reading_dict is None:
-            raise MissingDictionaryError(
-                "converted romaji requires a reading dictionary"
-            )
-        from .translit import convert_name
-
-        converted = convert_name(record, reading_dict)
-        family, given = converted.family, converted.given
+        raise MalformedNameError(f"expected 'Family Given', got {romaji!r}")
     if part is NamePart.LAST:
-        return family
+        return tokens[0]
     if part is NamePart.FIRST:
-        return given
-    return f"{family} {given}"
+        return tokens[1]
+    return norm
+
+
+def split_parts(record: NameRecord, part: NamePart) -> str:
+    """Normalized text of ``part`` of a record's stored romaji."""
+    return part_text(record.romaji, part)
 
 
 def parse_csv_row(line: str) -> NameRecord:

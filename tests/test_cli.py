@@ -256,6 +256,118 @@ class TestTrainEvaluatePredict:
         assert len(result.output.strip().split("\n")) == 2
 
 
+@pytest.fixture
+def model_path(runner, split_files, tmp_path):
+    path = tmp_path / "rf.json"
+    result = runner.invoke(main, [
+        "train", "--model", "rf", "--features", "tfidf", "--n-trees", "5",
+        "--train", str(split_files[0]), "--out", str(path),
+    ])
+    assert result.exit_code == 0, result.output
+    return path
+
+
+def _no_traceback(result):
+    return result.exception is None or isinstance(result.exception, SystemExit)
+
+
+class TestPredictPaths:
+    NAMES = ["Tanaka Satoko", "  Suzuki   Taro ", "Sato Kazuyoshi"]
+
+    def test_name_and_batch_print_identical_lines(self, runner, model_path, tmp_path):
+        batch = tmp_path / "names.txt"
+        batch.write_text("\n".join(self.NAMES) + "\n\n", encoding="utf-8")
+        result = runner.invoke(main, ["predict", "--model-file", str(model_path),
+                                      "--batch", str(batch)])
+        assert result.exit_code == 0, result.output
+        singles = []
+        for name in self.NAMES:
+            one = runner.invoke(main, ["predict", "--model-file", str(model_path),
+                                       "--name", name.strip()])
+            assert one.exit_code == 0, one.output
+            singles.append(one.output)
+        assert result.output == "".join(singles)
+        assert len(result.output.splitlines()) == len(self.NAMES)
+
+    def test_empty_batch_prints_nothing(self, runner, model_path, tmp_path):
+        batch = tmp_path / "empty.txt"
+        batch.write_text("\n  \n", encoding="utf-8")
+        result = runner.invoke(main, ["predict", "--model-file", str(model_path),
+                                      "--batch", str(batch)])
+        assert result.exit_code == 0
+        assert result.output == ""
+
+    def test_malformed_batch_line_exits_2_before_printing(self, runner, model_path,
+                                                          tmp_path):
+        batch = tmp_path / "names.txt"
+        batch.write_text("Tanaka Satoko\nTanaka\nSuzuki Taro\n", encoding="utf-8")
+        result = runner.invoke(main, ["predict", "--model-file", str(model_path),
+                                      "--batch", str(batch)])
+        assert result.exit_code == 2
+        assert _no_traceback(result)
+        assert result.output.startswith("error:")
+        assert "'Tanaka'" in result.output
+
+
+class TestCorruptModelFiles:
+    @pytest.fixture(params=["not-json", "missing-keys", "missing-parameter",
+                            "wrong-type", "wrong-length", "not-object"])
+    def corrupt_model(self, request, model_path):
+        doc = json.loads(model_path.read_text())
+        if request.param == "not-json":
+            model_path.write_text("{not json", encoding="utf-8")
+            return model_path
+        if request.param == "missing-keys":
+            doc = {"schema_version": 1, "model_kind": "rf"}
+        elif request.param == "missing-parameter":
+            del doc["parameters"]["trees"][0]["threshold"]
+        elif request.param == "wrong-type":
+            doc["parameters"]["n_trees"] = [5]
+        elif request.param == "wrong-length":
+            doc["parameters"]["trees"][0]["left"].append(0)
+        else:
+            doc = [doc]
+        model_path.write_text(json.dumps(doc), encoding="utf-8")
+        return model_path
+
+    def test_predict_exits_2(self, runner, corrupt_model):
+        result = runner.invoke(main, ["predict", "--model-file", str(corrupt_model),
+                                      "--name", "Tanaka Satoko"])
+        assert result.exit_code == 2
+        assert _no_traceback(result)
+        assert result.output.startswith("error:")
+
+    def test_evaluate_exits_2(self, runner, corrupt_model, split_files, tmp_path):
+        report = tmp_path / "r.json"
+        result = runner.invoke(main, [
+            "evaluate", "--model-file", str(corrupt_model),
+            "--test", str(split_files[2]), "--report", str(report),
+        ])
+        assert result.exit_code == 2
+        assert _no_traceback(result)
+        assert result.output.startswith("error:")
+        assert not report.exists()
+
+    def test_converted_model_without_dictionary_exits_2(self, runner, split_files,
+                                                        tmp_path):
+        path = tmp_path / "conv.json"
+        result = runner.invoke(main, [
+            "train", "--model", "nb", "--features", "count", "--variant", "converted",
+            "--train", str(split_files[0]), "--out", str(path),
+        ])
+        assert result.exit_code == 0, result.output
+        doc = json.loads(path.read_text())
+        doc["reading_dictionary"] = None
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        result = runner.invoke(main, [
+            "evaluate", "--model-file", str(path), "--test", str(split_files[2]),
+            "--report", str(tmp_path / "r.json"),
+        ])
+        assert result.exit_code == 2
+        assert _no_traceback(result)
+        assert "reading dictionary" in result.output
+
+
 class TestStats:
     def test_homonyms_csv(self, runner, corpus_file, tmp_path):
         out = tmp_path / "homonyms.csv"
@@ -374,3 +486,47 @@ class TestGrid:
             "--report-csv", str(tmp_path / "r.csv"),
         ])
         assert result.exit_code == 2
+
+    def _grid(self, runner, tmp_path, config):
+        config_path = tmp_path / "grid.json"
+        config_path.write_text(config if isinstance(config, str) else json.dumps(config))
+        return runner.invoke(main, [
+            "grid", "--config", str(config_path),
+            "--report-json", str(tmp_path / "r.json"),
+            "--report-csv", str(tmp_path / "r.csv"),
+        ])
+
+    def test_unknown_hyperparameter_exits_2_without_reports(self, runner, split_files,
+                                                            tmp_path):
+        train_csv, _val, test_csv = split_files
+        result = self._grid(runner, tmp_path, {
+            "train": str(train_csv), "test": str(test_csv),
+            "cells": [{"model": "nb", "features": "count", "variant": "original",
+                       "part": "full"}],
+            "hyperparameters": {"nb": {"bogus": 1}},
+        })
+        assert result.exit_code == 2
+        assert _no_traceback(result)
+        assert result.output.startswith("error:") and "bogus" in result.output
+        assert not (tmp_path / "r.json").exists()
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("config", [
+        "{not json", "[]", {"test": "x"},
+        {"cells": [{"model": "nb", "features": "count"}]},
+        {"cells": [{"model": "nb", "features": "words", "variant": "original",
+                    "part": "full"}]},
+        {"preset": "everything"}, {"seed": "forty-two"},
+        {"tokenizer": {"mode": "char_ngram", "ngram_min": 4, "ngram_max": 2}},
+        {"hyperparameters": {"knn": {"k": 3}}},
+        {"hyperparameters": {"rf": {"n_trees": "many"}}},
+    ])
+    def test_malformed_configs_exit_2(self, runner, split_files, tmp_path, config):
+        train_csv, _val, test_csv = split_files
+        if isinstance(config, dict):
+            config = {"train": str(train_csv), "test": str(test_csv), **config}
+        result = self._grid(runner, tmp_path, config)
+        assert result.exit_code == 2
+        assert _no_traceback(result)
+        assert result.output.startswith("error:")
+        assert not (tmp_path / "r.json").exists()

@@ -2,9 +2,15 @@ import numpy as np
 import pytest
 
 from gendec.corpus import SplitRatios, split_dataset
-from gendec.errors import ConfigError, EmptyInputError, LengthMismatchError
+from gendec.errors import (
+    ConfigError,
+    EmptyInputError,
+    LengthMismatchError,
+    MissingDictionaryError,
+)
 from gendec.evaluate import (
     Cell,
+    ExperimentGrid,
     ablation_grid,
     accuracy,
     classical_full_grid,
@@ -208,6 +214,16 @@ class TestRunCells:
         assert by_model[ModelKind.LR].report is None
         assert "ConfigError" in by_model[ModelKind.LR].error
 
+    @pytest.mark.parametrize("hyper", [
+        {"nb": {"bogus": 1}}, {"knn": {}}, {"rf": {"n_trees": "many"}},
+        {"rf": {"bootstrap": 1}}, {"lr": {"epochs": 2.5}}, {"svm": 3},
+    ])
+    def test_bad_hyperparameters_rejected_before_training(self, splits, hyper):
+        train, test = splits
+        cell = Cell(ModelKind.NB, Weighting.COUNT, InputVariant.ORIGINAL, NamePart.FULL)
+        with pytest.raises(ConfigError):
+            run_cells([cell], train, test, hyperparameters=hyper)
+
     def test_empty_splits_rejected(self, synthetic_corpus):
         cell = Cell(ModelKind.NB, Weighting.COUNT, InputVariant.ORIGINAL, NamePart.FULL)
         with pytest.raises(EmptyInputError):
@@ -265,3 +281,66 @@ def test_evaluate_predictions_macro_consistency():
     report = evaluate_predictions([M, M, F, F], [M, F, F, F], cell)
     assert report.macro_f1 == pytest.approx((report.f1_female + report.f1_male) / 2,
                                             abs=1e-12)
+
+
+def test_extract_texts_converted_requires_dictionary(reference_records):
+    with pytest.raises(MissingDictionaryError):
+        extract_texts(reference_records, NamePart.FULL, InputVariant.CONVERTED, None)
+
+
+def test_converted_full_text_joins_last_and_first(synthetic_corpus):
+    reading, _ = build_reading_dictionary(synthetic_corpus)
+    texts = {
+        part: extract_texts(synthetic_corpus, part, InputVariant.CONVERTED, reading)
+        for part in NamePart
+    }
+    for full, last, first in zip(texts[NamePart.FULL][0], texts[NamePart.LAST][0],
+                                 texts[NamePart.FIRST][0]):
+        assert full == f"{last} {first}"
+    assert texts[NamePart.FULL][1] >= max(texts[NamePart.LAST][1],
+                                          texts[NamePart.FIRST][1])
+
+
+class TestGridConfig:
+    @pytest.fixture
+    def paths(self, tmp_path):
+        for name in ("train.csv", "test.csv"):
+            (tmp_path / name).write_text("romaji,kanji,hiragana,gender\n")
+        return {"train": str(tmp_path / "train.csv"), "test": str(tmp_path / "test.csv")}
+
+    def test_fields(self, paths):
+        grid = ExperimentGrid.from_json_dict({
+            **paths, "seed": 3, "cells": [
+                {"model": "svm", "features": "tfidf", "variant": "converted",
+                 "part": "last"}],
+            "hyperparameters": {"svm": {"epochs": 2}},
+            "tokenizer": {"mode": "char_ngram", "ngram_min": 2, "ngram_max": 3},
+        })
+        assert grid.cells == [Cell(ModelKind.SVM, Weighting.TFIDF,
+                                   InputVariant.CONVERTED, NamePart.LAST)]
+        assert (grid.seed, grid.hyperparameters) == (3, {"svm": {"epochs": 2}})
+        assert (grid.tokenizer.ngram_min, grid.tokenizer.ngram_max) == (2, 3)
+
+    @pytest.mark.parametrize("preset,count", [
+        (None, 20), ("classical-full", 20), ("ablation", 12), ("all", 28),
+    ])
+    def test_presets(self, paths, preset, count):
+        doc = dict(paths) if preset is None else {**paths, "preset": preset}
+        cells = ExperimentGrid.from_json_dict(doc).cells
+        assert len(cells) == len(set(cells)) == count
+
+    @pytest.mark.parametrize("change", [
+        {"train": "missing.csv"}, {"preset": "nope"}, {"seed": None},
+        {"cells": [{"model": "nb"}]}, {"cells": [{"model": "knn", "features": "count",
+                                                  "variant": "original", "part": "full"}]},
+        {"cells": 5}, {"tokenizer": {"mode": "bytes"}},
+        {"hyperparameters": {"nb": {"bogus": 1}}},
+    ])
+    def test_malformed_configs_raise_config_error(self, paths, change):
+        with pytest.raises(ConfigError):
+            ExperimentGrid.from_json_dict({**paths, **change})
+
+    @pytest.mark.parametrize("doc", [[], None, "grid", {"train": "x.csv"}])
+    def test_non_objects_raise_config_error(self, doc):
+        with pytest.raises(ConfigError):
+            ExperimentGrid.from_json_dict(doc)

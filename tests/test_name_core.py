@@ -5,17 +5,16 @@ from hypothesis import strategies as st
 from gendec.errors import (
     LabelError,
     MalformedNameError,
-    MissingDictionaryError,
     SchemaError,
 )
 from gendec.name_core import (
     Gender,
-    InputVariant,
     NamePart,
     NameRecord,
     format_csv_row,
     normalize_romaji,
     parse_csv_row,
+    part_text,
     read_corpus_csv,
     split_parts,
     write_corpus_csv,
@@ -67,9 +66,18 @@ class TestSplitParts:
             first = split_parts(record, NamePart.FIRST)
             assert full == f"{last} {first}"
 
-    def test_converted_requires_dictionary(self, reference_records):
-        with pytest.raises(MissingDictionaryError):
-            split_parts(reference_records[0], NamePart.FULL, InputVariant.CONVERTED)
+
+@pytest.mark.parametrize("part,expected", [
+    (NamePart.LAST, "iwama"), (NamePart.FIRST, "satoko"), (NamePart.FULL, "iwama satoko"),
+])
+def test_part_text_normalizes(part, expected):
+    assert part_text("  IWAMA   Satoko ", part) == expected
+
+
+@pytest.mark.parametrize("name", ["", "   ", "Iwama", "Iwama Satoko Extra"])
+def test_part_text_rejects_malformed(name):
+    with pytest.raises(MalformedNameError):
+        part_text(name, NamePart.FULL)
 
 
 class TestNameRecordValidation:

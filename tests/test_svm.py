@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from gendec.errors import ConfigError, UnsupportedModelError
 from gendec.models import hinge_loss, predict, predict_proba, train_svm
-from gendec.models.svm import svm_decision_scores
+from gendec.models.common import linear_scores
 from gendec.name_core import Gender
 
 F, M = Gender.FEMALE, Gender.MALE
@@ -32,7 +32,7 @@ def test_label_flip_negates_scores():
     flipped = [F if label is M else M for label in y]
     a = train_svm(X, y, lam=1e-3, epochs=12, seed=8)
     b = train_svm(X, flipped, lam=1e-3, epochs=12, seed=8)
-    assert np.array_equal(svm_decision_scores(a, X), -svm_decision_scores(b, X))
+    assert np.array_equal(linear_scores(a, X)[:, 1], -linear_scores(b, X)[:, 1])
     assert a.bias == -b.bias
 
 
@@ -48,7 +48,7 @@ def test_same_seed_same_weights():
 def test_zero_score_tie_breaks_female():
     model = train_svm(sp.csr_matrix(np.eye(2)), [F, M], epochs=1, seed=1)
     zero_row = sp.csr_matrix((1, 2))
-    if svm_decision_scores(model, zero_row)[0] == 0.0:
+    if linear_scores(model, zero_row)[0, 1] == 0.0:
         assert predict(model, zero_row) == [F]
 
 
