@@ -9,7 +9,6 @@ echoed into metadata sidecars and model files.
 from __future__ import annotations
 
 import hashlib
-import json
 import sys
 import time
 from pathlib import Path
@@ -31,7 +30,6 @@ from .corpus import (
     split_dataset,
     write_char_csv,
     write_homonym_csv,
-    write_metadata,
 )
 from .errors import GendecError, NonFiniteError, UnknownKanaError
 from .evaluate import (
@@ -53,7 +51,9 @@ from .name_core import (
     NameRole,
     part_text,
     read_corpus_csv,
+    read_text,
     write_corpus_csv,
+    write_json,
 )
 from .translit import ReadingDictionary, build_reading_dictionary, kana_to_romaji
 from .vectorize import TokenizerConfig, TokenizerMode, Weighting, fit_vocabulary, transform
@@ -97,7 +97,7 @@ def cmd_build_dataset(firsts, lasts, out, pairing, k, seed) -> None:
         records = build_dataset(given_rows, family_rows, config, seed)
         write_corpus_csv(out, records)
         balance = gender_balance(records)
-        write_metadata(
+        write_json(
             Path(out).with_suffix(Path(out).suffix + ".meta.json"),
             {
                 "command": "build-dataset",
@@ -111,6 +111,7 @@ def cmd_build_dataset(firsts, lasts, out, pairing, k, seed) -> None:
                     "male": sum(1 for r in records if r.gender is Gender.MALE),
                 },
             },
+            indent=2, sort_keys=True,
         )
         click.echo(
             f"wrote {len(records)} records to {out} "
@@ -149,7 +150,7 @@ def cmd_split(corpus_path, train_out, val_out, test_out, ratios, seed, stratify)
         write_corpus_csv(train_out, train)
         write_corpus_csv(val_out, val)
         write_corpus_csv(test_out, test)
-        write_metadata(
+        write_json(
             Path(train_out).with_suffix(Path(train_out).suffix + ".meta.json"),
             {
                 "command": "split",
@@ -159,6 +160,7 @@ def cmd_split(corpus_path, train_out, val_out, test_out, ratios, seed, stratify)
                 "prng": PRNG_ID,
                 "rows": {"train": len(train), "val": len(val), "test": len(test)},
             },
+            indent=2, sort_keys=True,
         )
         click.echo(f"train={len(train)} val={len(val)} test={len(test)}")
     except GendecError as exc:
@@ -284,9 +286,7 @@ def cmd_evaluate(model_file, test_path, report, csv_path) -> None:
         y_pred = predict(loaded.model, X)
         y_true = [r.gender for r in records]
         result = evaluate_predictions(y_true, y_pred, loaded.cell, fallback_rate)
-        with open(report, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(result.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(report, result.to_json_dict(), indent=2, sort_keys=True)
         if csv_path:
             write_reports_csv(csv_path, [CellResult(cell=result.cell, report=result)])
         click.echo(
@@ -312,8 +312,9 @@ def cmd_predict(model_file, name, batch) -> None:
         if name is not None:
             names = [name]
         else:
-            with open(batch, encoding="utf-8") as fh:
-                names = [line.strip() for line in fh if line.strip()]
+            # Split as universal newlines do; a CRLF leaves a blank line.
+            lines = read_text(batch).replace("\r", "\n").split("\n")
+            names = [line.strip() for line in lines if line.strip()]
         # Every name is checked before anything is printed.
         texts = [part_text(n, loaded.part) for n in names]
         X = transform(texts, loaded.vocabulary, loaded.weighting)
@@ -378,6 +379,11 @@ def cmd_grid(config_path, report_json, report_csv) -> None:
                 )
             else:
                 click.echo(f"{result.cell.label()}: FAILED ({result.error})")
+        # Reports are complete; a failed cell still makes the run fail.
+        errors = [result.error for result in results if result.error is not None]
+        if errors:
+            diverged = any(e.startswith(f"{NonFiniteError.__name__}:") for e in errors)
+            _fail(f"{len(errors)} of {len(results)} grid cells failed", 3 if diverged else 2)
     except GendecError as exc:
         _fail(str(exc))
 

@@ -9,7 +9,6 @@ seed, pairing mode, ratios, PRNG identifier, and row counts.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
@@ -34,6 +33,8 @@ from .name_core import (
     NameRecord,
     NameRole,
     normalize_romaji,
+    read_csv,
+    write_lines,
 )
 from .translit import RecordAligner
 
@@ -97,28 +98,16 @@ def parse_raw_row(line: str) -> RawNamePart:
 
 
 def read_raw_csv(path: str | Path) -> list[RawNamePart]:
-    path = Path(path)
-    with open(path, encoding="utf-8", newline="") as fh:
-        lines = fh.read().split("\n")
-    if not lines or lines[0] != RAW_CSV_HEADER:
-        raise SchemaError(f"{path}: expected header {RAW_CSV_HEADER!r}")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        try:
-            rows.append(parse_raw_row(line))
-        except (SchemaError, LabelError, MalformedNameError) as exc:
-            raise type(exc)(f"{path}:{lineno}: {exc}") from None
-    return rows
+    return read_csv(path, RAW_CSV_HEADER, parse_raw_row)
+
+
+def format_raw_row(row: RawNamePart) -> str:
+    gender = row.gender.value if row.gender else "neutral"
+    return f"{row.romaji},{row.hiragana},{row.kanji},{gender},{row.role.value}"
 
 
 def write_raw_csv(path: str | Path, rows: Iterable[RawNamePart]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(RAW_CSV_HEADER + "\n")
-        for row in rows:
-            gender = row.gender.value if row.gender else "neutral"
-            fh.write(f"{row.romaji},{row.hiragana},{row.kanji},{gender},{row.role.value}\n")
+    write_lines(path, [RAW_CSV_HEADER, *map(format_raw_row, rows)])
 
 
 def dedupe_first_names(rows: Sequence[RawNamePart]) -> list[RawNamePart]:
@@ -266,17 +255,13 @@ class HomonymHistogram:
         return self.female if gender is Gender.FEMALE else self.male
 
 
-def homonym_stats(
-    records: Sequence[NameRecord], aligner: Optional[RecordAligner] = None
-) -> HomonymHistogram:
+def homonym_stats(records: Sequence[NameRecord]) -> HomonymHistogram:
     """Histogram of kanji spellings per romaji first name, per gender.
 
     Records whose scripts cannot be aligned into parts are skipped.
     """
-    if aligner is None:
-        aligner = RecordAligner(records)
     expressions: dict[tuple[Gender, str], set[str]] = defaultdict(set)
-    for record, aligned in zip(records, aligner.aligned):
+    for record, aligned in zip(records, RecordAligner(records).aligned):
         if aligned is None:
             continue
         first = normalize_romaji(record.romaji).split(" ")[1]
@@ -293,7 +278,6 @@ def char_frequency(
     records: Sequence[NameRecord],
     gender: Gender,
     part: NamePart = NamePart.FIRST,
-    aligner: Optional[RecordAligner] = None,
 ) -> list[tuple[str, int]]:
     """Kanji character counts over one gender's name parts.
 
@@ -307,9 +291,7 @@ def char_frequency(
             if record.gender is gender:
                 counts.update(record.kanji)
     else:
-        if aligner is None:
-            aligner = RecordAligner(records)
-        for record, aligned in zip(records, aligner.aligned):
+        for record, aligned in zip(records, RecordAligner(records).aligned):
             if record.gender is not gender or aligned is None:
                 continue
             counts.update(
@@ -325,21 +307,9 @@ def gender_balance(records: Sequence[NameRecord]) -> dict[str, float]:
     return {g.value: counts.get(g, 0) / total if total else 0.0 for g in GENDERS}
 
 
-def write_metadata(path: str | Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def write_homonym_csv(path: str | Path, table: dict[int, int]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("key,count\n")
-        for k in sorted(table):
-            fh.write(f"{k},{table[k]}\n")
+    write_lines(path, ["key,count", *(f"{k},{table[k]}" for k in sorted(table))])
 
 
 def write_char_csv(path: str | Path, items: Sequence[tuple[str, int]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("char,count\n")
-        for char, count in items:
-            fh.write(f"{char},{count}\n")
+    write_lines(path, ["char,count", *(f"{char},{count}" for char, count in items)])

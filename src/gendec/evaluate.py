@@ -8,7 +8,6 @@ vocabularies and the reading dictionary strictly on the training split.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -29,6 +28,9 @@ from .name_core import (
     NameRecord,
     part_text,
     read_corpus_csv,
+    read_json,
+    write_json,
+    write_lines,
 )
 from .translit import ReadingDictionary, build_reading_dictionary, convert_name
 from .vectorize import TokenizerConfig, Weighting, fit_vocabulary, transform
@@ -213,8 +215,8 @@ class ExperimentGrid:
             for key in ("train", "test"):
                 if key not in doc:
                     raise ConfigError(f"grid config missing {key!r}")
-                if not Path(doc[key]).exists():
-                    raise ConfigError(f"grid config {key} path does not exist: {doc[key]}")
+                if not Path(doc[key]).is_file():
+                    raise ConfigError(f"grid config {key} path is not a file: {doc[key]}")
             if "cells" in doc:
                 cells = [Cell.from_json_dict(c) for c in doc["cells"]]
             else:
@@ -229,17 +231,12 @@ class ExperimentGrid:
                 tokenizer=TokenizerConfig.from_json_dict(tokenizer) if tokenizer
                 else TokenizerConfig(),
             )
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
             raise ConfigError(f"malformed grid config: {type(exc).__name__}: {exc}") from None
 
     @classmethod
     def load(cls, path: str | Path) -> "ExperimentGrid":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except ValueError as exc:
-                raise ConfigError(f"{path}: grid config is not JSON: {exc}") from None
-        return cls.from_json_dict(doc)
+        return cls.from_json_dict(read_json(path, ConfigError))
 
 
 def classical_full_grid() -> list[Cell]:
@@ -413,14 +410,9 @@ def write_reports_json(path: str | Path, results: Sequence[CellResult]) -> None:
         else {**result.cell.to_json_dict(), "error": result.error}
         for result in results
     ]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload, indent=2, sort_keys=True)
 
 
 def write_reports_csv(path: str | Path, results: Sequence[CellResult]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(REPORT_CSV_HEADER + "\n")
-        for result in results:
-            if result.report is not None:
-                fh.write(result.report.csv_row() + "\n")
+    rows = [result.report.csv_row() for result in results if result.report is not None]
+    write_lines(path, [REPORT_CSV_HEADER, *rows])

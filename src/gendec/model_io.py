@@ -10,7 +10,6 @@ a fixed epoch unless SOURCE_DATE_EPOCH is set.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -23,7 +22,7 @@ from .errors import SchemaError
 from .evaluate import Cell
 from .models import MODEL_KINDS, ModelKind, TrainedModel, kind_of
 from .models.common import vector
-from .name_core import InputVariant, NamePart
+from .name_core import InputVariant, NamePart, read_json, write_json
 from .translit import ReadingDictionary
 from .vectorize import TokenizerConfig, Vocabulary, Weighting
 
@@ -102,7 +101,8 @@ class ModelFile:
                 else ReadingDictionary.from_json_dict(reading),
                 metadata=dict(doc["metadata"]),
             )
-        except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError, AttributeError,
+                OverflowError) as exc:
             raise SchemaError(f"malformed model file: {type(exc).__name__}: {exc}") from None
 
     @property
@@ -116,16 +116,8 @@ class ModelFile:
 
 
 def save_model(path: str | Path, model_file: ModelFile) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(model_file.to_json_dict(), fh, sort_keys=True,
-                  separators=(",", ":"))
-        fh.write("\n")
+    write_json(path, model_file.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
 
 def load_model(path: str | Path) -> ModelFile:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:  # not UTF-8 or not JSON
-            raise SchemaError(f"{path}: not a JSON model file: {exc}") from None
-    return ModelFile.from_json_dict(doc)
+    return ModelFile.from_json_dict(read_json(path))

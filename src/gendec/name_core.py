@@ -2,18 +2,20 @@
 
 Names are stored family-name-first in all three scripts.  The corpus CSV
 schema is ``romaji,kanji,hiragana,gender``: UTF-8, comma separated, no
-quoting (fields never contain commas), LF line endings.
+quoting (fields never contain commas), LF line endings.  Every text file
+the package reads or writes goes through the helpers at the end.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
-from .errors import LabelError, MalformedNameError, SchemaError
+from .errors import GendecError, LabelError, MalformedNameError, SchemaError
 
 CSV_HEADER = "romaji,kanji,hiragana,gender"
 
@@ -144,26 +146,57 @@ def format_csv_row(record: NameRecord) -> str:
 _ROW_ERRORS = (SchemaError, LabelError, MalformedNameError)
 
 
-def read_corpus_csv(path: str | Path) -> list[NameRecord]:
-    """Read a corpus CSV, raising SchemaError with the offending line number."""
-    path = Path(path)
-    with open(path, encoding="utf-8", newline="") as fh:
-        lines = fh.read().split("\n")
-    if not lines or lines[0] != CSV_HEADER:
-        raise SchemaError(f"{path}: expected header {CSV_HEADER!r}")
-    records = []
+def read_text(path: str | Path) -> str:
+    """A file's text, decoded as UTF-8 with line endings kept as they are."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8: {exc}") from None
+
+
+def read_json(path: str | Path, error: type[GendecError] = SchemaError):
+    """A file's JSON document; not JSON, or nested too deep, raises ``error``."""
+    text = read_text(path)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{path}: not JSON: {exc}") from None
+
+
+def read_csv(path: str | Path, header: str, parse_row: Callable[[str], object]) -> list:
+    """Non-empty rows after ``header``, parsed; row errors get file:line prepended."""
+    lines = read_text(path).split("\n")
+    if lines[0] != header:
+        raise SchemaError(f"{path}: expected header {header!r}")
+    rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         try:
-            records.append(parse_csv_row(line))
+            rows.append(parse_row(line))
         except _ROW_ERRORS as exc:
             raise type(exc)(f"{path}:{lineno}: {exc}") from None
-    return records
+    return rows
+
+
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Write each line, LF-terminated, as UTF-8."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for line in lines:
+            fh.write(line + "\n")
+
+
+def write_json(path: str | Path, payload, **dump_options) -> None:
+    """Write ``json.dumps(payload, **dump_options)`` plus a newline; the text
+    is built first, so a payload that cannot be serialized leaves no file."""
+    write_lines(path, [json.dumps(payload, **dump_options)])
+
+
+def read_corpus_csv(path: str | Path) -> list[NameRecord]:
+    """Read a corpus CSV, raising SchemaError with the offending line number."""
+    return read_csv(path, CSV_HEADER, parse_csv_row)
 
 
 def write_corpus_csv(path: str | Path, records: Iterable[NameRecord]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for record in records:
-            fh.write(format_csv_row(record) + "\n")
+    write_lines(path, [CSV_HEADER, *map(format_csv_row, records)])

@@ -12,7 +12,6 @@ corpus rather than composing per-character readings.
 
 from __future__ import annotations
 
-import json
 import warnings
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ from .errors import (
     UnknownKanaError,
     UnknownKanjiError,
 )
-from .name_core import NameRecord, NameRole, normalize_romaji
+from .name_core import NameRecord, NameRole, normalize_romaji, read_json, write_json
 
 # Single-kana syllables (gojuon plus voiced/semi-voiced rows and ん).
 _BASE = {
@@ -209,7 +208,7 @@ class RecordAligner:
     pairs that the prior pass saw most often.
     """
 
-    def __init__(self, records: Sequence[NameRecord], refine_passes: int = 1):
+    def __init__(self, records: Sequence[NameRecord]):
         self.skipped = 0
         kana_splits: list[Optional[tuple[str, str, str]]] = []
         for record in records:
@@ -227,35 +226,34 @@ class RecordAligner:
             None if s is None else _prior_kanji_boundary(len(s[0]))
             for s in kana_splits
         ]
-        for _ in range(refine_passes):
-            family_votes: Counter = Counter()
-            given_votes: Counter = Counter()
-            for split, cut in zip(kana_splits, boundaries):
-                if split is None:
-                    continue
-                kanji, kf, kg = split
-                family_votes[(kanji[:cut], kf)] += 1
-                given_votes[(kanji[cut:], kg)] += 1
-            for idx, split in enumerate(kana_splits):
-                if split is None:
-                    continue
-                kanji, kf, kg = split
-                current = boundaries[idx]
-                best_cut = current
-                best_score = -1
-                for cut in range(1, len(kanji)):
-                    # Leave-one-out: a record's own votes sit at its current
-                    # boundary and must not anchor it there.
-                    score = (
-                        family_votes[(kanji[:cut], kf)]
-                        + given_votes[(kanji[cut:], kg)]
-                        - (2 if cut == current else 0)
-                    )
-                    if score > best_score:
-                        best_score, best_cut = score, cut
-                    elif score == best_score and cut == current:
-                        best_cut = cut
-                boundaries[idx] = best_cut
+        family_votes: Counter = Counter()
+        given_votes: Counter = Counter()
+        for split, cut in zip(kana_splits, boundaries):
+            if split is None:
+                continue
+            kanji, kf, kg = split
+            family_votes[(kanji[:cut], kf)] += 1
+            given_votes[(kanji[cut:], kg)] += 1
+        for idx, split in enumerate(kana_splits):
+            if split is None:
+                continue
+            kanji, kf, kg = split
+            current = boundaries[idx]
+            best_cut = current
+            best_score = -1
+            for cut in range(1, len(kanji)):
+                # Leave-one-out: a record's own votes sit at its current
+                # boundary and must not anchor it there.
+                score = (
+                    family_votes[(kanji[:cut], kf)]
+                    + given_votes[(kanji[cut:], kg)]
+                    - (2 if cut == current else 0)
+                )
+                if score > best_score:
+                    best_score, best_cut = score, cut
+                elif score == best_score and cut == current:
+                    best_cut = cut
+            boundaries[idx] = best_cut
 
         self.aligned: list[Optional[AlignedName]] = []
         for split, cut in zip(kana_splits, boundaries):
@@ -312,45 +310,49 @@ class ReadingDictionary:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ReadingDictionary":
-        if doc.get("schema_version") != cls.SCHEMA_VERSION:
+        """Dictionary from its JSON document; a malformed one raises SchemaError."""
+        version = doc.get("schema_version") if isinstance(doc, dict) else None
+        if version != cls.SCHEMA_VERSION:
             raise SchemaError(
-                f"unsupported reading dictionary schema_version "
-                f"{doc.get('schema_version')!r}"
+                f"unsupported reading dictionary schema_version {version!r}"
             )
-        def load(table: dict) -> dict[str, tuple[tuple[str, int], ...]]:
-            return {
-                kanji: tuple((reading, int(count)) for reading, count in readings)
-                for kanji, readings in table.items()
-            }
 
-        return cls(family=load(doc["family"]), given=load(doc["given"]))
+        def load(role: str) -> dict[str, tuple[tuple[str, int], ...]]:
+            table = {
+                kanji: tuple((reading, count) for reading, count in readings)
+                for kanji, readings in doc[role].items()
+            }
+            pairs = [pair for readings in table.values() for pair in readings]
+            if not all(isinstance(r, str) and type(c) is int for r, c in pairs):
+                raise TypeError(f"{role} readings must be [string, integer] pairs")
+            return table
+
+        try:
+            return cls(family=load("family"), given=load("given"))
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise SchemaError(
+                f"malformed reading dictionary: {type(exc).__name__}: {exc}"
+            ) from None
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(self.to_json_dict(), fh, ensure_ascii=False, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json_dict(), ensure_ascii=False, sort_keys=True)
 
     @classmethod
     def load(cls, path: str | Path) -> "ReadingDictionary":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+        return cls.from_json_dict(read_json(path))
 
 
 def _sorted_readings(counter: Counter) -> tuple[tuple[str, int], ...]:
     return tuple(sorted(counter.items(), key=lambda item: (-item[1], item[0])))
 
 
-def build_reading_dictionary(
-    records: Sequence[NameRecord],
-    aligner: Optional[RecordAligner] = None,
-) -> tuple[ReadingDictionary, int]:
+def build_reading_dictionary(records: Sequence[NameRecord]) -> tuple[ReadingDictionary, int]:
     """Build part-reading tables from a record list (training split only).
 
     Returns the dictionary and the number of records skipped because
     their hiragana could not be aligned to the romaji family token.
     """
-    if aligner is None:
-        aligner = RecordAligner(records)
+    aligner = RecordAligner(records)
     family: dict[str, Counter] = defaultdict(Counter)
     given: dict[str, Counter] = defaultdict(Counter)
     for aligned in aligner.aligned:

@@ -8,6 +8,9 @@ from gendec.corpus import write_raw_csv
 from gendec.name_core import read_corpus_csv, write_corpus_csv
 from tests.conftest import make_raw_inventories
 
+# JSON nested deeper than the parser's recursion limit.
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
 
 @pytest.fixture
 def runner():
@@ -311,11 +314,13 @@ class TestPredictPaths:
 
 class TestCorruptModelFiles:
     @pytest.fixture(params=["not-json", "missing-keys", "missing-parameter",
-                            "wrong-type", "wrong-length", "not-object"])
+                            "wrong-type", "wrong-length", "not-object", "nested-deep",
+                            "huge-number"])
     def corrupt_model(self, request, model_path):
         doc = json.loads(model_path.read_text())
-        if request.param == "not-json":
-            model_path.write_text("{not json", encoding="utf-8")
+        texts = {"not-json": "{not json", "nested-deep": DEEP_JSON}
+        if request.param in texts:
+            model_path.write_text(texts[request.param], encoding="utf-8")
             return model_path
         if request.param == "missing-keys":
             doc = {"schema_version": 1, "model_kind": "rf"}
@@ -325,6 +330,8 @@ class TestCorruptModelFiles:
             doc["parameters"]["n_trees"] = [5]
         elif request.param == "wrong-length":
             doc["parameters"]["trees"][0]["left"].append(0)
+        elif request.param == "huge-number":
+            doc["vocabulary"]["idf"][0] = 10 ** 400
         else:
             doc = [doc]
         model_path.write_text(json.dumps(doc), encoding="utf-8")
@@ -520,6 +527,9 @@ class TestGrid:
         {"tokenizer": {"mode": "char_ngram", "ngram_min": 4, "ngram_max": 2}},
         {"hyperparameters": {"knn": {"k": 3}}},
         {"hyperparameters": {"rf": {"n_trees": "many"}}},
+        pytest.param(DEEP_JSON, id="nested-deep"),
+        pytest.param({"seed": float("inf")}, id="infinite-seed"),
+        pytest.param({"train": "."}, id="train-is-directory"),
     ])
     def test_malformed_configs_exit_2(self, runner, split_files, tmp_path, config):
         train_csv, _val, test_csv = split_files
@@ -530,3 +540,89 @@ class TestGrid:
         assert _no_traceback(result)
         assert result.output.startswith("error:")
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("hyperparameters,code", [
+        ({"rf": {"n_trees": 0}}, 2),
+        ({"lr": {"learning_rate": 1e308, "l2": 1e308, "epochs": 3}}, 3),
+    ], ids=["config-error", "non-finite"])
+    def test_failed_cell_writes_reports_then_exits_nonzero(self, runner, split_files,
+                                                           tmp_path, hyperparameters,
+                                                           code):
+        train_csv, _val, test_csv = split_files
+        model = next(iter(hyperparameters))
+        result = self._grid(runner, tmp_path, {
+            "train": str(train_csv), "test": str(test_csv),
+            "cells": [{"model": m, "features": "count", "variant": "original",
+                       "part": "full"} for m in ("nb", model)],
+            "hyperparameters": hyperparameters,
+        })
+        assert result.exit_code == code
+        assert _no_traceback(result)
+        assert "nb/count/original/full: macro_f1=" in result.stdout
+        assert f"{model}/count/original/full: FAILED" in result.stdout
+        assert "error: 1 of 2 grid cells failed" in result.stderr
+        entries = json.loads((tmp_path / "r.json").read_text())
+        assert [("error" in e) for e in entries] == [False, True]
+        assert len((tmp_path / "r.csv").read_text().splitlines()) == 2
+
+
+NOT_UTF8_CORPUS = b"romaji,kanji,hiragana,gender\nTanaka Satoko,\xff\xfe,x,female\n"
+NOT_UTF8_RAW = b"romaji,hiragana,kanji,gender,role\nsatoko,\xff,x,female,given\n"
+
+
+class TestBadFiles:
+    """Every file a command reads is checked: a bad one exits 2 with an
+    ``error:`` line, no traceback and no output file."""
+
+    @pytest.fixture
+    def files(self, tmp_path, split_files, raw_files, model_path):
+        train_csv, _val, test_csv = split_files
+        paths = {"model": model_path, "lasts": raw_files[1], "train": train_csv,
+                 "out": tmp_path / "out.txt", "out2": tmp_path / "out2.txt"}
+        contents = {
+            "bad_corpus": NOT_UTF8_CORPUS,
+            "bad_raw": NOT_UTF8_RAW,
+            "bad_batch": b"Tanaka Satoko\nSuzuki \xff\xfe\n",
+            "dict_not_json": b"{not json",
+            "dict_list": b"[]",
+            "dict_no_family": b'{"schema_version": 1, "given": {}}',
+            "dict_deep": DEEP_JSON.encode(),
+        }
+        for name, data in contents.items():
+            paths[name] = tmp_path / f"{name}.bin"
+            paths[name].write_bytes(data)
+        paths["bad_grid"] = tmp_path / "grid.json"
+        paths["bad_grid"].write_text(json.dumps({
+            "train": str(paths["bad_corpus"]), "test": str(test_csv),
+            "cells": [{"model": "nb", "features": "count", "variant": "original",
+                       "part": "full"}],
+        }), encoding="utf-8")
+        return paths
+
+    _TRAIN = ["train", "--model", "nb", "--features", "count", "--out", "{out}"]
+    _DICT = [*_TRAIN, "--train", "{train}", "--variant", "converted", "--dict"]
+
+    @pytest.mark.parametrize("args", [
+        ["split", "--in", "{bad_corpus}", "--train-out", "{out}",
+         "--val-out", "{out2}", "--test-out", "{out2}"],
+        [*_TRAIN, "--train", "{bad_corpus}"],
+        ["evaluate", "--model-file", "{model}", "--test", "{bad_corpus}",
+         "--report", "{out}"],
+        ["grid", "--config", "{bad_grid}", "--report-json", "{out}",
+         "--report-csv", "{out2}"],
+        ["build-dataset", "--firsts", "{bad_raw}", "--lasts", "{lasts}", "--out", "{out}"],
+        [*_DICT, "{dict_not_json}"],
+        [*_DICT, "{dict_list}"],
+        [*_DICT, "{dict_no_family}"],
+        [*_DICT, "{dict_deep}"],
+        ["predict", "--model-file", "{model}", "--batch", "{bad_batch}"],
+    ], ids=["split-corpus-not-utf8", "train-corpus-not-utf8", "evaluate-test-not-utf8",
+            "grid-train-not-utf8", "build-dataset-raw-not-utf8", "dict-not-json",
+            "dict-list", "dict-no-family", "dict-nested-deep", "predict-batch-not-utf8"])
+    def test_exits_2(self, runner, files, args):
+        result = runner.invoke(main, [arg.format(**files) for arg in args])
+        assert result.exit_code == 2
+        assert _no_traceback(result)
+        assert result.stdout == ""
+        assert result.stderr.startswith("error:")
+        assert not files["out"].exists()

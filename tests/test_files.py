@@ -1,0 +1,223 @@
+"""The file layer: one place that opens files, and readers that turn any bad
+file into a GendecError."""
+
+import ast
+import copy
+import json
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import gendec
+from gendec.corpus import read_raw_csv
+from gendec.errors import GendecError
+from gendec.evaluate import ExperimentGrid, extract_texts, train_cell_model
+from gendec.model_io import ModelFile, load_model
+from gendec.models import ModelKind
+from gendec.name_core import (
+    CSV_HEADER,
+    Gender,
+    InputVariant,
+    NamePart,
+    NameRecord,
+    read_corpus_csv,
+    read_json,
+    write_corpus_csv,
+    write_json,
+)
+from gendec.translit import ReadingDictionary, build_reading_dictionary
+from gendec.vectorize import TokenizerConfig, Weighting, fit_vocabulary, transform
+
+SRC = Path(gendec.__file__).parent
+
+# Functions allowed to open files: the two text helpers and the binary hash.
+ALLOWED_OPENERS = {
+    ("name_core.py", "read_text"),
+    ("name_core.py", "write_lines"),
+    ("cli.py", "_sha256_file"),
+}
+# pathlib's shortcuts open files too.
+_OPENING_METHODS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
+
+
+def _openers(tree: ast.Module):
+    """(enclosing function, line) of each call that opens a file."""
+    def walk(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from walk(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (isinstance(func, ast.Name) and func.id == "open") or (
+                        isinstance(func, ast.Attribute) and func.attr in _OPENING_METHODS):
+                    yield function, child.lineno
+            yield from walk(child, function)
+    return walk(tree, None)
+
+
+def test_only_the_file_helpers_open_files():
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        name = str(path.relative_to(SRC))
+        found += [(name, function, line) for function, line in _openers(tree)]
+    stray = [site for site in found if site[:2] not in ALLOWED_OPENERS]
+    assert not stray, f"files opened outside gendec.name_core's helpers: {stray}"
+    assert {site[:2] for site in found} == ALLOWED_OPENERS
+
+
+# --- every reader: loads, or raises a GendecError -------------------------
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("files")
+
+
+@pytest.fixture(scope="module")
+def documents(scratch):
+    """A valid document for each JSON reader, built from a tiny corpus."""
+    records = [
+        NameRecord("Tamai Kazuyoshi", "玉井和善", "たまいかずよし", Gender.MALE),
+        NameRecord("Iwama Satoko", "岩間智子", "いわまさとこ", Gender.FEMALE),
+        NameRecord("Shiraki Yuka", "白木由花", "しらきゆか", Gender.FEMALE),
+        NameRecord("Sata Kunishige", "佐田国重", "さたくにしげ", Gender.MALE),
+    ]
+    corpus = scratch / "corpus.csv"
+    write_corpus_csv(corpus, records)
+    reading, _ = build_reading_dictionary(records)
+    texts, _ = extract_texts(records, NamePart.FULL, InputVariant.CONVERTED, reading)
+    vocab = fit_vocabulary(texts, TokenizerConfig(), Weighting.TFIDF)
+    X = transform(texts, vocab, Weighting.TFIDF)
+    labels = [r.gender for r in records]
+    model_docs = []
+    for kind in ModelKind:
+        overrides = {"n_trees": 2} if kind is ModelKind.RF else None
+        model = train_cell_model(kind, X, labels, seed=1, hyperparameters=overrides)
+        model_file = ModelFile(model, kind, Weighting.TFIDF, NamePart.FULL,
+                               InputVariant.CONVERTED, vocab, reading, {"seed": 1})
+        model_docs.append(json.loads(json.dumps(model_file.to_json_dict())))
+    grid = {"train": str(corpus), "test": str(corpus), "seed": 3,
+            "cells": [{"model": "nb", "features": "count", "variant": "original",
+                       "part": "full"}],
+            "hyperparameters": {"rf": {"n_trees": 2}},
+            "tokenizer": {"mode": "char_ngram", "ngram_min": 2, "ngram_max": 3}}
+    return {"model": model_docs, "grid": [grid],
+            "dictionary": [reading.to_json_dict()]}
+
+
+JSON_READERS = {
+    "model": load_model,
+    "grid": ExperimentGrid.load,
+    "dictionary": ReadingDictionary.load,
+}
+BYTE_READERS = {**JSON_READERS, "corpus": read_corpus_csv, "raw": read_raw_csv}
+_HEADERS = {"corpus": CSV_HEADER.encode(), "raw": b"romaji,hiragana,kanji,gender,role"}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=12,
+)
+_SETTINGS = settings(max_examples=60, deadline=None,
+                     suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _loads_or_gendec_error(reader, path: Path) -> None:
+    try:
+        reader(path)
+    except GendecError:
+        pass
+
+
+@pytest.mark.parametrize("reader", sorted(BYTE_READERS))
+@_SETTINGS
+@given(data=st.binary(), with_header=st.booleans())
+def test_any_bytes_load_or_raise_gendec_error(scratch, reader, data, with_header):
+    if with_header and reader in _HEADERS:
+        data = _HEADERS[reader] + b"\n" + data
+    path = scratch / f"bytes-{reader}"
+    path.write_bytes(data)
+    _loads_or_gendec_error(BYTE_READERS[reader], path)
+
+
+@pytest.mark.parametrize("reader", sorted(JSON_READERS))
+@_SETTINGS
+@given(value=json_values)
+def test_any_json_value_loads_or_raises_gendec_error(scratch, reader, value):
+    path = scratch / f"value-{reader}.json"
+    path.write_text(json.dumps(value), encoding="utf-8")
+    _loads_or_gendec_error(JSON_READERS[reader], path)
+
+
+def _paths(doc, prefix=()):
+    """Every position in a JSON document, as a key/index path."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _paths(value, (*prefix, key))
+
+
+@pytest.mark.parametrize("reader", sorted(JSON_READERS))
+@_SETTINGS
+@given(data=st.data())
+def test_valid_document_with_one_value_replaced(scratch, documents, reader, data):
+    """A real document with any one position replaced or removed."""
+    doc = copy.deepcopy(data.draw(st.sampled_from(documents[reader])))
+    path = data.draw(st.sampled_from(list(_paths(doc))[1:]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if data.draw(st.booleans()):
+        parent[path[-1]] = data.draw(json_values)
+    else:
+        del parent[path[-1]]
+    target = scratch / f"replaced-{reader}.json"
+    target.write_text(json.dumps(doc), encoding="utf-8")
+    _loads_or_gendec_error(JSON_READERS[reader], target)
+
+
+# --- round trips ------------------------------------------------------------
+
+_field = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=",\n"),
+                 min_size=1)
+_token = st.text(st.sampled_from("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"),
+                 min_size=1)
+records = st.lists(st.builds(
+    NameRecord,
+    romaji=st.builds(lambda family, given: f"{family} {given}", _token, _token),
+    kanji=_field, hiragana=_field, gender=st.sampled_from(Gender),
+))
+
+
+@_SETTINGS
+@given(rows=records)
+def test_corpus_csv_round_trip(scratch, rows):
+    path = scratch / "round-trip.csv"
+    write_corpus_csv(path, rows)
+    assert read_corpus_csv(path) == rows
+
+
+_unicode = st.text(st.characters(blacklist_categories=("Cs",)))
+json_documents = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | _unicode,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(_unicode, children, max_size=4),
+    max_leaves=12,
+)
+
+
+@_SETTINGS
+@given(doc=json_documents, options=st.sampled_from([
+    {"sort_keys": True, "separators": (",", ":")},
+    {"indent": 2, "sort_keys": True},
+    {"ensure_ascii": False, "sort_keys": True},
+]))
+def test_json_round_trip(scratch, doc, options):
+    path = scratch / "round-trip.json"
+    write_json(path, doc, **options)
+    assert read_json(path) == doc
