@@ -26,6 +26,7 @@ from .name_core import (
     InputVariant,
     NamePart,
     NameRecord,
+    json_count,
     part_text,
     read_corpus_csv,
     read_json,
@@ -33,7 +34,15 @@ from .name_core import (
     write_lines,
 )
 from .translit import ReadingDictionary, build_reading_dictionary, convert_name
-from .vectorize import TokenizerConfig, Weighting, fit_vocabulary, transform
+from .vectorize import (
+    FeatureMatrix,
+    TokenizerConfig,
+    Vocabulary,
+    Weighting,
+    fit_vocabulary,
+    tfidf_from_counts,
+    transform,
+)
 
 
 @dataclass(frozen=True)
@@ -226,7 +235,7 @@ class ExperimentGrid:
                 cells=cells,
                 train_path=doc["train"],
                 test_path=doc["test"],
-                seed=int(doc.get("seed", 42)),
+                seed=json_count(doc.get("seed", 42)),
                 hyperparameters=doc.get("hyperparameters") or {},
                 tokenizer=TokenizerConfig.from_json_dict(tokenizer) if tokenizer
                 else TokenizerConfig(),
@@ -338,6 +347,24 @@ def train_cell_model(
     return spec.train(X, y, **params)
 
 
+def _featurize(
+    train_records: Sequence[NameRecord],
+    test_records: Sequence[NameRecord],
+    part: NamePart,
+    variant: InputVariant,
+    reading_dict: Optional[ReadingDictionary],
+    tokenizer: TokenizerConfig,
+) -> tuple[FeatureMatrix, FeatureMatrix, Vocabulary, float]:
+    """Train and test count matrices of one (variant, part), the vocabulary
+    (with idf) fitted on the train texts, and the test fallback rate."""
+    train_texts, _ = extract_texts(train_records, part, variant, reading_dict)
+    test_texts, fallback_rate = extract_texts(test_records, part, variant, reading_dict)
+    vocab = fit_vocabulary(train_texts, tokenizer, Weighting.TFIDF)
+    X_train = transform(train_texts, vocab, Weighting.COUNT)
+    X_test = transform(test_texts, vocab, Weighting.COUNT)
+    return X_train, X_test, vocab, fallback_rate
+
+
 def run_cells(
     cells: Sequence[Cell],
     train_records: Sequence[NameRecord],
@@ -349,7 +376,9 @@ def run_cells(
     """Run grid cells in canonical key order; failures stay per-cell.
 
     The reading dictionary for converted cells is built once, from the
-    training records only.
+    training records only.  Each (variant, part) is featurized once and its
+    count matrices are shared by every cell that uses it; TF-IDF cells
+    weight a copy.
     """
     if len(set(cells)) != len(cells):
         raise ConfigError("grid cells must be unique")
@@ -365,18 +394,20 @@ def run_cells(
     if any(cell.variant is InputVariant.CONVERTED for cell in cells):
         reading_dict, _skipped = build_reading_dictionary(train_records)
 
+    features: dict[tuple[InputVariant, NamePart], tuple] = {}
     results = []
     for cell in sorted(cells, key=Cell.key):
         try:
-            train_texts, _ = extract_texts(
-                train_records, cell.part, cell.variant, reading_dict
-            )
-            test_texts, fallback_rate = extract_texts(
-                test_records, cell.part, cell.variant, reading_dict
-            )
-            vocab = fit_vocabulary(train_texts, tokenizer, cell.weighting)
-            X_train = transform(train_texts, vocab, cell.weighting)
-            X_test = transform(test_texts, vocab, cell.weighting)
+            encoding = (cell.variant, cell.part)
+            if encoding not in features:  # stored only once it is whole
+                features[encoding] = _featurize(
+                    train_records, test_records, cell.part, cell.variant,
+                    reading_dict, tokenizer,
+                )
+            X_train, X_test, vocab, fallback_rate = features[encoding]
+            if cell.weighting is Weighting.TFIDF:
+                X_train = tfidf_from_counts(X_train, vocab)
+                X_test = tfidf_from_counts(X_test, vocab)
             model = train_cell_model(
                 cell.model, X_train, y_train, seed,
                 hyperparameters.get(cell.model.value),

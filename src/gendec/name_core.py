@@ -164,6 +164,17 @@ def read_json(path: str | Path, error: type[GendecError] = SchemaError):
         raise error(f"{path}: not JSON: {exc}") from None
 
 
+def json_count(value) -> int:
+    """``value`` when it is a non-negative JSON integer, else ValueError.
+
+    ``true``, ``1.5`` and ``"42"`` are rejected, not coerced: ``int()`` would
+    turn them into 1, 1 and 42.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"expected a non-negative integer, got {value!r}")
+    return value
+
+
 def read_csv(path: str | Path, header: str, parse_row: Callable[[str], object]) -> list:
     """Non-empty rows after ``header``, parsed; row errors get file:line prepended."""
     lines = read_text(path).split("\n")

@@ -18,6 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, EmptyCorpusError, MissingIdfError
+from .name_core import json_count
 
 
 class TokenizerMode(str, Enum):
@@ -54,8 +55,8 @@ class TokenizerConfig:
     def from_json_dict(cls, doc: dict) -> "TokenizerConfig":
         return cls(
             mode=TokenizerMode(doc["mode"]),
-            ngram_min=int(doc["ngram_min"]),
-            ngram_max=int(doc["ngram_max"]),
+            ngram_min=json_count(doc["ngram_min"]),
+            ngram_max=json_count(doc["ngram_max"]),
         )
 
 
@@ -133,11 +134,9 @@ def transform(
 ) -> FeatureMatrix:
     """Vectorize documents against a fitted vocabulary.
 
-    Unseen tokens are silently dropped.  TF-IDF multiplies counts by idf
-    and L2-normalizes each row; all-zero rows stay all-zero.
+    Unseen tokens are silently dropped.  TF-IDF is ``tfidf_from_counts``
+    of the count matrix.
     """
-    if weighting is Weighting.TFIDF and vocab.idf is None:
-        raise MissingIdfError("vocabulary was fitted without idf weights")
     rows: list[int] = []
     cols: list[int] = []
     vals: list[float] = []
@@ -155,16 +154,30 @@ def transform(
     matrix = sp.csr_matrix(
         (vals, (rows, cols)), shape=(len(docs), vocab.size), dtype=np.float64
     )
+    counts_matrix = FeatureMatrix(matrix=matrix, weighting=Weighting.COUNT)
     if weighting is Weighting.COUNT:
-        return FeatureMatrix(matrix=matrix, weighting=weighting)
+        return counts_matrix
+    return tfidf_from_counts(counts_matrix, vocab)
+
+
+def tfidf_from_counts(counts: FeatureMatrix, vocab: Vocabulary) -> FeatureMatrix:
+    """TF-IDF of a count matrix: counts times idf, then each row L2-normalized.
+
+    All-zero rows stay all-zero.  The result is a new matrix; ``counts`` is
+    never written to, so one count matrix can serve many callers.
+    """
+    if vocab.idf is None:
+        raise MissingIdfError("vocabulary was fitted without idf weights")
+    matrix = counts.matrix.copy()
     if matrix.nnz:
+        n_rows = matrix.shape[0]
         matrix.data *= vocab.idf[matrix.indices]
-        row_ids = np.repeat(np.arange(len(docs)), np.diff(matrix.indptr))
-        row_norms = np.zeros(len(docs))
+        row_ids = np.repeat(np.arange(n_rows), np.diff(matrix.indptr))
+        row_norms = np.zeros(n_rows)
         np.add.at(row_norms, row_ids, matrix.data ** 2)
         row_norms = np.sqrt(row_norms)
-        scale = np.ones(len(docs))
+        scale = np.ones(n_rows)
         nonzero = row_norms > 0
         scale[nonzero] = 1.0 / row_norms[nonzero]
         matrix.data *= scale[row_ids]
-    return FeatureMatrix(matrix=matrix, weighting=weighting)
+    return FeatureMatrix(matrix=matrix, weighting=Weighting.TFIDF)

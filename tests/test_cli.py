@@ -530,6 +530,12 @@ class TestGrid:
         pytest.param(DEEP_JSON, id="nested-deep"),
         pytest.param({"seed": float("inf")}, id="infinite-seed"),
         pytest.param({"train": "."}, id="train-is-directory"),
+        pytest.param({"seed": -1}, id="negative-seed"),
+        pytest.param({"seed": 1.5}, id="fractional-seed"),
+        pytest.param({"seed": "42"}, id="string-seed"),
+        pytest.param({"seed": True}, id="bool-seed"),
+        pytest.param({"tokenizer": {"mode": "char_ngram", "ngram_min": 1.5, "ngram_max": 2}},
+                     id="fractional-ngram"),
     ])
     def test_malformed_configs_exit_2(self, runner, split_files, tmp_path, config):
         train_csv, _val, test_csv = split_files

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import gendec.evaluate as evaluate
 from gendec.corpus import SplitRatios, split_dataset
 from gendec.errors import (
     ConfigError,
+    EmptyCorpusError,
     EmptyInputError,
     LengthMismatchError,
     MissingDictionaryError,
@@ -18,14 +20,22 @@ from gendec.evaluate import (
     evaluate_predictions,
     extract_texts,
     f1_scores,
+    preset_cells,
     run_cells,
+    train_cell_model,
     write_reports_csv,
     write_reports_json,
 )
-from gendec.models import ModelKind
+from gendec.models import ModelKind, predict, predict_with_proba
 from gendec.name_core import Gender, InputVariant, NamePart
 from gendec.translit import build_reading_dictionary
-from gendec.vectorize import Weighting, fit_vocabulary
+from gendec.vectorize import (
+    TokenizerConfig,
+    TokenizerMode,
+    Weighting,
+    fit_vocabulary,
+    transform,
+)
 
 F, M = Gender.FEMALE, Gender.MALE
 
@@ -230,6 +240,118 @@ class TestRunCells:
             run_cells([cell], [], synthetic_corpus[:5])
 
 
+# Few trees and epochs, so a whole preset trains in about a second.
+FAST = {"lr": {"epochs": 20}, "rf": {"n_trees": 3}, "svm": {"epochs": 3}}
+TOKENIZERS = {
+    "word": TokenizerConfig(),
+    "char24": TokenizerConfig(TokenizerMode.CHAR_NGRAM, ngram_min=2, ngram_max=4),
+}
+
+
+def reference_reports(cells, train, test, seed, hyperparameters, tokenizer):
+    """``run_cells`` as a plain loop that featurizes every cell on its own."""
+    reading, _ = build_reading_dictionary(train)
+    y_train = [r.gender for r in train]
+    y_test = [r.gender for r in test]
+    reports = {}
+    for cell in cells:
+        train_texts, _ = extract_texts(train, cell.part, cell.variant, reading)
+        test_texts, rate = extract_texts(test, cell.part, cell.variant, reading)
+        vocab = fit_vocabulary(train_texts, tokenizer, cell.weighting)
+        model = train_cell_model(cell.model, transform(train_texts, vocab, cell.weighting),
+                                 y_train, seed, hyperparameters.get(cell.model.value))
+        y_pred = predict(model, transform(test_texts, vocab, cell.weighting))
+        reports[cell] = evaluate_predictions(y_test, y_pred, cell, rate).to_json_dict()
+    return reports
+
+
+@pytest.fixture(scope="module", params=list(TOKENIZERS))
+def all_preset_reference(request, splits):
+    train, test = splits
+    tokenizer = TOKENIZERS[request.param]
+    cells = preset_cells("all")
+    return tokenizer, reference_reports(cells, train, test, 5, FAST, tokenizer)
+
+
+class TestSharedFeatures:
+    """Each (variant, part) is featurized once per ``run_cells`` and shared."""
+
+    def test_all_preset_equals_per_cell_reference(self, splits, all_preset_reference):
+        train, test = splits
+        tokenizer, reference = all_preset_reference
+        results = run_cells(preset_cells("all"), train, test, seed=5,
+                            hyperparameters=FAST, tokenizer=tokenizer)
+        assert len(results) == len(reference) == 28
+        assert {(c.variant, c.part) for c in reference} == {
+            (v, p) for v in InputVariant for p in NamePart}
+        assert {r.cell: r.report.to_json_dict() for r in results} == reference
+
+    def test_failing_cells_leave_the_others_unchanged(self, splits, all_preset_reference):
+        train, test = splits
+        tokenizer, reference = all_preset_reference
+        results = run_cells(preset_cells("all"), train, test, seed=5,
+                            hyperparameters={**FAST, "nb": {"alpha": -1.0}},
+                            tokenizer=tokenizer)
+        failed = {r.cell: r.error for r in results if r.report is None}
+        assert set(failed) == {cell for cell in reference if cell.model is ModelKind.NB}
+        assert all("ConfigError" in error for error in failed.values())
+        assert {r.cell: r.report.to_json_dict() for r in results
+                if r.report is not None} == {
+            cell: doc for cell, doc in reference.items() if cell.model is not ModelKind.NB}
+
+    def test_classical_full_featurizes_each_encoding_once(self, splits, monkeypatch):
+        train, test = splits
+        calls = {"extract_texts": 0, "fit_vocabulary": 0, "transform": 0}
+
+        def counting(name):
+            real = getattr(evaluate, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(evaluate, name, counting(name))
+        results = run_cells(preset_cells("classical-full"), train, test,
+                            hyperparameters=FAST)
+        assert all(r.report is not None for r in results)
+        # 2 variants x (train, test) texts and count matrices, 2 vocabularies.
+        assert calls == {"extract_texts": 4, "fit_vocabulary": 2, "transform": 4}
+
+    def test_failed_featurization_is_not_cached(self, splits, monkeypatch):
+        train, test = splits
+        real = evaluate.transform
+        calls = []
+
+        def fails_once(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise EmptyCorpusError("injected")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "transform", fails_once)
+        cells = [Cell(m, Weighting.COUNT, InputVariant.ORIGINAL, NamePart.FULL)
+                 for m in (ModelKind.NB, ModelKind.LR)]
+        first, second = run_cells(cells, train, test, hyperparameters=FAST)
+        assert first.report is None and "injected" in first.error
+        assert second.report.to_json_dict() == reference_reports(
+            cells[1:], train, test, 42, FAST, TokenizerConfig())[cells[1]]
+
+    @pytest.mark.parametrize("weighting", list(Weighting))
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_train_and_predict_leave_the_matrix_alone(self, splits, kind, weighting):
+        train, _test = splits
+        texts, _ = extract_texts(train, NamePart.FULL, InputVariant.ORIGINAL)
+        X = transform(texts, fit_vocabulary(texts, weighting=Weighting.TFIDF), weighting)
+        before = [a.copy() for a in (X.matrix.data, X.matrix.indices, X.matrix.indptr)]
+        model = train_cell_model(kind, X, [r.gender for r in train], 3,
+                                 FAST.get(kind.value))
+        predict_with_proba(model, X)
+        after = (X.matrix.data, X.matrix.indices, X.matrix.indptr)
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+
 class TestLeakage:
     def test_vocabulary_ignores_test_rows(self, splits):
         train, test = splits
@@ -335,6 +457,12 @@ class TestGridConfig:
                                                   "variant": "original", "part": "full"}]},
         {"cells": 5}, {"tokenizer": {"mode": "bytes"}},
         {"hyperparameters": {"nb": {"bogus": 1}}},
+        pytest.param({"seed": -1}, id="negative-seed"),
+        pytest.param({"seed": 1.5}, id="fractional-seed"),
+        pytest.param({"seed": "42"}, id="string-seed"),
+        pytest.param({"seed": True}, id="bool-seed"),
+        pytest.param({"tokenizer": {"mode": "char_ngram", "ngram_min": 1.5, "ngram_max": 2}},
+                     id="fractional-ngram"),
     ])
     def test_malformed_configs_raise_config_error(self, paths, change):
         with pytest.raises(ConfigError):

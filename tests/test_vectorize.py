@@ -12,6 +12,7 @@ from gendec.vectorize import (
     TokenizerMode,
     Weighting,
     fit_vocabulary,
+    tfidf_from_counts,
     tokenize,
     transform,
 )
@@ -140,3 +141,26 @@ def test_count_entries_are_integers(docs):
     vocab = fit_vocabulary(docs)
     X = transform(docs, vocab)
     assert np.array_equal(X.matrix.data, np.round(X.matrix.data))
+
+
+_DOCS = st.lists(st.text(alphabet="abc d", max_size=12), min_size=1, max_size=10)
+
+
+@given(fit_docs=_DOCS, docs=_DOCS, char=st.booleans())
+def test_tfidf_is_tfidf_from_counts_and_leaves_counts_alone(fit_docs, docs, char):
+    """``transform(TFIDF)`` is ``tfidf_from_counts`` of ``transform(COUNT)``,
+    array for array, and the count matrix is not written to; unseen tokens
+    and empty docs give all-zero rows."""
+    vocab = fit_vocabulary(fit_docs, CHAR_24 if char else TokenizerConfig(), Weighting.TFIDF)
+    counts = transform(docs, vocab, Weighting.COUNT)
+    before = [a.copy() for a in (counts.matrix.data, counts.matrix.indices,
+                                 counts.matrix.indptr)]
+    direct = transform(docs, vocab, Weighting.TFIDF).matrix
+    split = tfidf_from_counts(counts, vocab)
+    assert split.weighting is Weighting.TFIDF
+    assert direct.shape == split.matrix.shape
+    for a, b in ((direct.data, split.matrix.data), (direct.indices, split.matrix.indices),
+                 (direct.indptr, split.matrix.indptr)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    after = (counts.matrix.data, counts.matrix.indices, counts.matrix.indptr)
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
