@@ -31,7 +31,7 @@ from .corpus import (
     write_char_csv,
     write_homonym_csv,
 )
-from .errors import GendecError, NonFiniteError, UnknownKanaError
+from .errors import GendecError, NonFiniteError
 from .evaluate import (
     CellResult,
     ExperimentGrid,
@@ -43,7 +43,9 @@ from .evaluate import (
     write_reports_json,
 )
 from .model_io import ModelFile, deterministic_created_at, load_model, save_model
-from .models import MODEL_KINDS, ModelKind, predict, predict_with_proba
+from .models import (
+    MODEL_KINDS, ModelKind, check_hyperparameters, predict, predict_with_proba,
+)
 from .name_core import (
     Gender,
     InputVariant,
@@ -64,12 +66,19 @@ _PART_CHOICES = [p.value for p in NamePart]
 _VARIANT_CHOICES = [v.value for v in InputVariant]
 
 
-def _fail(message: str, code: int = 2) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+class _ErrorBoundary(click.Group):
+    """Runs every subcommand behind one rule: a GendecError prints an
+    ``error:`` line and exits 3 for a numerical failure, 2 for any other."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except GendecError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(3 if isinstance(exc, NonFiniteError) else 2)
 
 
-@click.group()
+@click.group(cls=_ErrorBoundary)
 @click.version_option(__version__)
 def main() -> None:
     """Gender detection from Japanese names."""
@@ -88,37 +97,34 @@ def main() -> None:
 @click.option("--seed", type=click.IntRange(0), default=42, show_default=True)
 def cmd_build_dataset(firsts, lasts, out, pairing, k, seed) -> None:
     """Join raw name parts into a full-name corpus CSV plus metadata."""
-    try:
-        given_rows = dedupe_first_names(
-            [r for r in read_raw_csv(firsts) if r.role is NameRole.GIVEN]
-        )
-        family_rows = [r for r in read_raw_csv(lasts) if r.role is NameRole.FAMILY]
-        config = PairingConfig(mode=PairingMode(pairing), k=k)
-        records = build_dataset(given_rows, family_rows, config, seed)
-        write_corpus_csv(out, records)
-        balance = gender_balance(records)
-        write_json(
-            Path(out).with_suffix(Path(out).suffix + ".meta.json"),
-            {
-                "command": "build-dataset",
-                "seed": seed,
-                "pairing": config.mode.value,
-                "k": config.k,
-                "prng": PRNG_ID,
-                "rows": {
-                    "total": len(records),
-                    "female": sum(1 for r in records if r.gender is Gender.FEMALE),
-                    "male": sum(1 for r in records if r.gender is Gender.MALE),
-                },
+    given_rows = dedupe_first_names(
+        [r for r in read_raw_csv(firsts) if r.role is NameRole.GIVEN]
+    )
+    family_rows = [r for r in read_raw_csv(lasts) if r.role is NameRole.FAMILY]
+    config = PairingConfig(mode=PairingMode(pairing), k=k)
+    records = build_dataset(given_rows, family_rows, config, seed)
+    write_corpus_csv(out, records)
+    balance = gender_balance(records)
+    write_json(
+        Path(out).with_suffix(Path(out).suffix + ".meta.json"),
+        {
+            "command": "build-dataset",
+            "seed": seed,
+            "pairing": config.mode.value,
+            "k": config.k,
+            "prng": PRNG_ID,
+            "rows": {
+                "total": len(records),
+                "female": sum(1 for r in records if r.gender is Gender.FEMALE),
+                "male": sum(1 for r in records if r.gender is Gender.MALE),
             },
-            indent=2, sort_keys=True,
-        )
-        click.echo(
-            f"wrote {len(records)} records to {out} "
-            f"(male {balance['male']:.2%}, female {balance['female']:.2%})"
-        )
-    except GendecError as exc:
-        _fail(str(exc))
+        },
+        indent=2, sort_keys=True,
+    )
+    click.echo(
+        f"wrote {len(records)} records to {out} "
+        f"(male {balance['male']:.2%}, female {balance['female']:.2%})"
+    )
 
 
 def _parse_ratios(raw: str) -> SplitRatios:
@@ -143,28 +149,25 @@ def _parse_ratios(raw: str) -> SplitRatios:
 @click.option("--stratify/--no-stratify", default=True, show_default=True)
 def cmd_split(corpus_path, train_out, val_out, test_out, ratios, seed, stratify) -> None:
     """Split a corpus into train/val/test CSVs."""
-    try:
-        records = read_corpus_csv(corpus_path)
-        split_ratios = _parse_ratios(ratios)
-        train, val, test = split_dataset(records, split_ratios, seed, stratify)
-        write_corpus_csv(train_out, train)
-        write_corpus_csv(val_out, val)
-        write_corpus_csv(test_out, test)
-        write_json(
-            Path(train_out).with_suffix(Path(train_out).suffix + ".meta.json"),
-            {
-                "command": "split",
-                "seed": seed,
-                "ratios": [split_ratios.train, split_ratios.val, split_ratios.test],
-                "stratify": stratify,
-                "prng": PRNG_ID,
-                "rows": {"train": len(train), "val": len(val), "test": len(test)},
-            },
-            indent=2, sort_keys=True,
-        )
-        click.echo(f"train={len(train)} val={len(val)} test={len(test)}")
-    except GendecError as exc:
-        _fail(str(exc))
+    records = read_corpus_csv(corpus_path)
+    split_ratios = _parse_ratios(ratios)
+    train, val, test = split_dataset(records, split_ratios, seed, stratify)
+    write_corpus_csv(train_out, train)
+    write_corpus_csv(val_out, val)
+    write_corpus_csv(test_out, test)
+    write_json(
+        Path(train_out).with_suffix(Path(train_out).suffix + ".meta.json"),
+        {
+            "command": "split",
+            "seed": seed,
+            "ratios": [split_ratios.train, split_ratios.val, split_ratios.test],
+            "stratify": stratify,
+            "prng": PRNG_ID,
+            "rows": {"train": len(train), "val": len(val), "test": len(test)},
+        },
+        indent=2, sort_keys=True,
+    )
+    click.echo(f"train={len(train)} val={len(val)} test={len(test)}")
 
 
 def _sha256_file(path: str | Path) -> str:
@@ -208,60 +211,55 @@ def cmd_train(model_kind, features, part, variant, train_path, out, seed, tokeni
               ngram_min, ngram_max, dict_path, **flags) -> None:
     """Train one grid cell's model and write a self-contained model file."""
     started = time.monotonic()
-    try:
-        records = read_corpus_csv(train_path)
-        if not records:
-            raise GendecError(f"{train_path}: training CSV has no rows")
-        kind = ModelKind(model_kind)
-        weighting = Weighting(features)
-        name_part = NamePart(part)
-        input_variant = InputVariant(variant)
-        if tokenizer == TokenizerMode.WORD.value:
-            tok_config = TokenizerConfig()
-        else:
-            tok_config = TokenizerConfig(
-                mode=TokenizerMode.CHAR_NGRAM, ngram_min=ngram_min, ngram_max=ngram_max
-            )
-
-        reading_dict = None
-        if input_variant is InputVariant.CONVERTED:
-            if dict_path:
-                reading_dict = ReadingDictionary.load(dict_path)
-            else:
-                reading_dict, _ = build_reading_dictionary(records)
-
-        texts, _ = extract_texts(records, name_part, input_variant, reading_dict)
-        labels = [r.gender for r in records]
-        vocab = fit_vocabulary(texts, tok_config, weighting)
-        X = transform(texts, vocab, weighting)
-
-        # Hyperparameter flags are named after the table's defaults; flags
-        # the chosen kind does not take are ignored.
-        overrides = {name: value for name, value in flags.items()
-                     if value is not None and name in MODEL_KINDS[kind].defaults}
-        model = train_cell_model(kind, X, labels, seed, overrides)
-        model_file = ModelFile(
-            model=model,
-            kind=kind,
-            weighting=weighting,
-            part=name_part,
-            variant=input_variant,
-            vocabulary=vocab,
-            reading_dictionary=reading_dict,
-            metadata={
-                "train_rows": len(records),
-                "seed": seed,
-                "created_at": deterministic_created_at(),
-                "corpus_sha256": _sha256_file(train_path),
-            },
+    kind = ModelKind(model_kind)
+    # Hyperparameter flags are named after the table's defaults; flags
+    # the chosen kind does not take are ignored.
+    overrides = {name: value for name, value in flags.items()
+                 if value is not None and name in MODEL_KINDS[kind].defaults}
+    check_hyperparameters({kind.value: overrides})
+    records = read_corpus_csv(train_path)
+    if not records:
+        raise GendecError(f"{train_path}: training CSV has no rows")
+    weighting = Weighting(features)
+    name_part = NamePart(part)
+    input_variant = InputVariant(variant)
+    if tokenizer == TokenizerMode.WORD.value:
+        tok_config = TokenizerConfig()
+    else:
+        tok_config = TokenizerConfig(
+            mode=TokenizerMode.CHAR_NGRAM, ngram_min=ngram_min, ngram_max=ngram_max
         )
-        save_model(out, model_file)
-        elapsed = time.monotonic() - started
-        click.echo(f"trained {kind.value} on {len(records)} rows in {elapsed:.2f}s -> {out}")
-    except NonFiniteError as exc:
-        _fail(str(exc), code=3)
-    except GendecError as exc:
-        _fail(str(exc))
+
+    reading_dict = None
+    if input_variant is InputVariant.CONVERTED:
+        if dict_path:
+            reading_dict = ReadingDictionary.load(dict_path)
+        else:
+            reading_dict, _ = build_reading_dictionary(records)
+
+    texts, _ = extract_texts(records, name_part, input_variant, reading_dict)
+    labels = [r.gender for r in records]
+    vocab = fit_vocabulary(texts, tok_config, weighting)
+    X = transform(texts, vocab, weighting)
+    model = train_cell_model(kind, X, labels, seed, overrides)
+    model_file = ModelFile(
+        model=model,
+        kind=kind,
+        weighting=weighting,
+        part=name_part,
+        variant=input_variant,
+        vocabulary=vocab,
+        reading_dictionary=reading_dict,
+        metadata={
+            "train_rows": len(records),
+            "seed": seed,
+            "created_at": deterministic_created_at(),
+            "corpus_sha256": _sha256_file(train_path),
+        },
+    )
+    save_model(out, model_file)
+    elapsed = time.monotonic() - started
+    click.echo(f"trained {kind.value} on {len(records)} rows in {elapsed:.2f}s -> {out}")
 
 
 @main.command("evaluate")
@@ -274,27 +272,24 @@ def cmd_train(model_kind, features, part, variant, train_path, out, seed, tokeni
               help="Optional CSV mirror.")
 def cmd_evaluate(model_file, test_path, report, csv_path) -> None:
     """Evaluate a trained model on a test CSV and write its report."""
-    try:
-        loaded = load_model(model_file)
-        records = read_corpus_csv(test_path)
-        if not records:
-            raise GendecError(f"{test_path}: test CSV has no rows")
-        texts, fallback_rate = extract_texts(
-            records, loaded.part, loaded.variant, loaded.reading_dictionary
-        )
-        X = transform(texts, loaded.vocabulary, loaded.weighting)
-        y_pred = predict(loaded.model, X)
-        y_true = [r.gender for r in records]
-        result = evaluate_predictions(y_true, y_pred, loaded.cell, fallback_rate)
-        write_json(report, result.to_json_dict(), indent=2, sort_keys=True)
-        if csv_path:
-            write_reports_csv(csv_path, [CellResult(cell=result.cell, report=result)])
-        click.echo(
-            f"{result.cell.label()}: macro_f1={result.macro_f1:.4f} "
-            f"accuracy={result.accuracy:.4f}"
-        )
-    except GendecError as exc:
-        _fail(str(exc))
+    loaded = load_model(model_file)
+    records = read_corpus_csv(test_path)
+    if not records:
+        raise GendecError(f"{test_path}: test CSV has no rows")
+    texts, fallback_rate = extract_texts(
+        records, loaded.part, loaded.variant, loaded.reading_dictionary
+    )
+    X = transform(texts, loaded.vocabulary, loaded.weighting)
+    y_pred = predict(loaded.model, X)
+    y_true = [r.gender for r in records]
+    result = evaluate_predictions(y_true, y_pred, loaded.cell, fallback_rate)
+    write_json(report, result.to_json_dict(), indent=2, sort_keys=True)
+    if csv_path:
+        write_reports_csv(csv_path, [CellResult(cell=result.cell, report=result)])
+    click.echo(
+        f"{result.cell.label()}: macro_f1={result.macro_f1:.4f} "
+        f"accuracy={result.accuracy:.4f}"
+    )
 
 
 @main.command("predict")
@@ -306,24 +301,21 @@ def cmd_predict(model_file, name, batch) -> None:
     """Predict gender for romaji names (converted-variant models fall back
     to the romaji input, since no kanji is available here)."""
     if (name is None) == (batch is None):
-        _fail("provide exactly one of --name or --batch")
-    try:
-        loaded = load_model(model_file)
-        if name is not None:
-            names = [name]
-        else:
-            # Split as universal newlines do; a CRLF leaves a blank line.
-            lines = read_text(batch).replace("\r", "\n").split("\n")
-            names = [line.strip() for line in lines if line.strip()]
-        # Every name is checked before anything is printed.
-        texts = [part_text(n, loaded.part) for n in names]
-        X = transform(texts, loaded.vocabulary, loaded.weighting)
-        genders, proba = predict_with_proba(loaded.model, X)
-        for i, (n, gender) in enumerate(zip(names, genders)):
-            line = f"{n}\t{gender.value}"
-            click.echo(line if proba is None else f"{line}\t{max(proba[i]):.6f}")
-    except GendecError as exc:
-        _fail(str(exc))
+        raise GendecError("provide exactly one of --name or --batch")
+    loaded = load_model(model_file)
+    if name is not None:
+        names = [name]
+    else:
+        # Split as universal newlines do; a CRLF leaves a blank line.
+        lines = read_text(batch).replace("\r", "\n").split("\n")
+        names = [line.strip() for line in lines if line.strip()]
+    # Every name is checked before anything is printed.
+    texts = [part_text(n, loaded.part) for n in names]
+    X = transform(texts, loaded.vocabulary, loaded.weighting)
+    genders, proba = predict_with_proba(loaded.model, X)
+    for i, (n, gender) in enumerate(zip(names, genders)):
+        line = f"{n}\t{gender.value}"
+        click.echo(line if proba is None else f"{line}\t{max(proba[i]):.6f}")
 
 
 @main.command("stats")
@@ -336,28 +328,22 @@ def cmd_predict(model_file, name, batch) -> None:
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 def cmd_stats(statistic, corpus_path, gender, part, out) -> None:
     """Write homonym histograms or kanji character frequencies as CSV."""
-    try:
-        records = read_corpus_csv(corpus_path)
-        target = Gender(gender)
-        if statistic == "homonyms":
-            hist = homonym_stats(records)
-            write_homonym_csv(out, hist.for_gender(target))
-        else:
-            items = char_frequency(records, target, NamePart(part))
-            write_char_csv(out, items)
-        click.echo(f"wrote {statistic} for {gender} to {out}")
-    except GendecError as exc:
-        _fail(str(exc))
+    records = read_corpus_csv(corpus_path)
+    target = Gender(gender)
+    if statistic == "homonyms":
+        hist = homonym_stats(records)
+        write_homonym_csv(out, hist.for_gender(target))
+    else:
+        items = char_frequency(records, target, NamePart(part))
+        write_char_csv(out, items)
+    click.echo(f"wrote {statistic} for {gender} to {out}")
 
 
 @main.command("translit")
 @click.option("--kana", required=True, help="Hiragana text (may be empty).")
 def cmd_translit(kana) -> None:
     """Transliterate hiragana to romaji."""
-    try:
-        click.echo(kana_to_romaji(kana))
-    except UnknownKanaError as exc:
-        _fail(str(exc))
+    click.echo(kana_to_romaji(kana))
 
 
 @main.command("grid")
@@ -368,24 +354,22 @@ def cmd_translit(kana) -> None:
 @click.option("--report-csv", type=click.Path(dir_okay=False), required=True)
 def cmd_grid(config_path, report_json, report_csv) -> None:
     """Run a full experiment grid from one config file."""
-    try:
-        results = run_experiment(ExperimentGrid.load(config_path))
-        write_reports_json(report_json, results)
-        write_reports_csv(report_csv, results)
-        for result in results:
-            if result.report is not None:
-                click.echo(
-                    f"{result.cell.label()}: macro_f1={result.report.macro_f1:.4f}"
-                )
-            else:
-                click.echo(f"{result.cell.label()}: FAILED ({result.error})")
-        # Reports are complete; a failed cell still makes the run fail.
-        errors = [result.error for result in results if result.error is not None]
-        if errors:
-            diverged = any(e.startswith(f"{NonFiniteError.__name__}:") for e in errors)
-            _fail(f"{len(errors)} of {len(results)} grid cells failed", 3 if diverged else 2)
-    except GendecError as exc:
-        _fail(str(exc))
+    results = run_experiment(ExperimentGrid.load(config_path))
+    write_reports_json(report_json, results)
+    write_reports_csv(report_csv, results)
+    for result in results:
+        if result.report is not None:
+            click.echo(
+                f"{result.cell.label()}: macro_f1={result.report.macro_f1:.4f}"
+            )
+        else:
+            click.echo(f"{result.cell.label()}: FAILED ({result.error})")
+    # Reports are complete; a failed cell still makes the run fail.
+    errors = [result.error for result in results if result.error is not None]
+    if errors:
+        diverged = any(e.startswith(f"{NonFiniteError.__name__}:") for e in errors)
+        error = NonFiniteError if diverged else GendecError
+        raise error(f"{len(errors)} of {len(results)} grid cells failed")
 
 
 if __name__ == "__main__":

@@ -210,7 +210,7 @@ class ExperimentGrid:
     tokenizer: TokenizerConfig = field(default_factory=TokenizerConfig)
 
     def __post_init__(self) -> None:
-        check_hyperparameters(self.hyperparameters)
+        _check_run(self.cells, self.seed, self.hyperparameters)
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExperimentGrid":
@@ -218,7 +218,7 @@ class ExperimentGrid:
         preset, hyperparameters, tokenizer.
 
         Any malformed or unknown entry raises ConfigError, before a corpus
-        is read.
+        is read.  Only a missing key takes its default.
         """
         try:
             for key in ("train", "test"):
@@ -230,15 +230,14 @@ class ExperimentGrid:
                 cells = [Cell.from_json_dict(c) for c in doc["cells"]]
             else:
                 cells = preset_cells(doc.get("preset", "classical-full"))
-            tokenizer = doc.get("tokenizer")
             return cls(
                 cells=cells,
                 train_path=doc["train"],
                 test_path=doc["test"],
-                seed=json_count(doc.get("seed", 42)),
-                hyperparameters=doc.get("hyperparameters") or {},
-                tokenizer=TokenizerConfig.from_json_dict(tokenizer) if tokenizer
-                else TokenizerConfig(),
+                seed=doc.get("seed", 42),
+                hyperparameters=doc.get("hyperparameters", {}),
+                tokenizer=TokenizerConfig.from_json_dict(doc["tokenizer"])
+                if "tokenizer" in doc else TokenizerConfig(),
             )
         except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
             raise ConfigError(f"malformed grid config: {type(exc).__name__}: {exc}") from None
@@ -246,6 +245,20 @@ class ExperimentGrid:
     @classmethod
     def load(cls, path: str | Path) -> "ExperimentGrid":
         return cls.from_json_dict(read_json(path, ConfigError))
+
+
+def _check_run(cells: Sequence[Cell], seed: int, hyperparameters: dict) -> None:
+    """Raise ConfigError unless the cells are non-empty and unique, the seed is
+    a non-negative integer and the hyperparameters pass check_hyperparameters."""
+    if not cells:
+        raise ConfigError("grid has no cells")
+    if len(set(cells)) != len(cells):
+        raise ConfigError("grid cells must be unique")
+    try:
+        json_count(seed)
+    except ValueError as exc:
+        raise ConfigError(f"grid seed: {exc}") from None
+    check_hyperparameters(hyperparameters)
 
 
 def classical_full_grid() -> list[Cell]:
@@ -380,13 +393,11 @@ def run_cells(
     count matrices are shared by every cell that uses it; TF-IDF cells
     weight a copy.
     """
-    if len(set(cells)) != len(cells):
-        raise ConfigError("grid cells must be unique")
+    hyperparameters = {} if hyperparameters is None else hyperparameters
+    _check_run(cells, seed, hyperparameters)
     if not train_records or not test_records:
         raise EmptyInputError("train and test splits must be non-empty")
     tokenizer = tokenizer or TokenizerConfig()
-    hyperparameters = hyperparameters or {}
-    check_hyperparameters(hyperparameters)
     y_train = [r.gender for r in train_records]
     y_test = [r.gender for r in test_records]
 

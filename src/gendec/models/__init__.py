@@ -12,6 +12,7 @@ probabilities.
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Optional, Union
@@ -112,7 +113,8 @@ _ACCEPTED = {
 
 
 def check_hyperparameters(hyperparameters: dict) -> None:
-    """Raise ConfigError unless every kind, name and value type is known."""
+    """Raise ConfigError unless every kind, name and value type is known and
+    every number is finite as a float (no NaN, Infinity or 10**400)."""
     if not isinstance(hyperparameters, dict):
         raise ConfigError("hyperparameters must be an object keyed by model kind")
     for kind, params in hyperparameters.items():
@@ -126,9 +128,11 @@ def check_hyperparameters(hyperparameters: dict) -> None:
                                   f"expected one of {sorted(defaults)}")
             default = defaults[name]
             if (not isinstance(value, _ACCEPTED[type(default)])
-                    or isinstance(value, bool) != isinstance(default, bool)):
-                raise ConfigError(f"{kind} hyperparameter {name!r} must be like "
-                                  f"{default!r}, got {value!r}")
+                    or isinstance(value, bool) != isinstance(default, bool)
+                    or isinstance(value, numbers.Real)
+                    and not abs(value) <= sys.float_info.max):
+                raise ConfigError(f"{kind} hyperparameter {name!r} must be a finite "
+                                  f"value like {default!r}, got {value!r}")
 
 
 def predict_with_proba(

@@ -141,6 +141,10 @@ def _grow_tree(
     ``exhaust_on_miss`` is set, the search falls back to all columns so
     impure nodes are not stranded by an unlucky draw.
     """
+    if max_depth is not None and max_depth < 1:
+        raise ConfigError(f"max_depth must be >= 1, got {max_depth}")
+    if min_samples_leaf < 1:
+        raise ConfigError(f"min_samples_leaf must be >= 1, got {min_samples_leaf}")
     if matrix.nnz and matrix.data.min() < 0:
         raise ConfigError("tree features must be non-negative")
     n, _V = matrix.shape
@@ -255,10 +259,6 @@ def train_tree(
     max_depth: Optional[int] = None,
     min_samples_leaf: int = 1,
 ) -> TreeModel:
-    if max_depth is not None and max_depth < 1:
-        raise ConfigError(f"max_depth must be >= 1, got {max_depth}")
-    if min_samples_leaf < 1:
-        raise ConfigError(f"min_samples_leaf must be >= 1, got {min_samples_leaf}")
     return _grow_tree(as_csr(X), labels_to_ints(y), max_depth, min_samples_leaf)
 
 

@@ -28,6 +28,20 @@ REFERENCE_ROWS = [
 ]
 
 
+# Present config values that must not fall back to the default.
+MALFORMED_CONFIG_VALUES = [
+    pytest.param({"hyperparameters": {"nb": {"alpha": float("nan")}}}, id="nan-alpha"),
+    pytest.param({"hyperparameters": {"nb": {"alpha": float("inf")}}}, id="infinite-alpha"),
+    pytest.param({"hyperparameters": {"svm": {"lam": float("inf")}}}, id="infinite-lam"),
+    pytest.param({"hyperparameters": {"nb": {"alpha": 10 ** 400}}}, id="huge-int-alpha"),
+    *(pytest.param({key: value}, id=f"{key}-{value!r}")
+      for key, values in (("hyperparameters", ([], 0, "", False, None)),
+                          ("tokenizer", ([], 0, "", False, {}, None)))
+      for value in values),
+    pytest.param({"cells": []}, id="no-cells"),
+]
+
+
 @pytest.fixture
 def reference_records() -> list[NameRecord]:
     return [NameRecord(*row) for row in REFERENCE_ROWS]

@@ -3,10 +3,12 @@ import json
 import pytest
 from click.testing import CliRunner
 
+import gendec.cli as cli
 from gendec.cli import main
 from gendec.corpus import write_raw_csv
+from gendec.errors import NonFiniteError, SchemaError
 from gendec.name_core import read_corpus_csv, write_corpus_csv
-from tests.conftest import make_raw_inventories
+from tests.conftest import MALFORMED_CONFIG_VALUES, make_raw_inventories
 
 # JSON nested deeper than the parser's recursion limit.
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
@@ -230,6 +232,25 @@ class TestTrainEvaluatePredict:
             "--report", str(tmp_path / "r.json"),
         ])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--model", "nb", "--alpha", "nan"],
+        ["--model", "nb", "--alpha", "inf"],
+        ["--model", "svm", "--lam", "-inf"],
+        ["--model", "rf", "--max-depth", "0"],
+        ["--model", "rf", "--min-samples-leaf", "-1"],
+    ], ids=["nan-alpha", "infinite-alpha", "infinite-lam", "rf-depth-0", "rf-leaf-neg"])
+    def test_bad_hyperparameter_flag_exits_2_without_model(self, runner, split_files,
+                                                           tmp_path, flags):
+        model_path = tmp_path / "m.json"
+        result = runner.invoke(main, [
+            "train", *flags, "--features", "count",
+            "--train", str(split_files[0]), "--out", str(model_path),
+        ])
+        assert result.exit_code == 2
+        assert _no_traceback(result)
+        assert result.output.startswith("error:")
+        assert not model_path.exists()
 
     def test_empty_name_exits_2(self, runner, split_files, tmp_path):
         train_csv, _val, _test = split_files
@@ -536,6 +557,7 @@ class TestGrid:
         pytest.param({"seed": True}, id="bool-seed"),
         pytest.param({"tokenizer": {"mode": "char_ngram", "ngram_min": 1.5, "ngram_max": 2}},
                      id="fractional-ngram"),
+        *MALFORMED_CONFIG_VALUES,
     ])
     def test_malformed_configs_exit_2(self, runner, split_files, tmp_path, config):
         train_csv, _val, test_csv = split_files
@@ -550,7 +572,8 @@ class TestGrid:
     @pytest.mark.parametrize("hyperparameters,code", [
         ({"rf": {"n_trees": 0}}, 2),
         ({"lr": {"learning_rate": 1e308, "l2": 1e308, "epochs": 3}}, 3),
-    ], ids=["config-error", "non-finite"])
+        ({"rf": {"max_depth": 0}}, 2),
+    ], ids=["config-error", "non-finite", "forest-depth-0"])
     def test_failed_cell_writes_reports_then_exits_nonzero(self, runner, split_files,
                                                            tmp_path, hyperparameters,
                                                            code):
@@ -631,4 +654,61 @@ class TestBadFiles:
         assert _no_traceback(result)
         assert result.stdout == ""
         assert result.stderr.startswith("error:")
+        assert not files["out"].exists()
+
+
+class TestErrorBoundary:
+    """Every command maps a GendecError the same way: an ``error:`` line, no
+    traceback, exit 3 for a numerical failure and 2 for any other."""
+
+    @pytest.fixture
+    def files(self, tmp_path, split_files, raw_files, corpus_file, model_path):
+        train_csv, _val, test_csv = split_files
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({
+            "train": str(train_csv), "test": str(test_csv),
+            "cells": [{"model": "nb", "features": "count", "variant": "original",
+                       "part": "full"}],
+        }), encoding="utf-8")
+        return {"firsts": raw_files[0], "lasts": raw_files[1], "corpus": corpus_file,
+                "train": train_csv, "test": test_csv, "model": model_path, "grid": grid,
+                "out": tmp_path / "out.txt", "out2": tmp_path / "out2.txt"}
+
+    # command -> (one name it calls from gendec.cli, its arguments)
+    COMMANDS = {
+        "build-dataset": ("build_dataset", ["--firsts", "{firsts}", "--lasts", "{lasts}",
+                                            "--out", "{out}"]),
+        "split": ("split_dataset", ["--in", "{corpus}", "--train-out", "{out}",
+                                    "--val-out", "{out2}", "--test-out", "{out2}"]),
+        "train": ("train_cell_model", ["--model", "nb", "--features", "count",
+                                       "--train", "{train}", "--out", "{out}"]),
+        "evaluate": ("evaluate_predictions", ["--model-file", "{model}", "--test", "{test}",
+                                              "--report", "{out}"]),
+        "predict": ("predict_with_proba", ["--model-file", "{model}",
+                                           "--name", "Tanaka Satoko"]),
+        "stats": ("homonym_stats", ["homonyms", "--in", "{corpus}", "--gender", "female",
+                                    "--out", "{out}"]),
+        "translit": ("kana_to_romaji", ["--kana", "たまい"]),
+        "grid": ("run_experiment", ["--config", "{grid}", "--report-json", "{out}",
+                                    "--report-csv", "{out2}"]),
+    }
+
+    def test_every_command_is_covered(self):
+        assert set(self.COMMANDS) == set(main.commands)
+
+    @pytest.mark.parametrize("error,code", [(NonFiniteError, 3), (SchemaError, 2)],
+                             ids=["non-finite", "schema"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_error_exit_code(self, runner, files, monkeypatch, command, error, code):
+        callee, args = self.COMMANDS[command]
+
+        def fail(*_args, **_kwargs):
+            raise error("injected failure")
+
+        monkeypatch.setattr(cli, callee, fail)
+        result = runner.invoke(main, [command, *(a.format(**files) for a in args)])
+        assert result.exit_code == code
+        assert _no_traceback(result)
+        assert result.stderr == "error: injected failure\n"
+        assert result.stdout == ""
         assert not files["out"].exists()

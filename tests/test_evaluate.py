@@ -36,6 +36,7 @@ from gendec.vectorize import (
     fit_vocabulary,
     transform,
 )
+from tests.conftest import MALFORMED_CONFIG_VALUES
 
 F, M = Gender.FEMALE, Gender.MALE
 
@@ -227,12 +228,29 @@ class TestRunCells:
     @pytest.mark.parametrize("hyper", [
         {"nb": {"bogus": 1}}, {"knn": {}}, {"rf": {"n_trees": "many"}},
         {"rf": {"bootstrap": 1}}, {"lr": {"epochs": 2.5}}, {"svm": 3},
+        {"nb": {"alpha": float("nan")}}, {"nb": {"alpha": float("inf")}},
+        {"svm": {"lam": float("-inf")}}, [],
     ])
     def test_bad_hyperparameters_rejected_before_training(self, splits, hyper):
         train, test = splits
         cell = Cell(ModelKind.NB, Weighting.COUNT, InputVariant.ORIGINAL, NamePart.FULL)
         with pytest.raises(ConfigError):
             run_cells([cell], train, test, hyperparameters=hyper)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "42", None])
+    def test_bad_seed_rejected_before_training(self, splits, seed, monkeypatch):
+        train, test = splits
+        cell = Cell(ModelKind.RF, Weighting.COUNT, InputVariant.ORIGINAL, NamePart.FULL)
+        monkeypatch.setattr(evaluate, "train_cell_model", None)  # must not be reached
+        with pytest.raises(ConfigError):
+            run_cells([cell], train, test, seed=seed)
+        with pytest.raises(ConfigError):
+            ExperimentGrid([cell], "train.csv", "test.csv", seed=seed)
+
+    def test_no_cells_rejected(self, splits):
+        train, test = splits
+        with pytest.raises(ConfigError):
+            run_cells([], train, test)
 
     def test_empty_splits_rejected(self, synthetic_corpus):
         cell = Cell(ModelKind.NB, Weighting.COUNT, InputVariant.ORIGINAL, NamePart.FULL)
@@ -463,6 +481,7 @@ class TestGridConfig:
         pytest.param({"seed": True}, id="bool-seed"),
         pytest.param({"tokenizer": {"mode": "char_ngram", "ngram_min": 1.5, "ngram_max": 2}},
                      id="fractional-ngram"),
+        *MALFORMED_CONFIG_VALUES,
     ])
     def test_malformed_configs_raise_config_error(self, paths, change):
         with pytest.raises(ConfigError):

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import gendec
+import gendec.errors
 from gendec.corpus import read_raw_csv
 from gendec.errors import GendecError
 from gendec.evaluate import ExperimentGrid, extract_texts, train_cell_model
@@ -67,6 +68,31 @@ def test_only_the_file_helpers_open_files():
     stray = [site for site in found if site[:2] not in ALLOWED_OPENERS]
     assert not stray, f"files opened outside gendec.name_core's helpers: {stray}"
     assert {site[:2] for site in found} == ALLOWED_OPENERS
+
+
+def _names(node):
+    """Names in an ``except`` clause's type: ``E``, ``errors.E`` or a tuple."""
+    if isinstance(node, ast.Tuple):
+        return [name for element in node.elts for name in _names(element)]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    return [node.id] if isinstance(node, ast.Name) else []
+
+
+def test_commands_leave_gendec_errors_to_the_cli_boundary():
+    """Only the command group maps a GendecError to its exit code."""
+    gendec_errors = {name for name, obj in vars(gendec.errors).items()
+                     if isinstance(obj, type) and issubclass(obj, gendec.errors.GendecError)}
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    handlers = []
+    for function in ast.walk(tree):
+        if isinstance(function, ast.FunctionDef):
+            handlers += [(function.name, handler.lineno) for handler in ast.walk(function)
+                         if isinstance(handler, ast.ExceptHandler) and handler.type
+                         and gendec_errors & set(_names(handler.type))]
+    stray = [site for site in handlers if site[0].startswith("cmd_")]
+    assert not stray, f"commands catching GendecError themselves: {stray}"
+    assert [name for name, _line in handlers] == ["invoke"]
 
 
 # --- every reader: loads, or raises a GendecError -------------------------

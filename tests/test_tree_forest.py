@@ -201,3 +201,16 @@ class TestForest:
             train_forest(X, [F, M], n_trees=0)
         with pytest.raises(ConfigError):
             train_forest(X, [F, M], features_per_split=5)
+
+
+@pytest.mark.parametrize("train", [
+    train_tree,
+    lambda X, y, **params: train_forest(X, y, n_trees=1, bootstrap=False, **params),
+], ids=["tree", "forest"])
+@pytest.mark.parametrize("params", [
+    {"max_depth": 0}, {"max_depth": -1}, {"min_samples_leaf": 0},
+    {"min_samples_leaf": -1},
+])
+def test_depth_and_leaf_limits_checked_by_both_trainers(train, params):
+    with pytest.raises(ConfigError):
+        train(sp.csr_matrix(np.eye(2)), [F, M], **params)
