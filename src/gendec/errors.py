@@ -53,6 +53,10 @@ class DimensionMismatchError(GendecError):
     """A feature matrix column count does not match the model it is fed to."""
 
 
+class SparseFormatError(GendecError):
+    """A feature matrix is not in compressed sparse row (CSR) form."""
+
+
 class UnsupportedModelError(GendecError):
     """The model kind does not support the requested operation."""
 

@@ -26,6 +26,7 @@ from .name_core import (
     InputVariant,
     NamePart,
     NameRecord,
+    check_keys,
     json_count,
     part_text,
     read_corpus_csv,
@@ -150,6 +151,8 @@ class Cell:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Cell":
+        """Cell from its config entry; a missing or unknown key raises ConfigError."""
+        check_keys(doc, ("model", "features", "variant", "part"), error=ConfigError)
         return cls(ModelKind(doc["model"]), Weighting(doc["features"]),
                    InputVariant(doc["variant"]), NamePart(doc["part"]))
 
@@ -220,10 +223,11 @@ class ExperimentGrid:
         Any malformed or unknown entry raises ConfigError, before a corpus
         is read.  Only a missing key takes its default.
         """
+        check_keys(doc, ("train", "test"),
+                   ("seed", "cells", "preset", "hyperparameters", "tokenizer"),
+                   error=ConfigError)
         try:
             for key in ("train", "test"):
-                if key not in doc:
-                    raise ConfigError(f"grid config missing {key!r}")
                 if not Path(doc[key]).is_file():
                     raise ConfigError(f"grid config {key} path is not a file: {doc[key]}")
             if "cells" in doc:

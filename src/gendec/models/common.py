@@ -2,21 +2,41 @@
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence, Union
 
 import numpy as np
-import scipy.sparse as sp
 
-from ..errors import DimensionMismatchError, LabelError
+from ..errors import DimensionMismatchError, LabelError, SparseFormatError
 from ..name_core import GENDERS, Gender
-from ..vectorize import FeatureMatrix
+from ..vectorize import CSR, FeatureMatrix
 
-MatrixLike = Union[FeatureMatrix, sp.csr_matrix]
+# A FeatureMatrix, a CSR, or any CSR-shaped object such as a scipy.sparse
+# csr_matrix/csr_array.
+MatrixLike = Union[FeatureMatrix, CSR]
+_CSR_FIELDS = ("indptr", "indices", "data", "shape")
 
 
-def as_csr(X: MatrixLike) -> sp.csr_matrix:
+def as_csr(X: MatrixLike) -> CSR:
+    """``X`` as a float64 CSR, sharing its arrays.
+
+    Any object with ``indptr``, ``indices``, ``data`` and ``shape`` is read
+    as CSR, so scipy matrices work without this package importing scipy; one
+    that declares another ``format`` (a CSC also has ``indptr``) is refused,
+    not silently read transposed.
+    """
     matrix = X.matrix if isinstance(X, FeatureMatrix) else X
-    return sp.csr_matrix(matrix, dtype=np.float64)
+    if isinstance(matrix, CSR):
+        return matrix
+    if (not all(hasattr(matrix, name) for name in _CSR_FIELDS)
+            or getattr(matrix, "format", "csr") != "csr"):
+        raise SparseFormatError(
+            f"expected a CSR matrix, got {type(matrix).__name__}"
+            f" (format {getattr(matrix, 'format', None)!r})")
+    n_rows, n_cols = matrix.shape
+    return CSR(indptr=np.asarray(matrix.indptr), indices=np.asarray(matrix.indices),
+               data=np.asarray(matrix.data, dtype=np.float64),
+               shape=(int(n_rows), int(n_cols)))
 
 
 def labels_to_ints(y: Sequence[Gender]) -> np.ndarray:
@@ -51,19 +71,40 @@ def linear_scores(model, X: MatrixLike) -> np.ndarray:
     margin of exactly 0 predicts female."""
     matrix = as_csr(X)
     check_n_features(model.n_features, matrix)
-    margin = np.asarray(matrix @ model.weights).ravel() + model.bias
+    margin = matrix.dot(model.weights) + model.bias
     return np.column_stack([np.zeros_like(margin), margin])
 
 
-def vector(values, dtype, length: Optional[int] = None) -> np.ndarray:
-    """A 1-D array read from a model document; any other shape is a ValueError."""
-    array = np.asarray(values, dtype=dtype)
-    if array.ndim != 1 or (length is not None and array.size != length):
-        raise ValueError(f"expected a flat list of numbers, got shape {array.shape}")
+def finite(array: np.ndarray, neg_inf_ok: bool = False) -> np.ndarray:
+    """``array`` read from a model document; NaN or an infinity is a ValueError
+    (-Infinity too, unless ``neg_inf_ok``)."""
+    bad = ~np.isfinite(array)
+    if neg_inf_ok:
+        bad &= ~np.isneginf(array)
+    if bad.any():
+        raise ValueError(f"expected finite numbers, got {array[bad].flat[0]!r}")
     return array
 
 
-def check_n_features(model_features: int, X: sp.csr_matrix) -> None:
+def vector(values, dtype, length: Optional[int] = None,
+           neg_inf_ok: bool = False) -> np.ndarray:
+    """A finite 1-D array read from a model document; any other shape, NaN or
+    an infinity (see ``finite``) is a ValueError."""
+    array = np.asarray(values, dtype=dtype)
+    if array.ndim != 1 or (length is not None and array.size != length):
+        raise ValueError(f"expected a flat list of numbers, got shape {array.shape}")
+    return finite(array, neg_inf_ok)
+
+
+def number(value) -> float:
+    """A finite float read from a model document; NaN or an infinity is a ValueError."""
+    result = float(value)
+    if not math.isfinite(result):
+        raise ValueError(f"expected a finite number, got {result!r}")
+    return result
+
+
+def check_n_features(model_features: int, X: CSR) -> None:
     if X.shape[1] != model_features:
         raise DimensionMismatchError(
             f"matrix has {X.shape[1]} columns, model expects {model_features}"

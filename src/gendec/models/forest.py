@@ -76,7 +76,7 @@ def train_forest(
         rng = _tree_rng(seed, index)
         if bootstrap:
             sample = rng.integers(0, n, size=n)
-            tree_matrix = matrix[sample]
+            tree_matrix = matrix.take_rows(sample)
             tree_labels = labels[sample]
         else:
             tree_matrix = matrix

@@ -14,7 +14,9 @@ import numpy as np
 
 from ..errors import ConfigError, SingleClassWarning
 from ..name_core import Gender
-from .common import MatrixLike, as_csr, check_n_features, labels_to_ints, vector
+from .common import (
+    MatrixLike, as_csr, check_n_features, finite, labels_to_ints, number, vector,
+)
 
 
 @dataclass
@@ -47,7 +49,7 @@ def train_naive_bayes(
     feature_log_prob = np.zeros((2, V), dtype=np.float64)
     if V:
         for c in (0, 1):
-            token_counts = np.asarray(matrix[labels == c].sum(axis=0)).ravel()
+            token_counts = matrix.column_sums(labels == c)
             # Single log of the smoothed ratio (not a difference of logs),
             # so genuinely tied classes score bit-identically.
             feature_log_prob[c] = np.log(
@@ -66,7 +68,7 @@ def nb_joint_log_likelihood(model: NBModel, X: MatrixLike) -> np.ndarray:
     """Unnormalized per-class log posterior, shape (n, 2)."""
     matrix = as_csr(X)
     check_n_features(model.n_features, matrix)
-    return matrix @ model.feature_log_prob.T + model.class_log_prior
+    return matrix.dot(model.feature_log_prob.T) + model.class_log_prior
 
 
 def nb_proba(scores: np.ndarray) -> np.ndarray:
@@ -85,11 +87,14 @@ def nb_params(model: NBModel) -> dict:
 
 
 def nb_from_params(doc: dict, n_features: int) -> NBModel:
+    single_class = bool(doc["single_class"])
     return NBModel(
-        alpha=float(doc["alpha"]),
-        class_log_prior=vector(doc["class_log_prior"], np.float64, 2),
-        feature_log_prob=np.asarray(doc["feature_log_prob"], dtype=np.float64
-                                    ).reshape(2, n_features),
+        alpha=number(doc["alpha"]),
+        # The class a single-class model never saw has log prior -Infinity.
+        class_log_prior=vector(doc["class_log_prior"], np.float64, 2,
+                               neg_inf_ok=single_class),
+        feature_log_prob=finite(np.asarray(doc["feature_log_prob"], dtype=np.float64
+                                           ).reshape(2, n_features)),
         n_features=n_features,
-        single_class=bool(doc["single_class"]),
+        single_class=single_class,
     )

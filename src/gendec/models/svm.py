@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import ConfigError, NonFiniteError
 from ..name_core import Gender
-from .common import MatrixLike, as_csr, labels_to_ints, vector
+from .common import MatrixLike, as_csr, labels_to_ints, number, vector
 
 
 @dataclass
@@ -37,7 +37,7 @@ def hinge_loss(
     """Mean hinge loss max(0, 1 - y*(w.x + b)) without the L2 term."""
     matrix = as_csr(X)
     signs = np.where(labels_to_ints(y) == 1, 1.0, -1.0)
-    margins = signs * (np.asarray(matrix @ weights).ravel() + bias)
+    margins = signs * (matrix.dot(weights) + bias)
     return float(np.mean(np.maximum(0.0, 1.0 - margins)))
 
 
@@ -96,8 +96,8 @@ def svm_params(model: SVMModel) -> dict:
 def svm_from_params(doc: dict, n_features: int) -> SVMModel:
     return SVMModel(
         weights=vector(doc["weights"], np.float64, n_features),
-        bias=float(doc["bias"]),
-        lam=float(doc["lambda"]),
+        bias=number(doc["bias"]),
+        lam=number(doc["lambda"]),
         epochs=int(doc["epochs"]),
         seed=int(doc["seed"]),
     )

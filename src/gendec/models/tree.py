@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..errors import ConfigError
 from ..name_core import Gender
+from ..vectorize import CSR
 from .common import MatrixLike, as_csr, check_n_features, labels_to_ints, vector
 
 # A sampler returns the sorted candidate column ids for one split search.
@@ -47,12 +47,9 @@ class TreeModel:
         return len(self.feature)
 
 
-def _entry_arrays(matrix: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _entry_arrays(matrix: CSR) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-nonzero (local row, column, value) arrays for a CSR matrix."""
-    rows = np.repeat(
-        np.arange(matrix.shape[0], dtype=np.int64), np.diff(matrix.indptr)
-    )
-    return rows, matrix.indices.astype(np.int64), matrix.data.astype(np.float64)
+    return matrix.row_ids(), matrix.indices.astype(np.int64), matrix.data.astype(np.float64)
 
 
 def _best_split(
@@ -127,7 +124,7 @@ def _best_split(
 
 
 def _grow_tree(
-    matrix: sp.csr_matrix,
+    matrix: CSR,
     labels: np.ndarray,
     max_depth: Optional[int],
     min_samples_leaf: int,

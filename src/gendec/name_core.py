@@ -175,6 +175,25 @@ def json_count(value) -> int:
     return value
 
 
+def check_keys(doc, required: tuple[str, ...], optional: tuple[str, ...] = (), *,
+               error: type[Exception]) -> None:
+    """Raise ``error`` unless ``doc`` is a JSON object with every ``required``
+    key and no key outside ``required`` and ``optional``.
+
+    An unknown key is refused rather than ignored, so a misspelled optional
+    key cannot silently leave its default in place.
+    """
+    if not isinstance(doc, dict):
+        raise error(f"expected a JSON object, got {type(doc).__name__}")
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise error(f"missing key {missing[0]!r}")
+    known = {*required, *optional}
+    unknown = sorted(str(key) for key in doc if key not in known)
+    if unknown:
+        raise error(f"unknown key {unknown[0]!r}; expected keys among {sorted(known)}")
+
+
 def read_csv(path: str | Path, header: str, parse_row: Callable[[str], object]) -> list:
     """Non-empty rows after ``header``, parsed; row errors get file:line prepended."""
     lines = read_text(path).split("\n")

@@ -15,10 +15,9 @@ from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
-from .errors import ConfigError, EmptyCorpusError, MissingIdfError
-from .name_core import json_count
+from .errors import ConfigError, DimensionMismatchError, EmptyCorpusError, MissingIdfError
+from .name_core import check_keys, json_count
 
 
 class TokenizerMode(str, Enum):
@@ -53,6 +52,8 @@ class TokenizerConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TokenizerConfig":
+        """Config from its JSON object; a missing or unknown key is a ValueError."""
+        check_keys(doc, ("mode", "ngram_min", "ngram_max"), error=ValueError)
         return cls(
             mode=TokenizerMode(doc["mode"]),
             ngram_min=json_count(doc["ngram_min"]),
@@ -84,11 +85,92 @@ class Vocabulary:
         return len(self.tokens)
 
 
+def _index_dtype(limit: int) -> type:
+    """int32 while every index and offset fits, as scipy.sparse picks."""
+    return np.int32 if limit <= np.iinfo(np.int32).max else np.int64
+
+
+def _sums(ids: np.ndarray, weights: np.ndarray, length: int) -> np.ndarray:
+    """float64 sum of ``weights`` per id in [0, length), added in array order.
+
+    ``np.bincount`` returns int64 zeros when ``ids`` is empty.
+    """
+    sums = np.bincount(ids, weights=weights, minlength=length)
+    return sums.astype(np.float64, copy=False)
+
+
+@dataclass(eq=False)
+class CSR:
+    """Compressed sparse row matrix with the few operations the models use.
+
+    Row ``i`` holds columns ``indices[indptr[i]:indptr[i + 1]]`` with values
+    ``data[indptr[i]:indptr[i + 1]]``.  Every kernel is an ``np.bincount`` /
+    ``np.repeat`` over these arrays that adds the entries of a row in stored
+    order, which is the order scipy.sparse adds them in, so results equal
+    scipy's bit for bit.  ``scipy.sparse.csr_matrix((m.data, m.indices,
+    m.indptr), shape=m.shape)`` is the same matrix, without a copy.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+    def row_ids(self) -> np.ndarray:
+        """The row of each stored entry, int64."""
+        return np.repeat(np.arange(self.shape[0], dtype=np.int64), np.diff(self.indptr))
+
+    def copy(self) -> "CSR":
+        return CSR(self.indptr.copy(), self.indices.copy(), self.data.copy(), self.shape)
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros(self.shape, dtype=self.data.dtype)
+        np.add.at(dense, (self.row_ids(), self.indices), self.data)
+        return dense
+
+    def take_rows(self, rows) -> "CSR":
+        """The rows ``rows`` (ids in [0, n_rows), repeats allowed), in that order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        starts = self.indptr[rows].astype(np.int64)
+        lengths = self.indptr[rows + 1] - starts
+        total = int(lengths.sum())
+        indptr = np.zeros(len(rows) + 1, dtype=_index_dtype(max(total, self.shape[1])))
+        np.cumsum(lengths, out=indptr[1:])
+        entries = np.repeat(starts - indptr[:-1], lengths) + np.arange(total)
+        return CSR(indptr, self.indices[entries], self.data[entries],
+                   (len(rows), self.shape[1]))
+
+    def dot(self, w) -> np.ndarray:
+        """``X @ w`` for a vector (n,) or a matrix with one row per column (n, k)."""
+        w = np.asarray(w, dtype=np.float64)
+        if w.shape[:1] != (self.shape[1],):
+            raise DimensionMismatchError(
+                f"cannot multiply a {self.shape} matrix by shape {w.shape}")
+        rows = self.row_ids()
+        n = self.shape[0]
+        if w.ndim == 1:
+            return _sums(rows, self.data * w[self.indices], n)
+        products = self.data[:, None] * w[self.indices]
+        out = np.empty((n, w.shape[1]))
+        for k in range(w.shape[1]):
+            out[:, k] = _sums(rows, products[:, k], n)
+        return out
+
+    def column_sums(self, row_mask) -> np.ndarray:
+        """Per-column sum over the rows where ``row_mask`` is true."""
+        keep = np.asarray(row_mask, dtype=bool)[self.row_ids()]
+        return _sums(self.indices[keep], self.data[keep], self.shape[1])
+
+
 @dataclass(frozen=True)
 class FeatureMatrix:
     """Sparse document-term matrix with its weighting scheme."""
 
-    matrix: sp.csr_matrix
+    matrix: CSR
     weighting: Weighting
 
     @property
@@ -137,22 +219,26 @@ def transform(
     Unseen tokens are silently dropped.  TF-IDF is ``tfidf_from_counts``
     of the count matrix.
     """
-    rows: list[int] = []
+    indptr = [0]
     cols: list[int] = []
     vals: list[float] = []
     index = vocab.token_to_index
-    for row, doc in enumerate(docs):
+    for doc in docs:
         counts: Counter = Counter()
         for token in tokenize(doc, vocab.tokenizer):
             col = index.get(token)
             if col is not None:
                 counts[col] += 1
         for col in sorted(counts):
-            rows.append(row)
             cols.append(col)
             vals.append(float(counts[col]))
-    matrix = sp.csr_matrix(
-        (vals, (rows, cols)), shape=(len(docs), vocab.size), dtype=np.float64
+        indptr.append(len(cols))
+    index_dtype = _index_dtype(max(len(cols), vocab.size))
+    matrix = CSR(
+        indptr=np.asarray(indptr, dtype=index_dtype),
+        indices=np.asarray(cols, dtype=index_dtype),
+        data=np.asarray(vals, dtype=np.float64),
+        shape=(len(docs), vocab.size),
     )
     counts_matrix = FeatureMatrix(matrix=matrix, weighting=Weighting.COUNT)
     if weighting is Weighting.COUNT:
@@ -172,7 +258,7 @@ def tfidf_from_counts(counts: FeatureMatrix, vocab: Vocabulary) -> FeatureMatrix
     if matrix.nnz:
         n_rows = matrix.shape[0]
         matrix.data *= vocab.idf[matrix.indices]
-        row_ids = np.repeat(np.arange(n_rows), np.diff(matrix.indptr))
+        row_ids = matrix.row_ids()
         row_norms = np.zeros(n_rows)
         np.add.at(row_norms, row_ids, matrix.data ** 2)
         row_norms = np.sqrt(row_norms)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gendec.corpus import (
     PairingConfig,
@@ -28,6 +29,11 @@ REFERENCE_ROWS = [
 ]
 
 
+def to_scipy(matrix) -> sp.csr_matrix:
+    """A gendec CSR as a scipy.sparse.csr_matrix over the same arrays."""
+    return sp.csr_matrix((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)
+
+
 # Present config values that must not fall back to the default.
 MALFORMED_CONFIG_VALUES = [
     pytest.param({"hyperparameters": {"nb": {"alpha": float("nan")}}}, id="nan-alpha"),
@@ -39,6 +45,13 @@ MALFORMED_CONFIG_VALUES = [
                           ("tokenizer", ([], 0, "", False, {}, None)))
       for value in values),
     pytest.param({"cells": []}, id="no-cells"),
+    # Unknown keys, which a typo would otherwise turn into a silent default.
+    pytest.param({"seeds": 7}, id="unknown-key-seeds"),
+    pytest.param({"hyperparameter": {}}, id="unknown-key-hyperparameter"),
+    pytest.param({"cells": [{"model": "nb", "features": "count", "variant": "original",
+                             "part": "full", "extra": 1}]}, id="unknown-cell-key"),
+    pytest.param({"tokenizer": {"mode": "word", "ngram_min": 1, "ngram_max": 1,
+                                "ngram_mx": 2}}, id="unknown-tokenizer-key"),
 ]
 
 

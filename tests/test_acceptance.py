@@ -61,6 +61,7 @@ from gendec.vectorize import (
     tokenize,
     transform,
 )
+from tests.conftest import to_scipy
 from tests.test_naive_bayes import brute_force_predict
 from tests.test_logistic import finite_difference_gradient
 from tests.test_translit import HEPBURN_PAIRS
@@ -270,7 +271,8 @@ def test_criterion_07_vectorizer_oracle_and_norms():
 
     tfidf_vocab = fit_vocabulary(docs, weighting=Weighting.TFIDF)
     X = transform(docs, tfidf_vocab, Weighting.TFIDF)
-    norms = np.sqrt(np.asarray(X.matrix.multiply(X.matrix).sum(axis=1)).ravel())
+    matrix = to_scipy(X.matrix)
+    norms = np.sqrt(np.asarray(matrix.multiply(matrix).sum(axis=1)).ravel())
     nonzero = np.diff(X.matrix.indptr) > 0
     norms_ok = bool(np.all(np.abs(norms[nonzero] - 1.0) < 1e-9)) and bool(
         np.all(norms[~nonzero] == 0.0)

@@ -6,7 +6,8 @@ from click.testing import CliRunner
 import gendec.cli as cli
 from gendec.cli import main
 from gendec.corpus import write_raw_csv
-from gendec.errors import NonFiniteError, SchemaError
+from gendec.errors import NonFiniteError, SchemaError, SingleClassWarning
+from gendec.model_io import load_model, save_model
 from gendec.name_core import read_corpus_csv, write_corpus_csv
 from tests.conftest import MALFORMED_CONFIG_VALUES, make_raw_inventories
 
@@ -394,6 +395,97 @@ class TestCorruptModelFiles:
         assert result.exit_code == 2
         assert _no_traceback(result)
         assert "reading dictionary" in result.output
+
+
+# Where a non-finite value is written into each kind's model file, as a
+# key/index path into its "parameters": array entries and scalars.
+NON_FINITE_SITES = {
+    "nb": [("feature_log_prob", 0, 0), ("class_log_prior", 1), ("alpha",)],
+    "lr": [("weights", 0), ("training_trace", 0), ("bias",)],
+    "dt": [("nodes", "threshold", 0)],
+    "rf": [("trees", 0, "threshold", 0)],
+    "svm": [("weights", 0), ("lambda",)],
+}
+NON_FINITE_CASES = [
+    pytest.param((kind, path, value), id=f"{kind}-{'.'.join(map(str, path))}-{value}")
+    for kind, sites in NON_FINITE_SITES.items()
+    for path in (*(("parameters", *site) for site in sites), ("vocabulary", "idf", 0))
+    for value in ("nan", "inf")
+]
+
+
+@pytest.fixture(scope="module")
+def kind_model_files(tmp_path_factory, synthetic_corpus):
+    """One TF-IDF model file per kind, plus a test CSV for evaluate."""
+    root = tmp_path_factory.mktemp("kinds")
+    train_csv, test_csv = root / "train.csv", root / "test.csv"
+    write_corpus_csv(train_csv, synthetic_corpus[::3])
+    write_corpus_csv(test_csv, synthetic_corpus[1::50])
+    paths = {}
+    for kind in NON_FINITE_SITES:
+        paths[kind] = root / f"{kind}.json"
+        result = CliRunner().invoke(main, [
+            "train", "--model", kind, "--features", "tfidf", "--n-trees", "2",
+            "--epochs", "5", "--train", str(train_csv), "--out", str(paths[kind]),
+        ])
+        assert result.exit_code == 0, result.output
+    return paths, test_csv
+
+
+class TestNonFiniteModelFiles:
+    @pytest.fixture(params=NON_FINITE_CASES)
+    def non_finite_model(self, request, kind_model_files, tmp_path):
+        kind, site, value = request.param
+        doc = json.loads(kind_model_files[0][kind].read_text())
+        parent = doc
+        for key in site[:-1]:
+            parent = parent[key]
+        parent[site[-1]] = float(value)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return path
+
+    def test_predict_exits_2(self, runner, non_finite_model):
+        result = runner.invoke(main, ["predict", "--model-file", str(non_finite_model),
+                                      "--name", "Tanaka Satoko"])
+        assert result.exit_code == 2, result.output
+        assert _no_traceback(result)
+        assert result.output.startswith("error: malformed model file")
+
+    def test_evaluate_exits_2(self, runner, non_finite_model, kind_model_files, tmp_path):
+        report = tmp_path / "r.json"
+        result = runner.invoke(main, [
+            "evaluate", "--model-file", str(non_finite_model),
+            "--test", str(kind_model_files[1]), "--report", str(report),
+        ])
+        assert result.exit_code == 2, result.output
+        assert _no_traceback(result)
+        assert not report.exists()
+
+    def test_single_class_nb_round_trips(self, runner, synthetic_corpus, tmp_path):
+        """Only the prior of the class a single-class model never saw may be
+        -Infinity, and such a file still loads, predicts and re-saves."""
+        train_csv, path = tmp_path / "female.csv", tmp_path / "nb.json"
+        write_corpus_csv(train_csv, [r for r in synthetic_corpus
+                                     if r.gender.value == "female"])
+        with pytest.warns(SingleClassWarning):
+            result = runner.invoke(main, ["train", "--model", "nb", "--features", "count",
+                                          "--train", str(train_csv), "--out", str(path)])
+        assert result.exit_code == 0, result.output
+        doc = json.loads(path.read_text())
+        assert doc["parameters"]["class_log_prior"] == [0.0, float("-inf")]
+        save_model(tmp_path / "again.json", load_model(path))
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+        result = runner.invoke(main, ["predict", "--model-file", str(path),
+                                      "--name", "Suzuki Taro"])
+        assert result.exit_code == 0, result.output
+        assert result.output.split("\t")[1] == "female"
+
+        doc["parameters"]["single_class"] = False
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        result = runner.invoke(main, ["predict", "--model-file", str(path),
+                                      "--name", "Suzuki Taro"])
+        assert result.exit_code == 2, result.output
 
 
 class TestStats:

@@ -4,6 +4,9 @@ file into a GendecError."""
 import ast
 import copy
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -93,6 +96,77 @@ def test_commands_leave_gendec_errors_to_the_cli_boundary():
     stray = [site for site in handlers if site[0].startswith("cmd_")]
     assert not stray, f"commands catching GendecError themselves: {stray}"
     assert [name for name, _line in handlers] == ["invoke"]
+
+
+# --- scipy stays off the import path ----------------------------------------
+
+# The one module that may import scipy, and only inside its functions.
+SCIPY_IMPORTERS = {"models/logistic.py"}
+
+
+def _scipy_imports(tree: ast.Module):
+    """(enclosing function or None, line) of each import of scipy."""
+    def walk(node, function):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+            if isinstance(child, ast.Import):
+                modules = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                modules = [child.module or ""]
+            else:
+                modules = []
+            if any(module.split(".")[0] == "scipy" for module in modules):
+                yield function, child.lineno
+            yield from walk(child, inner)
+    return walk(tree, None)
+
+
+def test_scipy_is_imported_only_inside_logistic_functions():
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        name = path.relative_to(SRC).as_posix()
+        found += [(name, function, line) for function, line in _scipy_imports(tree)]
+    module_level = [site for site in found if site[1] is None]
+    assert not module_level, f"scipy imported at module level: {module_level}"
+    stray = [site for site in found if site[0] not in SCIPY_IMPORTERS]
+    assert not stray, f"scipy imported outside {sorted(SCIPY_IMPORTERS)}: {stray}"
+    assert {site[0] for site in found} == SCIPY_IMPORTERS
+
+
+# Runs `gendec <argv>` in-process when given arguments, then prints whether
+# scipy was loaded.
+_SCIPY_PROBE = """\
+import sys
+import gendec, gendec.cli
+if sys.argv[1:]:
+    gendec.cli.main.main(args=sys.argv[1:], prog_name="gendec", standalone_mode=False)
+print("scipy loaded:", "scipy" in sys.modules)
+"""
+
+
+def _scipy_loaded_after(*args: str) -> str:
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
+
+
+def test_cli_import_does_not_load_scipy():
+    assert _scipy_loaded_after() == "scipy loaded: False"
+
+
+@pytest.mark.parametrize("kind", [ModelKind.RF, ModelKind.SVM])
+def test_predict_batch_does_not_load_scipy(scratch, documents, kind):
+    model = scratch / f"scipy-probe-{kind.value}.json"
+    model.write_text(json.dumps(documents["model"][list(ModelKind).index(kind)]),
+                     encoding="utf-8")
+    names = scratch / "scipy-probe-names.txt"
+    names.write_text("Tamai Kazuyoshi\nIwama Satoko\n", encoding="utf-8")
+    assert _scipy_loaded_after("predict", "--model-file", str(model),
+                               "--batch", str(names)) == "scipy loaded: False"
 
 
 # --- every reader: loads, or raises a GendecError -------------------------

@@ -19,6 +19,7 @@ from gendec.models import ModelKind, predict, predict_proba, supports_proba
 from gendec.name_core import GENDERS, InputVariant, NamePart
 from gendec.translit import build_reading_dictionary
 from gendec.vectorize import TokenizerConfig, Weighting, fit_vocabulary, transform
+from tests.conftest import to_scipy
 
 HYPER = {"rf": {"n_trees": 4}, "svm": {"epochs": 4}, "lr": {"epochs": 20}}
 SEED = 7
@@ -78,7 +79,7 @@ def test_model_file_bytes_pinned(tmp_path, train_records, label):
 def test_predict_is_proba_argmax_female_first(train_records, kind):
     model_file, X = _fit(train_records, kind, Weighting.TFIDF, InputVariant.ORIGINAL)
     model = model_file.model
-    rows = sp.vstack([X.matrix, sp.csr_matrix((1, X.matrix.shape[1]))]).tocsr()
+    rows = sp.vstack([to_scipy(X.matrix), sp.csr_matrix((1, X.matrix.shape[1]))]).tocsr()
     labels = predict(model, rows)
     if not supports_proba(model):
         with pytest.raises(UnsupportedModelError):

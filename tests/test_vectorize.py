@@ -16,6 +16,7 @@ from gendec.vectorize import (
     tokenize,
     transform,
 )
+from tests.conftest import to_scipy
 
 CHAR_24 = TokenizerConfig(mode=TokenizerMode.CHAR_NGRAM, ngram_min=2, ngram_max=4)
 
@@ -111,7 +112,8 @@ def test_tfidf_rows_unit_norm(synthetic_corpus):
     docs = [r.romaji.lower() for r in synthetic_corpus[:400]]
     vocab = fit_vocabulary(docs, weighting=Weighting.TFIDF)
     X = transform(docs, vocab, Weighting.TFIDF)
-    norms = np.sqrt(np.asarray(X.matrix.multiply(X.matrix).sum(axis=1)).ravel())
+    matrix = to_scipy(X.matrix)
+    norms = np.sqrt(np.asarray(matrix.multiply(matrix).sum(axis=1)).ravel())
     assert np.all(np.abs(norms - 1.0) < 1e-9)
 
 
