@@ -226,6 +226,8 @@ class ExperimentGrid:
         check_keys(doc, ("train", "test"),
                    ("seed", "cells", "preset", "hyperparameters", "tokenizer"),
                    error=ConfigError)
+        if "cells" in doc and "preset" in doc:
+            raise ConfigError("grid config takes cells or preset, not both")
         try:
             for key in ("train", "test"):
                 if not Path(doc[key]).is_file():

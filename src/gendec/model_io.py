@@ -22,7 +22,7 @@ from .errors import SchemaError
 from .evaluate import Cell
 from .models import MODEL_KINDS, ModelKind, TrainedModel, kind_of
 from .models.common import vector
-from .name_core import InputVariant, NamePart, read_json, write_json
+from .name_core import InputVariant, NamePart, check_keys, read_json, write_json
 from .translit import ReadingDictionary
 from .vectorize import TokenizerConfig, Vocabulary, Weighting
 
@@ -80,6 +80,10 @@ class ModelFile:
         if version != SCHEMA_VERSION:
             raise SchemaError(f"unsupported model file schema_version {version!r}")
         try:
+            check_keys(doc, ("schema_version", "model_kind", "weighting", "part", "variant",
+                             "tokenizer", "vocabulary", "parameters", "metadata"),
+                       ("reading_dictionary",), error=ValueError)
+            check_keys(doc["vocabulary"], ("tokens", "idf"), error=ValueError)
             tokens = tuple(doc["vocabulary"]["tokens"])
             idf_doc = doc["vocabulary"]["idf"]
             vocabulary = Vocabulary(

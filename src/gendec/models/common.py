@@ -97,11 +97,22 @@ def vector(values, dtype, length: Optional[int] = None,
 
 
 def number(value) -> float:
-    """A finite float read from a model document; NaN or an infinity is a ValueError."""
+    """A finite float read from a model document; a non-number (``true`` or
+    ``"1.5"`` included), NaN or an infinity is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
     result = float(value)
     if not math.isfinite(result):
         raise ValueError(f"expected a finite number, got {result!r}")
     return result
+
+
+def boolean(value) -> bool:
+    """``value`` when it is a JSON boolean, else ValueError; ``bool()`` would
+    read ``"false"`` or ``0`` as a flag."""
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
 
 
 def check_n_features(model_features: int, X: CSR) -> None:

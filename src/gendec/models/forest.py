@@ -14,11 +14,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..errors import ConfigError
-from ..name_core import Gender
-from .common import MatrixLike, as_csr, labels_to_ints, male_wins
+from ..name_core import Gender, check_keys, json_count
+from .common import MatrixLike, as_csr, boolean, labels_to_ints, male_wins
 from .tree import (
     TreeModel,
     _grow_tree,
+    depth_limit,
     tree_from_nodes,
     tree_leaf_counts,
     tree_nodes_params,
@@ -28,7 +29,6 @@ from .tree import (
 @dataclass
 class ForestModel:
     trees: list[TreeModel]
-    n_trees: int
     features_per_split: int
     bootstrap: bool
     seed: int
@@ -36,6 +36,10 @@ class ForestModel:
     min_samples_leaf: int
     exhaust_on_miss: bool
     n_features: int
+
+    @property
+    def n_trees(self) -> int:
+        return len(self.trees)
 
 
 def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
@@ -98,7 +102,6 @@ def train_forest(
         )
     return ForestModel(
         trees=trees,
-        n_trees=n_trees,
         features_per_split=features_per_split,
         bootstrap=bootstrap,
         seed=seed,
@@ -134,16 +137,23 @@ def forest_params(model: ForestModel) -> dict:
 
 
 def forest_from_params(doc: dict, n_features: int) -> ForestModel:
-    min_samples_leaf = int(doc["min_samples_leaf"])
+    check_keys(doc, ("n_trees", "features_per_split", "bootstrap", "seed", "max_depth",
+                     "min_samples_leaf", "exhaust_on_miss", "tree_streams", "trees"),
+               error=ValueError)
+    max_depth = depth_limit(doc["max_depth"])
+    min_samples_leaf = json_count(doc["min_samples_leaf"])
+    trees = [tree_from_nodes(t, n_features, max_depth, min_samples_leaf)
+             for t in doc["trees"]]
+    if json_count(doc["n_trees"]) != len(trees) or not trees:
+        raise ValueError(f"n_trees must be >= 1 and match the {len(trees)} trees given, "
+                         f"got {doc['n_trees']}")
     return ForestModel(
-        trees=[tree_from_nodes(t, n_features, doc["max_depth"], min_samples_leaf)
-               for t in doc["trees"]],
-        n_trees=int(doc["n_trees"]),
-        features_per_split=int(doc["features_per_split"]),
-        bootstrap=bool(doc["bootstrap"]),
-        seed=int(doc["seed"]),
-        max_depth=doc["max_depth"],
+        trees=trees,
+        features_per_split=json_count(doc["features_per_split"]),
+        bootstrap=boolean(doc["bootstrap"]),
+        seed=json_count(doc["seed"]),
+        max_depth=max_depth,
         min_samples_leaf=min_samples_leaf,
-        exhaust_on_miss=bool(doc["exhaust_on_miss"]),
+        exhaust_on_miss=boolean(doc["exhaust_on_miss"]),
         n_features=n_features,
     )

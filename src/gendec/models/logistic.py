@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import ConfigError, NonFiniteError
-from ..name_core import Gender
+from ..name_core import Gender, check_keys, json_count
 from .common import MatrixLike, as_csr, labels_to_ints, number, vector
 
 
@@ -128,11 +128,13 @@ def lr_params(model: LRModel) -> dict:
 
 
 def lr_from_params(doc: dict, n_features: int) -> LRModel:
+    check_keys(doc, ("weights", "bias", "l2", "learning_rate", "epochs", "training_trace"),
+               error=ValueError)
     return LRModel(
         weights=vector(doc["weights"], np.float64, n_features),
         bias=number(doc["bias"]),
         l2=number(doc["l2"]),
         learning_rate=number(doc["learning_rate"]),
-        epochs=int(doc["epochs"]),
+        epochs=json_count(doc["epochs"]),
         training_trace=vector(doc["training_trace"], np.float64).tolist(),
     )

@@ -13,9 +13,9 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import ConfigError, SingleClassWarning
-from ..name_core import Gender
+from ..name_core import Gender, check_keys
 from .common import (
-    MatrixLike, as_csr, check_n_features, finite, labels_to_ints, number, vector,
+    MatrixLike, as_csr, boolean, check_n_features, finite, labels_to_ints, number, vector,
 )
 
 
@@ -87,7 +87,9 @@ def nb_params(model: NBModel) -> dict:
 
 
 def nb_from_params(doc: dict, n_features: int) -> NBModel:
-    single_class = bool(doc["single_class"])
+    check_keys(doc, ("alpha", "class_log_prior", "feature_log_prob", "single_class"),
+               error=ValueError)
+    single_class = boolean(doc["single_class"])
     return NBModel(
         alpha=number(doc["alpha"]),
         # The class a single-class model never saw has log prior -Infinity.

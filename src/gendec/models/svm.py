@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import ConfigError, NonFiniteError
-from ..name_core import Gender
+from ..name_core import Gender, check_keys, json_count
 from .common import MatrixLike, as_csr, labels_to_ints, number, vector
 
 
@@ -94,10 +94,11 @@ def svm_params(model: SVMModel) -> dict:
 
 
 def svm_from_params(doc: dict, n_features: int) -> SVMModel:
+    check_keys(doc, ("weights", "bias", "lambda", "epochs", "seed"), error=ValueError)
     return SVMModel(
         weights=vector(doc["weights"], np.float64, n_features),
         bias=number(doc["bias"]),
         lam=number(doc["lambda"]),
-        epochs=int(doc["epochs"]),
-        seed=int(doc["seed"]),
+        epochs=json_count(doc["epochs"]),
+        seed=json_count(doc["seed"]),
     )

@@ -5,8 +5,8 @@ distinct values (the implicit zeros of a sparse column included) and is
 fully vectorized over all candidate boundaries of a node at once.  Ties
 break toward the lowest column index, then the lowest threshold.  Trees
 are stored as flat parallel arrays, which keeps serialization cheap and
-lets prediction route whole row sets down the tree instead of walking
-row by row.
+lets prediction move every row of a batch down one level per step
+instead of walking row by row.
 
 Feature values must be non-negative (count or TF-IDF weights); this is
 what lets the zero group sort below every stored value.
@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ..errors import ConfigError
-from ..name_core import Gender
+from ..name_core import Gender, check_keys, json_count
 from ..vectorize import CSR
 from .common import MatrixLike, as_csr, check_n_features, labels_to_ints, vector
 
@@ -45,11 +45,6 @@ class TreeModel:
     @property
     def n_nodes(self) -> int:
         return len(self.feature)
-
-
-def _entry_arrays(matrix: CSR) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-nonzero (local row, column, value) arrays for a CSR matrix."""
-    return matrix.row_ids(), matrix.indices.astype(np.int64), matrix.data.astype(np.float64)
 
 
 def _best_split(
@@ -145,7 +140,9 @@ def _grow_tree(
     if matrix.nnz and matrix.data.min() < 0:
         raise ConfigError("tree features must be non-negative")
     n, _V = matrix.shape
-    er, ec, ev = _entry_arrays(matrix)
+    er = matrix.row_ids()
+    ec = matrix.indices.astype(np.int64)
+    ev = matrix.data.astype(np.float64)
 
     feature: list[int] = []
     threshold: list[float] = []
@@ -260,50 +257,23 @@ def train_tree(
 
 
 def tree_apply(model: TreeModel, X: MatrixLike) -> np.ndarray:
-    """Leaf node id per row, routing row sets down the tree."""
+    """Leaf node id per row; every row moves down one level per step.
+
+    A row goes right when any of its stored entries on the node's column
+    exceeds the threshold.  A missing entry is a zero and goes left.
+    """
     matrix = as_csr(X)
     check_n_features(model.n_features, matrix)
-    n = matrix.shape[0]
-    out = np.zeros(n, dtype=np.int64)
-    if n == 0:
-        return out
-    er, ec, ev = _entry_arrays(matrix)
-    rows = np.arange(n, dtype=np.int64)
-    stack = [(0, rows, er, ec, ev)]
-    while stack:
-        node, nrows, ner, nec, nev = stack.pop()
-        if nrows.size == 0:
-            continue
+    rows = matrix.row_ids()
+    node = np.zeros(matrix.shape[0], dtype=np.int64)
+    col = model.feature[node]
+    while (col >= 0).any():
+        hit = (matrix.indices == col[rows]) & (matrix.data > model.threshold[node][rows])
+        right = np.zeros(node.size, dtype=bool)
+        right[rows[hit]] = True
+        node = np.where(col < 0, node, np.where(right, model.right[node], model.left[node]))
         col = model.feature[node]
-        if col < 0:
-            out[nrows] = node
-            continue
-        on_col = nec == col
-        right_rows = ner[on_col][nev[on_col] > model.threshold[node]]
-        side = np.zeros(nrows.size, dtype=bool)
-        side[right_rows] = True
-        left_index = np.cumsum(~side) - 1
-        right_index = np.cumsum(side) - 1
-        entry_side = side[ner]
-        stack.append(
-            (
-                int(model.right[node]),
-                nrows[side],
-                right_index[ner[entry_side]],
-                nec[entry_side],
-                nev[entry_side],
-            )
-        )
-        stack.append(
-            (
-                int(model.left[node]),
-                nrows[~side],
-                left_index[ner[~entry_side]],
-                nec[~entry_side],
-                nev[~entry_side],
-            )
-        )
-    return out
+    return node
 
 
 def tree_leaf_counts(model: TreeModel, X: MatrixLike) -> np.ndarray:
@@ -332,13 +302,41 @@ def tree_nodes_params(tree: TreeModel) -> dict:
 def tree_from_nodes(
     doc: dict, n_features: int, max_depth: Optional[int], min_samples_leaf: int
 ) -> TreeModel:
+    """Tree from its node arrays in a model file.
+
+    A ValueError unless the tree has a node, every inner node splits a known
+    column and both its children come after it, and every leaf is all -1.
+    ``_grow_tree`` appends children after their parent, so a trained tree
+    passes; the order also bounds ``tree_apply`` at ``n_nodes`` steps.
+    """
+    check_keys(doc, tuple(_NODE_ARRAYS), error=ValueError)
     n_nodes = len(doc["feature"])
-    return TreeModel(
+    tree = TreeModel(
         **{name: vector(doc[name], dtype, n_nodes) for name, dtype in _NODE_ARRAYS.items()},
         n_features=n_features,
         max_depth=max_depth,
         min_samples_leaf=min_samples_leaf,
     )
+    if n_nodes == 0:
+        raise ValueError("a tree needs at least one node")
+    inner = tree.feature >= 0
+    if (tree.feature[inner] >= n_features).any():
+        raise ValueError(f"a node splits column {tree.feature[inner].max()} of {n_features}")
+    ids = np.flatnonzero(inner)
+    for child in (tree.left[inner], tree.right[inner]):
+        if ((child <= ids) | (child >= n_nodes)).any():
+            raise ValueError(f"a child node id must be above its parent's and below {n_nodes}")
+    leaf = ~inner
+    if ((tree.feature[leaf] != -1) | (tree.left[leaf] != -1) | (tree.right[leaf] != -1)).any():
+        raise ValueError("a leaf must have feature, left and right all -1")
+    return tree
+
+
+def depth_limit(value) -> Optional[int]:
+    """A ``max_depth`` read from a model document: null or an integer >= 1."""
+    if value is not None and json_count(value) < 1:
+        raise ValueError(f"max_depth must be null or >= 1, got {value!r}")
+    return value
 
 
 def tree_params(model: TreeModel) -> dict:
@@ -350,6 +348,6 @@ def tree_params(model: TreeModel) -> dict:
 
 
 def tree_from_params(doc: dict, n_features: int) -> TreeModel:
-    return tree_from_nodes(
-        doc["nodes"], n_features, doc["max_depth"], int(doc["min_samples_leaf"])
-    )
+    check_keys(doc, ("max_depth", "min_samples_leaf", "nodes"), error=ValueError)
+    return tree_from_nodes(doc["nodes"], n_features, depth_limit(doc["max_depth"]),
+                           json_count(doc["min_samples_leaf"]))

@@ -24,7 +24,9 @@ from .errors import (
     UnknownKanaError,
     UnknownKanjiError,
 )
-from .name_core import NameRecord, NameRole, normalize_romaji, read_json, write_json
+from .name_core import (
+    NameRecord, NameRole, check_keys, normalize_romaji, read_json, write_json,
+)
 
 # Single-kana syllables (gojuon plus voiced/semi-voiced rows and ん).
 _BASE = {
@@ -328,6 +330,7 @@ class ReadingDictionary:
             return table
 
         try:
+            check_keys(doc, ("schema_version", "family", "given"), error=ValueError)
             return cls(family=load("family"), given=load("given"))
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise SchemaError(

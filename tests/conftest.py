@@ -52,6 +52,10 @@ MALFORMED_CONFIG_VALUES = [
                              "part": "full", "extra": 1}]}, id="unknown-cell-key"),
     pytest.param({"tokenizer": {"mode": "word", "ngram_min": 1, "ngram_max": 1,
                                 "ngram_mx": 2}}, id="unknown-tokenizer-key"),
+    # Both ways of naming the cells: neither may be silently dropped.
+    pytest.param({"preset": "ablation", "cells": [{"model": "nb", "features": "count",
+                                                   "variant": "original", "part": "full"}]},
+                 id="preset-and-cells"),
 ]
 
 

@@ -281,15 +281,19 @@ class TestTrainEvaluatePredict:
         assert len(result.output.strip().split("\n")) == 2
 
 
-@pytest.fixture
-def model_path(runner, split_files, tmp_path):
-    path = tmp_path / "rf.json"
+def _train_tfidf(runner, train_csv, path, kind="rf"):
     result = runner.invoke(main, [
-        "train", "--model", "rf", "--features", "tfidf", "--n-trees", "5",
-        "--train", str(split_files[0]), "--out", str(path),
+        "train", "--model", kind, "--features", "tfidf",
+        *(["--n-trees", "5"] if kind == "rf" else []),
+        "--train", str(train_csv), "--out", str(path),
     ])
     assert result.exit_code == 0, result.output
     return path
+
+
+@pytest.fixture
+def model_path(runner, split_files, tmp_path):
+    return _train_tfidf(runner, split_files[0], tmp_path / "rf.json")
 
 
 def _no_traceback(result):
@@ -334,26 +338,59 @@ class TestPredictPaths:
         assert "'Tanaka'" in result.output
 
 
+# Malformed trees, each written into a dt file and into an rf file's first tree.
+TREE_CASES = ["cycle", "child-out-of-range", "column-out-of-range", "max-depth-0"]
+
+
 class TestCorruptModelFiles:
     @pytest.fixture(params=["not-json", "missing-keys", "missing-parameter",
                             "wrong-type", "wrong-length", "not-object", "nested-deep",
-                            "huge-number"])
-    def corrupt_model(self, request, model_path):
+                            "huge-number",
+                            *(f"{kind}-{case}" for kind in ("dt", "rf")
+                              for case in TREE_CASES),
+                            "bootstrap-string", "seed-string", "fractional-leaf",
+                            "n-trees-mismatch", "unknown-key", "misspelled-parameter"])
+    def corrupt_model(self, request, runner, split_files, tmp_path):
+        kind = "dt" if request.param.startswith("dt-") else "rf"
+        model_path = _train_tfidf(runner, split_files[0], tmp_path / f"{kind}.json", kind)
         doc = json.loads(model_path.read_text())
+        params = doc["parameters"]
+        nodes = params["nodes"] if kind == "dt" else params["trees"][0]
+        case = request.param.removeprefix(f"{kind}-")
         texts = {"not-json": "{not json", "nested-deep": DEEP_JSON}
-        if request.param in texts:
-            model_path.write_text(texts[request.param], encoding="utf-8")
+        if case in texts:
+            model_path.write_text(texts[case], encoding="utf-8")
             return model_path
-        if request.param == "missing-keys":
+        if case == "missing-keys":
             doc = {"schema_version": 1, "model_kind": "rf"}
-        elif request.param == "missing-parameter":
+        elif case == "missing-parameter":
             del doc["parameters"]["trees"][0]["threshold"]
-        elif request.param == "wrong-type":
+        elif case == "wrong-type":
             doc["parameters"]["n_trees"] = [5]
-        elif request.param == "wrong-length":
+        elif case == "wrong-length":
             doc["parameters"]["trees"][0]["left"].append(0)
-        elif request.param == "huge-number":
+        elif case == "huge-number":
             doc["vocabulary"]["idf"][0] = 10 ** 400
+        elif case == "cycle":
+            nodes["left"][0] = 0
+        elif case == "child-out-of-range":
+            nodes["right"][0] = len(nodes["feature"]) + 5
+        elif case == "column-out-of-range":
+            nodes["feature"][0] = 10 ** 6
+        elif case == "max-depth-0":
+            params["max_depth"] = 0
+        elif case == "bootstrap-string":
+            params["bootstrap"] = "false"
+        elif case == "seed-string":
+            params["seed"] = "7"
+        elif case == "fractional-leaf":
+            params["min_samples_leaf"] = 1.9
+        elif case == "n-trees-mismatch":
+            params["n_trees"] = 9
+        elif case == "unknown-key":
+            doc["bogus"] = 1
+        elif case == "misspelled-parameter":
+            params["n_treez"] = 9
         else:
             doc = [doc]
         model_path.write_text(json.dumps(doc), encoding="utf-8")

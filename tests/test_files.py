@@ -262,6 +262,13 @@ def _paths(doc, prefix=()):
         yield from _paths(value, (*prefix, key))
 
 
+def _at(doc, path):
+    """The value at a key/index path of a JSON document."""
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
 @pytest.mark.parametrize("reader", sorted(JSON_READERS))
 @_SETTINGS
 @given(data=st.data())
@@ -269,9 +276,7 @@ def test_valid_document_with_one_value_replaced(scratch, documents, reader, data
     """A real document with any one position replaced or removed."""
     doc = copy.deepcopy(data.draw(st.sampled_from(documents[reader])))
     path = data.draw(st.sampled_from(list(_paths(doc))[1:]))
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
+    parent = _at(doc, path[:-1])
     if data.draw(st.booleans()):
         parent[path[-1]] = data.draw(json_values)
     else:
@@ -279,6 +284,37 @@ def test_valid_document_with_one_value_replaced(scratch, documents, reader, data
     target = scratch / f"replaced-{reader}.json"
     target.write_text(json.dumps(doc), encoding="utf-8")
     _loads_or_gendec_error(JSON_READERS[reader], target)
+
+
+DOCUMENT_READERS = {
+    "model": ModelFile.from_json_dict,
+    "grid": ExperimentGrid.from_json_dict,
+    "dictionary": ReadingDictionary.from_json_dict,
+}
+# Objects whose keys are data, not schema: model metadata and the reading
+# tables, which map kanji to readings.
+_FREE_KEYS = {"metadata", "family", "given"}
+
+
+def _schema_objects(doc):
+    """Paths of the JSON objects in a document whose keys the reader fixes."""
+    return [path for path in _paths(doc)
+            if not (path and path[-1] in _FREE_KEYS) and isinstance(_at(doc, path), dict)]
+
+
+@_SETTINGS
+@given(key=st.text(), value=json_values)
+def test_unknown_key_in_any_object_raises_gendec_error(documents, key, value):
+    """One unknown key in the grid config, a cell, a tokenizer, a model file,
+    its parameters, tree nodes or a reading dictionary is refused."""
+    key = f"unknown:{key}"
+    for reader, docs in documents.items():
+        for doc in docs:
+            for path in _schema_objects(doc):
+                changed = copy.deepcopy(doc)
+                _at(changed, path)[key] = value
+                with pytest.raises(GendecError):
+                    DOCUMENT_READERS[reader](changed)
 
 
 # --- round trips ------------------------------------------------------------

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gendec.errors import ConfigError, DimensionMismatchError
 from gendec.models import (
@@ -9,7 +11,8 @@ from gendec.models import (
     train_forest,
     train_tree,
 )
-from gendec.models.tree import _best_split
+from gendec.models.common import as_csr, check_n_features
+from gendec.models.tree import _best_split, tree_apply
 from gendec.name_core import Gender
 
 F, M = Gender.FEMALE, Gender.MALE
@@ -183,7 +186,7 @@ class TestForest:
 
         forest = ForestModel(
             trees=[leaf(0, 1), leaf(0, 1), leaf(1, 0)],
-            n_trees=3, features_per_split=1, bootstrap=True, seed=0,
+            features_per_split=1, bootstrap=True, seed=0,
             max_depth=None, min_samples_leaf=1, exhaust_on_miss=True, n_features=2,
         )
         X = sp.csr_matrix((2, 2))
@@ -214,3 +217,91 @@ class TestForest:
 def test_depth_and_leaf_limits_checked_by_both_trainers(train, params):
     with pytest.raises(ConfigError):
         train(sp.csr_matrix(np.eye(2)), [F, M], **params)
+
+
+def stack_walk_apply(model, X):
+    """Reference for ``tree_apply``: routes row sets down the tree with an
+    explicit stack, re-numbering each node's entries for its children."""
+    matrix = as_csr(X)
+    check_n_features(model.n_features, matrix)
+    n = matrix.shape[0]
+    out = np.zeros(n, dtype=np.int64)
+    if n == 0:
+        return out
+    er, ec, ev = (matrix.row_ids(), matrix.indices.astype(np.int64),
+                  matrix.data.astype(np.float64))
+    rows = np.arange(n, dtype=np.int64)
+    stack = [(0, rows, er, ec, ev)]
+    while stack:
+        node, nrows, ner, nec, nev = stack.pop()
+        if nrows.size == 0:
+            continue
+        col = model.feature[node]
+        if col < 0:
+            out[nrows] = node
+            continue
+        on_col = nec == col
+        right_rows = ner[on_col][nev[on_col] > model.threshold[node]]
+        side = np.zeros(nrows.size, dtype=bool)
+        side[right_rows] = True
+        left_index = np.cumsum(~side) - 1
+        right_index = np.cumsum(side) - 1
+        entry_side = side[ner]
+        stack.append(
+            (
+                int(model.right[node]),
+                nrows[side],
+                right_index[ner[entry_side]],
+                nec[entry_side],
+                nev[entry_side],
+            )
+        )
+        stack.append(
+            (
+                int(model.left[node]),
+                nrows[~side],
+                left_index[ner[~entry_side]],
+                nec[~entry_side],
+                nev[~entry_side],
+            )
+        )
+    return out
+
+
+@st.composite
+def trees_and_batches(draw):
+    """A trained tree (a forest's, a plain one, or a root-only one) and a
+    scipy CSR batch whose rows may be empty and whose column entries may
+    repeat or come unsorted."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    X = _random_matrix(rng)
+    n, V = X.shape
+    max_depth = draw(st.none() | st.integers(1, 6))
+    kind = draw(st.sampled_from(["tree", "forest", "root"]))
+    if kind == "tree":
+        tree = train_tree(X, _labels(rng.integers(0, 2, size=n)), max_depth=max_depth)
+    elif kind == "forest":
+        forest = train_forest(X, _labels(rng.integers(0, 2, size=n)), n_trees=3,
+                              seed=int(rng.integers(0, 100)), max_depth=max_depth)
+        tree = forest.trees[draw(st.integers(0, 2))]
+    else:
+        tree = train_tree(X, [M] * n)
+        assert tree.n_nodes == 1
+    # Values on and around the split thresholds, plus stored zeros.
+    values = st.sampled_from([0.0, 1.0, *tree.threshold.tolist()]) | st.floats(-1.0, 4.0)
+    batch = draw(st.lists(st.lists(st.tuples(st.integers(0, V - 1), values), max_size=6),
+                          max_size=8))
+    indptr = np.cumsum([0] + [len(row) for row in batch])
+    entries = [entry for row in batch for entry in row]
+    indices = np.array([col for col, _ in entries], dtype=np.int32)
+    data = np.array([value for _, value in entries], dtype=np.float64)
+    return tree, sp.csr_matrix((data, indices, indptr), shape=(len(batch), V))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=trees_and_batches())
+def test_level_walk_equals_stack_walk(case):
+    tree, X = case
+    leaves = tree_apply(tree, X)
+    assert leaves.dtype == np.int64
+    assert np.array_equal(leaves, stack_walk_apply(tree, X))
