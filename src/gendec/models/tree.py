@@ -260,20 +260,32 @@ def tree_apply(model: TreeModel, X: MatrixLike) -> np.ndarray:
     """Leaf node id per row; every row moves down one level per step.
 
     A row goes right when any of its stored entries on the node's column
-    exceeds the threshold.  A missing entry is a zero and goes left.
+    exceeds the threshold; a missing entry is a zero and goes left.  Rows at
+    a leaf stay there and leave the step once they are half of it.  A walk
+    longer than ``n_nodes`` steps has met a cycle and raises ValueError.
     """
     matrix = as_csr(X)
     check_n_features(model.n_features, matrix)
-    rows = matrix.row_ids()
+    leaf = model.feature < 0
+    left = np.where(leaf, np.arange(model.n_nodes), model.left)
     node = np.zeros(matrix.shape[0], dtype=np.int64)
-    col = model.feature[node]
-    while (col >= 0).any():
-        hit = (matrix.indices == col[rows]) & (matrix.data > model.threshold[node][rows])
-        right = np.zeros(node.size, dtype=bool)
-        right[rows[hit]] = True
-        node = np.where(col < 0, node, np.where(right, model.right[node], model.left[node]))
-        col = model.feature[node]
-    return node
+    live = np.arange(node.size)
+    rows, cols, vals = matrix.row_ids(), matrix.indices, matrix.data
+    for _ in range(model.n_nodes):
+        here = node[live]
+        inner = ~leaf[here]
+        if not inner.any():
+            return node
+        at = node[rows]
+        if 2 * np.count_nonzero(inner) <= live.size:
+            live, here = live[inner], here[inner]
+            keep = ~leaf[at]
+            rows, cols, vals, at = rows[keep], cols[keep], vals[keep], at[keep]
+        on = np.flatnonzero(cols == model.feature[at])
+        on = on[vals[on] > model.threshold[at[on]]]
+        node[live] = left[here]
+        node[rows[on]] = model.right[at[on]]
+    raise ValueError("a tree walk passed n_nodes levels; the tree has a cycle")
 
 
 def tree_leaf_counts(model: TreeModel, X: MatrixLike) -> np.ndarray:

@@ -305,3 +305,11 @@ def test_level_walk_equals_stack_walk(case):
     leaves = tree_apply(tree, X)
     assert leaves.dtype == np.int64
     assert np.array_equal(leaves, stack_walk_apply(tree, X))
+
+
+def test_walk_over_a_cycle_raises_instead_of_looping():
+    tree = train_tree(sp.csr_matrix(np.eye(2)), [F, M])
+    assert tree.n_nodes == 3
+    tree.left[0] = 0
+    with pytest.raises(ValueError, match="cycle"):
+        tree_apply(tree, sp.csr_matrix(np.zeros((2, 2))))
