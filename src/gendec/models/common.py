@@ -7,7 +7,13 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ..errors import DimensionMismatchError, LabelError, SparseFormatError
+from ..errors import (
+    DimensionMismatchError,
+    EmptyInputError,
+    LabelError,
+    LengthMismatchError,
+    SparseFormatError,
+)
 from ..name_core import GENDERS, Gender
 from ..vectorize import CSR, FeatureMatrix
 
@@ -50,6 +56,16 @@ def labels_to_ints(y: Sequence[Gender]) -> np.ndarray:
         else:
             raise LabelError(f"labels must be Gender values, got {label!r}")
     return out
+
+
+def training_labels(matrix: CSR, y: Sequence[Gender]) -> np.ndarray:
+    """``labels_to_ints(y)`` for training on ``matrix``: one label per row
+    (else LengthMismatchError) and at least one row (else EmptyInputError)."""
+    if len(y) != matrix.shape[0]:
+        raise LengthMismatchError(f"{len(y)} labels for {matrix.shape[0]} matrix rows")
+    if not len(y):
+        raise EmptyInputError("cannot train on a matrix with no rows")
+    return labels_to_ints(y)
 
 
 def ints_to_labels(values: np.ndarray) -> list[Gender]:

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..name_core import Gender, check_keys, json_count
-from .common import MatrixLike, as_csr, boolean, labels_to_ints, male_wins
+from .common import MatrixLike, as_csr, boolean, male_wins, training_labels
 from .tree import (
     TreeModel,
     _grow_tree,
@@ -67,7 +67,7 @@ def train_forest(
     if n_trees < 1:
         raise ConfigError(f"n_trees must be >= 1, got {n_trees}")
     matrix = as_csr(X)
-    labels = labels_to_ints(y)
+    labels = training_labels(matrix, y)
     n, V = matrix.shape
     if features_per_split is None:
         features_per_split = max(1, math.isqrt(V) + (math.isqrt(V) ** 2 < V))

@@ -22,7 +22,7 @@ import numpy as np
 
 from ..errors import ConfigError, NonFiniteError
 from ..name_core import Gender, check_keys, json_count
-from .common import MatrixLike, as_csr, labels_to_ints, number, vector
+from .common import MatrixLike, as_csr, number, training_labels, vector
 
 
 @dataclass
@@ -83,7 +83,7 @@ def train_logistic(
 
     own = as_csr(X)
     matrix = csr_matrix((own.data, own.indices, own.indptr), shape=own.shape, copy=False)
-    y01 = labels_to_ints(y).astype(np.float64)
+    y01 = training_labels(own, y).astype(np.float64)
     weights = np.zeros(matrix.shape[1], dtype=np.float64)
     bias = 0.0
     trace: list[float] = []

@@ -15,7 +15,8 @@ import numpy as np
 from ..errors import ConfigError, SingleClassWarning
 from ..name_core import Gender, check_keys
 from .common import (
-    MatrixLike, as_csr, boolean, check_n_features, finite, labels_to_ints, number, vector,
+    MatrixLike, as_csr, boolean, check_n_features, finite, number, training_labels,
+    vector,
 )
 
 
@@ -34,7 +35,7 @@ def train_naive_bayes(
     if alpha <= 0:
         raise ConfigError(f"alpha must be positive, got {alpha}")
     matrix = as_csr(X)
-    labels = labels_to_ints(y)
+    labels = training_labels(matrix, y)
     n, V = matrix.shape
     class_counts = np.array([(labels == 0).sum(), (labels == 1).sum()], dtype=np.float64)
     single_class = bool((class_counts == 0).any())

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import ConfigError, NonFiniteError
 from ..name_core import Gender, check_keys, json_count
-from .common import MatrixLike, as_csr, labels_to_ints, number, vector
+from .common import MatrixLike, as_csr, number, training_labels, vector
 
 
 @dataclass
@@ -36,7 +36,7 @@ def hinge_loss(
 ) -> float:
     """Mean hinge loss max(0, 1 - y*(w.x + b)) without the L2 term."""
     matrix = as_csr(X)
-    signs = np.where(labels_to_ints(y) == 1, 1.0, -1.0)
+    signs = np.where(training_labels(matrix, y) == 1, 1.0, -1.0)
     margins = signs * (matrix.dot(weights) + bias)
     return float(np.mean(np.maximum(0.0, 1.0 - margins)))
 
@@ -53,7 +53,7 @@ def train_svm(
     if epochs < 1:
         raise ConfigError(f"epochs must be >= 1, got {epochs}")
     matrix = as_csr(X)
-    signs = np.where(labels_to_ints(y) == 1, 1.0, -1.0)
+    signs = np.where(training_labels(matrix, y) == 1, 1.0, -1.0)
     n, V = matrix.shape
     indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))

@@ -3,10 +3,16 @@
 The split search enumerates, per column, the midpoints between sorted
 distinct values (the implicit zeros of a sparse column included) and is
 fully vectorized over all candidate boundaries of a node at once.  Ties
-break toward the lowest column index, then the lowest threshold.  Trees
-are stored as flat parallel arrays, which keeps serialization cheap and
-lets prediction move every row of a batch down one level per step
-instead of walking row by row.
+break toward the lowest column index, then the lowest threshold.
+
+A tree sorts its matrix entries by (column, value) once, at the root.
+Each split partitions the entries stably, so every child keeps that
+order and no node sorts again.  Row ids stay global: a node holds the
+ids of its rows in the training matrix, and labels are read by them.
+
+Trees are stored as flat parallel arrays, which keeps serialization
+cheap and lets prediction move every row of a batch down one level per
+step instead of walking row by row.
 
 Feature values must be non-negative (count or TF-IDF weights); this is
 what lets the zero group sort below every stored value.
@@ -22,7 +28,7 @@ import numpy as np
 from ..errors import ConfigError
 from ..name_core import Gender, check_keys, json_count
 from ..vectorize import CSR
-from .common import MatrixLike, as_csr, check_n_features, labels_to_ints, vector
+from .common import MatrixLike, as_csr, check_n_features, training_labels, vector
 
 # A sampler returns the sorted candidate column ids for one split search.
 FeatureSampler = Callable[[], np.ndarray]
@@ -48,9 +54,9 @@ class TreeModel:
 
 
 def _best_split(
-    ec: np.ndarray,
-    ev: np.ndarray,
-    eg: np.ndarray,
+    c: np.ndarray,
+    v: np.ndarray,
+    g: np.ndarray,
     n: int,
     nf: int,
     nm: int,
@@ -59,20 +65,17 @@ def _best_split(
 ) -> Optional[tuple[int, float]]:
     """Lowest-weighted-Gini (column, threshold) over all boundaries, or None.
 
-    ec/ev/eg are the node's nonzero entries: column, value (> 0), and the
-    0/1 label of the owning row.  Boundaries are evaluated in (column,
-    value) order, so the first minimum realizes the documented tie-break.
+    c/v/g are the node's nonzero entries in (column, value) order: column,
+    value (> 0), and the 0/1 label of the owning row.  Boundaries are
+    evaluated in that order, so the first minimum realizes the documented
+    tie-break.
     """
     if allowed is not None:
-        keep = np.isin(ec, allowed)
-        ec, ev, eg = ec[keep], ev[keep], eg[keep]
-    if ec.size == 0:
-        return None
-    order = np.lexsort((ev, ec))
-    c = ec[order]
-    v = ev[order]
-    g = eg[order]
+        keep = np.isin(c, allowed)
+        c, v, g = c[keep], v[keep], g[keep]
     m = c.size
+    if m == 0:
+        return None
 
     new_col = np.empty(m, dtype=bool)
     new_col[0] = True
@@ -139,10 +142,13 @@ def _grow_tree(
         raise ConfigError(f"min_samples_leaf must be >= 1, got {min_samples_leaf}")
     if matrix.nnz and matrix.data.min() < 0:
         raise ConfigError("tree features must be non-negative")
-    n, _V = matrix.shape
-    er = matrix.row_ids()
-    ec = matrix.indices.astype(np.int64)
-    ev = matrix.data.astype(np.float64)
+    # One (column, value) order for the whole tree; lexsort is stable, so
+    # every child's stable partition of it is the order a per-node sort
+    # would give, ties included.
+    order = np.lexsort((matrix.data, matrix.indices))
+    er = matrix.row_ids()[order]
+    ec = matrix.indices[order].astype(np.int64)
+    ev = matrix.data[order].astype(np.float64)
 
     feature: list[int] = []
     threshold: list[float] = []
@@ -151,88 +157,68 @@ def _grow_tree(
     count_f: list[int] = []
     count_m: list[int] = []
 
-    def new_node(nf: int, nm: int) -> int:
+    def new_node(rows: np.ndarray) -> int:
+        nf = int(np.count_nonzero(labels[rows] == 0))
         feature.append(-1)
         threshold.append(0.0)
         left.append(-1)
         right.append(-1)
         count_f.append(nf)
-        count_m.append(nm)
+        count_m.append(rows.size - nf)
         return len(feature) - 1
 
-    root_nf = int((labels == 0).sum())
-    root = new_node(root_nf, len(labels) - root_nf)
-    # Stack entries: (node id, depth, row labels, entry rows/cols/vals).
-    stack = [(root, 0, labels, er, ec, ev)]
+    all_rows = np.arange(matrix.shape[0])
+    # Scratch marks of one node's right rows, cleared after each split.
+    goes_right = np.zeros(all_rows.size, dtype=bool)
+    # Stack entries: (node id, depth, row ids, entry rows/cols/vals); row ids
+    # index ``labels`` and the matrix for every node.
+    stack = [(new_node(all_rows), 0, all_rows, er, ec, ev)]
     while stack:
-        node, depth, ly, ner, nec, nev = stack.pop()
-        size = len(ly)
+        node, depth, rows, ner, nec, nev = stack.pop()
         nf = count_f[node]
         nm = count_m[node]
         if (
             nf == 0
             or nm == 0
             or (max_depth is not None and depth >= max_depth)
-            or size < 2 * min_samples_leaf
+            or rows.size < 2 * min_samples_leaf
         ):
             continue
-        eg = ly[ner]
+        eg = labels[ner]
         split = None
         if feature_sampler is not None:
             split = _best_split(
-                nec, nev, eg, size, nf, nm, min_samples_leaf, feature_sampler()
+                nec, nev, eg, rows.size, nf, nm, min_samples_leaf, feature_sampler()
             )
             if split is None and not exhaust_on_miss:
                 continue
         if split is None:
-            split = _best_split(nec, nev, eg, size, nf, nm, min_samples_leaf, None)
+            split = _best_split(nec, nev, eg, rows.size, nf, nm, min_samples_leaf, None)
         if split is None:
             continue
         col, thr = split
 
         on_col = nec == col
-        right_rows = ner[on_col][nev[on_col] > thr]
-        side = np.zeros(size, dtype=bool)
-        side[right_rows] = True
-        n_right = int(side.sum())
-        if n_right == 0 or n_right == size:
+        marked = ner[on_col][nev[on_col] > thr]
+        goes_right[marked] = True
+        side = goes_right[rows]
+        entry_side = goes_right[ner]
+        goes_right[marked] = False
+        n_right = int(np.count_nonzero(side))
+        if n_right == 0 or n_right == rows.size:
             continue  # degenerate midpoint rounding; keep the node a leaf
 
-        left_index = np.cumsum(~side) - 1
-        right_index = np.cumsum(side) - 1
-        entry_side = side[ner]
-        ly_left, ly_right = ly[~side], ly[side]
-        nf_left = int((ly_left == 0).sum())
-        nf_right = nf - nf_left
-
+        left_rows, right_rows = rows[~side], rows[side]
         feature[node] = col
         threshold[node] = thr
-        left_id = new_node(nf_left, len(ly_left) - nf_left)
-        right_id = new_node(nf_right, len(ly_right) - nf_right)
-        left[node] = left_id
-        right[node] = right_id
+        left[node] = left_id = new_node(left_rows)
+        right[node] = right_id = new_node(right_rows)
         # Push right first so the left child is processed (and draws any
         # sampled features) first: deterministic depth-first, left-first.
-        stack.append(
-            (
-                right_id,
-                depth + 1,
-                ly_right,
-                right_index[ner[entry_side]],
-                nec[entry_side],
-                nev[entry_side],
-            )
-        )
-        stack.append(
-            (
-                left_id,
-                depth + 1,
-                ly_left,
-                left_index[ner[~entry_side]],
-                nec[~entry_side],
-                nev[~entry_side],
-            )
-        )
+        stack.append((right_id, depth + 1, right_rows, ner[entry_side],
+                      nec[entry_side], nev[entry_side]))
+        stack.append((left_id, depth + 1, left_rows, ner[~entry_side],
+                      nec[~entry_side], nev[~entry_side]))
 
     return TreeModel(
         feature=np.asarray(feature, dtype=np.int32),
@@ -253,7 +239,8 @@ def train_tree(
     max_depth: Optional[int] = None,
     min_samples_leaf: int = 1,
 ) -> TreeModel:
-    return _grow_tree(as_csr(X), labels_to_ints(y), max_depth, min_samples_leaf)
+    matrix = as_csr(X)
+    return _grow_tree(matrix, training_labels(matrix, y), max_depth, min_samples_leaf)
 
 
 def tree_apply(model: TreeModel, X: MatrixLike) -> np.ndarray:
@@ -317,9 +304,11 @@ def tree_from_nodes(
     """Tree from its node arrays in a model file.
 
     A ValueError unless the tree has a node, every inner node splits a known
-    column and both its children come after it, and every leaf is all -1.
-    ``_grow_tree`` appends children after their parent, so a trained tree
-    passes; the order also bounds ``tree_apply`` at ``n_nodes`` steps.
+    column and both its children come after it, every leaf is all -1, and
+    every node's (female, male) counts are non-negative with a positive sum.
+    ``_grow_tree`` appends children after their parent and gives each node
+    at least one row, so a trained tree passes; the order also bounds
+    ``tree_apply`` at ``n_nodes`` steps.
     """
     check_keys(doc, tuple(_NODE_ARRAYS), error=ValueError)
     n_nodes = len(doc["feature"])
@@ -341,6 +330,9 @@ def tree_from_nodes(
     leaf = ~inner
     if ((tree.feature[leaf] != -1) | (tree.left[leaf] != -1) | (tree.right[leaf] != -1)).any():
         raise ValueError("a leaf must have feature, left and right all -1")
+    female, male = tree.count_female, tree.count_male
+    if ((female < 0) | (male < 0) | (female + male == 0)).any():
+        raise ValueError("every node needs non-negative counts with a positive sum")
     return tree
 
 

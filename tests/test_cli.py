@@ -339,7 +339,8 @@ class TestPredictPaths:
 
 
 # Malformed trees, each written into a dt file and into an rf file's first tree.
-TREE_CASES = ["cycle", "child-out-of-range", "column-out-of-range", "max-depth-0"]
+TREE_CASES = ["cycle", "child-out-of-range", "column-out-of-range", "max-depth-0",
+              "zero-counts", "negative-count"]
 
 
 class TestCorruptModelFiles:
@@ -379,6 +380,11 @@ class TestCorruptModelFiles:
             nodes["feature"][0] = 10 ** 6
         elif case == "max-depth-0":
             params["max_depth"] = 0
+        elif case == "zero-counts":
+            leaf = nodes["feature"].index(-1)
+            nodes["count_female"][leaf] = nodes["count_male"][leaf] = 0
+        elif case == "negative-count":
+            nodes["count_female"][0] = -3
         elif case == "bootstrap-string":
             params["bootstrap"] = "false"
         elif case == "seed-string":

@@ -98,6 +98,49 @@ def test_commands_leave_gendec_errors_to_the_cli_boundary():
     assert [name for name, _line in handlers] == ["invoke"]
 
 
+# --- the tree grower sorts once, not per node ---------------------------------
+
+_SORTS = {"lexsort", "argsort", "sort"}
+
+
+def _called_name(call: ast.Call):
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def _sorts_in_loops(tree: ast.Module):
+    """Line of each sort call in a ``for``/``while`` body, following calls
+    from such a body into the module's own functions."""
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    found, followed = [], set()
+
+    def visit(statements):
+        for statement in statements:
+            for call in ast.walk(statement):
+                if not isinstance(call, ast.Call):
+                    continue
+                name = _called_name(call)
+                if name in _SORTS:
+                    found.append(call.lineno)
+                elif name in functions and name not in followed:
+                    followed.add(name)
+                    visit(functions[name].body)
+
+    for loop in ast.walk(tree):
+        if isinstance(loop, (ast.For, ast.While)):
+            visit(loop.body)
+    return sorted(set(found))
+
+
+def test_tree_module_sorts_no_node_inside_a_loop():
+    tree = ast.parse((SRC / "models" / "tree.py").read_text(encoding="utf-8"))
+    sorts = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and _called_name(node) in _SORTS]
+    assert len(sorts) == 1, f"expected one presort in models/tree.py, found lines {sorts}"
+    stray = _sorts_in_loops(tree)
+    assert not stray, f"models/tree.py sorts inside a loop (per node) at lines {stray}"
+
+
 # --- scipy stays off the import path ----------------------------------------
 
 # The one module that may import scipy, and only inside its functions.

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from gendec.errors import DimensionMismatchError
+from gendec.errors import DimensionMismatchError, EmptyInputError, LengthMismatchError
 from gendec.models import (
+    MODEL_KINDS,
+    ModelKind,
+    hinge_loss,
     predict,
     predict_proba,
     supports_proba,
@@ -74,3 +77,19 @@ def test_deterministic_across_runs(kind, toy_data):
     a = TRAINERS[kind](X, y)
     b = TRAINERS[kind](X, y)
     assert predict(a, X) == predict(b, X)
+
+
+@pytest.mark.parametrize("kind", list(ModelKind), ids=lambda kind: kind.value)
+@pytest.mark.parametrize("n_rows, n_labels, error", [
+    (3, 2, LengthMismatchError), (3, 5, LengthMismatchError), (0, 0, EmptyInputError),
+], ids=["2-labels-3-rows", "5-labels-3-rows", "0-rows"])
+def test_trainer_checks_labels_against_rows(kind, n_rows, n_labels, error):
+    X = sp.csr_matrix(np.eye(n_rows, 2))
+    y = [F, M] * 3
+    with pytest.raises(error):
+        MODEL_KINDS[kind].train(X, y[:n_labels])
+
+
+def test_hinge_loss_checks_labels_against_rows():
+    with pytest.raises(LengthMismatchError):
+        hinge_loss(np.zeros(2), 0.0, sp.csr_matrix(np.eye(3, 2)), [F, M])

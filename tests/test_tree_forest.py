@@ -1,3 +1,5 @@
+from typing import Optional
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -12,8 +14,15 @@ from gendec.models import (
     train_tree,
 )
 from gendec.models.common import as_csr, check_n_features
-from gendec.models.tree import _best_split, tree_apply
+from gendec.models.tree import (
+    FeatureSampler,
+    TreeModel,
+    _best_split,
+    _grow_tree,
+    tree_apply,
+)
 from gendec.name_core import Gender
+from gendec.vectorize import CSR
 
 F, M = Gender.FEMALE, Gender.MALE
 
@@ -107,9 +116,9 @@ class TestBestSplit:
         # Two identical columns, each splitting the rows perfectly;
         # column 0 must win the tie.
         split = _best_split(
-            np.array([0, 1, 0, 1]),
-            np.array([1.0, 1.0, 2.0, 2.0]),
-            np.array([0, 0, 1, 1], dtype=np.int8),
+            np.array([0, 0, 1, 1]),
+            np.array([1.0, 2.0, 1.0, 2.0]),
+            np.array([0, 1, 0, 1], dtype=np.int8),
             2, 1, 1, 1, None,
         )
         col, thr = split
@@ -313,3 +322,257 @@ def test_walk_over_a_cycle_raises_instead_of_looping():
     tree.left[0] = 0
     with pytest.raises(ValueError, match="cycle"):
         tree_apply(tree, sp.csr_matrix(np.zeros((2, 2))))
+
+
+# --- the presorted grower against the per-node sort it replaced -------------
+# Verbatim copies of ``_best_split`` and ``_grow_tree`` as they were before
+# the presort: every node lexsorts its own entries and re-numbers its rows.
+
+def per_node_sort_best_split(
+    ec: np.ndarray,
+    ev: np.ndarray,
+    eg: np.ndarray,
+    n: int,
+    nf: int,
+    nm: int,
+    min_samples_leaf: int,
+    allowed: Optional[np.ndarray],
+) -> Optional[tuple[int, float]]:
+    """Lowest-weighted-Gini (column, threshold) over all boundaries, or None.
+
+    ec/ev/eg are the node's nonzero entries: column, value (> 0), and the
+    0/1 label of the owning row.  Boundaries are evaluated in (column,
+    value) order, so the first minimum realizes the documented tie-break.
+    """
+    if allowed is not None:
+        keep = np.isin(ec, allowed)
+        ec, ev, eg = ec[keep], ev[keep], eg[keep]
+    if ec.size == 0:
+        return None
+    order = np.lexsort((ev, ec))
+    c = ec[order]
+    v = ev[order]
+    g = eg[order]
+    m = c.size
+
+    new_col = np.empty(m, dtype=bool)
+    new_col[0] = True
+    np.not_equal(c[1:], c[:-1], out=new_col[1:])
+    seg = np.cumsum(new_col) - 1
+    starts = np.flatnonzero(new_col)
+    ends = np.append(starts[1:], m)
+
+    cum_f = np.concatenate(([0], np.cumsum(g == 0, dtype=np.int64)))
+    seg_start = starts[seg]
+    positions = np.arange(m, dtype=np.int64)
+    prefix_f = cum_f[positions] - cum_f[seg_start]
+    prefix_n = positions - seg_start
+    col_f = cum_f[ends[seg]] - cum_f[seg_start]
+    col_n = ends[seg] - seg_start
+    zero_f = nf - col_f
+    zero_n = n - col_n
+
+    v_prev = np.empty_like(v)
+    v_prev[0] = 0.0
+    v_prev[1:] = v[:-1]
+    zero_boundary = new_col & (zero_n > 0)
+    value_boundary = ~new_col & (v != v_prev)
+    candidate = zero_boundary | value_boundary
+
+    left_f = zero_f + prefix_f
+    left_n = zero_n + prefix_n
+    valid = candidate & (left_n >= min_samples_leaf) & (n - left_n >= min_samples_leaf)
+    idx = np.flatnonzero(valid)
+    if idx.size == 0:
+        return None
+
+    lf = left_f[idx].astype(np.float64)
+    ln = left_n[idx].astype(np.float64)
+    lm = ln - lf
+    rf = nf - lf
+    rn = n - ln
+    rm = rn - rf
+    # n * weighted Gini; same argmin as the weighted Gini itself.
+    score = (ln - (lf * lf + lm * lm) / ln) + (rn - (rf * rf + rm * rm) / rn)
+    best = int(idx[int(np.argmin(score))])
+    threshold = v[best] / 2.0 if new_col[best] else (v_prev[best] + v[best]) / 2.0
+    return int(c[best]), float(threshold)
+
+
+
+def per_node_sort_grow_tree(
+    matrix: CSR,
+    labels: np.ndarray,
+    max_depth: Optional[int],
+    min_samples_leaf: int,
+    feature_sampler: Optional[FeatureSampler] = None,
+    exhaust_on_miss: bool = True,
+) -> TreeModel:
+    """Depth-first growth with an explicit stack (trees can be very deep).
+
+    When a feature sampler is given, the split search is restricted to
+    its columns; if none of them yields a valid split and
+    ``exhaust_on_miss`` is set, the search falls back to all columns so
+    impure nodes are not stranded by an unlucky draw.
+    """
+    if max_depth is not None and max_depth < 1:
+        raise ConfigError(f"max_depth must be >= 1, got {max_depth}")
+    if min_samples_leaf < 1:
+        raise ConfigError(f"min_samples_leaf must be >= 1, got {min_samples_leaf}")
+    if matrix.nnz and matrix.data.min() < 0:
+        raise ConfigError("tree features must be non-negative")
+    n, _V = matrix.shape
+    er = matrix.row_ids()
+    ec = matrix.indices.astype(np.int64)
+    ev = matrix.data.astype(np.float64)
+
+    feature: list[int] = []
+    threshold: list[float] = []
+    left: list[int] = []
+    right: list[int] = []
+    count_f: list[int] = []
+    count_m: list[int] = []
+
+    def new_node(nf: int, nm: int) -> int:
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        count_f.append(nf)
+        count_m.append(nm)
+        return len(feature) - 1
+
+    root_nf = int((labels == 0).sum())
+    root = new_node(root_nf, len(labels) - root_nf)
+    # Stack entries: (node id, depth, row labels, entry rows/cols/vals).
+    stack = [(root, 0, labels, er, ec, ev)]
+    while stack:
+        node, depth, ly, ner, nec, nev = stack.pop()
+        size = len(ly)
+        nf = count_f[node]
+        nm = count_m[node]
+        if (
+            nf == 0
+            or nm == 0
+            or (max_depth is not None and depth >= max_depth)
+            or size < 2 * min_samples_leaf
+        ):
+            continue
+        eg = ly[ner]
+        split = None
+        if feature_sampler is not None:
+            split = per_node_sort_best_split(
+                nec, nev, eg, size, nf, nm, min_samples_leaf, feature_sampler()
+            )
+            if split is None and not exhaust_on_miss:
+                continue
+        if split is None:
+            split = per_node_sort_best_split(nec, nev, eg, size, nf, nm, min_samples_leaf, None)
+        if split is None:
+            continue
+        col, thr = split
+
+        on_col = nec == col
+        right_rows = ner[on_col][nev[on_col] > thr]
+        side = np.zeros(size, dtype=bool)
+        side[right_rows] = True
+        n_right = int(side.sum())
+        if n_right == 0 or n_right == size:
+            continue  # degenerate midpoint rounding; keep the node a leaf
+
+        left_index = np.cumsum(~side) - 1
+        right_index = np.cumsum(side) - 1
+        entry_side = side[ner]
+        ly_left, ly_right = ly[~side], ly[side]
+        nf_left = int((ly_left == 0).sum())
+        nf_right = nf - nf_left
+
+        feature[node] = col
+        threshold[node] = thr
+        left_id = new_node(nf_left, len(ly_left) - nf_left)
+        right_id = new_node(nf_right, len(ly_right) - nf_right)
+        left[node] = left_id
+        right[node] = right_id
+        # Push right first so the left child is processed (and draws any
+        # sampled features) first: deterministic depth-first, left-first.
+        stack.append(
+            (
+                right_id,
+                depth + 1,
+                ly_right,
+                right_index[ner[entry_side]],
+                nec[entry_side],
+                nev[entry_side],
+            )
+        )
+        stack.append(
+            (
+                left_id,
+                depth + 1,
+                ly_left,
+                left_index[ner[~entry_side]],
+                nec[~entry_side],
+                nev[~entry_side],
+            )
+        )
+
+    return TreeModel(
+        feature=np.asarray(feature, dtype=np.int32),
+        threshold=np.asarray(threshold, dtype=np.float64),
+        left=np.asarray(left, dtype=np.int32),
+        right=np.asarray(right, dtype=np.int32),
+        count_female=np.asarray(count_f, dtype=np.int64),
+        count_male=np.asarray(count_m, dtype=np.int64),
+        n_features=matrix.shape[1],
+        max_depth=max_depth,
+        min_samples_leaf=min_samples_leaf,
+    )
+
+
+@st.composite
+def grow_cases(draw):
+    """A matrix (a canonical CSR, or a scipy CSR whose column entries may
+    come unsorted or repeat), labels, limits and an optional sampler seed."""
+    n = draw(st.integers(0, 12))
+    V = draw(st.integers(1, 6))
+    # A few shared values make ties across rows; stored zeros may appear.
+    values = st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.0, 3.0)
+    batch = draw(st.lists(st.lists(st.tuples(st.integers(0, V - 1), values), max_size=5),
+                          min_size=n, max_size=n))
+    indptr = np.cumsum([0] + [len(row) for row in batch])
+    entries = [entry for row in batch for entry in row]
+    indices = np.array([col for col, _ in entries], dtype=np.int32)
+    data = np.array([value for _, value in entries], dtype=np.float64)
+    X = sp.csr_matrix((data, indices, indptr), shape=(n, V))
+    if draw(st.booleans()):
+        X.sum_duplicates()
+        X = CSR(X.indptr, X.indices, X.data, X.shape)
+    labels = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+                      dtype=np.int8)
+    sampler = draw(st.none() | st.tuples(st.integers(1, V), st.integers(0, 2 ** 32 - 1),
+                                         st.booleans()))
+    return (as_csr(X), labels, draw(st.none() | st.integers(1, 5)),
+            draw(st.integers(1, 3)), sampler)
+
+
+def _sampler(V, features, seed):
+    rng = np.random.default_rng(seed)
+    return lambda: np.sort(rng.choice(V, size=features, replace=False))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=grow_cases())
+def test_presorted_grower_equals_per_node_sort(case):
+    matrix, labels, max_depth, min_samples_leaf, sampler = case
+    trees = []
+    for grow in (_grow_tree, per_node_sort_grow_tree):
+        options = {}
+        if sampler is not None:
+            features, seed, exhaust_on_miss = sampler
+            options = {"feature_sampler": _sampler(matrix.shape[1], features, seed),
+                       "exhaust_on_miss": exhaust_on_miss}
+        trees.append(grow(matrix, labels, max_depth, min_samples_leaf, **options))
+    new, old = trees
+    for name in ("feature", "threshold", "left", "right", "count_female", "count_male"):
+        assert np.array_equal(getattr(new, name), getattr(old, name)), name
+        assert getattr(new, name).dtype == getattr(old, name).dtype, name
