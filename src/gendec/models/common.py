@@ -24,12 +24,17 @@ _CSR_FIELDS = ("indptr", "indices", "data", "shape")
 
 
 def as_csr(X: MatrixLike) -> CSR:
-    """``X`` as a float64 CSR, sharing its arrays.
+    """``X`` as a float64 CSR, sharing its arrays when it is canonical.
 
     Any object with ``indptr``, ``indices``, ``data`` and ``shape`` is read
     as CSR, so scipy matrices work without this package importing scipy; one
     that declares another ``format`` (a CSC also has ``indptr``) is refused,
-    not silently read transposed.
+    not silently read transposed.  A foreign matrix whose rows store a
+    column twice or out of order is made canonical: each row's columns are
+    sorted and a column's entries summed (in stored order), which is what
+    scipy means by such a matrix and what ``CSR.dot`` computes.  Foreign
+    arrays that do not form a CSR of the given shape raise
+    SparseFormatError.  A package ``CSR`` is returned as it is.
     """
     matrix = X.matrix if isinstance(X, FeatureMatrix) else X
     if isinstance(matrix, CSR):
@@ -40,9 +45,43 @@ def as_csr(X: MatrixLike) -> CSR:
             f"expected a CSR matrix, got {type(matrix).__name__}"
             f" (format {getattr(matrix, 'format', None)!r})")
     n_rows, n_cols = matrix.shape
-    return CSR(indptr=np.asarray(matrix.indptr), indices=np.asarray(matrix.indices),
-               data=np.asarray(matrix.data, dtype=np.float64),
-               shape=(int(n_rows), int(n_cols)))
+    own = CSR(indptr=np.asarray(matrix.indptr), indices=np.asarray(matrix.indices),
+              data=np.asarray(matrix.data, dtype=np.float64),
+              shape=(int(n_rows), int(n_cols)))
+    _check_arrays(own)
+    return _canonical(own)
+
+
+def _check_arrays(matrix: CSR) -> None:
+    """SparseFormatError unless ``indptr`` runs from 0 up to the entry
+    count in ``n_rows + 1`` steps and every column id is in range."""
+    indptr, indices = matrix.indptr, matrix.indices
+    n_rows, n_cols = matrix.shape
+    if not (indptr.ndim == indices.ndim == matrix.data.ndim == 1
+            and indptr.size == n_rows + 1 and indptr[0] == 0
+            and indptr[-1] == indices.size == matrix.data.size
+            and not (indptr[1:] < indptr[:-1]).any()
+            and not (indices.size and (indices.min() < 0 or indices.max() >= n_cols))):
+        raise SparseFormatError(
+            f"CSR arrays do not form a {n_rows} x {n_cols} matrix"
+            f" ({indptr.size} row pointers, {indices.size} column ids)")
+
+
+def _canonical(matrix: CSR) -> CSR:
+    """``matrix`` itself if every row's columns strictly increase, else a
+    new CSR with each row's columns sorted and duplicates summed."""
+    rows, cols = matrix.row_ids(), matrix.indices
+    same_row = rows[1:] == rows[:-1]
+    if not (same_row & (cols[1:] <= cols[:-1])).any():
+        return matrix
+    order = np.lexsort((cols, rows))  # stable: duplicates keep stored order
+    rows, cols = rows[order], cols[order]
+    first = np.ones(rows.size, dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    data = np.bincount(np.cumsum(first) - 1, weights=matrix.data[order])
+    indptr = np.zeros_like(matrix.indptr)
+    np.cumsum(np.bincount(rows[first], minlength=matrix.shape[0]), out=indptr[1:])
+    return CSR(indptr=indptr, indices=cols[first], data=data, shape=matrix.shape)
 
 
 def labels_to_ints(y: Sequence[Gender]) -> np.ndarray:

@@ -10,6 +10,13 @@ Each split partitions the entries stably, so every child keeps that
 order and no node sorts again.  Row ids stay global: a node holds the
 ids of its rows in the training matrix, and labels are read by them.
 
+In that order a column's entries at a node are one contiguous range, so
+a forest's sampled columns and a split's column are found as
+``np.searchsorted`` ranges, with no pass that tests every entry.  The
+scan counts each boundary's right side as the rest of its column (the
+column's end minus the position) and takes the right-side label counts
+from one cumsum over the node's entries.
+
 Trees are stored as flat parallel arrays, which keeps serialization
 cheap and lets prediction move every row of a batch down one level per
 step instead of walking row by row.
@@ -66,49 +73,47 @@ def _best_split(
     """Lowest-weighted-Gini (column, threshold) over all boundaries, or None.
 
     c/v/g are the node's nonzero entries in (column, value) order: column,
-    value (> 0), and the 0/1 label of the owning row.  Boundaries are
-    evaluated in that order, so the first minimum realizes the documented
-    tie-break.
+    value (> 0), and the 0/1 label of the owning row.  ``allowed``, when
+    given, holds sorted column ids.  A boundary sits before each entry that
+    starts a column or a new value; its right side is the rest of the
+    column, its left side the column's zeros and the values below.
+    Boundaries are evaluated in entry order, so the first minimum realizes
+    the documented tie-break.
     """
     if allowed is not None:
-        keep = np.isin(c, allowed)
-        c, v, g = c[keep], v[keep], g[keep]
+        # Each allowed column's entries are one range of ``c``.
+        lo = c.searchsorted(allowed)
+        lengths = c.searchsorted(allowed, side="right") - lo
+        shift = np.repeat(lo - (lengths.cumsum() - lengths), lengths)
+        take = shift + np.arange(shift.size)
+        c, v, g = c[take], v[take], g[take]
     m = c.size
     if m == 0:
         return None
 
-    new_col = np.empty(m, dtype=bool)
-    new_col[0] = True
-    np.not_equal(c[1:], c[:-1], out=new_col[1:])
-    seg = np.cumsum(new_col) - 1
-    starts = np.flatnonzero(new_col)
-    ends = np.append(starts[1:], m)
-
-    cum_f = np.concatenate(([0], np.cumsum(g == 0, dtype=np.int64)))
-    seg_start = starts[seg]
-    positions = np.arange(m, dtype=np.int64)
-    prefix_f = cum_f[positions] - cum_f[seg_start]
-    prefix_n = positions - seg_start
-    col_f = cum_f[ends[seg]] - cum_f[seg_start]
-    col_n = ends[seg] - seg_start
-    zero_f = nf - col_f
-    zero_n = n - col_n
-
-    v_prev = np.empty_like(v)
-    v_prev[0] = 0.0
-    v_prev[1:] = v[:-1]
-    zero_boundary = new_col & (zero_n > 0)
-    value_boundary = ~new_col & (v != v_prev)
-    candidate = zero_boundary | value_boundary
-
-    left_f = zero_f + prefix_f
-    left_n = zero_n + prefix_n
-    valid = candidate & (left_n >= min_samples_leaf) & (n - left_n >= min_samples_leaf)
-    idx = np.flatnonzero(valid)
+    # edge[p]: a column starts at entry p; edge[m] closes the last one.
+    edge = np.ones(m + 1, dtype=bool)
+    np.not_equal(c[1:], c[:-1], out=edge[1:m])
+    new_col = edge[:m]
+    candidate = np.ones(m, dtype=bool)
+    np.not_equal(v[1:], v[:-1], out=candidate[1:])
+    candidate |= new_col
+    # The entries from a boundary to its column's end are right of it; the
+    # zero boundary's left side is the column's zeros, so the
+    # ``left_n >= min_samples_leaf`` test also requires one zero there.
+    bounds = edge.nonzero()[0]
+    ends = bounds[1:]
+    right_n = ends.repeat(ends - bounds[:-1]) - np.arange(m)
+    left_n = n - right_n
+    valid = candidate & (left_n >= min_samples_leaf) & (right_n >= min_samples_leaf)
+    idx = valid.nonzero()[0]
     if idx.size == 0:
         return None
 
-    lf = left_f[idx].astype(np.float64)
+    cum_f = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(g == 0, out=cum_f[1:])
+    right_f = cum_f[idx + right_n[idx]] - cum_f[idx]
+    lf = (nf - right_f).astype(np.float64)
     ln = left_n[idx].astype(np.float64)
     lm = ln - lf
     rf = nf - lf
@@ -116,8 +121,8 @@ def _best_split(
     rm = rn - rf
     # n * weighted Gini; same argmin as the weighted Gini itself.
     score = (ln - (lf * lf + lm * lm) / ln) + (rn - (rf * rf + rm * rm) / rn)
-    best = int(idx[int(np.argmin(score))])
-    threshold = v[best] / 2.0 if new_col[best] else (v_prev[best] + v[best]) / 2.0
+    best = int(idx[int(score.argmin())])
+    threshold = v[best] / 2.0 if new_col[best] else (v[best - 1] + v[best]) / 2.0
     return int(c[best]), float(threshold)
 
 
@@ -198,8 +203,10 @@ def _grow_tree(
             continue
         col, thr = split
 
-        on_col = nec == col
-        marked = ner[on_col][nev[on_col] > thr]
+        # The split column's entries are one range of ``nec``.
+        lo = nec.searchsorted(col)
+        hi = nec.searchsorted(col, side="right")
+        marked = ner[lo:hi][nev[lo:hi] > thr]
         goes_right[marked] = True
         side = goes_right[rows]
         entry_side = goes_right[ner]
@@ -246,10 +253,12 @@ def train_tree(
 def tree_apply(model: TreeModel, X: MatrixLike) -> np.ndarray:
     """Leaf node id per row; every row moves down one level per step.
 
-    A row goes right when any of its stored entries on the node's column
-    exceeds the threshold; a missing entry is a zero and goes left.  Rows at
-    a leaf stay there and leave the step once they are half of it.  A walk
-    longer than ``n_nodes`` steps has met a cycle and raises ValueError.
+    A row goes right when its value on the node's column exceeds the
+    threshold; a missing entry is a zero and goes left.  ``as_csr`` sums a
+    foreign matrix's duplicate entries, so a row has one value per column.
+    Rows at a leaf stay there and leave the step once they are half of it.
+    A walk longer than ``n_nodes`` steps has met a cycle and raises
+    ValueError.
     """
     matrix = as_csr(X)
     check_n_features(model.n_features, matrix)

@@ -4,6 +4,8 @@ Each kernel adds a row's entries in stored order, as scipy does, so every
 result must equal scipy's by ``np.array_equal``, not within a tolerance.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -104,6 +106,29 @@ def test_as_csr_reads_a_scipy_csr_without_copying():
     assert np.array_equal(as_csr(sp.csr_array(matrix)).toarray(), matrix.toarray())
 
 
+@_SETTINGS
+@given(data=st.data())
+def test_as_csr_sorts_columns_and_sums_duplicates_as_scipy(data):
+    n_rows = data.draw(st.integers(0, 6))
+    n_cols = data.draw(st.integers(1, 5))
+    # Quarters add exactly, so any summation order gives scipy's values.
+    entry = st.tuples(st.integers(0, n_cols - 1), st.integers(-8, 8).map(lambda q: q / 4))
+    batch = data.draw(st.lists(st.lists(entry, max_size=6), min_size=n_rows,
+                               max_size=n_rows))
+    indptr = np.cumsum([0] + [len(row) for row in batch]).astype(np.int32)
+    indices = np.array([col for row in batch for col, _ in row], dtype=np.int32)
+    values = np.array([value for row in batch for _, value in row], dtype=np.float64)
+    matrix = sp.csr_matrix((values, indices, indptr), shape=(n_rows, n_cols))
+    canonical = matrix.copy()
+    canonical.sum_duplicates()
+    own = as_csr(matrix)
+    for got, want in ((own.indptr, canonical.indptr), (own.indices, canonical.indices),
+                      (own.data, canonical.data)):
+        assert np.array_equal(got, want)
+    assert own.data.dtype == np.float64
+    assert (own.data is matrix.data) == matrix.has_canonical_format
+
+
 @pytest.mark.parametrize("matrix", [
     sp.csc_matrix(np.eye(2)[:, ::-1]),
     sp.coo_matrix(np.eye(2)),
@@ -113,3 +138,24 @@ def test_as_csr_refuses_other_formats(matrix):
     with pytest.raises(SparseFormatError):
         as_csr(matrix)
 
+
+def _arrays(indptr, indices, data, shape):
+    return SimpleNamespace(indptr=np.array(indptr, dtype=np.int64),
+                           indices=np.array(indices, dtype=np.int64),
+                           data=np.array(data, dtype=np.float64), shape=shape)
+
+
+@pytest.mark.parametrize("matrix", [
+    _arrays([0, 3, 3], [1, 0], [1.0, 2.0], (2, 2)),
+    _arrays([0, 2], [0, 1], [1.0, 2.0], (2, 2)),
+    _arrays([], [], [], (0, 2)),
+    _arrays([1, 2, 2], [0, 1], [1.0, 2.0], (2, 2)),
+    _arrays([0, 2, 1, 2], [0, 1], [1.0, 2.0], (3, 2)),
+    _arrays([0, 1, 2], [0, 1], [1.0], (2, 2)),
+    _arrays([0, 1, 2], [0, 5], [1.0, 2.0], (2, 2)),
+    _arrays([0, 1, 2], [0, -1], [1.0, 2.0], (2, 2)),
+], ids=["pointer-past-entries", "too-few-rows", "no-pointers", "nonzero-start",
+        "decreasing", "short-data", "column-past-shape", "negative-column"])
+def test_as_csr_refuses_arrays_that_are_not_a_csr(matrix):
+    with pytest.raises(SparseFormatError):
+        as_csr(matrix)

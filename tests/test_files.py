@@ -100,7 +100,8 @@ def test_commands_leave_gendec_errors_to_the_cli_boundary():
 
 # --- the tree grower sorts once, not per node ---------------------------------
 
-_SORTS = {"lexsort", "argsort", "sort"}
+# Each of these sorts or builds a table per call.
+_SORTS = {"lexsort", "argsort", "sort", "isin", "in1d", "unique"}
 
 
 def _called_name(call: ast.Call):

@@ -104,6 +104,15 @@ class TestTree:
         with pytest.raises(DimensionMismatchError):
             predict(model, sp.csr_matrix((1, 3)))
 
+    def test_duplicate_entries_are_summed(self):
+        # Row 0 stores column 0 twice: 0.3 + 0.3 is its value 0.6.
+        X = sp.csr_matrix((np.array([0.3, 0.3, 0.5, 0.7]), np.array([0, 0, 0, 0]),
+                           np.array([0, 2, 3, 4])), shape=(3, 1))
+        model = train_tree(X, [M, F, M])
+        assert model.n_nodes == 3
+        assert model.threshold[0] == pytest.approx(0.55)
+        assert predict(model, X) == [M, F, M]
+
     def test_proba_is_leaf_frequency(self):
         X = sp.csr_matrix(np.array([[1.0], [1.0], [1.0]]))
         model = train_tree(X, [M, M, F])  # unsplittable: one leaf, counts 1F/2M
@@ -576,3 +585,38 @@ def test_presorted_grower_equals_per_node_sort(case):
     for name in ("feature", "threshold", "left", "right", "count_female", "count_male"):
         assert np.array_equal(getattr(new, name), getattr(old, name)), name
         assert getattr(new, name).dtype == getattr(old, name).dtype, name
+
+
+@st.composite
+def split_cases(draw):
+    """One node's entries in (column, value) order, its row count and label
+    counts, ``min_samples_leaf`` and an ``allowed`` column set: None, every
+    column, one column, or sorted ids that may name columns with no entry
+    at the node."""
+    n = draw(st.integers(1, 10))
+    V = draw(st.integers(1, 5))
+    # A few shared values make ties within a column; 0.0 is no entry.
+    values = st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0]) | st.floats(0.01, 3.0)
+    dense = np.array(draw(st.lists(values, min_size=n * V, max_size=n * V))).reshape(n, V)
+    labels = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+                      dtype=np.int8)
+    rows, cols = np.nonzero(dense)
+    order = np.lexsort((dense[rows, cols], cols))
+    c, r = cols[order].astype(np.int64), rows[order]
+    allowed = draw(st.sampled_from(["none", "all", "one", "some"]))
+    if allowed == "none":
+        allowed = None
+    elif allowed == "all":
+        allowed = np.arange(V)
+    elif allowed == "one":
+        allowed = np.array([draw(st.integers(0, V - 1))])
+    else:
+        allowed = np.array(sorted(draw(st.sets(st.integers(0, V + 2), min_size=1))))
+    nf = int(np.count_nonzero(labels == 0))
+    return (c, dense[r, c], labels[r], n, nf, n - nf, draw(st.integers(1, 3)), allowed)
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=split_cases())
+def test_column_range_split_equals_per_node_sort(case):
+    assert _best_split(*case) == per_node_sort_best_split(*case)
