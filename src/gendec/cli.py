@@ -14,6 +14,7 @@ import time
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import __version__
 from .corpus import (
@@ -313,6 +314,9 @@ def cmd_predict(model_file, name, batch) -> None:
     texts = [part_text(n, loaded.part) for n in names]
     X = transform(texts, loaded.vocabulary, loaded.weighting)
     genders, proba = predict_with_proba(loaded.model, X)
+    for i in np.flatnonzero(np.diff(X.matrix.indptr) == 0):
+        click.echo(f"warning: {names[i]!r} has no token the model knows; "
+                   "its prediction does not depend on the name", err=True)
     for i, (n, gender) in enumerate(zip(names, genders)):
         line = f"{n}\t{gender.value}"
         click.echo(line if proba is None else f"{line}\t{max(proba[i]):.6f}")

@@ -8,12 +8,16 @@ O(1).  The bias is updated by the subgradient but not regularized.
 Each row's index/value views are taken once per fit, and the labels and
 the visiting order are Python lists, so a step does no ``indptr`` lookups.
 A step gathers ``u[cols]`` once (``take``) and reuses it for the margin
-and the update (``put``).  The margin stays a BLAS dot: ``ucols.dot(vals)``
-calls the same ``ddot`` as ``ucols @ vals`` with less call overhead, while
-a Python or ``np.add.reduceat`` sum adds in another order and can differ
-in the last bit.  The margin reaches the weights only through the
-``margin < 1`` test, so such a bit seldom matters; keeping the dot makes
-every step compute the same floats as before by construction.
+and the update (``put``).  The index views are ``intp``, sliced from one
+copy of ``indices`` per fit: ``take`` and ``put`` cast an index array of
+any other dtype (the package's int32 among them) on every call, which
+doubles the cost of a short ``take``.  The margin stays a BLAS dot:
+``ucols.dot(vals)`` calls the same ``ddot`` as ``ucols @ vals`` with less
+call overhead, while a Python or ``np.add.reduceat`` sum adds in another
+order and can differ in the last bit.  The margin reaches the weights
+only through the ``margin < 1`` test, so such a bit seldom matters;
+keeping the dot makes every step compute the same floats as before by
+construction.
 """
 
 from __future__ import annotations
@@ -66,7 +70,8 @@ def train_svm(
     signs = np.where(training_labels(matrix, y) == 1, 1.0, -1.0).tolist()
     n, V = matrix.shape
     bounds = matrix.indptr.tolist()
-    rows = [(matrix.indices[start:stop], matrix.data[start:stop])
+    indices = matrix.indices.astype(np.intp)
+    rows = [(indices[start:stop], matrix.data[start:stop])
             for start, stop in zip(bounds, bounds[1:])]
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
 

@@ -5,6 +5,13 @@ the text with spaces replaced by the boundary marker '_'.  Vocabulary
 columns are lexicographically sorted so fitted models serialize
 byte-reproducibly.  TF-IDF uses the smoothed formulation
 ``ln((1 + N) / (1 + df)) + 1`` followed by L2 row normalization.
+
+Python handles the tokens in one pass per document: ``fit_vocabulary``
+adds one set per document to the document frequencies, and ``transform``
+maps a document's tokens to column ids with one ``map``.  The rest is
+numpy: one ``np.unique`` over ``doc * V + column`` sorts and counts the
+entries of all documents at once, and a ``bincount`` of their rows gives
+``indptr``.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -65,10 +73,9 @@ def tokenize(text: str, config: TokenizerConfig) -> list[str]:
     if config.mode is TokenizerMode.WORD:
         return [tok for tok in text.split(" ") if tok]
     marked = text.replace(" ", "_")
-    tokens = []
-    for n in range(config.ngram_min, config.ngram_max + 1):
-        tokens.extend(marked[i : i + n] for i in range(len(marked) - n + 1))
-    return tokens
+    return [marked[i : i + n]
+            for n in range(config.ngram_min, config.ngram_max + 1)
+            for i in range(len(marked) - n + 1)]
 
 
 @dataclass(frozen=True)
@@ -191,12 +198,9 @@ def fit_vocabulary(
     if len(docs) == 0:
         raise EmptyCorpusError("cannot fit a vocabulary on zero documents")
     df: Counter = Counter()
-    seen: set[str] = set()
     for doc in docs:
-        doc_tokens = set(tokenize(doc, config))
-        seen.update(doc_tokens)
-        df.update(doc_tokens)
-    tokens = tuple(sorted(seen))
+        df.update(set(tokenize(doc, config)))
+    tokens = tuple(sorted(df))
     token_to_index = {tok: i for i, tok in enumerate(tokens)}
     idf = None
     if weighting is Weighting.TFIDF:
@@ -216,29 +220,34 @@ def transform(
 ) -> FeatureMatrix:
     """Vectorize documents against a fitted vocabulary.
 
-    Unseen tokens are silently dropped.  TF-IDF is ``tfidf_from_counts``
-    of the count matrix.
+    One pass maps each document's tokens to column ids, unseen tokens to
+    -1, which are dropped.  One ``np.unique`` of ``doc * V + column`` over
+    all documents then gives every row's columns in ascending order with
+    their counts, and ``indptr`` is the running sum of a ``bincount`` of
+    the rows.  TF-IDF is ``tfidf_from_counts`` of the count matrix.
     """
-    indptr = [0]
-    cols: list[int] = []
-    vals: list[float] = []
     index = vocab.token_to_index
+    V = vocab.size
+    cols: list[int] = []
+    lengths: list[int] = []
     for doc in docs:
-        counts: Counter = Counter()
-        for token in tokenize(doc, vocab.tokenizer):
-            col = index.get(token)
-            if col is not None:
-                counts[col] += 1
-        for col in sorted(counts):
-            cols.append(col)
-            vals.append(float(counts[col]))
-        indptr.append(len(cols))
-    index_dtype = _index_dtype(max(len(cols), vocab.size))
+        tokens = tokenize(doc, vocab.tokenizer)
+        lengths.append(len(tokens))
+        cols.extend(map(index.get, tokens, repeat(-1)))
+    n = len(docs)
+    col_ids = np.array(cols, dtype=np.int64)
+    doc_ids = np.repeat(np.arange(n, dtype=np.int64), np.array(lengths, dtype=np.int64))
+    known = col_ids >= 0
+    keys, counts = np.unique(doc_ids[known] * V + col_ids[known], return_counts=True)
+    rows, columns = np.divmod(keys, V)
+    index_dtype = _index_dtype(max(len(keys), V))
+    indptr = np.zeros(n + 1, dtype=index_dtype)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     matrix = CSR(
-        indptr=np.asarray(indptr, dtype=index_dtype),
-        indices=np.asarray(cols, dtype=index_dtype),
-        data=np.asarray(vals, dtype=np.float64),
-        shape=(len(docs), vocab.size),
+        indptr=indptr,
+        indices=columns.astype(index_dtype),
+        data=counts.astype(np.float64),
+        shape=(n, V),
     )
     counts_matrix = FeatureMatrix(matrix=matrix, weighting=Weighting.COUNT)
     if weighting is Weighting.COUNT:
@@ -259,9 +268,7 @@ def tfidf_from_counts(counts: FeatureMatrix, vocab: Vocabulary) -> FeatureMatrix
         n_rows = matrix.shape[0]
         matrix.data *= vocab.idf[matrix.indices]
         row_ids = matrix.row_ids()
-        row_norms = np.zeros(n_rows)
-        np.add.at(row_norms, row_ids, matrix.data ** 2)
-        row_norms = np.sqrt(row_norms)
+        row_norms = np.sqrt(_sums(row_ids, matrix.data ** 2, n_rows))
         scale = np.ones(n_rows)
         nonzero = row_norms > 0
         scale[nonzero] = 1.0 / row_norms[nonzero]

@@ -318,6 +318,33 @@ class TestPredictPaths:
         assert result.output == "".join(singles)
         assert len(result.output.splitlines()) == len(self.NAMES)
 
+    def test_name_without_known_tokens_warns_on_stderr(self, runner, model_path):
+        known = runner.invoke(main, ["predict", "--model-file", str(model_path),
+                                     "--name", "Tanaka Satoko"])
+        assert known.exit_code == 0 and known.stderr == ""
+        result = runner.invoke(main, ["predict", "--model-file", str(model_path),
+                                      "--name", "Zzzz Qqqq"])
+        assert result.exit_code == 0
+        assert result.stdout.startswith("Zzzz Qqqq\t")
+        assert len(result.stdout.splitlines()) == 1
+        assert result.stderr == ("warning: 'Zzzz Qqqq' has no token the model knows; "
+                                 "its prediction does not depend on the name\n")
+
+    def test_batch_warns_once_per_name_without_known_tokens(self, runner, model_path,
+                                                             tmp_path):
+        names = ["Zzzz Qqqq", "Tanaka Satoko", "Zzzz Satoko", "Xxxx Yyyy"]
+        batch = tmp_path / "names.txt"
+        batch.write_text("\n".join(names) + "\n", encoding="utf-8")
+        result = runner.invoke(main, ["predict", "--model-file", str(model_path),
+                                      "--batch", str(batch)])
+        assert result.exit_code == 0
+        singles = [runner.invoke(main, ["predict", "--model-file", str(model_path),
+                                        "--name", name]).stdout for name in names]
+        assert result.stdout == "".join(singles)
+        warnings = result.stderr.splitlines()
+        assert [line.split("'")[1] for line in warnings] == ["Zzzz Qqqq", "Xxxx Yyyy"]
+        assert all(line.startswith("warning: ") for line in warnings)
+
     def test_empty_batch_prints_nothing(self, runner, model_path, tmp_path):
         batch = tmp_path / "empty.txt"
         batch.write_text("\n  \n", encoding="utf-8")

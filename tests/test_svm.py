@@ -157,3 +157,19 @@ def test_gather_once_step_equals_per_step_slices(case):
     old = per_step_slice_train_svm(X, y, lam=lam, epochs=epochs, seed=seed)
     assert new.weights.tobytes() == old.weights.tobytes()
     assert float(new.bias) == float(old.bias)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=pegasos_cases())
+def test_int32_and_int64_indices_train_the_same_weights(case):
+    """A package CSR (int32 indices) and a scipy CSR over int64 copies of
+    the same arrays give the same weights and bias."""
+    X, y, lam, epochs, seed = case
+    wide = sp.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
+    wide.indices = X.indices.astype(np.int64)
+    wide.indptr = X.indptr.astype(np.int64)
+    assert X.indices.dtype == np.int32 and as_csr(wide).indices.dtype == np.int64
+    narrow_model = train_svm(X, y, lam=lam, epochs=epochs, seed=seed)
+    wide_model = train_svm(wide, y, lam=lam, epochs=epochs, seed=seed)
+    assert narrow_model.weights.tobytes() == wide_model.weights.tobytes()
+    assert float(narrow_model.bias) == float(wide_model.bias)

@@ -3,14 +3,18 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gendec.errors import ConfigError, EmptyCorpusError, MissingIdfError
 from gendec.vectorize import (
+    CSR,
+    FeatureMatrix,
     TokenizerConfig,
     TokenizerMode,
+    Vocabulary,
     Weighting,
+    _index_dtype,
     fit_vocabulary,
     tfidf_from_counts,
     tokenize,
@@ -166,3 +170,166 @@ def test_tfidf_is_tfidf_from_counts_and_leaves_counts_alone(fit_docs, docs, char
         assert a.dtype == b.dtype and np.array_equal(a, b)
     after = (counts.matrix.data, counts.matrix.indices, counts.matrix.indptr)
     assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+
+# --- the numpy text path against the Counter-based code it replaced ---
+# Verbatim copies of ``tokenize``, ``fit_vocabulary``, ``transform`` and
+# ``tfidf_from_counts`` as they were before, except that they call each
+# other instead of the package's current functions.
+
+def extend_tokenize(text: str, config: TokenizerConfig) -> list[str]:
+    if config.mode is TokenizerMode.WORD:
+        return [tok for tok in text.split(" ") if tok]
+    marked = text.replace(" ", "_")
+    tokens = []
+    for n in range(config.ngram_min, config.ngram_max + 1):
+        tokens.extend(marked[i : i + n] for i in range(len(marked) - n + 1))
+    return tokens
+
+
+def counter_fit_vocabulary(docs, config=TokenizerConfig(), weighting=Weighting.COUNT):
+    if len(docs) == 0:
+        raise EmptyCorpusError("cannot fit a vocabulary on zero documents")
+    df: Counter = Counter()
+    seen: set[str] = set()
+    for doc in docs:
+        doc_tokens = set(extend_tokenize(doc, config))
+        seen.update(doc_tokens)
+        df.update(doc_tokens)
+    tokens = tuple(sorted(seen))
+    token_to_index = {tok: i for i, tok in enumerate(tokens)}
+    idf = None
+    if weighting is Weighting.TFIDF:
+        n = len(docs)
+        idf = np.array(
+            [np.log((1.0 + n) / (1.0 + df[tok])) + 1.0 for tok in tokens],
+            dtype=np.float64,
+        )
+    return Vocabulary(tokens=tokens, token_to_index=token_to_index,
+                      tokenizer=config, idf=idf)
+
+
+def counter_transform(docs, vocab, weighting=Weighting.COUNT):
+    indptr = [0]
+    cols: list[int] = []
+    vals: list[float] = []
+    index = vocab.token_to_index
+    for doc in docs:
+        counts: Counter = Counter()
+        for token in extend_tokenize(doc, vocab.tokenizer):
+            col = index.get(token)
+            if col is not None:
+                counts[col] += 1
+        for col in sorted(counts):
+            cols.append(col)
+            vals.append(float(counts[col]))
+        indptr.append(len(cols))
+    index_dtype = _index_dtype(max(len(cols), vocab.size))
+    matrix = CSR(
+        indptr=np.asarray(indptr, dtype=index_dtype),
+        indices=np.asarray(cols, dtype=index_dtype),
+        data=np.asarray(vals, dtype=np.float64),
+        shape=(len(docs), vocab.size),
+    )
+    counts_matrix = FeatureMatrix(matrix=matrix, weighting=Weighting.COUNT)
+    if weighting is Weighting.COUNT:
+        return counts_matrix
+    return add_at_tfidf_from_counts(counts_matrix, vocab)
+
+
+def add_at_tfidf_from_counts(counts, vocab):
+    if vocab.idf is None:
+        raise MissingIdfError("vocabulary was fitted without idf weights")
+    matrix = counts.matrix.copy()
+    if matrix.nnz:
+        n_rows = matrix.shape[0]
+        matrix.data *= vocab.idf[matrix.indices]
+        row_ids = matrix.row_ids()
+        row_norms = np.zeros(n_rows)
+        np.add.at(row_norms, row_ids, matrix.data ** 2)
+        row_norms = np.sqrt(row_norms)
+        scale = np.ones(n_rows)
+        nonzero = row_norms > 0
+        scale[nonzero] = 1.0 / row_norms[nonzero]
+        matrix.data *= scale[row_ids]
+    return FeatureMatrix(matrix=matrix, weighting=Weighting.TFIDF)
+
+
+def assert_same_csr(new: CSR, old: CSR) -> None:
+    assert new.shape == old.shape
+    for a, b in ((new.indptr, old.indptr), (new.indices, old.indices),
+                 (new.data, old.data)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def text_cases(draw):
+    """A tokenizer (word, or char n-grams anywhere in 1-8), documents to
+    fit on and documents to transform.  The small alphabets repeat tokens;
+    ``c`` and ``d`` appear only in transformed documents, so some of their
+    tokens are unseen; empty and all-space documents tokenize to nothing."""
+    if draw(st.booleans()):
+        config = TokenizerConfig()
+    else:
+        low = draw(st.integers(1, 8))
+        config = TokenizerConfig(TokenizerMode.CHAR_NGRAM, low, draw(st.integers(low, 8)))
+    fit_docs = draw(st.lists(st.text(alphabet="ab _", max_size=14), min_size=1, max_size=8))
+    docs = draw(st.lists(st.text(alphabet="abcd _", max_size=14)
+                         | st.sampled_from(fit_docs), max_size=8))
+    return config, fit_docs, docs
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=text_cases(), weighting=st.sampled_from(Weighting))
+@example(case=(TokenizerConfig(), ["", "  "], ["a b", ""]), weighting=Weighting.TFIDF)
+@example(case=(TokenizerConfig(TokenizerMode.CHAR_NGRAM, 5, 8), ["ab"], ["abcdef"]),
+         weighting=Weighting.COUNT)
+@example(case=(TokenizerConfig(TokenizerMode.CHAR_NGRAM, 1, 8), ["abab a", "b"], []),
+         weighting=Weighting.TFIDF)
+@example(case=(TokenizerConfig(), [""], []), weighting=Weighting.COUNT)
+def test_text_path_equals_counter_oracle(case, weighting):
+    """Vocabulary tokens, idf bytes, and the bytes and dtypes of every
+    CSR array equal the old code's, with an empty vocabulary (V=0) and
+    zero transformed documents among the inputs."""
+    config, fit_docs, docs = case
+    for doc in fit_docs + docs:
+        assert tokenize(doc, config) == extend_tokenize(doc, config)
+    vocab = fit_vocabulary(fit_docs, config, weighting)
+    oracle = counter_fit_vocabulary(fit_docs, config, weighting)
+    assert vocab.tokens == oracle.tokens
+    assert vocab.token_to_index == oracle.token_to_index
+    assert (vocab.idf is None) == (oracle.idf is None)
+    if vocab.idf is not None:
+        assert vocab.idf.dtype == oracle.idf.dtype
+        assert vocab.idf.tobytes() == oracle.idf.tobytes()
+    X = transform(docs, vocab, weighting)
+    expected = counter_transform(docs, oracle, weighting)
+    assert X.weighting is expected.weighting
+    assert_same_csr(X.matrix, expected.matrix)
+
+
+@st.composite
+def count_matrices(draw):
+    """A count matrix (empty rows likely) with arbitrary positive idf
+    weights, so a row's sum of squares depends on the order it is added in."""
+    n = draw(st.integers(0, 10))
+    V = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dense = np.ceil(rng.random((n, V)) * 5) * (rng.random((n, V)) < draw(st.floats(0.0, 1.0)))
+    rows, cols = np.nonzero(dense)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    matrix = CSR(indptr, cols.astype(np.int32), dense[rows, cols], (n, V))
+    idf = np.exp(rng.normal(size=V) * draw(st.floats(0.0, 20.0)))
+    vocab = Vocabulary(tokens=tuple(map(str, range(V))),
+                       token_to_index={str(i): i for i in range(V)},
+                       tokenizer=TokenizerConfig(), idf=idf)
+    return FeatureMatrix(matrix=matrix, weighting=Weighting.COUNT), vocab
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=count_matrices())
+def test_bincount_row_norms_equal_add_at(case):
+    counts, vocab = case
+    assert_same_csr(tfidf_from_counts(counts, vocab).matrix,
+                    add_at_tfidf_from_counts(counts, vocab).matrix)
