@@ -36,7 +36,7 @@ from .name_core import (
     read_csv,
     write_lines,
 )
-from .translit import RecordAligner
+from .translit import align_records
 
 RAW_CSV_HEADER = "romaji,hiragana,kanji,gender,role"
 
@@ -261,7 +261,7 @@ def homonym_stats(records: Sequence[NameRecord]) -> HomonymHistogram:
     Records whose scripts cannot be aligned into parts are skipped.
     """
     expressions: dict[tuple[Gender, str], set[str]] = defaultdict(set)
-    for record, aligned in zip(records, RecordAligner(records).aligned):
+    for record, aligned in zip(records, align_records(records)):
         if aligned is None:
             continue
         first = normalize_romaji(record.romaji).split(" ")[1]
@@ -291,7 +291,7 @@ def char_frequency(
             if record.gender is gender:
                 counts.update(record.kanji)
     else:
-        for record, aligned in zip(records, RecordAligner(records).aligned):
+        for record, aligned in zip(records, align_records(records)):
             if record.gender is not gender or aligned is None:
                 continue
             counts.update(

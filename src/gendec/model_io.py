@@ -84,7 +84,13 @@ class ModelFile:
                              "tokenizer", "vocabulary", "parameters", "metadata"),
                        ("reading_dictionary",), error=ValueError)
             check_keys(doc["vocabulary"], ("tokens", "idf"), error=ValueError)
-            tokens = tuple(doc["vocabulary"]["tokens"])
+            tokens = doc["vocabulary"]["tokens"]
+            # fit_vocabulary writes distinct tokens, sorted: a repeated token
+            # would hide a column's weights from token_to_index.
+            if not (isinstance(tokens, list) and all(isinstance(tok, str) for tok in tokens)
+                    and all(a < b for a, b in zip(tokens, tokens[1:]))):
+                raise ValueError("vocabulary tokens must be distinct strings in ascending order")
+            tokens = tuple(tokens)
             idf_doc = doc["vocabulary"]["idf"]
             vocabulary = Vocabulary(
                 tokens=tokens,

@@ -3,11 +3,17 @@
 The transducer implements modified Hepburn with the conventions used by
 the romaji column of the corpus: syllabic n is always "n" (no apostrophe,
 no m before b/p/m), long vowels are spelled out kana by kana (ou, uu),
-and sokuon gemination of ch renders as "tch".
+and sokuon gemination of ch renders as "tch".  One left-to-right pass
+(``_syllables``) yields each syllable with the kana index where it ends;
+``kana_to_romaji`` joins it, ``kana_boundary`` matches a romaji family
+token against it, and degenerate input becomes notes that only
+``kana_to_romaji`` turns into warnings.
 
 Kanji conversion is a whole-part dictionary lookup: name readings are
 non-compositional, so the dictionary is built by aligning the training
-corpus rather than composing per-character readings.
+corpus rather than composing per-character readings.  One rule
+(``_best_cut``) picks where a kanji name splits into family and given
+parts, both when aligning the corpus and when converting a name.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import warnings
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     SchemaError,
@@ -77,111 +83,106 @@ _SMALL_FALLBACK = {
 
 _SOKUON = "っ"
 _PROLONG = "ー"
-_VOWELS = "aeiou"
-_SMALL_KANA = frozenset(_SMALL_FALLBACK)
+_VOWELS = frozenset("aeiou")
+# A hiragana split never falls before these: they extend the syllable before them.
+_SPLIT_BLOCKERS = frozenset(_SMALL_FALLBACK) | {_PROLONG}
+
+
+def _syllables(kana: str, notes: list[str]) -> Iterator[tuple[int, str]]:
+    """Yield ``(end, romaji)`` per syllable of ``kana``, left to right.
+
+    ``end`` is the kana index just past the syllable.  Digraphs apply
+    before single-kana rules; a sokuon yields nothing itself but doubles
+    the next syllable's consonant (tch for ch), so no ``end`` falls just
+    after っ; ー repeats the previous output vowel.  Degenerate input
+    renders literally and appends a note to ``notes``; a character outside
+    the rule table raises UnknownKanaError.
+    """
+    last, sokuon, i = "", 0, 0
+    while i < len(kana):
+        ch = kana[i]
+        if ch == _SOKUON:
+            sokuon += 1
+            i += 1
+            continue
+        if ch == _PROLONG:
+            romaji = "tsu" * sokuon
+            if sokuon:
+                notes.append("sokuon before prolonged-sound mark rendered literally")
+            vowel = romaji[-1:] or last
+            if vowel in _VOWELS:
+                romaji += vowel
+            else:
+                notes.append("prolonged-sound mark with no preceding vowel ignored")
+            i += 1
+        else:
+            syllable = _DIGRAPHS.get(kana[i : i + 2])
+            if syllable is not None:
+                i += 2
+            else:
+                syllable = _BASE.get(ch)
+                if syllable is None:
+                    syllable = _SMALL_FALLBACK.get(ch)
+                    if syllable is None:
+                        raise UnknownKanaError(f"no romaji rule for {ch!r} at index {i}")
+                    notes.append(f"isolated small kana {ch!r} rendered as {syllable!r}")
+                i += 1
+            double = "t" if syllable.startswith("ch") else syllable[0]
+            if sokuon and double in _VOWELS:
+                notes.append("sokuon before a vowel rendered literally")
+                double = "tsu"
+            romaji = double * sokuon + syllable
+        sokuon = 0
+        last = romaji[-1:] or last
+        yield i, romaji
+    if sokuon:
+        notes.append("trailing sokuon rendered literally")
+        yield i, "tsu" * sokuon
 
 
 def kana_to_romaji(kana: str) -> str:
     """Transliterate a hiragana string to lowercase ASCII romaji.
 
-    Digraphs apply before single-kana rules; sokuon doubles the next
-    consonant (tch for ch); ー repeats the previous output vowel.
-    Raises UnknownKanaError for characters outside the rule table.
+    Degenerate input (a trailing or stray sokuon, an isolated small kana,
+    a ー with no vowel before it) renders literally with one
+    TransliterationWarning per case, in input order.  Raises
+    UnknownKanaError, after those warnings, for characters outside the
+    rule table.
     """
-    out: list[str] = []
-    pending_sokuon = 0
-    i = 0
-    n = len(kana)
-    while i < n:
-        ch = kana[i]
-        if ch == _SOKUON:
-            pending_sokuon += 1
-            i += 1
-            continue
-        if ch == _PROLONG:
-            if pending_sokuon:
-                warnings.warn(
-                    "sokuon before prolonged-sound mark rendered literally",
-                    TransliterationWarning,
-                    stacklevel=2,
-                )
-                out.append("tsu" * pending_sokuon)
-                pending_sokuon = 0
-            if out and out[-1][-1] in _VOWELS:
-                out.append(out[-1][-1])
-            else:
-                warnings.warn(
-                    "prolonged-sound mark with no preceding vowel ignored",
-                    TransliterationWarning,
-                    stacklevel=2,
-                )
-            i += 1
-            continue
-        syllable = None
-        if i + 1 < n:
-            syllable = _DIGRAPHS.get(kana[i : i + 2])
-            if syllable is not None:
-                i += 2
-        if syllable is None:
-            syllable = _BASE.get(ch)
-            if syllable is None:
-                syllable = _SMALL_FALLBACK.get(ch)
-                if syllable is not None:
-                    warnings.warn(
-                        f"isolated small kana {ch!r} rendered as {syllable!r}",
-                        TransliterationWarning,
-                        stacklevel=2,
-                    )
-            if syllable is None:
-                raise UnknownKanaError(f"no romaji rule for {ch!r} at index {i}")
-            i += 1
-        if pending_sokuon:
-            if syllable[0] in _VOWELS:
-                warnings.warn(
-                    "sokuon before a vowel rendered literally",
-                    TransliterationWarning,
-                    stacklevel=2,
-                )
-                out.append("tsu" * pending_sokuon)
-            else:
-                doubled = "t" if syllable.startswith("ch") else syllable[0]
-                out.append(doubled * pending_sokuon)
-            pending_sokuon = 0
-        out.append(syllable)
-    if pending_sokuon:
-        warnings.warn(
-            "trailing sokuon rendered literally",
-            TransliterationWarning,
-            stacklevel=2,
-        )
-        out.append("tsu" * pending_sokuon)
-    return "".join(out)
+    notes: list[str] = []
+    try:
+        return "".join(romaji for _, romaji in _syllables(kana, notes))
+    finally:
+        for note in notes:
+            warnings.warn(note, TransliterationWarning, stacklevel=2)
 
 
 def _romaji_or_none(kana: str) -> Optional[str]:
-    """kana_to_romaji that swallows degenerate-input warnings and errors."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TransliterationWarning)
-        try:
-            return kana_to_romaji(kana)
-        except UnknownKanaError:
-            return None
+    """kana_to_romaji without warnings; None for untransliterable kana."""
+    try:
+        return "".join(romaji for _, romaji in _syllables(kana, []))
+    except UnknownKanaError:
+        return None
 
 
 def kana_boundary(hiragana: str, family_token: str) -> Optional[int]:
     """Index splitting ``hiragana`` so the prefix reads as ``family_token``.
 
-    Tries split points in order (so the shortest matching prefix wins),
-    skipping points that fall inside a syllable (after a sokuon or before
-    a small kana or ー).  Returns None when no prefix matches.
+    Reads one pass of syllables, so the shortest matching prefix wins.  A
+    split never falls inside a syllable: after a sokuon or before a small
+    kana or ー.  Returns None when no prefix matches.
     """
-    for i in range(1, len(hiragana)):
-        if hiragana[i - 1] == _SOKUON:
-            continue
-        if hiragana[i] in _SMALL_KANA or hiragana[i] == _PROLONG:
-            continue
-        if _romaji_or_none(hiragana[:i]) == family_token:
-            return i
+    romaji = ""
+    try:
+        for end, syllable in _syllables(hiragana, []):
+            romaji += syllable
+            if not family_token.startswith(romaji):
+                return None
+            if (romaji == family_token and end < len(hiragana)
+                    and hiragana[end] not in _SPLIT_BLOCKERS):
+                return end
+    except UnknownKanaError:
+        pass
     return None
 
 
@@ -195,82 +196,49 @@ class AlignedName:
     kana_given: str
 
 
-def _prior_kanji_boundary(length: int) -> int:
-    """Default kanji split: the given name takes the last two characters."""
-    return max(length - 2, 1)
+def _best_cut(kanji: str, score: Callable[[int], int]) -> tuple[int, int]:
+    """The cut of ``kanji`` (at least two characters) with the highest
+    ``score``, and that score.  Ties go to the length prior (the given name
+    takes the last two characters), then to the shortest family part."""
+    prior = max(len(kanji) - 2, 1)
+    best, _, neg_cut = max((score(cut), cut == prior, -cut) for cut in range(1, len(kanji)))
+    return -neg_cut, best
 
 
-class RecordAligner:
-    """Splits corpus records into family/given parts in both scripts.
+def align_records(records: Sequence[NameRecord]) -> list[Optional[AlignedName]]:
+    """Split each record into family/given parts in both scripts.
 
     The hiragana boundary comes from transliterating prefixes against the
     romaji family token.  The kanji boundary is under-determined per
-    record, so it is bootstrapped: records are first split with a
+    record, so it is bootstrapped: records are first split with the
     length prior, then re-split to agree with the (kanji part, reading)
-    pairs that the prior pass saw most often.
+    pairs that the prior pass saw most often.  A record whose hiragana
+    does not align, or whose kanji has fewer than two characters, is None.
     """
+    splits: list[Optional[tuple[str, str, str, int]]] = []
+    for record in records:
+        kanji, hiragana = record.kanji, record.hiragana
+        cut = kana_boundary(hiragana, normalize_romaji(record.romaji).split(" ")[0])
+        if cut is None or len(kanji) < 2:
+            splits.append(None)
+            continue
+        prior, _ = _best_cut(kanji, lambda _cut: 0)  # all cuts tie: the length prior
+        splits.append((kanji, hiragana[:cut], hiragana[cut:], prior))
 
-    def __init__(self, records: Sequence[NameRecord]):
-        self.skipped = 0
-        kana_splits: list[Optional[tuple[str, str, str]]] = []
-        for record in records:
-            family_token = normalize_romaji(record.romaji).split(" ")[0]
-            cut = kana_boundary(record.hiragana, family_token)
-            if cut is None or len(record.kanji) < 2:
-                kana_splits.append(None)
-                self.skipped += 1
-                continue
-            kana_splits.append(
-                (record.kanji, record.hiragana[:cut], record.hiragana[cut:])
-            )
+    family_votes: Counter = Counter()
+    given_votes: Counter = Counter()
+    for kanji, kf, kg, prior in filter(None, splits):
+        family_votes[(kanji[:prior], kf)] += 1
+        given_votes[(kanji[prior:], kg)] += 1
 
-        boundaries = [
-            None if s is None else _prior_kanji_boundary(len(s[0]))
-            for s in kana_splits
-        ]
-        family_votes: Counter = Counter()
-        given_votes: Counter = Counter()
-        for split, cut in zip(kana_splits, boundaries):
-            if split is None:
-                continue
-            kanji, kf, kg = split
-            family_votes[(kanji[:cut], kf)] += 1
-            given_votes[(kanji[cut:], kg)] += 1
-        for idx, split in enumerate(kana_splits):
-            if split is None:
-                continue
-            kanji, kf, kg = split
-            current = boundaries[idx]
-            best_cut = current
-            best_score = -1
-            for cut in range(1, len(kanji)):
-                # Leave-one-out: a record's own votes sit at its current
-                # boundary and must not anchor it there.
-                score = (
-                    family_votes[(kanji[:cut], kf)]
-                    + given_votes[(kanji[cut:], kg)]
-                    - (2 if cut == current else 0)
-                )
-                if score > best_score:
-                    best_score, best_cut = score, cut
-                elif score == best_score and cut == current:
-                    best_cut = cut
-            boundaries[idx] = best_cut
+    def resplit(kanji: str, kf: str, kg: str, prior: int) -> AlignedName:
+        # Leave-one-out: a record's own votes sit at its prior cut and must
+        # not anchor it there.
+        cut, _ = _best_cut(kanji, lambda c: family_votes[(kanji[:c], kf)]
+                           + given_votes[(kanji[c:], kg)] - (2 if c == prior else 0))
+        return AlignedName(kanji[:cut], kanji[cut:], kf, kg)
 
-        self.aligned: list[Optional[AlignedName]] = []
-        for split, cut in zip(kana_splits, boundaries):
-            if split is None:
-                self.aligned.append(None)
-                continue
-            kanji, kf, kg = split
-            self.aligned.append(
-                AlignedName(
-                    kanji_family=kanji[:cut],
-                    kanji_given=kanji[cut:],
-                    kana_family=kf,
-                    kana_given=kg,
-                )
-            )
+    return [None if split is None else resplit(*split) for split in splits]
 
 
 @dataclass(frozen=True)
@@ -324,9 +292,14 @@ class ReadingDictionary:
                 kanji: tuple((reading, count) for reading, count in readings)
                 for kanji, readings in doc[role].items()
             }
-            pairs = [pair for readings in table.values() for pair in readings]
-            if not all(isinstance(r, str) and type(c) is int for r, c in pairs):
-                raise TypeError(f"{role} readings must be [string, integer] pairs")
+            for kanji, readings in table.items():
+                if not all(isinstance(r, str) and type(c) is int for r, c in readings):
+                    raise TypeError(f"{role} readings must be [string, integer] pairs")
+                canonical = _sorted_readings(dict(readings))
+                if not readings or readings != canonical or readings[-1][1] < 1:
+                    raise ValueError(
+                        f"{role} readings of {kanji!r} must be a non-empty list of distinct "
+                        f"readings, counts at least 1, by count descending, then reading")
             return table
 
         try:
@@ -345,8 +318,8 @@ class ReadingDictionary:
         return cls.from_json_dict(read_json(path))
 
 
-def _sorted_readings(counter: Counter) -> tuple[tuple[str, int], ...]:
-    return tuple(sorted(counter.items(), key=lambda item: (-item[1], item[0])))
+def _sorted_readings(counts: dict[str, int]) -> tuple[tuple[str, int], ...]:
+    return tuple(sorted(counts.items(), key=lambda item: (-item[1], item[0])))
 
 
 def build_reading_dictionary(records: Sequence[NameRecord]) -> tuple[ReadingDictionary, int]:
@@ -355,19 +328,17 @@ def build_reading_dictionary(records: Sequence[NameRecord]) -> tuple[ReadingDict
     Returns the dictionary and the number of records skipped because
     their hiragana could not be aligned to the romaji family token.
     """
-    aligner = RecordAligner(records)
+    aligned_records = align_records(records)
     family: dict[str, Counter] = defaultdict(Counter)
     given: dict[str, Counter] = defaultdict(Counter)
-    for aligned in aligner.aligned:
-        if aligned is None:
-            continue
+    for aligned in filter(None, aligned_records):
         family[aligned.kanji_family][aligned.kana_family] += 1
         given[aligned.kanji_given][aligned.kana_given] += 1
     dictionary = ReadingDictionary(
         family={k: _sorted_readings(c) for k, c in family.items()},
         given={k: _sorted_readings(c) for k, c in given.items()},
     )
-    return dictionary, aligner.skipped
+    return dictionary, aligned_records.count(None)
 
 
 def kanji_to_romaji(
@@ -391,26 +362,19 @@ def convert_name(record: NameRecord, reading_dict: ReadingDictionary) -> Convert
     """Convert a record's kanji to romaji using only the dictionary.
 
     The kanji is split at the boundary whose parts the dictionary has
-    seen most often (ties prefer the length prior, then the shortest
-    family part).  A part absent from the dictionary falls back to the
-    corresponding original romaji token.  The record's hiragana is never
+    seen most often (``_best_cut``).  A part absent from the dictionary
+    falls back to the corresponding original romaji token, and both do
+    when no boundary has a known part.  The record's hiragana is never
     consulted: conversion must not peek at the stored reading.
     """
     family_token, given_token = normalize_romaji(record.romaji).split(" ")
     kanji = record.kanji
     if len(kanji) < 2:
         return ConvertedName(family_token, given_token, True, True)
-    prior = _prior_kanji_boundary(len(kanji))
-    best_cut, best_score = None, 0
-    for cut in range(1, len(kanji)):
-        score = reading_dict.part_weight(
-            kanji[:cut], NameRole.FAMILY
-        ) + reading_dict.part_weight(kanji[cut:], NameRole.GIVEN)
-        better = score > best_score
-        tied = score == best_score and best_cut is not None
-        if better or (tied and cut == prior and best_cut != prior):
-            best_cut, best_score = cut, score
-    if best_cut is None:
+    best_cut, score = _best_cut(kanji, lambda cut: (
+        reading_dict.part_weight(kanji[:cut], NameRole.FAMILY)
+        + reading_dict.part_weight(kanji[cut:], NameRole.GIVEN)))
+    if score <= 0:
         return ConvertedName(family_token, given_token, True, True)
 
     def convert_part(part: str, role: NameRole, fallback: str) -> tuple[str, bool]:
@@ -430,11 +394,9 @@ def kana_consistency_rate(records: Iterable[NameRecord]) -> float:
     Diagnostic only; compares against the normalized romaji with its
     space removed.  Untransliterable hiragana counts as a mismatch.
     """
-    total = 0
-    matches = 0
+    total = matches = 0
     for record in records:
         total += 1
         expected = normalize_romaji(record.romaji).replace(" ", "")
-        if _romaji_or_none(record.hiragana) == expected:
-            matches += 1
+        matches += _romaji_or_none(record.hiragana) == expected
     return matches / total if total else 0.0

@@ -180,14 +180,6 @@ class FeatureMatrix:
     matrix: CSR
     weighting: Weighting
 
-    @property
-    def n_rows(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.matrix.shape[1]
-
 
 def fit_vocabulary(
     docs: Sequence[str],

@@ -377,7 +377,8 @@ class TestCorruptModelFiles:
                             *(f"{kind}-{case}" for kind in ("dt", "rf")
                               for case in TREE_CASES),
                             "bootstrap-string", "seed-string", "fractional-leaf",
-                            "n-trees-mismatch", "unknown-key", "misspelled-parameter"])
+                            "n-trees-mismatch", "unknown-key", "misspelled-parameter",
+                            "duplicate-token", "integer-token", "swapped-tokens"])
     def corrupt_model(self, request, runner, split_files, tmp_path):
         kind = "dt" if request.param.startswith("dt-") else "rf"
         model_path = _train_tfidf(runner, split_files[0], tmp_path / f"{kind}.json", kind)
@@ -424,6 +425,13 @@ class TestCorruptModelFiles:
             doc["bogus"] = 1
         elif case == "misspelled-parameter":
             params["n_treez"] = 9
+        elif case == "duplicate-token":
+            doc["vocabulary"]["tokens"][1] = doc["vocabulary"]["tokens"][0]
+        elif case == "integer-token":
+            doc["vocabulary"]["tokens"][-1] = 7
+        elif case == "swapped-tokens":
+            tokens = doc["vocabulary"]["tokens"]
+            tokens[0], tokens[1] = tokens[1], tokens[0]
         else:
             doc = [doc]
         model_path.write_text(json.dumps(doc), encoding="utf-8")
@@ -446,6 +454,25 @@ class TestCorruptModelFiles:
         assert _no_traceback(result)
         assert result.output.startswith("error:")
         assert not report.exists()
+
+    @pytest.mark.parametrize("readings", [[["zzz", -5]], [], [["a", 1], ["b", 2]]],
+                             ids=["negative-count", "empty", "out-of-order"])
+    def test_converted_model_with_bad_readings_exits_2(self, runner, split_files, tmp_path,
+                                                       readings):
+        path = tmp_path / "conv.json"
+        result = runner.invoke(main, [
+            "train", "--model", "nb", "--features", "count", "--variant", "converted",
+            "--train", str(split_files[0]), "--out", str(path),
+        ])
+        assert result.exit_code == 0, result.output
+        doc = json.loads(path.read_text())
+        doc["reading_dictionary"]["given"]["子"] = readings
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        result = runner.invoke(main, ["predict", "--model-file", str(path),
+                                      "--name", "Tanaka Satoko"])
+        assert result.exit_code == 2
+        assert _no_traceback(result)
+        assert "malformed reading dictionary" in result.output
 
     def test_converted_model_without_dictionary_exits_2(self, runner, split_files,
                                                         tmp_path):
@@ -778,6 +805,8 @@ class TestBadFiles:
             "dict_list": b"[]",
             "dict_no_family": b'{"schema_version": 1, "given": {}}',
             "dict_deep": DEEP_JSON.encode(),
+            "dict_negative_count": '{"schema_version": 1, "family": {}, '
+                                   '"given": {"子": [["zzz", -5]]}}'.encode(),
         }
         for name, data in contents.items():
             paths[name] = tmp_path / f"{name}.bin"
@@ -807,9 +836,11 @@ class TestBadFiles:
         [*_DICT, "{dict_no_family}"],
         [*_DICT, "{dict_deep}"],
         ["predict", "--model-file", "{model}", "--batch", "{bad_batch}"],
+        [*_DICT, "{dict_negative_count}"],
     ], ids=["split-corpus-not-utf8", "train-corpus-not-utf8", "evaluate-test-not-utf8",
             "grid-train-not-utf8", "build-dataset-raw-not-utf8", "dict-not-json",
-            "dict-list", "dict-no-family", "dict-nested-deep", "predict-batch-not-utf8"])
+            "dict-list", "dict-no-family", "dict-nested-deep", "predict-batch-not-utf8",
+            "dict-negative-count"])
     def test_exits_2(self, runner, files, args):
         result = runner.invoke(main, [arg.format(**files) for arg in args])
         assert result.exit_code == 2

@@ -1,16 +1,29 @@
 import warnings
+from collections import Counter
+from typing import Optional, Sequence
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gendec.errors import TransliterationWarning, UnknownKanaError, UnknownKanjiError
+from gendec.errors import (
+    SchemaError, TransliterationWarning, UnknownKanaError, UnknownKanjiError,
+)
 from gendec.name_core import Gender, NameRecord, NameRole, normalize_romaji
 from gendec.translit import (
+    _BASE,
+    _DIGRAPHS,
+    _PROLONG,
+    _SMALL_FALLBACK,
+    _SOKUON,
+    _VOWELS,
+    AlignedName,
+    ConvertedName,
     ReadingDictionary,
-    RecordAligner,
+    align_records,
     build_reading_dictionary,
     convert_name,
+    kana_boundary,
     kana_consistency_rate,
     kana_to_romaji,
     kanji_to_romaji,
@@ -155,6 +168,16 @@ class TestReadingDictionary:
         ReadingDictionary.load(path).save(path)
         assert path.read_bytes() == first_bytes
 
+    @pytest.mark.parametrize("readings", [
+        [["zzz", -5]], [["zzz", 0]], [], [["あい", 1], ["まな", 3]],
+        [["まな", 2], ["あい", 2]], [["あい", 2], ["あい", 1]],
+    ], ids=["negative-count", "zero-count", "empty", "count-ascending",
+            "reading-descending", "repeated-reading"])
+    def test_load_refuses_non_canonical_readings(self, readings):
+        doc = {"schema_version": 1, "family": {}, "given": {"愛": readings}}
+        with pytest.raises(SchemaError, match="malformed reading dictionary"):
+            ReadingDictionary.from_json_dict(doc)
+
     def test_skips_unalignable_records(self):
         # Romaji family token does not match any hiragana prefix.
         bad = NameRecord("Zzz Kazuyoshi", "玉井和善", "たまいかずよし", Gender.MALE)
@@ -195,9 +218,9 @@ class TestConvertName:
 
 class TestRecordAligner:
     def test_reference_alignments(self, reference_records):
-        aligner = RecordAligner(reference_records)
-        families = [a.kanji_family for a in aligner.aligned]
-        givens = [a.kanji_given for a in aligner.aligned]
+        aligned = align_records(reference_records)
+        families = [a.kanji_family for a in aligned]
+        givens = [a.kanji_given for a in aligned]
         assert families == ["玉井", "岩間", "白木", "池野", "佐田", "磯"]
         assert givens == ["和善", "智子", "由花", "悠果", "国重", "邦重"]
 
@@ -209,6 +232,314 @@ class TestRecordAligner:
             NameRecord("Satou Taro", "佐藤太郎", "さとうたろう", Gender.MALE),
             NameRecord("Satou Ken", "佐藤健", "さとうけん", Gender.MALE),
         ]
-        aligner = RecordAligner(records)
-        assert aligner.aligned[2].kanji_family == "佐藤"
-        assert aligner.aligned[2].kanji_given == "健"
+        aligned = align_records(records)
+        assert aligned[2].kanji_family == "佐藤"
+        assert aligned[2].kanji_given == "健"
+
+
+# --- oracles: the transducer, aligner and cut loop before the syllable pass ---
+#
+# Kept verbatim (renamed) from the code that ``_syllables``, ``align_records``
+# and ``_best_cut`` replaced: the old transducer warned inline and
+# ``kana_boundary`` transliterated every prefix again.
+
+_SMALL_KANA = frozenset(_SMALL_FALLBACK)
+
+
+def inline_warning_kana_to_romaji(kana: str) -> str:
+    """Transliterate a hiragana string to lowercase ASCII romaji.
+
+    Digraphs apply before single-kana rules; sokuon doubles the next
+    consonant (tch for ch); ー repeats the previous output vowel.
+    Raises UnknownKanaError for characters outside the rule table.
+    """
+    out: list[str] = []
+    pending_sokuon = 0
+    i = 0
+    n = len(kana)
+    while i < n:
+        ch = kana[i]
+        if ch == _SOKUON:
+            pending_sokuon += 1
+            i += 1
+            continue
+        if ch == _PROLONG:
+            if pending_sokuon:
+                warnings.warn(
+                    "sokuon before prolonged-sound mark rendered literally",
+                    TransliterationWarning,
+                    stacklevel=2,
+                )
+                out.append("tsu" * pending_sokuon)
+                pending_sokuon = 0
+            if out and out[-1][-1] in _VOWELS:
+                out.append(out[-1][-1])
+            else:
+                warnings.warn(
+                    "prolonged-sound mark with no preceding vowel ignored",
+                    TransliterationWarning,
+                    stacklevel=2,
+                )
+            i += 1
+            continue
+        syllable = None
+        if i + 1 < n:
+            syllable = _DIGRAPHS.get(kana[i : i + 2])
+            if syllable is not None:
+                i += 2
+        if syllable is None:
+            syllable = _BASE.get(ch)
+            if syllable is None:
+                syllable = _SMALL_FALLBACK.get(ch)
+                if syllable is not None:
+                    warnings.warn(
+                        f"isolated small kana {ch!r} rendered as {syllable!r}",
+                        TransliterationWarning,
+                        stacklevel=2,
+                    )
+            if syllable is None:
+                raise UnknownKanaError(f"no romaji rule for {ch!r} at index {i}")
+            i += 1
+        if pending_sokuon:
+            if syllable[0] in _VOWELS:
+                warnings.warn(
+                    "sokuon before a vowel rendered literally",
+                    TransliterationWarning,
+                    stacklevel=2,
+                )
+                out.append("tsu" * pending_sokuon)
+            else:
+                doubled = "t" if syllable.startswith("ch") else syllable[0]
+                out.append(doubled * pending_sokuon)
+            pending_sokuon = 0
+        out.append(syllable)
+    if pending_sokuon:
+        warnings.warn(
+            "trailing sokuon rendered literally",
+            TransliterationWarning,
+            stacklevel=2,
+        )
+        out.append("tsu" * pending_sokuon)
+    return "".join(out)
+
+
+def _oracle_romaji_or_none(kana: str) -> Optional[str]:
+    """kana_to_romaji that swallows degenerate-input warnings and errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TransliterationWarning)
+        try:
+            return inline_warning_kana_to_romaji(kana)
+        except UnknownKanaError:
+            return None
+
+
+def prefix_scan_kana_boundary(hiragana: str, family_token: str) -> Optional[int]:
+    """Index splitting ``hiragana`` so the prefix reads as ``family_token``.
+
+    Tries split points in order (so the shortest matching prefix wins),
+    skipping points that fall inside a syllable (after a sokuon or before
+    a small kana or ー).  Returns None when no prefix matches.
+    """
+    for i in range(1, len(hiragana)):
+        if hiragana[i - 1] == _SOKUON:
+            continue
+        if hiragana[i] in _SMALL_KANA or hiragana[i] == _PROLONG:
+            continue
+        if _oracle_romaji_or_none(hiragana[:i]) == family_token:
+            return i
+    return None
+
+
+def _prior_kanji_boundary(length: int) -> int:
+    """Default kanji split: the given name takes the last two characters."""
+    return max(length - 2, 1)
+
+
+class RecordAligner:
+    """Splits corpus records into family/given parts in both scripts.
+
+    The hiragana boundary comes from transliterating prefixes against the
+    romaji family token.  The kanji boundary is under-determined per
+    record, so it is bootstrapped: records are first split with a
+    length prior, then re-split to agree with the (kanji part, reading)
+    pairs that the prior pass saw most often.
+    """
+
+    def __init__(self, records: Sequence[NameRecord]):
+        self.skipped = 0
+        kana_splits: list[Optional[tuple[str, str, str]]] = []
+        for record in records:
+            family_token = normalize_romaji(record.romaji).split(" ")[0]
+            cut = prefix_scan_kana_boundary(record.hiragana, family_token)
+            if cut is None or len(record.kanji) < 2:
+                kana_splits.append(None)
+                self.skipped += 1
+                continue
+            kana_splits.append(
+                (record.kanji, record.hiragana[:cut], record.hiragana[cut:])
+            )
+
+        boundaries = [
+            None if s is None else _prior_kanji_boundary(len(s[0]))
+            for s in kana_splits
+        ]
+        family_votes: Counter = Counter()
+        given_votes: Counter = Counter()
+        for split, cut in zip(kana_splits, boundaries):
+            if split is None:
+                continue
+            kanji, kf, kg = split
+            family_votes[(kanji[:cut], kf)] += 1
+            given_votes[(kanji[cut:], kg)] += 1
+        for idx, split in enumerate(kana_splits):
+            if split is None:
+                continue
+            kanji, kf, kg = split
+            current = boundaries[idx]
+            best_cut = current
+            best_score = -1
+            for cut in range(1, len(kanji)):
+                # Leave-one-out: a record's own votes sit at its current
+                # boundary and must not anchor it there.
+                score = (
+                    family_votes[(kanji[:cut], kf)]
+                    + given_votes[(kanji[cut:], kg)]
+                    - (2 if cut == current else 0)
+                )
+                if score > best_score:
+                    best_score, best_cut = score, cut
+                elif score == best_score and cut == current:
+                    best_cut = cut
+            boundaries[idx] = best_cut
+
+        self.aligned: list[Optional[AlignedName]] = []
+        for split, cut in zip(kana_splits, boundaries):
+            if split is None:
+                self.aligned.append(None)
+                continue
+            kanji, kf, kg = split
+            self.aligned.append(
+                AlignedName(
+                    kanji_family=kanji[:cut],
+                    kanji_given=kanji[cut:],
+                    kana_family=kf,
+                    kana_given=kg,
+                )
+            )
+
+
+def loop_convert_name(record: NameRecord, reading_dict: ReadingDictionary) -> ConvertedName:
+    """Convert a record's kanji to romaji using only the dictionary.
+
+    The kanji is split at the boundary whose parts the dictionary has
+    seen most often (ties prefer the length prior, then the shortest
+    family part).  A part absent from the dictionary falls back to the
+    corresponding original romaji token.  The record's hiragana is never
+    consulted: conversion must not peek at the stored reading.
+    """
+    family_token, given_token = normalize_romaji(record.romaji).split(" ")
+    kanji = record.kanji
+    if len(kanji) < 2:
+        return ConvertedName(family_token, given_token, True, True)
+    prior = _prior_kanji_boundary(len(kanji))
+    best_cut, best_score = None, 0
+    for cut in range(1, len(kanji)):
+        score = reading_dict.part_weight(
+            kanji[:cut], NameRole.FAMILY
+        ) + reading_dict.part_weight(kanji[cut:], NameRole.GIVEN)
+        better = score > best_score
+        tied = score == best_score and best_cut is not None
+        if better or (tied and cut == prior and best_cut != prior):
+            best_cut, best_score = cut, score
+    if best_cut is None:
+        return ConvertedName(family_token, given_token, True, True)
+
+    def convert_part(part: str, role: NameRole, fallback: str) -> tuple[str, bool]:
+        try:
+            return kanji_to_romaji(part, role, reading_dict), False
+        except UnknownKanjiError:
+            return fallback, True
+
+    family, family_fb = convert_part(kanji[:best_cut], NameRole.FAMILY, family_token)
+    given, given_fb = convert_part(kanji[best_cut:], NameRole.GIVEN, given_token)
+    return ConvertedName(family, given, family_fb, given_fb)
+
+
+_KANA_PIECES = st.sampled_from([
+    *"あいうえおかきしちつにはひふみやゆよりわをんがじぢぱ",
+    _SOKUON, _PROLONG,
+    *"ぁぃぇゃゅょゎゕ",
+    "きゃ", "しゅ", "ちょ", "じぇ", "ふぁ", "てぃ",
+    "カ",  # outside the rule table
+])
+kana_strings = st.lists(_KANA_PIECES, max_size=10).map("".join)
+
+
+def _observe(transliterate, kana: str, action: str):
+    """Romaji or the raised error, and every warning with where it points."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action, TransliterationWarning)
+        try:
+            result = ("romaji", transliterate(kana))
+        except (TransliterationWarning, UnknownKanaError) as exc:
+            result = (type(exc), str(exc))
+    return result, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+
+
+@settings(max_examples=500, deadline=None)
+@given(kana=kana_strings, action=st.sampled_from(["always", "error"]))
+@example(kana="っーゃカっ", action="always")
+@example(kana="ぁカ", action="error")
+def test_syllable_pass_equals_inline_warnings(kana, action):
+    """Equal romaji, the same warnings in the same order pointing at the same
+    caller line, and the same UnknownKanaError after them; with warnings as
+    errors, the same first warning is raised."""
+    assert (_observe(kana_to_romaji, kana, action)
+            == _observe(inline_warning_kana_to_romaji, kana, action))
+
+
+@settings(max_examples=500, deadline=None)
+@given(kana=kana_strings, extra=st.sampled_from(["", "a", "n", "tsu"]))
+@example(kana="たんーこ", extra="")
+@example(kana="ーか", extra="")
+def test_kana_boundary_equals_prefix_scan(kana, extra):
+    """Tokens read off every prefix, cut short or run on, split the kana where
+    transliterating each prefix again does."""
+    tokens = {"", extra}
+    for i in range(len(kana) + 1):
+        romaji = _oracle_romaji_or_none(kana[:i])
+        if romaji is not None:
+            tokens |= {romaji, romaji[:-1], romaji + extra}
+    for token in tokens:
+        assert kana_boundary(kana, token) == prefix_scan_kana_boundary(kana, token)
+
+
+# Records the synthetic corpus lacks: no aligning prefix, one kanji, a
+# one-kanji given name that the votes re-split, kanji no dictionary holds.
+_ODD_RECORDS = [
+    NameRecord("Zzz Kazuyoshi", "玉井和善", "たまいかずよし", Gender.MALE),
+    NameRecord("Hayashi Ken", "林", "はやしけん", Gender.MALE),
+    NameRecord("Satou Ken", "佐藤健", "さとうけん", Gender.MALE),
+    NameRecord("Aoki Midori", "青木翠", "あおきみどり", Gender.FEMALE),
+]
+
+
+def test_align_records_equals_record_aligner(synthetic_corpus, fixture_records):
+    for records in (synthetic_corpus, fixture_records + _ODD_RECORDS):
+        oracle = RecordAligner(records)
+        aligned = align_records(records)
+        assert aligned == oracle.aligned
+        assert aligned.count(None) == oracle.skipped
+    assert aligned[-2] == AlignedName("佐藤", "健", "さとう", "けん")  # moved off the prior
+
+
+def test_convert_name_equals_cut_loop(synthetic_corpus, fixture_records):
+    records = synthetic_corpus + fixture_records + _ODD_RECORDS
+    for train in (synthetic_corpus[::2], fixture_records):
+        dictionary, _ = build_reading_dictionary(train)
+        converted = [convert_name(r, dictionary) for r in records]
+        assert converted == [loop_convert_name(r, dictionary) for r in records]
+        assert converted[-1] == ConvertedName("aoki", "midori", True, True)
+    # A cut is taken only when it scores above 0, even where a part is listed.
+    zero = ReadingDictionary(family={"青": (("あお", 0),)}, given={})
+    assert convert_name(_ODD_RECORDS[-1], zero) == loop_convert_name(_ODD_RECORDS[-1], zero)
