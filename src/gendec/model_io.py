@@ -10,6 +10,7 @@ a fixed epoch unless SOURCE_DATE_EPOCH is set.
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -87,8 +88,8 @@ class ModelFile:
             tokens = doc["vocabulary"]["tokens"]
             # fit_vocabulary writes distinct tokens, sorted: a repeated token
             # would hide a column's weights from token_to_index.
-            if not (isinstance(tokens, list) and all(isinstance(tok, str) for tok in tokens)
-                    and all(a < b for a, b in zip(tokens, tokens[1:]))):
+            if not (isinstance(tokens, list) and set(map(type, tokens)) <= {str}
+                    and all(map(operator.lt, tokens, tokens[1:]))):
                 raise ValueError("vocabulary tokens must be distinct strings in ascending order")
             tokens = tuple(tokens)
             idf_doc = doc["vocabulary"]["idf"]

@@ -196,11 +196,16 @@ class AlignedName:
     kana_given: str
 
 
+def _prior_cut(kanji: str) -> int:
+    """Default kanji split: the given name takes the last two characters."""
+    return max(len(kanji) - 2, 1)
+
+
 def _best_cut(kanji: str, score: Callable[[int], int]) -> tuple[int, int]:
     """The cut of ``kanji`` (at least two characters) with the highest
-    ``score``, and that score.  Ties go to the length prior (the given name
-    takes the last two characters), then to the shortest family part."""
-    prior = max(len(kanji) - 2, 1)
+    ``score``, and that score.  Ties go to the length prior
+    (``_prior_cut``), then to the shortest family part."""
+    prior = _prior_cut(kanji)
     best, _, neg_cut = max((score(cut), cut == prior, -cut) for cut in range(1, len(kanji)))
     return -neg_cut, best
 
@@ -218,12 +223,12 @@ def align_records(records: Sequence[NameRecord]) -> list[Optional[AlignedName]]:
     splits: list[Optional[tuple[str, str, str, int]]] = []
     for record in records:
         kanji, hiragana = record.kanji, record.hiragana
-        cut = kana_boundary(hiragana, normalize_romaji(record.romaji).split(" ")[0])
+        family_token = normalize_romaji(record.romaji).split(" ")[0]
+        cut = kana_boundary(hiragana, family_token)
         if cut is None or len(kanji) < 2:
             splits.append(None)
             continue
-        prior, _ = _best_cut(kanji, lambda _cut: 0)  # all cuts tie: the length prior
-        splits.append((kanji, hiragana[:cut], hiragana[cut:], prior))
+        splits.append((kanji, hiragana[:cut], hiragana[cut:], _prior_cut(kanji)))
 
     family_votes: Counter = Counter()
     given_votes: Counter = Counter()
@@ -236,7 +241,12 @@ def align_records(records: Sequence[NameRecord]) -> list[Optional[AlignedName]]:
         # not anchor it there.
         cut, _ = _best_cut(kanji, lambda c: family_votes[(kanji[:c], kf)]
                            + given_votes[(kanji[c:], kg)] - (2 if c == prior else 0))
-        return AlignedName(kanji[:cut], kanji[cut:], kf, kg)
+        return AlignedName(
+            kanji_family=kanji[:cut],
+            kanji_given=kanji[cut:],
+            kana_family=kf,
+            kana_given=kg,
+        )
 
     return [None if split is None else resplit(*split) for split in splits]
 
@@ -394,9 +404,11 @@ def kana_consistency_rate(records: Iterable[NameRecord]) -> float:
     Diagnostic only; compares against the normalized romaji with its
     space removed.  Untransliterable hiragana counts as a mismatch.
     """
-    total = matches = 0
+    total = 0
+    matches = 0
     for record in records:
         total += 1
         expected = normalize_romaji(record.romaji).replace(" ", "")
-        matches += _romaji_or_none(record.hiragana) == expected
+        if _romaji_or_none(record.hiragana) == expected:
+            matches += 1
     return matches / total if total else 0.0

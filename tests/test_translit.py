@@ -530,7 +530,10 @@ def test_align_records_equals_record_aligner(synthetic_corpus, fixture_records):
         aligned = align_records(records)
         assert aligned == oracle.aligned
         assert aligned.count(None) == oracle.skipped
-    assert aligned[-2] == AlignedName("佐藤", "健", "さとう", "けん")  # moved off the prior
+    # Moved off the prior cut (佐 / 藤健).
+    assert aligned[-2] == AlignedName(
+        kanji_family="佐藤", kanji_given="健", kana_family="さとう", kana_given="けん"
+    )
 
 
 def test_convert_name_equals_cut_loop(synthetic_corpus, fixture_records):
