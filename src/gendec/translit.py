@@ -98,7 +98,9 @@ def _syllables(kana: str, notes: list[str]) -> Iterator[tuple[int, str]]:
     renders literally and appends a note to ``notes``; a character outside
     the rule table raises UnknownKanaError.
     """
-    last, sokuon, i = "", 0, 0
+    last = ""
+    sokuon = 0
+    i = 0
     while i < len(kana):
         ch = kana[i]
         if ch == _SOKUON:
