@@ -101,7 +101,8 @@ def _syllables(kana: str, notes: list[str]) -> Iterator[tuple[int, str]]:
     last = ""
     sokuon = 0
     i = 0
-    while i < len(kana):
+    n = len(kana)
+    while i < n:
         ch = kana[i]
         if ch == _SOKUON:
             sokuon += 1
@@ -129,13 +130,15 @@ def _syllables(kana: str, notes: list[str]) -> Iterator[tuple[int, str]]:
                         raise UnknownKanaError(f"no romaji rule for {ch!r} at index {i}")
                     notes.append(f"isolated small kana {ch!r} rendered as {syllable!r}")
                 i += 1
-            double = "t" if syllable.startswith("ch") else syllable[0]
-            if sokuon and double in _VOWELS:
-                notes.append("sokuon before a vowel rendered literally")
-                double = "tsu"
-            romaji = double * sokuon + syllable
+            romaji = syllable
+            if sokuon:
+                double = "t" if syllable.startswith("ch") else syllable[0]
+                if double in _VOWELS:
+                    notes.append("sokuon before a vowel rendered literally")
+                    double = "tsu"
+                romaji = double * sokuon + syllable
         sokuon = 0
-        last = romaji[-1:] or last
+        last = romaji[-1:]
         yield i, romaji
     if sokuon:
         notes.append("trailing sokuon rendered literally")
@@ -153,7 +156,7 @@ def kana_to_romaji(kana: str) -> str:
     """
     notes: list[str] = []
     try:
-        return "".join(romaji for _, romaji in _syllables(kana, notes))
+        return "".join([romaji for _, romaji in _syllables(kana, notes)])
     finally:
         for note in notes:
             warnings.warn(note, TransliterationWarning, stacklevel=2)
