@@ -82,7 +82,7 @@ MODEL_KINDS: dict[ModelKind, KindSpec] = {
     ModelKind.RF: KindSpec(
         ForestModel, train_forest,
         {"n_trees": 100, "features_per_split": None, "bootstrap": True,
-         "max_depth": None, "min_samples_leaf": 1, "exhaust_on_miss": True},
+         "max_depth": None, "min_samples_leaf": 1},
         True, forest.forest_vote_counts, count_proba, forest.forest_params,
         forest.forest_from_params,
     ),

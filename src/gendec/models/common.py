@@ -29,16 +29,17 @@ def as_csr(X: MatrixLike) -> CSR:
     Any object with ``indptr``, ``indices``, ``data`` and ``shape`` is read
     as CSR, so scipy matrices work without this package importing scipy; one
     that declares another ``format`` (a CSC also has ``indptr``) is refused,
-    not silently read transposed.  A foreign matrix whose rows store a
-    column twice or out of order is made canonical: each row's columns are
-    sorted and a column's entries summed (in stored order), which is what
-    scipy means by such a matrix and what ``CSR.dot`` computes.  Foreign
-    arrays that do not form a CSR of the given shape raise
-    SparseFormatError.  A package ``CSR`` is returned as it is.
+    not silently read transposed.  A matrix whose rows store a column twice
+    or out of order, a package ``CSR`` included, is made canonical: each
+    row's columns are sorted and a column's entries summed (in stored
+    order), which is what scipy means by such a matrix and what ``CSR.dot``
+    computes.  The trees rely on it: a row has one value per column.
+    Foreign arrays that do not form a CSR of the given shape raise
+    SparseFormatError.
     """
     matrix = X.matrix if isinstance(X, FeatureMatrix) else X
     if isinstance(matrix, CSR):
-        return matrix
+        return _canonical(matrix)
     if (not all(hasattr(matrix, name) for name in _CSR_FIELDS)
             or getattr(matrix, "format", "csr") != "csr"):
         raise SparseFormatError(

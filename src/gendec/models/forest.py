@@ -34,7 +34,6 @@ class ForestModel:
     seed: int
     max_depth: Optional[int]
     min_samples_leaf: int
-    exhaust_on_miss: bool
     n_features: int
 
     @property
@@ -55,14 +54,11 @@ def train_forest(
     seed: int = 42,
     max_depth: Optional[int] = None,
     min_samples_leaf: int = 1,
-    exhaust_on_miss: bool = True,
 ) -> ForestModel:
     """Train ``n_trees`` CART trees on bootstrap samples.
 
     ``features_per_split`` defaults to ceil(sqrt(V)).  When the sampled
-    columns admit no valid split, ``exhaust_on_miss`` widens the search
-    to every column, matching the behavior of the usual library
-    implementations; set it to False for strict subset-only searches.
+    columns admit no valid split, the search widens to every column.
     """
     if n_trees < 1:
         raise ConfigError(f"n_trees must be >= 1, got {n_trees}")
@@ -90,16 +86,8 @@ def train_forest(
                 return np.sort(rng.choice(V, size=features_per_split, replace=False))
         else:
             sampler = None
-        trees.append(
-            _grow_tree(
-                tree_matrix,
-                tree_labels,
-                max_depth,
-                min_samples_leaf,
-                feature_sampler=sampler,
-                exhaust_on_miss=exhaust_on_miss,
-            )
-        )
+        trees.append(_grow_tree(tree_matrix, tree_labels, max_depth, min_samples_leaf,
+                                feature_sampler=sampler))
     return ForestModel(
         trees=trees,
         features_per_split=features_per_split,
@@ -107,7 +95,6 @@ def train_forest(
         seed=seed,
         max_depth=max_depth,
         min_samples_leaf=min_samples_leaf,
-        exhaust_on_miss=exhaust_on_miss,
         n_features=V,
     )
 
@@ -130,7 +117,7 @@ def forest_params(model: ForestModel) -> dict:
         "seed": model.seed,
         "max_depth": model.max_depth,
         "min_samples_leaf": model.min_samples_leaf,
-        "exhaust_on_miss": model.exhaust_on_miss,
+        "exhaust_on_miss": True,  # fixed: older files may hold false; it is ignored
         "tree_streams": list(range(model.n_trees)),
         "trees": [tree_nodes_params(tree) for tree in model.trees],
     }
@@ -147,6 +134,11 @@ def forest_from_params(doc: dict, n_features: int) -> ForestModel:
     if json_count(doc["n_trees"]) != len(trees) or not trees:
         raise ValueError(f"n_trees must be >= 1 and match the {len(trees)} trees given, "
                          f"got {doc['n_trees']}")
+    streams = doc["tree_streams"]
+    if (not isinstance(streams, list)
+            or [json_count(i) for i in streams] != list(range(len(trees)))):
+        raise ValueError(f"tree_streams must be [0, ..., {len(trees) - 1}], got {streams!r}")
+    boolean(doc["exhaust_on_miss"])  # a fixed field: it must be a boolean and is ignored
     return ForestModel(
         trees=trees,
         features_per_split=json_count(doc["features_per_split"]),
@@ -154,6 +146,5 @@ def forest_from_params(doc: dict, n_features: int) -> ForestModel:
         seed=json_count(doc["seed"]),
         max_depth=max_depth,
         min_samples_leaf=min_samples_leaf,
-        exhaust_on_miss=boolean(doc["exhaust_on_miss"]),
         n_features=n_features,
     )

@@ -7,8 +7,10 @@ break toward the lowest column index, then the lowest threshold.
 
 A tree sorts its matrix entries by (column, value) once, at the root.
 Each split partitions the entries stably, so every child keeps that
-order and no node sorts again.  Row ids stay global: a node holds the
-ids of its rows in the training matrix, and labels are read by them.
+order and no node sorts again.  A node on the grower's stack is only its
+entries (with global row ids, by which labels are read) and its two label
+counts: a canonical CSR holds a row at most once per column, so the split
+column's right-going entries are the right child's rows.
 
 In that order a column's entries at a node are one contiguous range, so
 a forest's sampled columns and a split's column are found as
@@ -66,7 +68,6 @@ def _best_split(
     g: np.ndarray,
     n: int,
     nf: int,
-    nm: int,
     min_samples_leaf: int,
     allowed: Optional[np.ndarray],
 ) -> Optional[tuple[int, float]]:
@@ -132,14 +133,14 @@ def _grow_tree(
     max_depth: Optional[int],
     min_samples_leaf: int,
     feature_sampler: Optional[FeatureSampler] = None,
-    exhaust_on_miss: bool = True,
 ) -> TreeModel:
     """Depth-first growth with an explicit stack (trees can be very deep).
 
-    When a feature sampler is given, the split search is restricted to
-    its columns; if none of them yields a valid split and
-    ``exhaust_on_miss`` is set, the search falls back to all columns so
-    impure nodes are not stranded by an unlucky draw.
+    ``matrix`` is canonical (``as_csr``'s output): one entry per (row,
+    column).  When a feature sampler is given, the split search is first
+    restricted to its columns; if none of them yields a valid split, it
+    falls back to all columns so impure nodes are not stranded by an
+    unlucky draw.
     """
     if max_depth is not None and max_depth < 1:
         raise ConfigError(f"max_depth must be >= 1, got {max_depth}")
@@ -162,70 +163,63 @@ def _grow_tree(
     count_f: list[int] = []
     count_m: list[int] = []
 
-    def new_node(rows: np.ndarray) -> int:
-        nf = int(np.count_nonzero(labels[rows] == 0))
+    def new_node(n_rows: int, n_female: int) -> int:
         feature.append(-1)
         threshold.append(0.0)
         left.append(-1)
         right.append(-1)
-        count_f.append(nf)
-        count_m.append(rows.size - nf)
+        count_f.append(n_female)
+        count_m.append(n_rows - n_female)
         return len(feature) - 1
 
-    all_rows = np.arange(matrix.shape[0])
     # Scratch marks of one node's right rows, cleared after each split.
-    goes_right = np.zeros(all_rows.size, dtype=bool)
-    # Stack entries: (node id, depth, row ids, entry rows/cols/vals); row ids
-    # index ``labels`` and the matrix for every node.
-    stack = [(new_node(all_rows), 0, all_rows, er, ec, ev)]
+    goes_right = np.zeros(labels.size, dtype=bool)
+    # Stack entries: (node id, depth, entry rows/cols/vals); entry rows are
+    # global row ids and index ``labels`` at every node.
+    stack = [(new_node(labels.size, int(np.count_nonzero(labels == 0))), 0, er, ec, ev)]
     while stack:
-        node, depth, rows, ner, nec, nev = stack.pop()
+        node, depth, ner, nec, nev = stack.pop()
         nf = count_f[node]
-        nm = count_m[node]
+        n = nf + count_m[node]
         if (
             nf == 0
-            or nm == 0
+            or nf == n
             or (max_depth is not None and depth >= max_depth)
-            or rows.size < 2 * min_samples_leaf
+            or n < 2 * min_samples_leaf
         ):
             continue
         eg = labels[ner]
         split = None
         if feature_sampler is not None:
-            split = _best_split(
-                nec, nev, eg, rows.size, nf, nm, min_samples_leaf, feature_sampler()
-            )
-            if split is None and not exhaust_on_miss:
-                continue
+            split = _best_split(nec, nev, eg, n, nf, min_samples_leaf, feature_sampler())
         if split is None:
-            split = _best_split(nec, nev, eg, rows.size, nf, nm, min_samples_leaf, None)
+            split = _best_split(nec, nev, eg, n, nf, min_samples_leaf, None)
         if split is None:
             continue
         col, thr = split
 
-        # The split column's entries are one range of ``nec``.
+        # The split column's entries are one range of ``nec``, with each of
+        # the node's rows at most once: ``marked`` is the right child's rows.
         lo = nec.searchsorted(col)
         hi = nec.searchsorted(col, side="right")
         marked = ner[lo:hi][nev[lo:hi] > thr]
+        if marked.size == 0 or marked.size == n:
+            continue  # degenerate midpoint rounding; keep the node a leaf
         goes_right[marked] = True
-        side = goes_right[rows]
         entry_side = goes_right[ner]
         goes_right[marked] = False
-        n_right = int(np.count_nonzero(side))
-        if n_right == 0 or n_right == rows.size:
-            continue  # degenerate midpoint rounding; keep the node a leaf
 
-        left_rows, right_rows = rows[~side], rows[side]
+        nf_right = int(np.count_nonzero(labels[marked] == 0))
         feature[node] = col
         threshold[node] = thr
-        left[node] = left_id = new_node(left_rows)
-        right[node] = right_id = new_node(right_rows)
+        left[node] = left_id = new_node(n - marked.size, nf - nf_right)
+        right[node] = right_id = new_node(marked.size, nf_right)
         # Push right first so the left child is processed (and draws any
         # sampled features) first: deterministic depth-first, left-first.
-        stack.append((right_id, depth + 1, right_rows, ner[entry_side],
-                      nec[entry_side], nev[entry_side]))
-        stack.append((left_id, depth + 1, left_rows, ner[~entry_side],
-                      nec[~entry_side], nev[~entry_side]))
+        stack.append((right_id, depth + 1, ner[entry_side], nec[entry_side],
+                      nev[entry_side]))
+        stack.append((left_id, depth + 1, ner[~entry_side], nec[~entry_side],
+                      nev[~entry_side]))
 
     return TreeModel(
         feature=np.asarray(feature, dtype=np.int32),

@@ -223,14 +223,15 @@ def align_records(records: Sequence[NameRecord]) -> list[Optional[AlignedName]]:
     record, so it is bootstrapped: records are first split with the
     length prior, then re-split to agree with the (kanji part, reading)
     pairs that the prior pass saw most often.  A record whose hiragana
-    does not align, or whose kanji has fewer than two characters, is None.
+    does not align, whose given kana does not transliterate, or whose
+    kanji has fewer than two characters, is None.
     """
     splits: list[Optional[tuple[str, str, str, int]]] = []
     for record in records:
         kanji, hiragana = record.kanji, record.hiragana
         family_token = normalize_romaji(record.romaji).split(" ")[0]
         cut = kana_boundary(hiragana, family_token)
-        if cut is None or len(kanji) < 2:
+        if cut is None or len(kanji) < 2 or not _romaji_or_none(hiragana[cut:]):
             splits.append(None)
             continue
         splits.append((kanji, hiragana[:cut], hiragana[cut:], _prior_cut(kanji)))
@@ -295,7 +296,11 @@ class ReadingDictionary:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ReadingDictionary":
-        """Dictionary from its JSON document; a malformed one raises SchemaError."""
+        """Dictionary from its JSON document; a malformed one raises SchemaError.
+
+        Every reading must transliterate to non-empty romaji, so converting
+        a part the dictionary holds never fails.
+        """
         version = doc.get("schema_version") if isinstance(doc, dict) else None
         if version != cls.SCHEMA_VERSION:
             raise SchemaError(
@@ -315,6 +320,10 @@ class ReadingDictionary:
                     raise ValueError(
                         f"{role} readings of {kanji!r} must be a non-empty list of distinct "
                         f"readings, counts at least 1, by count descending, then reading")
+                for reading, _ in readings:
+                    if not _romaji_or_none(reading):
+                        raise ValueError(f"{role} reading {reading!r} of {kanji!r} does "
+                                         "not transliterate to romaji")
             return table
 
         try:

@@ -29,6 +29,16 @@ REFERENCE_ROWS = [
 ]
 
 
+# Two records whose given kana (katakana カズ) the transducer cannot read,
+# beside two it can: only the readable pair may enter a reading dictionary.
+UNREADABLE_GIVEN_RECORDS = [
+    NameRecord("Tamai Kazuyoshi", "玉井和善", "たまいかずよし", Gender.MALE),
+    NameRecord("Iwama Tomoko", "岩間智子", "いわまともこ", Gender.FEMALE),
+    NameRecord("Tamai Kazu", "玉井和", "たまいカズ", Gender.MALE),
+    NameRecord("Iwama Kazu", "岩間和", "いわまカズ", Gender.FEMALE),
+]
+
+
 def to_scipy(matrix) -> sp.csr_matrix:
     """A gendec CSR as a scipy.sparse.csr_matrix over the same arrays."""
     return sp.csr_matrix((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)

@@ -9,7 +9,9 @@ from gendec.corpus import write_raw_csv
 from gendec.errors import NonFiniteError, SchemaError, SingleClassWarning
 from gendec.model_io import load_model, save_model
 from gendec.name_core import read_corpus_csv, write_corpus_csv
-from tests.conftest import MALFORMED_CONFIG_VALUES, make_raw_inventories
+from tests.conftest import (
+    MALFORMED_CONFIG_VALUES, UNREADABLE_GIVEN_RECORDS, make_raw_inventories,
+)
 
 # JSON nested deeper than the parser's recursion limit.
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
@@ -203,6 +205,18 @@ class TestTrainEvaluatePredict:
         ])
         assert result.exit_code == 0, result.output
 
+    def test_converted_variant_skips_unreadable_given_kana(self, runner, tmp_path):
+        train_csv = tmp_path / "train.csv"
+        write_corpus_csv(train_csv, UNREADABLE_GIVEN_RECORDS)
+        model_path = tmp_path / "conv.json"
+        result = runner.invoke(main, [
+            "train", "--model", "nb", "--features", "count", "--variant", "converted",
+            "--train", str(train_csv), "--out", str(model_path),
+        ])
+        assert result.exit_code == 0, result.output
+        given = json.loads(model_path.read_text())["reading_dictionary"]["given"]
+        assert given == {"和善": [["かずよし", 1]], "智子": [["ともこ", 1]]}
+
     def test_empty_test_csv_exits_2(self, runner, split_files, tmp_path):
         train_csv, _val, _test = split_files
         model_path = tmp_path / "m.json"
@@ -378,7 +392,9 @@ class TestCorruptModelFiles:
                               for case in TREE_CASES),
                             "bootstrap-string", "seed-string", "fractional-leaf",
                             "n-trees-mismatch", "unknown-key", "misspelled-parameter",
-                            "duplicate-token", "integer-token", "swapped-tokens"])
+                            "duplicate-token", "integer-token", "swapped-tokens",
+                            "streams-string", "streams-wrong", "streams-null",
+                            "exhaust-string"])
     def corrupt_model(self, request, runner, split_files, tmp_path):
         kind = "dt" if request.param.startswith("dt-") else "rf"
         model_path = _train_tfidf(runner, split_files[0], tmp_path / f"{kind}.json", kind)
@@ -425,6 +441,14 @@ class TestCorruptModelFiles:
             doc["bogus"] = 1
         elif case == "misspelled-parameter":
             params["n_treez"] = 9
+        elif case == "streams-string":
+            params["tree_streams"] = "garbage"
+        elif case == "streams-wrong":
+            params["tree_streams"] = [5, 9]
+        elif case == "streams-null":
+            params["tree_streams"] = None
+        elif case == "exhaust-string":
+            params["exhaust_on_miss"] = "true"
         elif case == "duplicate-token":
             doc["vocabulary"]["tokens"][1] = doc["vocabulary"]["tokens"][0]
         elif case == "integer-token":
@@ -455,8 +479,24 @@ class TestCorruptModelFiles:
         assert result.output.startswith("error:")
         assert not report.exists()
 
-    @pytest.mark.parametrize("readings", [[["zzz", -5]], [], [["a", 1], ["b", 2]]],
-                             ids=["negative-count", "empty", "out-of-order"])
+    def test_forest_file_with_exhaust_on_miss_false_predicts(self, runner, model_path):
+        # The forest always widens a sampled search now; a file written with
+        # the old knob off still loads, and the field is ignored.
+        args = ["predict", "--model-file", str(model_path), "--name", "Tanaka Satoko"]
+        expected = runner.invoke(main, args)
+        assert expected.exit_code == 0, expected.output
+        doc = json.loads(model_path.read_text())
+        assert doc["parameters"]["exhaust_on_miss"] is True
+        doc["parameters"]["exhaust_on_miss"] = False
+        model_path.write_text(json.dumps(doc), encoding="utf-8")
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert result.output == expected.output
+
+    @pytest.mark.parametrize("readings", [[["zzz", -5]], [], [["a", 1], ["b", 2]],
+                                          [["zzz", 1]], [["ー", 1]]],
+                             ids=["negative-count", "empty", "out-of-order",
+                                  "not-kana", "no-romaji"])
     def test_converted_model_with_bad_readings_exits_2(self, runner, split_files, tmp_path,
                                                        readings):
         path = tmp_path / "conv.json"
@@ -744,6 +784,8 @@ class TestGrid:
         pytest.param({"seed": 1.5}, id="fractional-seed"),
         pytest.param({"seed": "42"}, id="string-seed"),
         pytest.param({"seed": True}, id="bool-seed"),
+        pytest.param({"hyperparameters": {"rf": {"exhaust_on_miss": True}}},
+                     id="removed-rf-knob"),
         pytest.param({"tokenizer": {"mode": "char_ngram", "ngram_min": 1.5, "ngram_max": 2}},
                      id="fractional-ngram"),
         *MALFORMED_CONFIG_VALUES,
@@ -807,6 +849,9 @@ class TestBadFiles:
             "dict_deep": DEEP_JSON.encode(),
             "dict_negative_count": '{"schema_version": 1, "family": {}, '
                                    '"given": {"子": [["zzz", -5]]}}'.encode(),
+            # No training record uses 龘, so only the load check can refuse it.
+            "dict_not_kana": '{"schema_version": 1, "family": {}, '
+                             '"given": {"龘": [["zzz", 1]]}}'.encode(),
         }
         for name, data in contents.items():
             paths[name] = tmp_path / f"{name}.bin"
@@ -837,10 +882,11 @@ class TestBadFiles:
         [*_DICT, "{dict_deep}"],
         ["predict", "--model-file", "{model}", "--batch", "{bad_batch}"],
         [*_DICT, "{dict_negative_count}"],
+        [*_DICT, "{dict_not_kana}"],
     ], ids=["split-corpus-not-utf8", "train-corpus-not-utf8", "evaluate-test-not-utf8",
             "grid-train-not-utf8", "build-dataset-raw-not-utf8", "dict-not-json",
             "dict-list", "dict-no-family", "dict-nested-deep", "predict-batch-not-utf8",
-            "dict-negative-count"])
+            "dict-negative-count", "dict-not-kana"])
     def test_exits_2(self, runner, files, args):
         result = runner.invoke(main, [arg.format(**files) for arg in args])
         assert result.exit_code == 2

@@ -36,7 +36,7 @@ from gendec.vectorize import (
     fit_vocabulary,
     transform,
 )
-from tests.conftest import MALFORMED_CONFIG_VALUES
+from tests.conftest import MALFORMED_CONFIG_VALUES, UNREADABLE_GIVEN_RECORDS
 
 F, M = Gender.FEMALE, Gender.MALE
 
@@ -167,6 +167,14 @@ class TestRunCells:
                       report.accuracy):
             assert 0.0 <= value <= 1.0
         assert report.confusion.total == len(test)
+
+    def test_unreadable_given_kana_leaves_converted_cells_whole(self):
+        # The two katakana given readings are skipped when the dictionary is
+        # built, instead of entering it and failing every converted cell.
+        cells = [Cell(ModelKind.NB, weighting, InputVariant.CONVERTED, NamePart.FULL)
+                 for weighting in Weighting]
+        results = run_cells(cells, UNREADABLE_GIVEN_RECORDS, UNREADABLE_GIVEN_RECORDS)
+        assert [r.error for r in results] == [None, None]
 
     def test_results_ordered_by_cell_key(self, splits):
         train, test = splits

@@ -28,6 +28,7 @@ from gendec.translit import (
     kana_to_romaji,
     kanji_to_romaji,
 )
+from tests.conftest import UNREADABLE_GIVEN_RECORDS
 
 # Hand-checked Hepburn pairs: plain syllables, voiced rows, digraphs,
 # sokuon (incl. tch), syllabic n, spelled-out long vowels, and the
@@ -171,12 +172,26 @@ class TestReadingDictionary:
     @pytest.mark.parametrize("readings", [
         [["zzz", -5]], [["zzz", 0]], [], [["あい", 1], ["まな", 3]],
         [["まな", 2], ["あい", 2]], [["あい", 2], ["あい", 1]],
+        [["zzz", 1]], [["ー", 1]], [["あい", 2], ["カズ", 1]],
     ], ids=["negative-count", "zero-count", "empty", "count-ascending",
-            "reading-descending", "repeated-reading"])
+            "reading-descending", "repeated-reading", "not-kana", "no-romaji",
+            "katakana-runner-up"])
     def test_load_refuses_non_canonical_readings(self, readings):
         doc = {"schema_version": 1, "family": {}, "given": {"愛": readings}}
         with pytest.raises(SchemaError, match="malformed reading dictionary"):
             ReadingDictionary.from_json_dict(doc)
+
+    def test_load_refuses_unreadable_family_reading(self):
+        doc = {"schema_version": 1, "family": {"玉井": [["タマイ", 1]]}, "given": {}}
+        with pytest.raises(SchemaError, match="does not transliterate"):
+            ReadingDictionary.from_json_dict(doc)
+
+    def test_skips_records_with_unreadable_given_kana(self):
+        dictionary, skipped = build_reading_dictionary(UNREADABLE_GIVEN_RECORDS)
+        assert skipped == 2
+        assert dictionary.family == {"玉井": (("たまい", 1),), "岩間": (("いわま", 1),)}
+        assert dictionary.given == {"和善": (("かずよし", 1),), "智子": (("ともこ", 1),)}
+        assert ReadingDictionary.from_json_dict(dictionary.to_json_dict()) == dictionary
 
     def test_skips_unalignable_records(self):
         # Romaji family token does not match any hiragana prefix.

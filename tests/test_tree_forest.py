@@ -113,6 +113,17 @@ class TestTree:
         assert model.threshold[0] == pytest.approx(0.55)
         assert predict(model, X) == [M, F, M]
 
+    def test_package_csr_duplicate_entries_are_summed(self):
+        # The grower counts a child's rows by its split column's entries, so
+        # a package CSR storing a column twice in a row is summed as well.
+        X = CSR(np.array([0, 2, 3, 4]), np.array([0, 0, 0, 0]),
+                np.array([0.6, 0.6, 0.1, 0.0]), (3, 1))
+        model = train_tree(X, [F, M, M])
+        assert model.n_nodes == 3
+        assert model.threshold[0] == pytest.approx(0.65)
+        assert model.count_female.tolist() == [1, 0, 1]
+        assert predict(model, X) == [F, M, M]
+
     def test_proba_is_leaf_frequency(self):
         X = sp.csr_matrix(np.array([[1.0], [1.0], [1.0]]))
         model = train_tree(X, [M, M, F])  # unsplittable: one leaf, counts 1F/2M
@@ -128,7 +139,7 @@ class TestBestSplit:
             np.array([0, 0, 1, 1]),
             np.array([1.0, 2.0, 1.0, 2.0]),
             np.array([0, 1, 0, 1], dtype=np.int8),
-            2, 1, 1, 1, None,
+            2, 1, 1, None,
         )
         col, thr = split
         assert col == 0
@@ -139,14 +150,14 @@ class TestBestSplit:
             np.array([0], dtype=np.int64),
             np.array([2.0]),
             np.array([1], dtype=np.int8),
-            3, 2, 1, 1, None,
+            3, 2, 1, None,
         )
         assert split == (0, 1.0)
 
     def test_no_candidates_returns_none(self):
         assert _best_split(
             np.array([], dtype=np.int64), np.array([]),
-            np.array([], dtype=np.int8), 2, 1, 1, 1, None,
+            np.array([], dtype=np.int8), 2, 1, 1, None,
         ) is None
 
 
@@ -205,7 +216,7 @@ class TestForest:
         forest = ForestModel(
             trees=[leaf(0, 1), leaf(0, 1), leaf(1, 0)],
             features_per_split=1, bootstrap=True, seed=0,
-            max_depth=None, min_samples_leaf=1, exhaust_on_miss=True, n_features=2,
+            max_depth=None, min_samples_leaf=1, n_features=2,
         )
         X = sp.csr_matrix((2, 2))
         assert predict(forest, X) == [M, M]
@@ -558,8 +569,7 @@ def grow_cases(draw):
         X = CSR(X.indptr, X.indices, X.data, X.shape)
     labels = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
                       dtype=np.int8)
-    sampler = draw(st.none() | st.tuples(st.integers(1, V), st.integers(0, 2 ** 32 - 1),
-                                         st.booleans()))
+    sampler = draw(st.none() | st.tuples(st.integers(1, V), st.integers(0, 2 ** 32 - 1)))
     return (as_csr(X), labels, draw(st.none() | st.integers(1, 5)),
             draw(st.integers(1, 3)), sampler)
 
@@ -577,14 +587,40 @@ def test_presorted_grower_equals_per_node_sort(case):
     for grow in (_grow_tree, per_node_sort_grow_tree):
         options = {}
         if sampler is not None:
-            features, seed, exhaust_on_miss = sampler
-            options = {"feature_sampler": _sampler(matrix.shape[1], features, seed),
-                       "exhaust_on_miss": exhaust_on_miss}
+            features, seed = sampler
+            options = {"feature_sampler": _sampler(matrix.shape[1], features, seed)}
         trees.append(grow(matrix, labels, max_depth, min_samples_leaf, **options))
     new, old = trees
     for name in ("feature", "threshold", "left", "right", "count_female", "count_male"):
         assert np.array_equal(getattr(new, name), getattr(old, name)), name
         assert getattr(new, name).dtype == getattr(old, name).dtype, name
+
+
+def _depth(tree: TreeModel) -> int:
+    depth = np.zeros(tree.n_nodes, dtype=np.int64)
+    for node in np.flatnonzero(tree.feature >= 0):  # parents come before children
+        depth[tree.left[node]] = depth[tree.right[node]] = depth[node] + 1
+    return int(depth.max())
+
+
+@pytest.mark.parametrize("sampler", [None, (20, 7)], ids=["all-columns", "sampled"])
+def test_chain_tree_equals_per_node_sort(sampler):
+    # Each row holds its own token, so every split peels one row off, and
+    # alternating labels keep the remaining node impure: a chain, like the
+    # deep word-token trees, far deeper than the property's trees.
+    n = 500
+    matrix = CSR(np.arange(n + 1), np.arange(n), 1.0 + np.arange(n) % 3, (n, n))
+    labels = (np.arange(n) % 2).astype(np.int8)
+    trees = []
+    for grow in (_grow_tree, per_node_sort_grow_tree):
+        options = {}
+        if sampler is not None:
+            options = {"feature_sampler": _sampler(n, *sampler)}
+        trees.append(grow(matrix, labels, None, 1, **options))
+    new, old = trees
+    assert _depth(new) >= 200
+    for name in ("feature", "threshold", "left", "right", "count_female", "count_male"):
+        assert np.array_equal(getattr(new, name), getattr(old, name)), name
 
 
 @st.composite
@@ -619,4 +655,6 @@ def split_cases(draw):
 @settings(max_examples=500, deadline=None)
 @given(case=split_cases())
 def test_column_range_split_equals_per_node_sort(case):
-    assert _best_split(*case) == per_node_sort_best_split(*case)
+    c, v, g, n, nf, _nm, min_samples_leaf, allowed = case
+    assert (_best_split(c, v, g, n, nf, min_samples_leaf, allowed)
+            == per_node_sort_best_split(*case))
