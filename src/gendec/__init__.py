@@ -70,7 +70,6 @@ from .translit import (
     convert_name,
     kana_consistency_rate,
     kana_to_romaji,
-    kanji_to_romaji,
 )
 from .vectorize import (
     FeatureMatrix,

@@ -32,7 +32,7 @@ from .corpus import (
     write_char_csv,
     write_homonym_csv,
 )
-from .errors import GendecError, NonFiniteError
+from .errors import ConfigError, GendecError, NonFiniteError
 from .evaluate import (
     CellResult,
     ExperimentGrid,
@@ -218,6 +218,8 @@ def cmd_train(model_kind, features, part, variant, train_path, out, seed, tokeni
     overrides = {name: value for name, value in flags.items()
                  if value is not None and name in MODEL_KINDS[kind].defaults}
     check_hyperparameters({kind.value: overrides})
+    if dict_path and variant != InputVariant.CONVERTED.value:
+        raise ConfigError("--dict applies only to --variant converted")
     records = read_corpus_csv(train_path)
     if not records:
         raise GendecError(f"{train_path}: training CSV has no rows")

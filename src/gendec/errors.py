@@ -25,10 +25,6 @@ class UnknownKanaError(GendecError):
     """A character outside the kana rule table was passed to the transliterator."""
 
 
-class UnknownKanjiError(GendecError):
-    """A kanji name part is absent from the reading dictionary."""
-
-
 class EmptyInputError(GendecError):
     """An operation that requires at least one element received none."""
 

@@ -99,12 +99,15 @@ class ModelFile:
                 tokenizer=TokenizerConfig.from_json_dict(doc["tokenizer"]),
                 idf=None if idf_doc is None else vector(idf_doc, np.float64, len(tokens)),
             )
+            weighting = Weighting(doc["weighting"])
+            if weighting is Weighting.TFIDF and idf_doc is None:
+                raise ValueError("a tfidf model file's vocabulary must carry idf weights")
             kind = ModelKind(doc["model_kind"])
             reading = doc.get("reading_dictionary")
             return cls(
                 model=MODEL_KINDS[kind].from_params(doc["parameters"], len(tokens)),
                 kind=kind,
-                weighting=Weighting(doc["weighting"]),
+                weighting=weighting,
                 part=NamePart(doc["part"]),
                 variant=InputVariant(doc["variant"]),
                 vocabulary=vocabulary,

@@ -21,15 +21,11 @@ from __future__ import annotations
 import warnings
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .errors import (
-    SchemaError,
-    TransliterationWarning,
-    UnknownKanaError,
-    UnknownKanjiError,
-)
+from .errors import SchemaError, TransliterationWarning, UnknownKanaError
 from .name_core import (
     NameRecord, NameRole, check_keys, normalize_romaji, read_json, write_json,
 )
@@ -274,18 +270,16 @@ class ReadingDictionary:
     def table(self, role: NameRole) -> dict[str, tuple[tuple[str, int], ...]]:
         return self.family if role is NameRole.FAMILY else self.given
 
-    def best_reading(self, kanji_part: str, role: NameRole) -> str:
-        readings = self.table(role).get(kanji_part)
-        if not readings:
-            raise UnknownKanjiError(
-                f"no {role.value} reading recorded for {kanji_part!r}"
-            )
-        return readings[0][0]
-
-    def part_weight(self, kanji_part: str, role: NameRole) -> int:
-        """Total observation count for a part, 0 when absent."""
-        readings = self.table(role).get(kanji_part)
-        return sum(count for _, count in readings) if readings else 0
+    @cached_property
+    def parts(self) -> dict[NameRole, dict[str, tuple[int, str]]]:
+        """Per role, each part's total count and the romaji of its canonical
+        reading, transliterated once per dictionary on first use, so the
+        tables must not change after it.  A part with no readings is left
+        out."""
+        return {role: {part: (sum(count for _, count in readings),
+                              kana_to_romaji(readings[0][0]))
+                       for part, readings in self.table(role).items() if readings}
+                for role in NameRole}
 
     def to_json_dict(self) -> dict:
         return {
@@ -365,13 +359,6 @@ def build_reading_dictionary(records: Sequence[NameRecord]) -> tuple[ReadingDict
     return dictionary, aligned_records.count(None)
 
 
-def kanji_to_romaji(
-    kanji_part: str, role: NameRole, reading_dict: ReadingDictionary
-) -> str:
-    """Romaji of a kanji part via its most frequent recorded reading."""
-    return kana_to_romaji(reading_dict.best_reading(kanji_part, role))
-
-
 @dataclass(frozen=True)
 class ConvertedName:
     """Converted romaji for one record with per-part fallback flags."""
@@ -395,21 +382,21 @@ def convert_name(record: NameRecord, reading_dict: ReadingDictionary) -> Convert
     kanji = record.kanji
     if len(kanji) < 2:
         return ConvertedName(family_token, given_token, True, True)
+    family_parts = reading_dict.parts[NameRole.FAMILY]
+    given_parts = reading_dict.parts[NameRole.GIVEN]
     best_cut, score = _best_cut(kanji, lambda cut: (
-        reading_dict.part_weight(kanji[:cut], NameRole.FAMILY)
-        + reading_dict.part_weight(kanji[cut:], NameRole.GIVEN)))
+        family_parts.get(kanji[:cut], (0, None))[0]
+        + given_parts.get(kanji[cut:], (0, None))[0]))
     if score <= 0:
         return ConvertedName(family_token, given_token, True, True)
-
-    def convert_part(part: str, role: NameRole, fallback: str) -> tuple[str, bool]:
-        try:
-            return kanji_to_romaji(part, role, reading_dict), False
-        except UnknownKanjiError:
-            return fallback, True
-
-    family, family_fb = convert_part(kanji[:best_cut], NameRole.FAMILY, family_token)
-    given, given_fb = convert_part(kanji[best_cut:], NameRole.GIVEN, given_token)
-    return ConvertedName(family, given, family_fb, given_fb)
+    _, family = family_parts.get(kanji[:best_cut], (0, None))
+    _, given = given_parts.get(kanji[best_cut:], (0, None))
+    return ConvertedName(
+        family_token if family is None else family,
+        given_token if given is None else given,
+        family is None,
+        given is None,
+    )
 
 
 def kana_consistency_rate(records: Iterable[NameRecord]) -> float:

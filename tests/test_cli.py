@@ -394,7 +394,7 @@ class TestCorruptModelFiles:
                             "n-trees-mismatch", "unknown-key", "misspelled-parameter",
                             "duplicate-token", "integer-token", "swapped-tokens",
                             "streams-string", "streams-wrong", "streams-null",
-                            "exhaust-string"])
+                            "exhaust-string", "tfidf-without-idf"])
     def corrupt_model(self, request, runner, split_files, tmp_path):
         kind = "dt" if request.param.startswith("dt-") else "rf"
         model_path = _train_tfidf(runner, split_files[0], tmp_path / f"{kind}.json", kind)
@@ -449,6 +449,8 @@ class TestCorruptModelFiles:
             params["tree_streams"] = None
         elif case == "exhaust-string":
             params["exhaust_on_miss"] = "true"
+        elif case == "tfidf-without-idf":
+            doc["vocabulary"]["idf"] = None
         elif case == "duplicate-token":
             doc["vocabulary"]["tokens"][1] = doc["vocabulary"]["tokens"][0]
         elif case == "integer-token":
@@ -461,12 +463,18 @@ class TestCorruptModelFiles:
         model_path.write_text(json.dumps(doc), encoding="utf-8")
         return model_path
 
+    @staticmethod
+    def _names_model_file(output, path):
+        """The error is about the file: it names the path or the model file."""
+        return str(path) in output or "model file" in output
+
     def test_predict_exits_2(self, runner, corrupt_model):
         result = runner.invoke(main, ["predict", "--model-file", str(corrupt_model),
                                       "--name", "Tanaka Satoko"])
         assert result.exit_code == 2
         assert _no_traceback(result)
         assert result.output.startswith("error:")
+        assert self._names_model_file(result.output, corrupt_model)
 
     def test_evaluate_exits_2(self, runner, corrupt_model, split_files, tmp_path):
         report = tmp_path / "r.json"
@@ -477,6 +485,7 @@ class TestCorruptModelFiles:
         assert result.exit_code == 2
         assert _no_traceback(result)
         assert result.output.startswith("error:")
+        assert self._names_model_file(result.output, corrupt_model)
         assert not report.exists()
 
     def test_forest_file_with_exhaust_on_miss_false_predicts(self, runner, model_path):
@@ -733,6 +742,34 @@ class TestGrid:
         payload = json.loads((tmp_path / "r.json").read_text())
         assert len(payload) == 12
 
+    def test_converted_cells_match_train_and_evaluate(self, runner, split_files, tmp_path):
+        """A converted cell's grid report is the report that ``train`` and
+        ``evaluate`` write for the same cell, seed and hyperparameters."""
+        train_csv, _val, test_csv = split_files
+        cells = [("rf", "tfidf", "first", ["--n-trees", "3"]),
+                 ("nb", "count", "full", []),
+                 ("svm", "tfidf", "last", ["--epochs", "3"])]
+        result = self._grid(runner, tmp_path, {
+            "train": str(train_csv), "test": str(test_csv), "seed": 5,
+            "cells": [{"model": model, "features": features, "variant": "converted",
+                       "part": part} for model, features, part, _ in cells],
+            "hyperparameters": {"rf": {"n_trees": 3}, "svm": {"epochs": 3}},
+        })
+        assert result.exit_code == 0, result.output
+        grid_reports = {report["model"]: report
+                        for report in json.loads((tmp_path / "r.json").read_text())}
+        for model, features, part, flags in cells:
+            model_path = tmp_path / f"{model}.json"
+            report_path = tmp_path / f"{model}-report.json"
+            for args in (["train", "--model", model, "--features", features,
+                          "--variant", "converted", "--part", part, *flags, "--seed", "5",
+                          "--train", str(train_csv), "--out", str(model_path)],
+                         ["evaluate", "--model-file", str(model_path),
+                          "--test", str(test_csv), "--report", str(report_path)]):
+                result = runner.invoke(main, args)
+                assert result.exit_code == 0, result.output
+            assert json.loads(report_path.read_text()) == grid_reports[model]
+
     def test_grid_missing_paths_exit_2(self, runner, tmp_path):
         config_path = tmp_path / "grid.json"
         config_path.write_text(json.dumps({"train": "missing.csv",
@@ -883,10 +920,13 @@ class TestBadFiles:
         ["predict", "--model-file", "{model}", "--batch", "{bad_batch}"],
         [*_DICT, "{dict_negative_count}"],
         [*_DICT, "{dict_not_kana}"],
+        # --dict is read only for --variant converted, so any other variant
+        # refuses it before reading it.
+        [*_TRAIN, "--train", "{train}", "--dict", "{dict_not_json}"],
     ], ids=["split-corpus-not-utf8", "train-corpus-not-utf8", "evaluate-test-not-utf8",
             "grid-train-not-utf8", "build-dataset-raw-not-utf8", "dict-not-json",
             "dict-list", "dict-no-family", "dict-nested-deep", "predict-batch-not-utf8",
-            "dict-negative-count", "dict-not-kana"])
+            "dict-negative-count", "dict-not-kana", "dict-without-converted"])
     def test_exits_2(self, runner, files, args):
         result = runner.invoke(main, [arg.format(**files) for arg in args])
         assert result.exit_code == 2

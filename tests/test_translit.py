@@ -6,10 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gendec.errors import (
-    SchemaError, TransliterationWarning, UnknownKanaError, UnknownKanjiError,
+from gendec import translit
+from gendec.corpus import SplitRatios, split_dataset
+from gendec.errors import SchemaError, TransliterationWarning, UnknownKanaError
+from gendec.evaluate import extract_texts
+from gendec.name_core import (
+    Gender, InputVariant, NamePart, NameRecord, NameRole, normalize_romaji,
 )
-from gendec.name_core import Gender, NameRecord, NameRole, normalize_romaji
 from gendec.translit import (
     _BASE,
     _DIGRAPHS,
@@ -26,7 +29,6 @@ from gendec.translit import (
     kana_boundary,
     kana_consistency_rate,
     kana_to_romaji,
-    kanji_to_romaji,
 )
 from tests.conftest import UNREADABLE_GIVEN_RECORDS
 
@@ -137,23 +139,22 @@ class TestReadingDictionary:
 
     def test_lookup(self, reference_records):
         dictionary, _ = build_reading_dictionary(reference_records)
-        assert kanji_to_romaji("玉井", NameRole.FAMILY, dictionary) == "tamai"
-        assert kanji_to_romaji("国重", NameRole.GIVEN, dictionary) == "kunishige"
-        assert kanji_to_romaji("邦重", NameRole.GIVEN, dictionary) == "kunishige"
+        assert dictionary.parts[NameRole.FAMILY]["玉井"] == (1, "tamai")
+        assert dictionary.parts[NameRole.GIVEN]["国重"] == (1, "kunishige")
+        assert dictionary.parts[NameRole.GIVEN]["邦重"] == (1, "kunishige")
 
     def test_unknown_kanji(self):
         empty = ReadingDictionary(family={}, given={})
-        with pytest.raises(UnknownKanjiError):
-            kanji_to_romaji("存在", NameRole.GIVEN, empty)
+        assert empty.parts == {NameRole.FAMILY: {}, NameRole.GIVEN: {}}
 
     def test_highest_count_wins_then_lexicographic(self):
         dictionary = ReadingDictionary(
             family={},
             given={"愛": (("あい", 3), ("まな", 1)), "光": (("こう", 2), ("ひかり", 2))},
         )
-        assert dictionary.best_reading("愛", NameRole.GIVEN) == "あい"
+        assert dictionary.parts[NameRole.GIVEN]["愛"] == (4, "ai")
         # Equal counts: lexicographically smallest reading.
-        assert dictionary.best_reading("光", NameRole.GIVEN) == "こう"
+        assert dictionary.parts[NameRole.GIVEN]["光"] == (4, "kou")
 
     def test_order_independence(self, fixture_records):
         forward, _ = build_reading_dictionary(fixture_records)
@@ -443,6 +444,40 @@ class RecordAligner:
             )
 
 
+# --- oracle: per-record conversion before the part table ---
+#
+# Kept verbatim from the ``ReadingDictionary`` methods and helpers that
+# ``ReadingDictionary.parts`` replaced (the methods now take the dictionary
+# as their first argument); the old conversion re-summed counts and
+# transliterated the canonical reading for every record.
+
+
+class UnknownKanjiError(Exception):
+    """A kanji name part is absent from the reading dictionary."""
+
+
+def best_reading(reading_dict: ReadingDictionary, kanji_part: str, role: NameRole) -> str:
+    readings = reading_dict.table(role).get(kanji_part)
+    if not readings:
+        raise UnknownKanjiError(
+            f"no {role.value} reading recorded for {kanji_part!r}"
+        )
+    return readings[0][0]
+
+
+def part_weight(reading_dict: ReadingDictionary, kanji_part: str, role: NameRole) -> int:
+    """Total observation count for a part, 0 when absent."""
+    readings = reading_dict.table(role).get(kanji_part)
+    return sum(count for _, count in readings) if readings else 0
+
+
+def kanji_to_romaji(
+    kanji_part: str, role: NameRole, reading_dict: ReadingDictionary
+) -> str:
+    """Romaji of a kanji part via its most frequent recorded reading."""
+    return kana_to_romaji(best_reading(reading_dict, kanji_part, role))
+
+
 def loop_convert_name(record: NameRecord, reading_dict: ReadingDictionary) -> ConvertedName:
     """Convert a record's kanji to romaji using only the dictionary.
 
@@ -459,9 +494,9 @@ def loop_convert_name(record: NameRecord, reading_dict: ReadingDictionary) -> Co
     prior = _prior_kanji_boundary(len(kanji))
     best_cut, best_score = None, 0
     for cut in range(1, len(kanji)):
-        score = reading_dict.part_weight(
-            kanji[:cut], NameRole.FAMILY
-        ) + reading_dict.part_weight(kanji[cut:], NameRole.GIVEN)
+        score = part_weight(
+            reading_dict, kanji[:cut], NameRole.FAMILY
+        ) + part_weight(reading_dict, kanji[cut:], NameRole.GIVEN)
         better = score > best_score
         tied = score == best_score and best_cut is not None
         if better or (tied and cut == prior and best_cut != prior):
@@ -561,3 +596,45 @@ def test_convert_name_equals_cut_loop(synthetic_corpus, fixture_records):
     # A cut is taken only when it scores above 0, even where a part is listed.
     zero = ReadingDictionary(family={"青": (("あお", 0),)}, given={})
     assert convert_name(_ODD_RECORDS[-1], zero) == loop_convert_name(_ODD_RECORDS[-1], zero)
+
+
+# Hand-built dictionaries over a few kanji: counts may be 0, a part may list no
+# readings, and a reading may be empty (romaji ""); names draw on kanji that no
+# table holds too.
+_PART_KANJI = "青木翠林佐藤"
+_NAME_KANJI = _PART_KANJI + "健存"
+_READINGS = st.sampled_from(["", "あお", "き", "みどり", "はやし", "さとう", "けん"])
+_PART_TABLES = st.dictionaries(
+    st.text(_PART_KANJI, min_size=1, max_size=3),
+    st.lists(st.tuples(_READINGS, st.integers(0, 3)), max_size=3).map(tuple),
+    max_size=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(family=_PART_TABLES, given_table=_PART_TABLES,
+       kanji=st.text(_NAME_KANJI, min_size=1, max_size=4))
+@example(family={"青": (("あお", 0),)}, given_table={"木翠": (("きみどり", 2),)}, kanji="青木翠")
+@example(family={"青": ()}, given_table={"木": (("き", 1),)}, kanji="青木")
+@example(family={"青": (("", 1),)}, given_table={}, kanji="青存")
+def test_convert_name_equals_cut_loop_on_hand_built_tables(family, given_table, kanji):
+    dictionary = ReadingDictionary(family=family, given=given_table)
+    record = NameRecord("Aoki Midori", kanji, "あおきみどり", Gender.FEMALE)
+    assert convert_name(record, dictionary) == loop_convert_name(record, dictionary)
+
+
+def test_extract_texts_transliterates_each_part_once(synthetic_corpus, monkeypatch):
+    train, _val, test = split_dataset(synthetic_corpus, SplitRatios(0.7, 0.2, 0.1), seed=42)
+    dictionary, _ = build_reading_dictionary(train)
+    calls = Counter()
+
+    def counting_kana_to_romaji(kana: str) -> str:
+        calls[kana] += 1
+        return kana_to_romaji(kana)
+
+    monkeypatch.setattr(translit, "kana_to_romaji", counting_kana_to_romaji)
+    for records in (train, test):
+        for part in NamePart:
+            extract_texts(records, part, InputVariant.CONVERTED, dictionary)
+    n_parts = len(dictionary.family) + len(dictionary.given)
+    assert 0 < sum(calls.values()) <= n_parts
