@@ -6,6 +6,7 @@ multinomial-with-fractional-counts convention.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -32,8 +33,8 @@ class NBModel:
 def train_naive_bayes(
     X: MatrixLike, y: Sequence[Gender], alpha: float = 1.0
 ) -> NBModel:
-    if alpha <= 0:
-        raise ConfigError(f"alpha must be positive, got {alpha}")
+    if not 0 < alpha < math.inf:
+        raise ConfigError(f"alpha must be positive and finite, got {alpha}")
     matrix = as_csr(X)
     labels = training_labels(matrix, y)
     n, V = matrix.shape

@@ -22,6 +22,7 @@ construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -62,8 +63,8 @@ def train_svm(
     epochs: int = 20,
     seed: int = 42,
 ) -> SVMModel:
-    if lam <= 0:
-        raise ConfigError(f"lambda must be positive, got {lam}")
+    if not 0 < lam < math.inf:
+        raise ConfigError(f"lambda must be positive and finite, got {lam}")
     if epochs < 1:
         raise ConfigError(f"epochs must be >= 1, got {epochs}")
     matrix = as_csr(X)

@@ -144,12 +144,14 @@ def test_tree_module_sorts_no_node_inside_a_loop():
 
 # --- scipy stays off the import path ----------------------------------------
 
-# The one module that may import scipy, and only inside its functions.
-SCIPY_IMPORTERS = {"models/logistic.py"}
+# The one import of scipy that src/ may hold: (module file, enclosing
+# function, imported module).  LR's gradient steps need scipy's sparse
+# products; its sigmoid is the package's own.
+SCIPY_IMPORTS = {("models/logistic.py", "train_logistic", "scipy.sparse")}
 
 
 def _scipy_imports(tree: ast.Module):
-    """(enclosing function or None, line) of each import of scipy."""
+    """(enclosing function or None, line, module) of each import of scipy."""
     def walk(node, function):
         for child in ast.iter_child_nodes(node):
             inner = child.name if isinstance(
@@ -160,8 +162,9 @@ def _scipy_imports(tree: ast.Module):
                 modules = [child.module or ""]
             else:
                 modules = []
-            if any(module.split(".")[0] == "scipy" for module in modules):
-                yield function, child.lineno
+            for module in modules:
+                if module.split(".")[0] == "scipy":
+                    yield function, child.lineno, module
             yield from walk(child, inner)
     return walk(tree, None)
 
@@ -171,46 +174,91 @@ def test_scipy_is_imported_only_inside_logistic_functions():
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         name = path.relative_to(SRC).as_posix()
-        found += [(name, function, line) for function, line in _scipy_imports(tree)]
-    module_level = [site for site in found if site[1] is None]
-    assert not module_level, f"scipy imported at module level: {module_level}"
-    stray = [site for site in found if site[0] not in SCIPY_IMPORTERS]
-    assert not stray, f"scipy imported outside {sorted(SCIPY_IMPORTERS)}: {stray}"
-    assert {site[0] for site in found} == SCIPY_IMPORTERS
+        found += [(name, function, module, line)
+                  for function, line, module in _scipy_imports(tree)]
+    stray = [site for site in found if site[:3] not in SCIPY_IMPORTS]
+    assert not stray, f"scipy imported other than as {sorted(SCIPY_IMPORTS)}: {stray}"
+    assert {site[:3] for site in found} == SCIPY_IMPORTS
 
 
-# Runs `gendec <argv>` in-process when given arguments, then prints whether
-# scipy was loaded.
+# Runs `gendec <argv>` in-process when given arguments, then prints which
+# scipy modules were loaded.
 _SCIPY_PROBE = """\
 import sys
 import gendec, gendec.cli
 if sys.argv[1:]:
     gendec.cli.main.main(args=sys.argv[1:], prog_name="gendec", standalone_mode=False)
-print("scipy loaded:", "scipy" in sys.modules)
+print("scipy modules:", *[m for m in ("scipy", "scipy.sparse", "scipy.special")
+                          if m in sys.modules])
 """
 
 
-def _scipy_loaded_after(*args: str) -> str:
+def _scipy_probe(*args: str) -> tuple[set[str], subprocess.CompletedProcess]:
+    """The scipy modules loaded after `gendec <args>`, and the process."""
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     done = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *args], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    return done.stdout.splitlines()[-1]
+    last = done.stdout.splitlines()[-1]
+    assert last.startswith("scipy modules:"), done.stdout
+    return set(last.split()[2:]), done
 
 
 def test_cli_import_does_not_load_scipy():
-    assert _scipy_loaded_after() == "scipy loaded: False"
+    assert _scipy_probe()[0] == set()
 
 
-@pytest.mark.parametrize("kind", [ModelKind.RF, ModelKind.SVM])
+def _write_names(scratch) -> Path:
+    names = scratch / "scipy-probe-names.txt"
+    names.write_text("Tamai Kazuyoshi\nIwama Satoko\n", encoding="utf-8")
+    return names
+
+
+@pytest.mark.parametrize("kind", list(ModelKind), ids=lambda kind: kind.value)
 def test_predict_batch_does_not_load_scipy(scratch, documents, kind):
     model = scratch / f"scipy-probe-{kind.value}.json"
     model.write_text(json.dumps(documents["model"][list(ModelKind).index(kind)]),
                      encoding="utf-8")
-    names = scratch / "scipy-probe-names.txt"
-    names.write_text("Tamai Kazuyoshi\nIwama Satoko\n", encoding="utf-8")
-    assert _scipy_loaded_after("predict", "--model-file", str(model),
-                               "--batch", str(names)) == "scipy loaded: False"
+    assert _scipy_probe("predict", "--model-file", str(model),
+                        "--batch", str(_write_names(scratch)))[0] == set()
+
+
+def test_lr_training_loads_scipy_sparse_only(scratch, documents):
+    """`gendec train --model lr` and a grid with an lr cell use scipy's
+    sparse products, and never load scipy.special."""
+    corpus = str(scratch / "corpus.csv")  # written by the documents fixture
+    train = ("train", "--model", "lr", "--features", "tfidf", "--train", corpus,
+             "--out", str(scratch / "scipy-probe-trained-lr.json"), "--epochs", "5")
+    config = scratch / "scipy-probe-grid.json"
+    config.write_text(json.dumps({
+        "train": corpus, "test": corpus, "seed": 3,
+        "cells": [{"model": "lr", "features": "count", "variant": "original",
+                   "part": "full"}],
+        "hyperparameters": {"lr": {"epochs": 5}}}), encoding="utf-8")
+    grid = ("grid", "--config", str(config),
+            "--report-json", str(scratch / "scipy-probe-grid-report.json"),
+            "--report-csv", str(scratch / "scipy-probe-grid-report.csv"))
+    for argv in (train, grid):
+        assert _scipy_probe(*argv)[0] == {"scipy", "scipy.sparse"}, argv
+
+
+@pytest.mark.parametrize("bias", [-1000.0, 1000.0])
+def test_predict_with_huge_lr_margins_is_silent(scratch, documents, bias):
+    """Margins far beyond exp's range give probability 1, with nothing on
+    stderr (the sigmoid's overflow stays inside it)."""
+    doc = copy.deepcopy(documents["model"][list(ModelKind).index(ModelKind.LR)])
+    parameters = doc["parameters"]
+    parameters["weights"] = [0.0] * len(parameters["weights"])
+    parameters["bias"] = bias
+    model = scratch / "scipy-probe-huge-margin-lr.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    loaded, done = _scipy_probe("predict", "--model-file", str(model),
+                                "--batch", str(_write_names(scratch)))
+    assert done.stderr == ""
+    assert loaded == set()
+    gender = "male" if bias > 0 else "female"
+    assert done.stdout.splitlines()[:-1] == [
+        f"Tamai Kazuyoshi\t{gender}\t1.000000", f"Iwama Satoko\t{gender}\t1.000000"]
 
 
 # --- every reader: loads, or raises a GendecError -------------------------

@@ -1,12 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.special import expit
 
 from gendec.errors import ConfigError
 from gendec.models import predict, predict_proba, train_logistic
-from gendec.models.logistic import loss_and_gradient
+from gendec.models.logistic import LRModel, loss_and_gradient, sigmoid
 from gendec.name_core import Gender
 
 F, M = Gender.FEMALE, Gender.MALE
@@ -101,3 +103,46 @@ def test_flag_validation():
         train_logistic(X, [F, M], epochs=0)
     with pytest.raises(ConfigError):
         train_logistic(X, [F, M], l2=-1.0)
+
+
+# --- the sigmoid against scipy.special.expit, bit for bit -------------------
+
+def _sigmoid_inputs() -> np.ndarray:
+    rng = np.random.default_rng(2023)
+    return np.concatenate([
+        rng.normal(size=600_000),
+        rng.normal(scale=40.0, size=200_000),
+        rng.uniform(-800.0, 800.0, size=200_000),
+        # glibc's cexp rescales above 709; results here are subnormal or 0.
+        rng.uniform(-745.2, -709.0, size=100_000),
+        np.array([0.0, -0.0, math.inf, -math.inf, math.nan, -709.0,
+                  np.nextafter(-709.0, 0.0), np.nextafter(-709.0, -1e3),
+                  -math.log(np.finfo(np.float64).max), -745.1332191019412,
+                  -745.2, 36.0, 37.0, 40.0, 709.0, 800.0]),
+    ])
+
+
+def test_sigmoid_equals_expit_bit_for_bit():
+    z = _sigmoid_inputs()
+    expected = expit(z)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sigmoid(z)
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(got), nan)
+    differ = np.flatnonzero(got.view(np.int64)[~nan] != expected.view(np.int64)[~nan])
+    assert differ.size == 0, f"{differ.size} values differ, first at z={z[~nan][differ[0]]!r}"
+    # The inputs reach every kind of result.
+    tiny = np.finfo(np.float64).tiny
+    assert np.any((expected > 0.0) & (expected < tiny))
+    assert np.any(expected == 0.0) and np.any(expected == 1.0)
+
+
+def test_proba_of_margins_beyond_exp_range_is_finite_and_silent():
+    model = LRModel(weights=np.array([900.0, -900.0, 0.0]), bias=0.0, l2=0.0,
+                    learning_rate=0.1, epochs=1)
+    X = sp.csr_matrix(np.eye(3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        proba = predict_proba(model, X)
+    assert proba.tolist() == [[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]]

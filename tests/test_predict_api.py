@@ -1,11 +1,19 @@
 """Cross-model prediction contract: proba rows sum to 1, argmax equals
 predict with the female-first tie rule, dimension checks."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from gendec.errors import DimensionMismatchError, EmptyInputError, LengthMismatchError
+from gendec.errors import (
+    ConfigError,
+    DimensionMismatchError,
+    EmptyInputError,
+    LengthMismatchError,
+)
 from gendec.models import (
     MODEL_KINDS,
     ModelKind,
@@ -88,6 +96,20 @@ def test_trainer_checks_labels_against_rows(kind, n_rows, n_labels, error):
     y = [F, M] * 3
     with pytest.raises(error):
         MODEL_KINDS[kind].train(X, y[:n_labels])
+
+
+@pytest.mark.parametrize("trainer, name", [
+    (train_naive_bayes, "alpha"), (train_logistic, "learning_rate"),
+    (train_logistic, "l2"), (train_svm, "lam"),
+], ids=["nb-alpha", "lr-learning_rate", "lr-l2", "svm-lam"])
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=str)
+def test_trainer_refuses_non_finite_hyperparameter(trainer, name, value):
+    """A library call is refused as an input error (exit 2 at the CLI), not
+    trained into NaN parameters or reported as a numerical failure."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError):
+            trainer(sp.csr_matrix(np.eye(4)), [F, M, F, M], **{name: value})
 
 
 def test_hinge_loss_checks_labels_against_rows():
