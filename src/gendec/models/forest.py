@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..name_core import Gender, check_keys, json_count
-from .common import MatrixLike, as_csr, boolean, male_wins, training_labels
+from .common import MatrixLike, as_csr, boolean, check_count, male_wins, training_labels
 from .tree import (
     TreeModel,
     _grow_tree,
@@ -60,8 +60,8 @@ def train_forest(
     ``features_per_split`` defaults to ceil(sqrt(V)).  When the sampled
     columns admit no valid split, the search widens to every column.
     """
-    if n_trees < 1:
-        raise ConfigError(f"n_trees must be >= 1, got {n_trees}")
+    check_count("n_trees", n_trees)
+    check_count("features_per_split", features_per_split, optional=True)
     matrix = as_csr(X)
     labels = training_labels(matrix, y)
     n, V = matrix.shape

@@ -4,11 +4,26 @@ The loss is L2-regularized mean log loss; weights and bias start at
 zero, so the first recorded loss is ln 2.  The target encoding is
 male = 1, female = 0; a sigmoid of exactly 0.5 predicts female.
 
-This is the one module that uses scipy, and only inside
-``train_logistic``: the ~400 matrix-vector products of a fit run on a
-zero-copy ``scipy.sparse.csr_matrix`` view of the CSR (several times
-faster than ``np.bincount`` for this many products).  Importing the
-package, scoring an lr model and every other model kind never load scipy.
+A fit makes two sparse products per epoch, ``X @ w`` and ``X.T @ r``.
+They run in numpy on a layout built once per fit (``_Products``) and give
+scipy.sparse's floats bit for bit, because each adds the same products in
+the same order from +0.0:
+
+- scipy's ``csr_matvec`` adds a row's entries in stored order.  The
+  layout is rank-major (jagged diagonal): rows ordered stably by
+  decreasing length, the k-th entries of all rows stored contiguously.
+  Rank k is then one in-place add over the leading rows that have a k-th
+  entry, so every row still gets its entries one at a time, in order.
+  ``np.add.reduceat`` and axis reductions sum pairwise and are not exact.
+- ``X.T @ r`` is scipy's ``csc_matvec``, which adds into each column in
+  entry order; ``np.bincount`` over the CSR's entries does the same.
+
+The layout holds 24 bytes per stored entry beside the CSR: a column id
+and a value in rank-major order for the first product, and the column
+ids again as 8-byte integers for ``np.bincount``, which would otherwise
+convert int32 ids on every call.  Each ``X.T @ r`` also allocates one
+8-byte product per entry while it runs.  The first product's buffer
+holds one block of ranks (``_BLOCK`` entries plus at most one rank).
 
 The sigmoid is ``1 / (1 + exp(-z))`` with the C library's ``exp``, the
 same floats as ``scipy.special.expit`` without importing scipy.special.
@@ -24,13 +39,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..errors import ConfigError, NonFiniteError
 from ..name_core import Gender, check_keys, json_count
-from .common import MatrixLike, as_csr, number, training_labels, vector
+from ..vectorize import CSR
+from .common import MatrixLike, as_csr, check_count, number, training_labels, vector
 
 
 @dataclass
@@ -70,33 +86,101 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + exp_neg)
 
 
+# ``X @ w`` forms its products this many entries at a time (512 KB of
+# float64), so they are added from cache: at 1.4M entries this took about
+# a sixth off the product on a 2-core Xeon.  A smaller matrix is one block.
+_BLOCK = 1 << 16
+
+
+class _Products:
+    """``X @ w`` and ``X.T @ r`` for one canonical CSR, equal bit for bit to
+    scipy.sparse's (see the module docstring)."""
+
+    def __init__(self, matrix: CSR):
+        n = matrix.shape[0]
+        self.shape = matrix.shape
+        lengths = np.diff(matrix.indptr).astype(np.intp)
+        rows = matrix.row_ids()
+        rank = np.arange(matrix.nnz) - matrix.indptr[rows]  # of each entry in its row
+        # Rows by decreasing length, so the rows with a k-th entry come first.
+        self._position = np.empty(n, dtype=np.intp)
+        self._position[np.argsort(-lengths, kind="stable")] = np.arange(n)
+        rows_at_rank = np.bincount(rank)
+        starts = np.zeros(rows_at_rank.size, dtype=np.intp)
+        np.cumsum(rows_at_rank[:-1], out=starts[1:])
+        slot = starts[rank] + self._position[rows]
+        rank_cols = np.empty(matrix.nnz, dtype=np.intp)
+        rank_cols[slot] = matrix.indices
+        rank_data = np.empty(matrix.nnz)
+        rank_data[slot] = matrix.data
+        self._sums = np.empty(n)
+        # Blocks of whole ranks, each of _BLOCK entries or more (bar the
+        # last): (column ids, values, products, [(leading sums, products
+        # of one rank)]), all views made once.
+        buffer = np.empty(min(matrix.nnz, _BLOCK + n))
+        self._blocks = []
+        ranks = list(zip(starts.tolist(), rows_at_rank.tolist()))
+        first = 0
+        for last, (start, count) in enumerate(ranks):
+            begin, end = ranks[first][0], start + count
+            if end - begin < _BLOCK and last + 1 < len(ranks):
+                continue
+            products = buffer[:end - begin]
+            per_rank = [(self._sums[:c], products[s - begin:s - begin + c])
+                        for s, c in ranks[first:last + 1]]
+            self._blocks.append((rank_cols[begin:end], rank_data[begin:end], products,
+                                 per_rank))
+            first = last + 1
+        self._lengths = lengths
+        self._cols = matrix.indices.astype(np.intp)
+        self._data = matrix.data
+
+    def dot(self, w: np.ndarray) -> np.ndarray:
+        """``X @ w``: each row's entries added in stored order from +0.0."""
+        self._sums.fill(0.0)
+        for cols, data, products, per_rank in self._blocks:
+            # mode="raise" would buffer out=; the column ids are checked.
+            np.take(w, cols, out=products, mode="clip")
+            products *= data
+            for sums, rank_products in per_rank:
+                sums += rank_products
+        return self._sums.take(self._position)
+
+    def transpose_dot(self, r: np.ndarray) -> np.ndarray:
+        """``X.T @ r``: each column's entries added in entry order from 0.0."""
+        products = np.repeat(r, self._lengths)  # r of each entry's row
+        products *= self._data
+        sums = np.bincount(self._cols, weights=products, minlength=self.shape[1])
+        return sums.astype(np.float64, copy=False)  # int64 when there are no entries
+
+
 def loss_and_gradient(
-    matrix,
+    matrix: MatrixLike,
     y01: np.ndarray,
     weights: np.ndarray,
     bias: float,
     l2: float,
-    transposed=None,
+    products: Optional[_Products] = None,
 ) -> tuple[float, np.ndarray, float]:
-    """Regularized mean log loss and its analytic gradient, for a
-    scipy.sparse ``matrix``; ``transposed`` is ``matrix.T``, formed here
-    when not given.
+    """Regularized mean log loss and its analytic gradient for any CSR
+    ``matrix`` (see ``as_csr``); ``products`` is its ``_Products``, built
+    here when not given.
 
     Uses log(1 + e^z) - y*z, which is stable for large |z|.  The bias is
     not regularized.
     """
-    if transposed is None:
-        transposed = matrix.T
-    n = matrix.shape[0]
+    if products is None:
+        products = _Products(as_csr(matrix))
+    n = products.shape[0]
     with np.errstate(over="ignore"):  # divergence shows up as inf loss
-        z = matrix @ weights + bias
+        z = products.dot(weights) + bias
         loss = float(np.mean(np.logaddexp(0.0, z) - y01 * z)) + 0.5 * l2 * float(
             weights @ weights
         )
         residual = sigmoid(z) - y01
-        grad_w = (transposed @ residual) / n + l2 * weights
+        grad_w = products.transpose_dot(residual) / n + l2 * weights
         grad_b = float(np.mean(residual))
-    return loss, np.asarray(grad_w).ravel(), grad_b
+    return loss, grad_w, grad_b
 
 
 def train_logistic(
@@ -108,27 +192,23 @@ def train_logistic(
 ) -> LRModel:
     if not 0 < learning_rate < math.inf:
         raise ConfigError(f"learning_rate must be positive and finite, got {learning_rate}")
-    if epochs < 1:
-        raise ConfigError(f"epochs must be >= 1, got {epochs}")
+    check_count("epochs", epochs)
     if not 0 <= l2 < math.inf:
         raise ConfigError(f"l2 must be >= 0 and finite, got {l2}")
-    from scipy.sparse import csr_matrix
-
-    own = as_csr(X)
-    matrix = csr_matrix((own.data, own.indices, own.indptr), shape=own.shape, copy=False)
-    transposed = matrix.T
-    y01 = training_labels(own, y).astype(np.float64)
+    matrix = as_csr(X)
+    y01 = training_labels(matrix, y).astype(np.float64)
+    products = _Products(matrix)
     weights = np.zeros(matrix.shape[1], dtype=np.float64)
     bias = 0.0
     trace: list[float] = []
     for _ in range(epochs):
-        loss, grad_w, grad_b = loss_and_gradient(matrix, y01, weights, bias, l2, transposed)
+        loss, grad_w, grad_b = loss_and_gradient(matrix, y01, weights, bias, l2, products)
         if not np.isfinite(loss):
             raise NonFiniteError(f"logistic loss diverged to {loss!r}")
         trace.append(loss)
         weights -= learning_rate * grad_w
         bias -= learning_rate * grad_b
-    final_loss, _, _ = loss_and_gradient(matrix, y01, weights, bias, l2, transposed)
+    final_loss, _, _ = loss_and_gradient(matrix, y01, weights, bias, l2, products)
     if not np.isfinite(final_loss):
         raise NonFiniteError(f"logistic loss diverged to {final_loss!r}")
     trace.append(final_loss)

@@ -30,7 +30,7 @@ import numpy as np
 
 from ..errors import ConfigError, NonFiniteError
 from ..name_core import Gender, check_keys, json_count
-from .common import MatrixLike, as_csr, number, training_labels, vector
+from .common import MatrixLike, as_csr, check_count, number, training_labels, vector
 
 
 @dataclass
@@ -65,8 +65,7 @@ def train_svm(
 ) -> SVMModel:
     if not 0 < lam < math.inf:
         raise ConfigError(f"lambda must be positive and finite, got {lam}")
-    if epochs < 1:
-        raise ConfigError(f"epochs must be >= 1, got {epochs}")
+    check_count("epochs", epochs)
     matrix = as_csr(X)
     signs = np.where(training_labels(matrix, y) == 1, 1.0, -1.0).tolist()
     n, V = matrix.shape

@@ -37,7 +37,7 @@ import numpy as np
 from ..errors import ConfigError
 from ..name_core import Gender, check_keys, json_count
 from ..vectorize import CSR
-from .common import MatrixLike, as_csr, check_n_features, training_labels, vector
+from .common import MatrixLike, as_csr, check_count, check_n_features, training_labels, vector
 
 # A sampler returns the sorted candidate column ids for one split search.
 FeatureSampler = Callable[[], np.ndarray]
@@ -142,10 +142,8 @@ def _grow_tree(
     falls back to all columns so impure nodes are not stranded by an
     unlucky draw.
     """
-    if max_depth is not None and max_depth < 1:
-        raise ConfigError(f"max_depth must be >= 1, got {max_depth}")
-    if min_samples_leaf < 1:
-        raise ConfigError(f"min_samples_leaf must be >= 1, got {min_samples_leaf}")
+    check_count("max_depth", max_depth, optional=True)
+    check_count("min_samples_leaf", min_samples_leaf)
     if matrix.nnz and matrix.data.min() < 0:
         raise ConfigError("tree features must be non-negative")
     # One (column, value) order for the whole tree; lexsort is stable, so

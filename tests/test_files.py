@@ -144,12 +144,6 @@ def test_tree_module_sorts_no_node_inside_a_loop():
 
 # --- scipy stays off the import path ----------------------------------------
 
-# The one import of scipy that src/ may hold: (module file, enclosing
-# function, imported module).  LR's gradient steps need scipy's sparse
-# products; its sigmoid is the package's own.
-SCIPY_IMPORTS = {("models/logistic.py", "train_logistic", "scipy.sparse")}
-
-
 def _scipy_imports(tree: ast.Module):
     """(enclosing function or None, line, module) of each import of scipy."""
     def walk(node, function):
@@ -169,16 +163,16 @@ def _scipy_imports(tree: ast.Module):
     return walk(tree, None)
 
 
-def test_scipy_is_imported_only_inside_logistic_functions():
+def test_src_imports_no_scipy():
+    """scipy is a test dependency only: LR's products and sigmoid are the
+    package's own."""
     found = []
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         name = path.relative_to(SRC).as_posix()
         found += [(name, function, module, line)
                   for function, line, module in _scipy_imports(tree)]
-    stray = [site for site in found if site[:3] not in SCIPY_IMPORTS]
-    assert not stray, f"scipy imported other than as {sorted(SCIPY_IMPORTS)}: {stray}"
-    assert {site[:3] for site in found} == SCIPY_IMPORTS
+    assert found == [], f"scipy imported at {found}"
 
 
 # Runs `gendec <argv>` in-process when given arguments, then prints which
@@ -191,12 +185,17 @@ if sys.argv[1:]:
 print("scipy modules:", *[m for m in ("scipy", "scipy.sparse", "scipy.special")
                           if m in sys.modules])
 """
+# A None entry in sys.modules makes every later `import scipy...` fail.
+_BLOCK_SCIPY = 'import sys\nsys.modules["scipy"] = None\n'
 
 
-def _scipy_probe(*args: str) -> tuple[set[str], subprocess.CompletedProcess]:
-    """The scipy modules loaded after `gendec <args>`, and the process."""
+def _scipy_probe(*args: str, block: bool = False
+                 ) -> tuple[set[str], subprocess.CompletedProcess]:
+    """The scipy modules loaded after `gendec <args>`, and the process; with
+    ``block``, any import of scipy in it fails."""
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    done = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *args], env=env,
+    script = _BLOCK_SCIPY + _SCIPY_PROBE if block else _SCIPY_PROBE
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     last = done.stdout.splitlines()[-1]
@@ -214,32 +213,60 @@ def _write_names(scratch) -> Path:
     return names
 
 
-@pytest.mark.parametrize("kind", list(ModelKind), ids=lambda kind: kind.value)
-def test_predict_batch_does_not_load_scipy(scratch, documents, kind):
+def _predict_argv(scratch, documents, kind) -> tuple[str, ...]:
     model = scratch / f"scipy-probe-{kind.value}.json"
     model.write_text(json.dumps(documents["model"][list(ModelKind).index(kind)]),
                      encoding="utf-8")
-    assert _scipy_probe("predict", "--model-file", str(model),
-                        "--batch", str(_write_names(scratch)))[0] == set()
+    return ("predict", "--model-file", str(model), "--batch", str(_write_names(scratch)))
 
 
-def test_lr_training_loads_scipy_sparse_only(scratch, documents):
-    """`gendec train --model lr` and a grid with an lr cell use scipy's
-    sparse products, and never load scipy.special."""
+@pytest.mark.parametrize("kind", list(ModelKind), ids=lambda kind: kind.value)
+def test_predict_batch_does_not_load_scipy(scratch, documents, kind):
+    assert _scipy_probe(*_predict_argv(scratch, documents, kind))[0] == set()
+
+
+def _lr_train_argv(scratch, tokenizer: str = "word") -> tuple[str, ...]:
     corpus = str(scratch / "corpus.csv")  # written by the documents fixture
-    train = ("train", "--model", "lr", "--features", "tfidf", "--train", corpus,
-             "--out", str(scratch / "scipy-probe-trained-lr.json"), "--epochs", "5")
-    config = scratch / "scipy-probe-grid.json"
+    return ("train", "--model", "lr", "--features", "tfidf", "--train", corpus,
+            "--out", str(scratch / f"scipy-probe-trained-lr-{tokenizer}.json"),
+            "--epochs", "5", "--tokenizer", tokenizer)
+
+
+def _grid_argv(scratch, kinds) -> tuple[str, ...]:
+    corpus = str(scratch / "corpus.csv")
+    name = "scipy-probe-grid-" + "-".join(kind.value for kind in kinds)
+    config = scratch / f"{name}.json"
     config.write_text(json.dumps({
         "train": corpus, "test": corpus, "seed": 3,
-        "cells": [{"model": "lr", "features": "count", "variant": "original",
-                   "part": "full"}],
-        "hyperparameters": {"lr": {"epochs": 5}}}), encoding="utf-8")
-    grid = ("grid", "--config", str(config),
-            "--report-json", str(scratch / "scipy-probe-grid-report.json"),
-            "--report-csv", str(scratch / "scipy-probe-grid-report.csv"))
-    for argv in (train, grid):
-        assert _scipy_probe(*argv)[0] == {"scipy", "scipy.sparse"}, argv
+        "cells": [{"model": kind.value, "features": "count", "variant": "original",
+                   "part": "full"} for kind in kinds],
+        "hyperparameters": {"lr": {"epochs": 5}, "svm": {"epochs": 2},
+                            "rf": {"n_trees": 2}}}), encoding="utf-8")
+    return ("grid", "--config", str(config),
+            "--report-json", str(scratch / f"{name}-report.json"),
+            "--report-csv", str(scratch / f"{name}-report.csv"))
+
+
+def test_lr_training_does_not_load_scipy(scratch, documents):
+    """`gendec train --model lr` and a grid with an lr cell run LR's sparse
+    products in numpy: no scipy module is loaded."""
+    for argv in (_lr_train_argv(scratch), _grid_argv(scratch, [ModelKind.LR])):
+        assert _scipy_probe(*argv)[0] == set(), argv
+
+
+@pytest.mark.parametrize("command", ["train-word", "train-char", "grid", "predict"])
+def test_commands_run_where_scipy_cannot_be_imported(scratch, documents, command):
+    """Each command succeeds in a process where `import scipy` fails, as it
+    does where scipy is not installed."""
+    argv = {
+        "train-word": _lr_train_argv(scratch),
+        "train-char": _lr_train_argv(scratch, "char_ngram"),
+        "grid": _grid_argv(scratch, list(ModelKind)),
+        "predict": _predict_argv(scratch, documents, ModelKind.LR),
+    }[command]
+    loaded, done = _scipy_probe(*argv, block=True)
+    assert loaded == {"scipy"}, argv  # the blocking None entry; nothing imported
+    assert done.stderr == "", done.stderr
 
 
 @pytest.mark.parametrize("bias", [-1000.0, 1000.0])

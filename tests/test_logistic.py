@@ -1,15 +1,28 @@
 import math
 import warnings
+from typing import Sequence
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
-from gendec.errors import ConfigError
-from gendec.models import predict, predict_proba, train_logistic
-from gendec.models.logistic import LRModel, loss_and_gradient, sigmoid
+from gendec.errors import ConfigError, NonFiniteError
+from gendec.models import as_csr, logistic, predict, predict_proba, train_logistic
+from gendec.models.common import MatrixLike, training_labels
+from gendec.models.logistic import LRModel, _Products, loss_and_gradient, sigmoid
 from gendec.name_core import Gender
+from gendec.vectorize import (
+    TokenizerConfig,
+    TokenizerMode,
+    Weighting,
+    fit_vocabulary,
+    transform,
+)
+from tests.conftest import to_scipy
 
 F, M = Gender.FEMALE, Gender.MALE
 
@@ -146,3 +159,165 @@ def test_proba_of_margins_beyond_exp_range_is_finite_and_silent():
         warnings.simplefilter("error")
         proba = predict_proba(model, X)
     assert proba.tolist() == [[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]]
+
+
+# --- the products and the fit against scipy.sparse, bit for bit -------------
+
+# Signed magnitudes from 1e-8 to 1e8, with +0.0 and -0.0 drawn often.
+_values = st.one_of(st.sampled_from([0.0, -0.0]),
+                    st.floats(min_value=-1e8, max_value=1e8, allow_nan=False))
+
+
+@st.composite
+def csr_inputs(draw):
+    """(CSR-shaped object, n_cols) that may be non-canonical: rows store
+    columns out of order and twice, empty rows are common, and one row may
+    hold up to 60 entries."""
+    n_rows = draw(st.integers(0, 8))
+    n_cols = draw(st.integers(0, 64))
+    entry = st.tuples(st.integers(0, max(n_cols - 1, 0)), _values)
+    rows = [draw(st.lists(entry, max_size=4 if n_cols else 0)) for _ in range(n_rows)]
+    if n_rows and n_cols and draw(st.booleans()):
+        rows[draw(st.integers(0, n_rows - 1))] = draw(st.lists(entry, min_size=20, max_size=60))
+    indptr = np.cumsum([0] + [len(row) for row in rows]).astype(np.int32)
+    indices = np.array([col for row in rows for col, _ in row], dtype=np.int32)
+    data = np.array([value for row in rows for _, value in row], dtype=np.float64)
+    return sp.csr_matrix((data, indices, indptr), shape=(n_rows, n_cols)), n_cols
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), case=csr_inputs(), block=st.sampled_from([1, 3, logistic._BLOCK]))
+def test_products_equal_scipy_bit_for_bit(data, case, block):
+    raw, n_cols = case
+    matrix = as_csr(raw)  # canonical, as train_logistic sees it
+    reference = to_scipy(matrix)
+    w = np.array(data.draw(st.lists(_values, min_size=n_cols, max_size=n_cols)),
+                 dtype=np.float64)
+    r = np.array(data.draw(st.lists(_values, min_size=matrix.shape[0],
+                                    max_size=matrix.shape[0])), dtype=np.float64)
+    with mock.patch.object(logistic, "_BLOCK", block):  # small blocks split ranks
+        products = _Products(matrix)
+    for _ in range(2):  # the buffers are reused across calls
+        for got, want in ((products.dot(w), reference @ w),
+                          (products.transpose_dot(r), reference.T @ r)):
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert got.tobytes() == np.asarray(want, dtype=np.float64).tobytes()
+
+
+# The parent's scipy-based gradient step and fit, kept verbatim as the
+# oracle for the numpy products (only the names differ).
+def scipy_loss_and_gradient(
+    matrix,
+    y01: np.ndarray,
+    weights: np.ndarray,
+    bias: float,
+    l2: float,
+    transposed=None,
+) -> tuple[float, np.ndarray, float]:
+    """Regularized mean log loss and its analytic gradient, for a
+    scipy.sparse ``matrix``; ``transposed`` is ``matrix.T``, formed here
+    when not given.
+
+    Uses log(1 + e^z) - y*z, which is stable for large |z|.  The bias is
+    not regularized.
+    """
+    if transposed is None:
+        transposed = matrix.T
+    n = matrix.shape[0]
+    with np.errstate(over="ignore"):  # divergence shows up as inf loss
+        z = matrix @ weights + bias
+        loss = float(np.mean(np.logaddexp(0.0, z) - y01 * z)) + 0.5 * l2 * float(
+            weights @ weights
+        )
+        residual = sigmoid(z) - y01
+        grad_w = (transposed @ residual) / n + l2 * weights
+        grad_b = float(np.mean(residual))
+    return loss, np.asarray(grad_w).ravel(), grad_b
+
+
+def scipy_train_logistic(
+    X: MatrixLike,
+    y: Sequence[Gender],
+    learning_rate: float = 0.1,
+    epochs: int = 200,
+    l2: float = 1e-4,
+) -> LRModel:
+    if not 0 < learning_rate < math.inf:
+        raise ConfigError(f"learning_rate must be positive and finite, got {learning_rate}")
+    if epochs < 1:
+        raise ConfigError(f"epochs must be >= 1, got {epochs}")
+    if not 0 <= l2 < math.inf:
+        raise ConfigError(f"l2 must be >= 0 and finite, got {l2}")
+    from scipy.sparse import csr_matrix
+
+    own = as_csr(X)
+    matrix = csr_matrix((own.data, own.indices, own.indptr), shape=own.shape, copy=False)
+    transposed = matrix.T
+    y01 = training_labels(own, y).astype(np.float64)
+    weights = np.zeros(matrix.shape[1], dtype=np.float64)
+    bias = 0.0
+    trace: list[float] = []
+    for _ in range(epochs):
+        loss, grad_w, grad_b = scipy_loss_and_gradient(matrix, y01, weights, bias, l2,
+                                                       transposed)
+        if not np.isfinite(loss):
+            raise NonFiniteError(f"logistic loss diverged to {loss!r}")
+        trace.append(loss)
+        weights -= learning_rate * grad_w
+        bias -= learning_rate * grad_b
+    final_loss, _, _ = scipy_loss_and_gradient(matrix, y01, weights, bias, l2, transposed)
+    if not np.isfinite(final_loss):
+        raise NonFiniteError(f"logistic loss diverged to {final_loss!r}")
+    trace.append(final_loss)
+    return LRModel(
+        weights=weights,
+        bias=bias,
+        l2=l2,
+        learning_rate=learning_rate,
+        epochs=epochs,
+        training_trace=trace,
+    )
+
+
+def _assert_same_fit(got: LRModel, want: LRModel) -> None:
+    assert got.weights.tobytes() == want.weights.tobytes()
+    assert np.float64(got.bias).tobytes() == np.float64(want.bias).tobytes()
+    assert np.array(got.training_trace).tobytes() == np.array(want.training_trace).tobytes()
+
+
+def test_fit_equals_scipy_oracle_on_random_instances():
+    rng = np.random.default_rng(16)
+    for _ in range(60):
+        matrix, y01 = _random_instance(rng, normalize=bool(rng.integers(0, 2)))
+        y = [M if v else F for v in y01]
+        kwargs = dict(learning_rate=float(rng.choice([0.05, 0.1, 1.0])),
+                      epochs=int(rng.integers(1, 40)), l2=float(rng.choice([0.0, 1e-4])))
+        _assert_same_fit(train_logistic(matrix, y, **kwargs),
+                         scipy_train_logistic(matrix, y, **kwargs))
+
+
+@pytest.mark.parametrize("block", [logistic._BLOCK, 5000], ids=["one-block", "blocks"])
+@pytest.mark.parametrize("weighting", list(Weighting), ids=lambda w: w.value)
+def test_fit_equals_scipy_oracle_on_char_ngrams(synthetic_corpus, weighting, block):
+    texts = [record.romaji for record in synthetic_corpus]
+    config = TokenizerConfig(TokenizerMode.CHAR_NGRAM, 2, 4)
+    X = transform(texts, fit_vocabulary(texts, config, weighting), weighting)
+    assert np.diff(X.matrix.indptr).max() >= 30
+    assert X.matrix.nnz < logistic._BLOCK  # so the default is one block
+    y = [record.gender for record in synthetic_corpus]
+    with mock.patch.object(logistic, "_BLOCK", block):
+        model = train_logistic(X, y)
+    _assert_same_fit(model, scipy_train_logistic(X, y))
+
+
+def test_loss_and_gradient_equal_scipy_oracle_on_a_scipy_matrix():
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        matrix, y01 = _random_instance(rng, normalize=False)
+        weights = rng.normal(size=matrix.shape[1])
+        weights[rng.random(weights.size) < 0.2] = -0.0
+        bias = float(rng.normal())
+        got = loss_and_gradient(matrix, y01, weights, bias, 1e-4)
+        want = scipy_loss_and_gradient(matrix, y01, weights, bias, 1e-4)
+        assert got[0] == want[0] and got[2] == want[2]
+        assert got[1].tobytes() == want[1].tobytes()

@@ -112,6 +112,22 @@ def test_trainer_refuses_non_finite_hyperparameter(trainer, name, value):
             trainer(sp.csr_matrix(np.eye(4)), [F, M, F, M], **{name: value})
 
 
+@pytest.mark.parametrize("trainer, name, value", [
+    (train_tree, "max_depth", math.nan), (train_tree, "max_depth", 2.5),
+    (train_tree, "min_samples_leaf", math.nan), (train_tree, "min_samples_leaf", 1.5),
+    (train_logistic, "epochs", math.nan), (train_logistic, "epochs", 2.5),
+    (train_svm, "epochs", math.nan), (train_forest, "n_trees", math.nan),
+    (train_forest, "features_per_split", 1.5), (train_forest, "max_depth", 2.5),
+], ids=["dt-max_depth-nan", "dt-max_depth-2.5", "dt-min_samples_leaf-nan",
+        "dt-min_samples_leaf-1.5", "lr-epochs-nan", "lr-epochs-2.5", "svm-epochs-nan",
+        "rf-n_trees-nan", "rf-features_per_split-1.5", "rf-max_depth-2.5"])
+def test_trainer_refuses_non_integer_hyperparameter(trainer, name, value):
+    """An integer hyperparameter given as NaN or a fraction is refused as an
+    input error, not trained or left to fail inside the loop."""
+    with pytest.raises(ConfigError, match=name):
+        trainer(sp.csr_matrix(np.eye(4)), [F, M, F, M], **{name: value})
+
+
 def test_hinge_loss_checks_labels_against_rows():
     with pytest.raises(LengthMismatchError):
         hinge_loss(np.zeros(2), 0.0, sp.csr_matrix(np.eye(3, 2)), [F, M])
