@@ -79,6 +79,20 @@ class _ErrorBoundary(click.Group):
             sys.exit(3 if isinstance(exc, NonFiniteError) else 2)
 
 
+def _check_outputs(inputs, outputs) -> None:
+    """GendecError unless each output path (resolved, ``None`` skipped) differs
+    from every input and every other output, so no write destroys data."""
+    taken = {Path(path).resolve() for path in inputs if path is not None}
+    for path in filter(None, outputs):
+        if Path(path).resolve() in taken:
+            raise GendecError(f"{path} is both an output and an input or another output")
+        taken.add(Path(path).resolve())
+
+
+def _sidecar(path: str) -> Path:
+    return Path(path).with_suffix(Path(path).suffix + ".meta.json")
+
+
 @click.group(cls=_ErrorBoundary)
 @click.version_option(__version__)
 def main() -> None:
@@ -98,16 +112,17 @@ def main() -> None:
 @click.option("--seed", type=click.IntRange(0), default=42, show_default=True)
 def cmd_build_dataset(firsts, lasts, out, pairing, k, seed) -> None:
     """Join raw name parts into a full-name corpus CSV plus metadata."""
+    _check_outputs([firsts, lasts], [out, _sidecar(out)])
+    config = PairingConfig(mode=PairingMode(pairing), k=k)
     given_rows = dedupe_first_names(
         [r for r in read_raw_csv(firsts) if r.role is NameRole.GIVEN]
     )
     family_rows = [r for r in read_raw_csv(lasts) if r.role is NameRole.FAMILY]
-    config = PairingConfig(mode=PairingMode(pairing), k=k)
     records = build_dataset(given_rows, family_rows, config, seed)
     write_corpus_csv(out, records)
     balance = gender_balance(records)
     write_json(
-        Path(out).with_suffix(Path(out).suffix + ".meta.json"),
+        _sidecar(out),
         {
             "command": "build-dataset",
             "seed": seed,
@@ -150,6 +165,7 @@ def _parse_ratios(raw: str) -> SplitRatios:
 @click.option("--stratify/--no-stratify", default=True, show_default=True)
 def cmd_split(corpus_path, train_out, val_out, test_out, ratios, seed, stratify) -> None:
     """Split a corpus into train/val/test CSVs."""
+    _check_outputs([corpus_path], [train_out, val_out, test_out, _sidecar(train_out)])
     records = read_corpus_csv(corpus_path)
     split_ratios = _parse_ratios(ratios)
     train, val, test = split_dataset(records, split_ratios, seed, stratify)
@@ -157,7 +173,7 @@ def cmd_split(corpus_path, train_out, val_out, test_out, ratios, seed, stratify)
     write_corpus_csv(val_out, val)
     write_corpus_csv(test_out, test)
     write_json(
-        Path(train_out).with_suffix(Path(train_out).suffix + ".meta.json"),
+        _sidecar(train_out),
         {
             "command": "split",
             "seed": seed,
@@ -212,6 +228,7 @@ def cmd_train(model_kind, features, part, variant, train_path, out, seed, tokeni
               ngram_min, ngram_max, dict_path, **flags) -> None:
     """Train one grid cell's model and write a self-contained model file."""
     started = time.monotonic()
+    _check_outputs([train_path, dict_path], [out])
     kind = ModelKind(model_kind)
     # Hyperparameter flags are named after the table's defaults; flags
     # the chosen kind does not take are ignored.
@@ -275,6 +292,7 @@ def cmd_train(model_kind, features, part, variant, train_path, out, seed, tokeni
               help="Optional CSV mirror.")
 def cmd_evaluate(model_file, test_path, report, csv_path) -> None:
     """Evaluate a trained model on a test CSV and write its report."""
+    _check_outputs([model_file, test_path], [report, csv_path])
     loaded = load_model(model_file)
     records = read_corpus_csv(test_path)
     if not records:
@@ -312,6 +330,8 @@ def cmd_predict(model_file, name, batch) -> None:
         # Split as universal newlines do; a CRLF leaves a blank line.
         lines = read_text(batch).replace("\r", "\n").split("\n")
         names = [line.strip() for line in lines if line.strip()]
+        if not names:
+            raise GendecError(f"{batch} holds no names")
     # Every name is checked before anything is printed.
     texts = [part_text(n, loaded.part) for n in names]
     X = transform(texts, loaded.vocabulary, loaded.weighting)
@@ -334,6 +354,7 @@ def cmd_predict(model_file, name, batch) -> None:
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 def cmd_stats(statistic, corpus_path, gender, part, out) -> None:
     """Write homonym histograms or kanji character frequencies as CSV."""
+    _check_outputs([corpus_path], [out])
     records = read_corpus_csv(corpus_path)
     target = Gender(gender)
     if statistic == "homonyms":
@@ -360,7 +381,9 @@ def cmd_translit(kana) -> None:
 @click.option("--report-csv", type=click.Path(dir_okay=False), required=True)
 def cmd_grid(config_path, report_json, report_csv) -> None:
     """Run a full experiment grid from one config file."""
-    results = run_experiment(ExperimentGrid.load(config_path))
+    grid = ExperimentGrid.load(config_path)
+    _check_outputs([config_path, grid.train_path, grid.test_path], [report_json, report_csv])
+    results = run_experiment(grid)
     write_reports_json(report_json, results)
     write_reports_csv(report_csv, results)
     for result in results:

@@ -32,6 +32,7 @@ from .name_core import (
     NamePart,
     NameRecord,
     NameRole,
+    check_values,
     normalize_romaji,
     read_csv,
     write_lines,
@@ -138,6 +139,9 @@ class PairingConfig:
     def __post_init__(self) -> None:
         if self.mode is PairingMode.CROSS_K and self.k < 1:
             raise ConfigError(f"cross-k pairing requires k >= 1, got {self.k}")
+        if self.mode is PairingMode.ONE_TO_ONE and self.k != 1:
+            raise ConfigError(f"one-to-one pairing pairs one family per given name; "
+                              f"k must be 1, got {self.k}")
 
 
 def build_dataset(
@@ -152,6 +156,7 @@ def build_dataset(
     none.  One-to-one mode draws one family name per given name (with
     replacement); cross-k pairs each given name with k distinct families.
     """
+    check_values(seed=seed)
     if not firsts or not lasts:
         raise EmptyInputError("need at least one given name and one family name")
     if any(row.role is not NameRole.GIVEN for row in firsts):
@@ -225,6 +230,7 @@ def split_dataset(
     slices are concatenated (female block first), keeping each split's
     gender balance within one record of the corpus balance.
     """
+    check_values(seed=seed)
     if not records:
         raise EmptyInputError("cannot split an empty record list")
     rng = _rng(seed)

@@ -27,7 +27,7 @@ from .name_core import (
     NamePart,
     NameRecord,
     check_keys,
-    json_count,
+    check_values,
     part_text,
     read_corpus_csv,
     read_json,
@@ -254,16 +254,13 @@ class ExperimentGrid:
 
 
 def _check_run(cells: Sequence[Cell], seed: int, hyperparameters: dict) -> None:
-    """Raise ConfigError unless the cells are non-empty and unique, the seed is
-    a non-negative integer and the hyperparameters pass check_hyperparameters."""
+    """Raise ConfigError unless the cells are non-empty and unique and the seed
+    and hyperparameters pass their rules, so a bad value fails before any cell."""
     if not cells:
         raise ConfigError("grid has no cells")
     if len(set(cells)) != len(cells):
         raise ConfigError("grid cells must be unique")
-    try:
-        json_count(seed)
-    except ValueError as exc:
-        raise ConfigError(f"grid seed: {exc}") from None
+    check_values(seed=seed)
     check_hyperparameters(hyperparameters)
 
 

@@ -11,8 +11,6 @@ probabilities.
 
 from __future__ import annotations
 
-import numbers
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Optional, Union
@@ -20,7 +18,7 @@ from typing import Any, Callable, Optional, Union
 import numpy as np
 
 from ..errors import ConfigError, UnsupportedModelError
-from ..name_core import Gender
+from ..name_core import Gender, check_values
 from . import forest, logistic, naive_bayes, svm, tree
 from .common import (
     MatrixLike,
@@ -103,18 +101,11 @@ def kind_of(model: TrainedModel) -> ModelKind:
 
 
 _KIND_NAMES = [kind.value for kind in ModelKind]
-# A value must have its default's type; None defaults take integers.
-_ACCEPTED = {
-    bool: bool,
-    int: numbers.Integral,
-    float: numbers.Real,
-    type(None): (numbers.Integral, type(None)),
-}
 
 
 def check_hyperparameters(hyperparameters: dict) -> None:
-    """Raise ConfigError unless every kind, name and value type is known and
-    every number is finite as a float (no NaN, Infinity or 10**400)."""
+    """Raise ConfigError unless every kind and name is known and every value
+    passes its rule (``name_core.check_values``)."""
     if not isinstance(hyperparameters, dict):
         raise ConfigError("hyperparameters must be an object keyed by model kind")
     for kind, params in hyperparameters.items():
@@ -122,17 +113,11 @@ def check_hyperparameters(hyperparameters: dict) -> None:
             raise ConfigError(f"hyperparameters: {kind!r} must be one of "
                               f"{_KIND_NAMES} and map to an object")
         defaults = MODEL_KINDS[ModelKind(kind)].defaults
-        for name, value in params.items():
+        for name in params:
             if name not in defaults:
                 raise ConfigError(f"unknown {kind} hyperparameter {name!r}; "
                                   f"expected one of {sorted(defaults)}")
-            default = defaults[name]
-            if (not isinstance(value, _ACCEPTED[type(default)])
-                    or isinstance(value, bool) != isinstance(default, bool)
-                    or isinstance(value, numbers.Real)
-                    and not abs(value) <= sys.float_info.max):
-                raise ConfigError(f"{kind} hyperparameter {name!r} must be a finite "
-                                  f"value like {default!r}, got {value!r}")
+        check_values(**params)
 
 
 def predict_with_proba(

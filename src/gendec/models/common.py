@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 import math
-import numbers
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from ..errors import (
-    ConfigError,
     DimensionMismatchError,
     EmptyInputError,
     LabelError,
@@ -85,16 +83,6 @@ def _canonical(matrix: CSR) -> CSR:
     indptr = np.zeros_like(matrix.indptr)
     np.cumsum(np.bincount(rows[first], minlength=matrix.shape[0]), out=indptr[1:])
     return CSR(indptr=indptr, indices=cols[first], data=data, shape=matrix.shape)
-
-
-def check_count(name: str, value, optional: bool = False) -> None:
-    """ConfigError unless the hyperparameter ``value`` is an integer >= 1
-    (or None, when ``optional``).  A bool, a float such as 2.5 and NaN are
-    refused, as ``check_hyperparameters`` refuses them in a grid config."""
-    if optional and value is None:
-        return
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def labels_to_ints(y: Sequence[Gender]) -> np.ndarray:

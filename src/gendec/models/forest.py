@@ -14,12 +14,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..errors import ConfigError
-from ..name_core import Gender, check_keys, json_count
-from .common import MatrixLike, as_csr, boolean, check_count, male_wins, training_labels
+from ..name_core import Gender, check_keys, check_values, json_count
+from .common import MatrixLike, as_csr, boolean, male_wins, training_labels
 from .tree import (
     TreeModel,
     _grow_tree,
-    depth_limit,
     tree_from_nodes,
     tree_leaf_counts,
     tree_nodes_params,
@@ -60,14 +59,15 @@ def train_forest(
     ``features_per_split`` defaults to ceil(sqrt(V)).  When the sampled
     columns admit no valid split, the search widens to every column.
     """
-    check_count("n_trees", n_trees)
-    check_count("features_per_split", features_per_split, optional=True)
+    check_values(n_trees=n_trees, features_per_split=features_per_split,
+                 bootstrap=bootstrap, seed=seed, max_depth=max_depth,
+                 min_samples_leaf=min_samples_leaf)
     matrix = as_csr(X)
     labels = training_labels(matrix, y)
     n, V = matrix.shape
     if features_per_split is None:
         features_per_split = max(1, math.isqrt(V) + (math.isqrt(V) ** 2 < V))
-    if not 1 <= features_per_split <= max(V, 1):
+    if features_per_split > max(V, 1):
         raise ConfigError(
             f"features_per_split must be in [1, {V}], got {features_per_split}"
         )
@@ -127,24 +127,19 @@ def forest_from_params(doc: dict, n_features: int) -> ForestModel:
     check_keys(doc, ("n_trees", "features_per_split", "bootstrap", "seed", "max_depth",
                      "min_samples_leaf", "exhaust_on_miss", "tree_streams", "trees"),
                error=ValueError)
-    max_depth = depth_limit(doc["max_depth"])
-    min_samples_leaf = json_count(doc["min_samples_leaf"])
-    trees = [tree_from_nodes(t, n_features, max_depth, min_samples_leaf)
+    values = {name: doc[name] for name in ("features_per_split", "bootstrap", "seed",
+                                           "max_depth", "min_samples_leaf")}
+    check_values(ValueError, n_trees=doc["n_trees"], **values)
+    trees = [tree_from_nodes(t, n_features, values["max_depth"], values["min_samples_leaf"])
              for t in doc["trees"]]
-    if json_count(doc["n_trees"]) != len(trees) or not trees:
-        raise ValueError(f"n_trees must be >= 1 and match the {len(trees)} trees given, "
+    if doc["n_trees"] != len(trees):
+        raise ValueError(f"n_trees must match the {len(trees)} trees given, "
                          f"got {doc['n_trees']}")
+    if values["features_per_split"] is None:
+        raise ValueError("features_per_split must be the integer the forest used, got null")
     streams = doc["tree_streams"]
     if (not isinstance(streams, list)
             or [json_count(i) for i in streams] != list(range(len(trees)))):
         raise ValueError(f"tree_streams must be [0, ..., {len(trees) - 1}], got {streams!r}")
     boolean(doc["exhaust_on_miss"])  # a fixed field: it must be a boolean and is ignored
-    return ForestModel(
-        trees=trees,
-        features_per_split=json_count(doc["features_per_split"]),
-        bootstrap=boolean(doc["bootstrap"]),
-        seed=json_count(doc["seed"]),
-        max_depth=max_depth,
-        min_samples_leaf=min_samples_leaf,
-        n_features=n_features,
-    )
+    return ForestModel(trees=trees, n_features=n_features, **values)

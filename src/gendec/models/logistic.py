@@ -43,10 +43,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..errors import ConfigError, NonFiniteError
-from ..name_core import Gender, check_keys, json_count
+from ..errors import NonFiniteError
+from ..name_core import Gender, check_keys, check_values
 from ..vectorize import CSR
-from .common import MatrixLike, as_csr, check_count, number, training_labels, vector
+from .common import MatrixLike, as_csr, number, training_labels, vector
 
 
 @dataclass
@@ -190,11 +190,7 @@ def train_logistic(
     epochs: int = 200,
     l2: float = 1e-4,
 ) -> LRModel:
-    if not 0 < learning_rate < math.inf:
-        raise ConfigError(f"learning_rate must be positive and finite, got {learning_rate}")
-    check_count("epochs", epochs)
-    if not 0 <= l2 < math.inf:
-        raise ConfigError(f"l2 must be >= 0 and finite, got {l2}")
+    check_values(learning_rate=learning_rate, epochs=epochs, l2=l2)
     matrix = as_csr(X)
     y01 = training_labels(matrix, y).astype(np.float64)
     products = _Products(matrix)
@@ -242,11 +238,13 @@ def lr_params(model: LRModel) -> dict:
 def lr_from_params(doc: dict, n_features: int) -> LRModel:
     check_keys(doc, ("weights", "bias", "l2", "learning_rate", "epochs", "training_trace"),
                error=ValueError)
+    check_values(ValueError, l2=doc["l2"], learning_rate=doc["learning_rate"],
+                 epochs=doc["epochs"])
     return LRModel(
         weights=vector(doc["weights"], np.float64, n_features),
         bias=number(doc["bias"]),
-        l2=number(doc["l2"]),
-        learning_rate=number(doc["learning_rate"]),
-        epochs=json_count(doc["epochs"]),
+        l2=float(doc["l2"]),
+        learning_rate=float(doc["learning_rate"]),
+        epochs=doc["epochs"],
         training_trace=vector(doc["training_trace"], np.float64).tolist(),
     )

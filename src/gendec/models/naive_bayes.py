@@ -6,18 +6,16 @@ multinomial-with-fractional-counts convention.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from ..errors import ConfigError, SingleClassWarning
-from ..name_core import Gender, check_keys
+from ..errors import SingleClassWarning
+from ..name_core import Gender, check_keys, check_values
 from .common import (
-    MatrixLike, as_csr, boolean, check_n_features, finite, number, training_labels,
-    vector,
+    MatrixLike, as_csr, boolean, check_n_features, finite, training_labels, vector,
 )
 
 
@@ -33,8 +31,7 @@ class NBModel:
 def train_naive_bayes(
     X: MatrixLike, y: Sequence[Gender], alpha: float = 1.0
 ) -> NBModel:
-    if not 0 < alpha < math.inf:
-        raise ConfigError(f"alpha must be positive and finite, got {alpha}")
+    check_values(alpha=alpha)
     matrix = as_csr(X)
     labels = training_labels(matrix, y)
     n, V = matrix.shape
@@ -91,9 +88,10 @@ def nb_params(model: NBModel) -> dict:
 def nb_from_params(doc: dict, n_features: int) -> NBModel:
     check_keys(doc, ("alpha", "class_log_prior", "feature_log_prob", "single_class"),
                error=ValueError)
+    check_values(ValueError, alpha=doc["alpha"])
     single_class = boolean(doc["single_class"])
     return NBModel(
-        alpha=number(doc["alpha"]),
+        alpha=float(doc["alpha"]),
         # The class a single-class model never saw has log prior -Infinity.
         class_log_prior=vector(doc["class_log_prior"], np.float64, 2,
                                neg_inf_ok=single_class),

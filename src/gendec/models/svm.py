@@ -22,15 +22,14 @@ construction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from ..errors import ConfigError, NonFiniteError
-from ..name_core import Gender, check_keys, json_count
-from .common import MatrixLike, as_csr, check_count, number, training_labels, vector
+from ..errors import NonFiniteError
+from ..name_core import Gender, check_keys, check_values
+from .common import MatrixLike, as_csr, number, training_labels, vector
 
 
 @dataclass
@@ -63,9 +62,7 @@ def train_svm(
     epochs: int = 20,
     seed: int = 42,
 ) -> SVMModel:
-    if not 0 < lam < math.inf:
-        raise ConfigError(f"lambda must be positive and finite, got {lam}")
-    check_count("epochs", epochs)
+    check_values(lam=lam, epochs=epochs, seed=seed)
     matrix = as_csr(X)
     signs = np.where(training_labels(matrix, y) == 1, 1.0, -1.0).tolist()
     n, V = matrix.shape
@@ -112,10 +109,11 @@ def svm_params(model: SVMModel) -> dict:
 
 def svm_from_params(doc: dict, n_features: int) -> SVMModel:
     check_keys(doc, ("weights", "bias", "lambda", "epochs", "seed"), error=ValueError)
+    check_values(ValueError, lam=doc["lambda"], epochs=doc["epochs"], seed=doc["seed"])
     return SVMModel(
         weights=vector(doc["weights"], np.float64, n_features),
         bias=number(doc["bias"]),
-        lam=number(doc["lambda"]),
-        epochs=json_count(doc["epochs"]),
-        seed=json_count(doc["seed"]),
+        lam=float(doc["lambda"]),
+        epochs=doc["epochs"],
+        seed=doc["seed"],
     )

@@ -35,9 +35,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ..errors import ConfigError
-from ..name_core import Gender, check_keys, json_count
+from ..name_core import Gender, check_keys, check_values
 from ..vectorize import CSR
-from .common import MatrixLike, as_csr, check_count, check_n_features, training_labels, vector
+from .common import MatrixLike, as_csr, check_n_features, training_labels, vector
 
 # A sampler returns the sorted candidate column ids for one split search.
 FeatureSampler = Callable[[], np.ndarray]
@@ -142,8 +142,6 @@ def _grow_tree(
     falls back to all columns so impure nodes are not stranded by an
     unlucky draw.
     """
-    check_count("max_depth", max_depth, optional=True)
-    check_count("min_samples_leaf", min_samples_leaf)
     if matrix.nnz and matrix.data.min() < 0:
         raise ConfigError("tree features must be non-negative")
     # One (column, value) order for the whole tree; lexsort is stable, so
@@ -238,6 +236,7 @@ def train_tree(
     max_depth: Optional[int] = None,
     min_samples_leaf: int = 1,
 ) -> TreeModel:
+    check_values(max_depth=max_depth, min_samples_leaf=min_samples_leaf)
     matrix = as_csr(X)
     return _grow_tree(matrix, training_labels(matrix, y), max_depth, min_samples_leaf)
 
@@ -337,13 +336,6 @@ def tree_from_nodes(
     return tree
 
 
-def depth_limit(value) -> Optional[int]:
-    """A ``max_depth`` read from a model document: null or an integer >= 1."""
-    if value is not None and json_count(value) < 1:
-        raise ValueError(f"max_depth must be null or >= 1, got {value!r}")
-    return value
-
-
 def tree_params(model: TreeModel) -> dict:
     return {
         "max_depth": model.max_depth,
@@ -354,5 +346,7 @@ def tree_params(model: TreeModel) -> dict:
 
 def tree_from_params(doc: dict, n_features: int) -> TreeModel:
     check_keys(doc, ("max_depth", "min_samples_leaf", "nodes"), error=ValueError)
-    return tree_from_nodes(doc["nodes"], n_features, depth_limit(doc["max_depth"]),
-                           json_count(doc["min_samples_leaf"]))
+    check_values(ValueError, max_depth=doc["max_depth"],
+                 min_samples_leaf=doc["min_samples_leaf"])
+    return tree_from_nodes(doc["nodes"], n_features, doc["max_depth"],
+                           doc["min_samples_leaf"])

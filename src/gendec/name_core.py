@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .errors import GendecError, LabelError, MalformedNameError, SchemaError
+from .errors import ConfigError, GendecError, LabelError, MalformedNameError, SchemaError
 
 CSV_HEADER = "romaji,kanji,hiragana,gender"
 
@@ -173,6 +174,41 @@ def json_count(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         raise ValueError(f"expected a non-negative integer, got {value!r}")
     return value
+
+
+def _integer(value, low: int) -> bool:
+    return type(value) is int and value >= low
+
+
+def _real(value, zero_ok: bool) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and (0 <= value if zero_ok else 0 < value) and value <= sys.float_info.max)
+
+
+#: One rule per hyperparameter and seed: its test and its wording.  An
+#: integer must be a Python ``int`` (no bool or numpy integer) and a number
+#: an ``int`` or ``float`` below 1.8e308 (no NaN, infinity or 10**400), so
+#: every accepted value serializes as JSON.
+VALUE_RULES = {
+    **dict.fromkeys(("alpha", "learning_rate", "lam"),
+                    (lambda v: _real(v, False), "a positive finite number")),
+    "l2": (lambda v: _real(v, True), "a finite number >= 0"),
+    **dict.fromkeys(("epochs", "n_trees", "min_samples_leaf"),
+                    (lambda v: _integer(v, 1), "an integer >= 1")),
+    **dict.fromkeys(("max_depth", "features_per_split"),
+                    (lambda v: v is None or _integer(v, 1), "null or an integer >= 1")),
+    "bootstrap": (lambda v: isinstance(v, bool), "true or false"),
+    "seed": (lambda v: _integer(v, 0), "an integer >= 0"),
+}
+
+
+def check_values(error: type[Exception] = ConfigError, **values) -> None:
+    """Raise ``error`` for the first of ``values`` (hyperparameters or a
+    seed, by name) that breaks its rule in ``VALUE_RULES``."""
+    for name, value in values.items():
+        test, wording = VALUE_RULES[name]
+        if not test(value):
+            raise error(f"{name} must be {wording}, got {value!r}")
 
 
 def check_keys(doc, required: tuple[str, ...], optional: tuple[str, ...] = (), *,

@@ -70,6 +70,18 @@ class TestBuildDataset:
         assert meta["rows"]["total"] == len(records)
         assert "male" in result.output and "female" in result.output
 
+    def test_k_without_cross_k_pairing_exits_2(self, runner, raw_files, tmp_path):
+        # One-to-one pairing draws one family per given name; a k other
+        # than 1 would be ignored yet recorded in the sidecar.
+        out = tmp_path / "corpus.csv"
+        result = runner.invoke(main, [
+            "build-dataset", "--firsts", str(raw_files[0]), "--lasts", str(raw_files[1]),
+            "--out", str(out), "--pairing", "one-to-one", "--k", "5",
+        ])
+        assert result.exit_code == 2
+        assert result.output.startswith("error:") and "k must be 1, got 5" in result.output
+        assert not out.exists()
+
     def test_missing_input_exits_2(self, runner, tmp_path):
         result = runner.invoke(main, [
             "build-dataset", "--firsts", str(tmp_path / "nope.csv"),
@@ -359,13 +371,15 @@ class TestPredictPaths:
         assert [line.split("'")[1] for line in warnings] == ["Zzzz Qqqq", "Xxxx Yyyy"]
         assert all(line.startswith("warning: ") for line in warnings)
 
-    def test_empty_batch_prints_nothing(self, runner, model_path, tmp_path):
+    def test_empty_batch_exits_2(self, runner, model_path, tmp_path):
+        # A batch with no names is an input error, not a silent success.
         batch = tmp_path / "empty.txt"
-        batch.write_text("\n  \n", encoding="utf-8")
-        result = runner.invoke(main, ["predict", "--model-file", str(model_path),
-                                      "--batch", str(batch)])
-        assert result.exit_code == 0
-        assert result.output == ""
+        for text in ("", "\n  \n\r\n"):
+            batch.write_text(text, encoding="utf-8")
+            result = runner.invoke(main, ["predict", "--model-file", str(model_path),
+                                          "--batch", str(batch)])
+            assert result.exit_code == 2
+            assert (result.stdout, result.stderr) == ("", f"error: {batch} holds no names\n")
 
     def test_malformed_batch_line_exits_2_before_printing(self, runner, model_path,
                                                           tmp_path):
@@ -381,7 +395,10 @@ class TestPredictPaths:
 
 # Malformed trees, each written into a dt file and into an rf file's first tree.
 TREE_CASES = ["cycle", "child-out-of-range", "column-out-of-range", "max-depth-0",
-              "zero-counts", "negative-count"]
+              "zero-counts", "negative-count", "leaf-0"]
+# Stored hyperparameters that break their value rule: case -> (key, value).
+VALUE_CASES = {"nb-alpha-negative": ("alpha", -1), "lr-epochs-0": ("epochs", 0),
+               "svm-lambda-0": ("lambda", 0), "svm-epochs-0": ("epochs", 0)}
 
 
 class TestCorruptModelFiles:
@@ -394,19 +411,23 @@ class TestCorruptModelFiles:
                             "n-trees-mismatch", "unknown-key", "misspelled-parameter",
                             "duplicate-token", "integer-token", "swapped-tokens",
                             "streams-string", "streams-wrong", "streams-null",
-                            "exhaust-string", "tfidf-without-idf"])
+                            "exhaust-string", "tfidf-without-idf", *VALUE_CASES])
     def corrupt_model(self, request, runner, split_files, tmp_path):
-        kind = "dt" if request.param.startswith("dt-") else "rf"
+        kind = request.param.split("-")[0]
+        kind = kind if kind in ("nb", "lr", "dt", "svm") else "rf"
         model_path = _train_tfidf(runner, split_files[0], tmp_path / f"{kind}.json", kind)
         doc = json.loads(model_path.read_text())
         params = doc["parameters"]
-        nodes = params["nodes"] if kind == "dt" else params["trees"][0]
+        nodes = params["nodes"] if kind == "dt" else params.get("trees", [None])[0]
         case = request.param.removeprefix(f"{kind}-")
         texts = {"not-json": "{not json", "nested-deep": DEEP_JSON}
         if case in texts:
             model_path.write_text(texts[case], encoding="utf-8")
             return model_path
-        if case == "missing-keys":
+        if request.param in VALUE_CASES:
+            key, value = VALUE_CASES[request.param]
+            params[key] = value
+        elif case == "missing-keys":
             doc = {"schema_version": 1, "model_kind": "rf"}
         elif case == "missing-parameter":
             del doc["parameters"]["trees"][0]["threshold"]
@@ -424,6 +445,8 @@ class TestCorruptModelFiles:
             nodes["feature"][0] = 10 ** 6
         elif case == "max-depth-0":
             params["max_depth"] = 0
+        elif case == "leaf-0":
+            params["min_samples_leaf"] = 0
         elif case == "zero-counts":
             leaf = nodes["feature"].index(-1)
             nodes["count_female"][leaf] = nodes["count_male"][leaf] = 0
@@ -825,6 +848,9 @@ class TestGrid:
                      id="removed-rf-knob"),
         pytest.param({"tokenizer": {"mode": "char_ngram", "ngram_min": 1.5, "ngram_max": 2}},
                      id="fractional-ngram"),
+        # A value its rule refuses fails the run before any cell trains.
+        pytest.param({"hyperparameters": {"rf": {"max_depth": 0}}}, id="forest-depth-0"),
+        pytest.param({"hyperparameters": {"rf": {"n_trees": 0}}}, id="zero-trees"),
         *MALFORMED_CONFIG_VALUES,
     ])
     def test_malformed_configs_exit_2(self, runner, split_files, tmp_path, config):
@@ -838,10 +864,9 @@ class TestGrid:
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("hyperparameters,code", [
-        ({"rf": {"n_trees": 0}}, 2),
+        ({"rf": {"features_per_split": 10 ** 6}}, 2),  # above the vocabulary size
         ({"lr": {"learning_rate": 1e308, "l2": 1e308, "epochs": 3}}, 3),
-        ({"rf": {"max_depth": 0}}, 2),
-    ], ids=["config-error", "non-finite", "forest-depth-0"])
+    ], ids=["config-error", "non-finite"])
     def test_failed_cell_writes_reports_then_exits_nonzero(self, runner, split_files,
                                                            tmp_path, hyperparameters,
                                                            code):
@@ -875,7 +900,8 @@ class TestBadFiles:
     def files(self, tmp_path, split_files, raw_files, model_path):
         train_csv, _val, test_csv = split_files
         paths = {"model": model_path, "lasts": raw_files[1], "train": train_csv,
-                 "out": tmp_path / "out.txt", "out2": tmp_path / "out2.txt"}
+                 "out": tmp_path / "out.txt", "out2": tmp_path / "out2.txt",
+                 "out3": tmp_path / "out3.txt"}
         contents = {
             "bad_corpus": NOT_UTF8_CORPUS,
             "bad_raw": NOT_UTF8_RAW,
@@ -906,7 +932,7 @@ class TestBadFiles:
 
     @pytest.mark.parametrize("args", [
         ["split", "--in", "{bad_corpus}", "--train-out", "{out}",
-         "--val-out", "{out2}", "--test-out", "{out2}"],
+         "--val-out", "{out2}", "--test-out", "{out3}"],
         [*_TRAIN, "--train", "{bad_corpus}"],
         ["evaluate", "--model-file", "{model}", "--test", "{bad_corpus}",
          "--report", "{out}"],
@@ -936,6 +962,53 @@ class TestBadFiles:
         assert not files["out"].exists()
 
 
+class TestCollidingPaths:
+    """An output path that equals an input or another output (a metadata
+    sidecar included) exits 2 before any corpus or model is read and before
+    anything is written."""
+
+    @pytest.fixture
+    def files(self, tmp_path, split_files, raw_files, corpus_file, model_path):
+        train_csv, _val, test_csv = split_files
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({
+            "train": str(train_csv), "test": str(test_csv),
+            "cells": [{"model": "nb", "features": "count", "variant": "original",
+                       "part": "full"}],
+        }), encoding="utf-8")
+        return {"firsts": raw_files[0], "lasts": raw_files[1], "corpus": corpus_file,
+                "train": train_csv, "test": test_csv, "model": model_path, "grid": grid,
+                "out": tmp_path / "out.csv", "out2": tmp_path / "out2.csv",
+                "out3": tmp_path / "out3.csv"}
+
+    @pytest.mark.parametrize("args", [
+        ["build-dataset", "--firsts", "{firsts}", "--lasts", "{lasts}", "--out", "{lasts}"],
+        ["split", "--in", "{corpus}", "--train-out", "{out}", "--val-out", "{out2}",
+         "--test-out", "{out}"],
+        ["split", "--in", "{corpus}", "--train-out", "{out}",
+         "--val-out", "{out}.meta.json", "--test-out", "{out3}"],
+        ["train", "--model", "nb", "--features", "count", "--train", "{train}",
+         "--out", "{train}"],
+        ["evaluate", "--model-file", "{model}", "--test", "{test}", "--report", "{model}"],
+        ["evaluate", "--model-file", "{model}", "--test", "{test}", "--report", "{out}",
+         "--csv", "{out}"],
+        ["stats", "chars", "--in", "{corpus}", "--gender", "male", "--out", "{corpus}"],
+        ["grid", "--config", "{grid}", "--report-json", "{out}", "--report-csv", "{out}"],
+        ["grid", "--config", "{grid}", "--report-json", "{out}", "--report-csv", "{test}"],
+    ], ids=["build-dataset-out-is-lasts", "split-train-is-test", "split-val-is-sidecar",
+            "train-out-is-train", "evaluate-report-is-model", "evaluate-report-is-csv",
+            "stats-out-is-in", "grid-json-is-csv", "grid-csv-is-test"])
+    def test_exits_2_and_leaves_every_file(self, runner, files, tmp_path, args):
+        before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+        result = runner.invoke(main, [arg.format(**files) for arg in args])
+        assert result.exit_code == 2
+        assert _no_traceback(result)
+        assert result.stdout == ""
+        assert result.stderr.startswith("error:") and "is both an output" in result.stderr
+        assert {path: path.read_bytes() for path in tmp_path.rglob("*")
+                if path.is_file()} == before
+
+
 class TestErrorBoundary:
     """Every command maps a GendecError the same way: an ``error:`` line, no
     traceback, exit 3 for a numerical failure and 2 for any other."""
@@ -951,14 +1024,15 @@ class TestErrorBoundary:
         }), encoding="utf-8")
         return {"firsts": raw_files[0], "lasts": raw_files[1], "corpus": corpus_file,
                 "train": train_csv, "test": test_csv, "model": model_path, "grid": grid,
-                "out": tmp_path / "out.txt", "out2": tmp_path / "out2.txt"}
+                "out": tmp_path / "out.txt", "out2": tmp_path / "out2.txt",
+                "out3": tmp_path / "out3.txt"}
 
     # command -> (one name it calls from gendec.cli, its arguments)
     COMMANDS = {
         "build-dataset": ("build_dataset", ["--firsts", "{firsts}", "--lasts", "{lasts}",
                                             "--out", "{out}"]),
         "split": ("split_dataset", ["--in", "{corpus}", "--train-out", "{out}",
-                                    "--val-out", "{out2}", "--test-out", "{out2}"]),
+                                    "--val-out", "{out2}", "--test-out", "{out3}"]),
         "train": ("train_cell_model", ["--model", "nb", "--features", "count",
                                        "--train", "{train}", "--out", "{out}"]),
         "evaluate": ("evaluate_predictions", ["--model-file", "{model}", "--test", "{test}",

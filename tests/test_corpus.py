@@ -82,6 +82,10 @@ class TestBuildDataset:
         with pytest.raises(EmptyInputError):
             build_dataset([YUKA_A], [])
 
+    def test_one_to_one_refuses_k(self):
+        with pytest.raises(ConfigError, match="k must be 1, got 5"):
+            PairingConfig(PairingMode.ONE_TO_ONE, k=5)
+
     def test_cross_k_exceeding_inventory(self):
         with pytest.raises(ConfigError):
             build_dataset([YUKA_A], [TAMAI], PairingConfig(PairingMode.CROSS_K, k=2))

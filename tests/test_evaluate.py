@@ -223,15 +223,15 @@ class TestRunCells:
     def test_failed_cell_reported_not_fatal(self, splits):
         train, test = splits
         good = Cell(ModelKind.NB, Weighting.COUNT, InputVariant.ORIGINAL, NamePart.FULL)
-        bad = Cell(ModelKind.LR, Weighting.COUNT, InputVariant.ORIGINAL, NamePart.FULL)
-        results = run_cells(
+        bad = Cell(ModelKind.RF, Weighting.COUNT, InputVariant.ORIGINAL, NamePart.FULL)
+        results = run_cells(  # more sampled columns than the vocabulary has
             [good, bad], train, test,
-            hyperparameters={"lr": {"learning_rate": -1.0}},
+            hyperparameters={"rf": {"features_per_split": 10 ** 6}},
         )
         by_model = {r.cell.model: r for r in results}
         assert by_model[ModelKind.NB].report is not None
-        assert by_model[ModelKind.LR].report is None
-        assert "ConfigError" in by_model[ModelKind.LR].error
+        assert by_model[ModelKind.RF].report is None
+        assert "ConfigError" in by_model[ModelKind.RF].error
 
     @pytest.mark.parametrize("hyper", [
         {"nb": {"bogus": 1}}, {"knn": {}}, {"rf": {"n_trees": "many"}},
@@ -316,14 +316,14 @@ class TestSharedFeatures:
         train, test = splits
         tokenizer, reference = all_preset_reference
         results = run_cells(preset_cells("all"), train, test, seed=5,
-                            hyperparameters={**FAST, "nb": {"alpha": -1.0}},
+                            hyperparameters={**FAST, "rf": {"features_per_split": 10 ** 6}},
                             tokenizer=tokenizer)
         failed = {r.cell: r.error for r in results if r.report is None}
-        assert set(failed) == {cell for cell in reference if cell.model is ModelKind.NB}
+        assert set(failed) == {cell for cell in reference if cell.model is ModelKind.RF}
         assert all("ConfigError" in error for error in failed.values())
         assert {r.cell: r.report.to_json_dict() for r in results
                 if r.report is not None} == {
-            cell: doc for cell, doc in reference.items() if cell.model is not ModelKind.NB}
+            cell: doc for cell, doc in reference.items() if cell.model is not ModelKind.RF}
 
     def test_classical_full_featurizes_each_encoding_once(self, splits, monkeypatch):
         train, test = splits

@@ -1,0 +1,186 @@
+"""One rule per hyperparameter and seed (``name_core.VALUE_RULES``).
+
+Every path that takes such a value (the trainers, ``build_dataset`` and
+``split_dataset``, ``run_cells`` and grid configs, ``gendec train`` flags
+and model-file loaders) asks ``check_values``, so a value is accepted or
+refused with the same words everywhere.
+"""
+
+import inspect
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import gendec.evaluate as evaluate
+from gendec.cli import main
+from gendec.corpus import SplitRatios, build_dataset, split_dataset
+from gendec.errors import ConfigError
+from gendec.evaluate import Cell, run_cells
+from gendec.model_io import ModelFile, load_model, save_model
+from gendec.models import MODEL_KINDS, ModelKind, predict_with_proba
+from gendec.name_core import (
+    InputVariant, NamePart, VALUE_RULES, check_values, part_text, write_corpus_csv,
+)
+from gendec.vectorize import TokenizerConfig, Weighting, fit_vocabulary, transform
+from tests.conftest import make_raw_inventories
+
+RECORDS = build_dataset(*make_raw_inventories(), seed=1)
+TRAIN, _, TEST = split_dataset(RECORDS, SplitRatios(0.6, 0.2, 0.2), seed=1)
+TEXTS = [part_text(r.romaji, NamePart.FULL) for r in TRAIN]
+LABELS = [r.gender for r in TRAIN]
+VOCAB = fit_vocabulary(TEXTS, TokenizerConfig(), Weighting.COUNT)
+X = transform(TEXTS, VOCAB, Weighting.COUNT)
+
+
+def _names(kind: ModelKind) -> list[str]:
+    spec = MODEL_KINDS[kind]
+    return [*spec.defaults, *(["seed"] if spec.seeded else [])]
+
+
+def test_every_default_has_a_rule_it_passes():
+    for kind, spec in MODEL_KINDS.items():
+        assert set(spec.defaults) <= set(VALUE_RULES), kind
+        check_values(**spec.defaults)
+        if spec.seeded:
+            check_values(seed=inspect.signature(spec.train).parameters["seed"].default)
+
+
+def _number(low, high):
+    return st.one_of(st.floats(low, high), st.integers(math.ceil(low), int(high)),
+                     st.floats(low, high).map(np.float64))
+
+
+# Values inside each rule, bounded so that training stays quick and finite.
+ACCEPTED = {
+    "alpha": _number(1e-3, 10.0),
+    "learning_rate": _number(1e-3, 2.0),
+    "lam": _number(1e-3, 10.0),
+    "l2": st.one_of(st.just(0), _number(0.0, 1.0)),
+    "epochs": st.integers(1, 4),
+    "n_trees": st.integers(1, 3),
+    "min_samples_leaf": st.integers(1, 5),
+    "max_depth": st.none() | st.integers(1, 6),
+    "features_per_split": st.none() | st.integers(1, X.matrix.shape[1]),
+    "bootstrap": st.booleans(),
+    "seed": st.integers(0, 2 ** 70),
+}
+
+
+@pytest.mark.parametrize("kind", list(ModelKind), ids=lambda kind: kind.value)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_accepted_values_train_save_load_and_predict_identically(kind, data):
+    spec = MODEL_KINDS[kind]
+    params = {name: data.draw(ACCEPTED[name], label=name) for name in _names(kind)}
+    check_values(**params)
+    model = spec.train(X, LABELS, **params)
+    model_file = ModelFile(model, kind, Weighting.COUNT, NamePart.FULL,
+                           InputVariant.ORIGINAL, VOCAB, None, {})
+    with tempfile.TemporaryDirectory() as tmp:
+        save_model(Path(tmp) / "m.json", model_file)
+        loaded = load_model(Path(tmp) / "m.json").model
+    assert spec.to_params(loaded) == spec.to_params(model)
+    labels, proba = predict_with_proba(model, X)
+    loaded_labels, loaded_proba = predict_with_proba(loaded, X)
+    assert loaded_labels == labels
+    assert (proba is None) == (loaded_proba is None)
+    assert proba is None or np.array_equal(proba, loaded_proba)
+
+
+REFUSED = [
+    *(("nb", "alpha", v) for v in (True, 0, -1.0, math.nan, math.inf, 10 ** 400, "1",
+                                   np.float32(1.0))),
+    *(("lr", "learning_rate", v) for v in (True, 0.0, -1.0, 10 ** 400)),
+    *(("lr", "l2", v) for v in (-1e-9, math.nan, True, None)),
+    *(("lr", "epochs", v) for v in (0, 2.5, np.int64(2), True)),
+    *(("svm", "lam", v) for v in (True, 0, math.inf, 10 ** 400)),
+    *(("svm", "epochs", v) for v in (0, np.int64(2))),
+    *(("svm", "seed", v) for v in (-1, 2.5, math.nan, None, True, np.int64(3))),
+    *(("dt", "max_depth", v) for v in (0, 1.0, False)),
+    *(("dt", "min_samples_leaf", v) for v in (0, None)),
+    *(("rf", "n_trees", v) for v in (0, np.int64(3))),
+    *(("rf", "features_per_split", v) for v in (0, 1.5)),
+    *(("rf", "bootstrap", v) for v in ("no", 0, 1.0, None)),
+    *(("rf", "seed", v) for v in (-1, None, True, np.int64(3))),
+]
+
+
+def _expected(name, value) -> str:
+    return f"{name} must be {VALUE_RULES[name][1]}, got {value!r}"
+
+
+@pytest.mark.parametrize("kind, name, value", REFUSED,
+                         ids=[f"{k}-{n}-{v!r}"[:40] for k, n, v in REFUSED])
+def test_refused_value_gets_one_error_everywhere(kind, name, value, tmp_path,
+                                                 monkeypatch):
+    """The trainer, ``run_cells`` and ``gendec grid`` refuse the value with
+    the same ConfigError, before any cell trains or any report is written."""
+    kind = ModelKind(kind)
+    with pytest.raises(ConfigError) as trainer:
+        MODEL_KINDS[kind].train(X, LABELS, **{name: value})
+    assert str(trainer.value) == _expected(name, value)
+
+    cell = Cell(kind, Weighting.COUNT, InputVariant.ORIGINAL, NamePart.FULL)
+    config = ({"seed": value} if name == "seed"
+              else {"hyperparameters": {kind.value: {name: value}}})
+    with monkeypatch.context() as patch:
+        patch.setattr(evaluate, "train_cell_model", None)  # must not be reached
+        with pytest.raises(ConfigError) as grid:
+            run_cells([cell], TRAIN, TEST, **config)
+    assert str(grid.value) == str(trainer.value)
+
+    if type(value) not in (bool, int, float, str, type(None)):
+        return  # a numpy scalar has no JSON form
+    write_corpus_csv(tmp_path / "train.csv", TRAIN)
+    write_corpus_csv(tmp_path / "test.csv", TEST)
+    (tmp_path / "grid.json").write_text(json.dumps({
+        "train": str(tmp_path / "train.csv"), "test": str(tmp_path / "test.csv"),
+        "cells": [cell.to_json_dict()], **config}))
+    result = CliRunner().invoke(main, [
+        "grid", "--config", str(tmp_path / "grid.json"),
+        "--report-json", str(tmp_path / "r.json"), "--report-csv", str(tmp_path / "r.csv")])
+    assert (result.exit_code, result.output) == (2, f"error: {trainer.value}\n")
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "r.csv").exists()
+
+
+FLAG_CASES = [
+    ("nb", "--alpha", "0", 0.0), ("nb", "--alpha", "nan", math.nan),
+    ("lr", "--learning-rate", "-1", -1.0), ("lr", "--l2", "-1e-9", -1e-9),
+    ("lr", "--epochs", "0", 0), ("svm", "--lam", "inf", math.inf),
+    ("svm", "--lam", "1e400", math.inf), ("dt", "--max-depth", "0", 0),
+    ("dt", "--min-samples-leaf", "0", 0), ("rf", "--n-trees", "0", 0),
+    ("rf", "--features-per-split", "0", 0),
+]
+
+
+@pytest.mark.parametrize("kind, flag, text, value", FLAG_CASES,
+                         ids=[f"{k}{f}={t}" for k, f, t, _ in FLAG_CASES])
+def test_train_flag_gets_the_trainers_error(kind, flag, text, value, tmp_path):
+    name = flag[2:].replace("-", "_")
+    write_corpus_csv(tmp_path / "train.csv", TRAIN)
+    out = tmp_path / "m.json"
+    result = CliRunner().invoke(main, [
+        "train", "--model", kind, "--features", "count", flag, text,
+        "--train", str(tmp_path / "train.csv"), "--out", str(out)])
+    with pytest.raises(ConfigError) as trainer:
+        MODEL_KINDS[ModelKind(kind)].train(X, LABELS, **{name: value})
+    assert str(trainer.value) == _expected(name, value)
+    assert (result.exit_code, result.output) == (2, f"error: {trainer.value}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [None, True, -1, 2.5, np.int64(1)], ids=repr)
+def test_corpus_functions_refuse_a_bad_seed(seed):
+    """A missing seed would draw OS entropy, and True would be read as 1."""
+    firsts, lasts = make_raw_inventories()
+    with pytest.raises(ConfigError, match="^seed must be an integer >= 0"):
+        build_dataset(firsts, lasts, seed=seed)
+    with pytest.raises(ConfigError, match="^seed must be an integer >= 0"):
+        split_dataset(RECORDS, SplitRatios(0.7, 0.2, 0.1), seed=seed)
