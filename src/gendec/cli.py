@@ -264,7 +264,6 @@ def cmd_train(model_kind, features, part, variant, train_path, out, seed, tokeni
     model = train_cell_model(kind, X, labels, seed, overrides)
     model_file = ModelFile(
         model=model,
-        kind=kind,
         weighting=weighting,
         part=name_part,
         variant=input_variant,

@@ -35,6 +35,7 @@ from .name_core import (
     check_values,
     normalize_romaji,
     read_csv,
+    seeded_rng,
     write_lines,
 )
 from .translit import align_records
@@ -43,10 +44,6 @@ RAW_CSV_HEADER = "romaji,hiragana,kanji,gender,role"
 
 #: Identifier of the shuffle PRNG, recorded in metadata sidecars.
 PRNG_ID = "pcg64"
-
-
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed))
 
 
 @dataclass(frozen=True)
@@ -137,8 +134,7 @@ class PairingConfig:
     k: int = 1
 
     def __post_init__(self) -> None:
-        if self.mode is PairingMode.CROSS_K and self.k < 1:
-            raise ConfigError(f"cross-k pairing requires k >= 1, got {self.k}")
+        check_values(k=self.k)
         if self.mode is PairingMode.ONE_TO_ONE and self.k != 1:
             raise ConfigError(f"one-to-one pairing pairs one family per given name; "
                               f"k must be 1, got {self.k}")
@@ -163,7 +159,7 @@ def build_dataset(
         raise ConfigError("firsts must contain only given-role rows")
     if any(row.role is not NameRole.FAMILY for row in lasts):
         raise ConfigError("lasts must contain only family-role rows")
-    rng = _rng(seed)
+    rng = seeded_rng(seed)
     records = []
 
     def make_record(family: RawNamePart, given: RawNamePart) -> NameRecord:
@@ -233,7 +229,7 @@ def split_dataset(
     check_values(seed=seed)
     if not records:
         raise EmptyInputError("cannot split an empty record list")
-    rng = _rng(seed)
+    rng = seeded_rng(seed)
     if not stratify:
         return _shuffle_slice(records, ratios, rng)
     train: list[NameRecord] = []

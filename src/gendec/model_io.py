@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import operator
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import ConfigError, SchemaError
 from .evaluate import Cell
 from .models import MODEL_KINDS, ModelKind, TrainedModel, kind_of
 from .models.common import vector
@@ -43,22 +43,31 @@ def deterministic_created_at() -> str:
 
 @dataclass
 class ModelFile:
-    """In-memory form of a persisted model plus everything predict needs."""
+    """In-memory form of a persisted model plus everything predict needs.
+
+    ``kind`` is always the model's own kind; passing another is a ConfigError.
+    """
 
     model: TrainedModel
-    kind: ModelKind
     weighting: Weighting
     part: NamePart
     variant: InputVariant
     vocabulary: Vocabulary
     reading_dictionary: Optional[ReadingDictionary]
     metadata: dict
+    kind: Optional[ModelKind] = field(default=None, kw_only=True)
+
+    def __post_init__(self) -> None:
+        kind = kind_of(self.model)
+        if self.kind not in (None, kind):
+            raise ConfigError(f"kind must be the model's kind {kind.value!r}, "
+                              f"got {self.kind!r}")
+        self.kind = kind
 
     def to_json_dict(self) -> dict:
-        kind = kind_of(self.model)
         return {
             "schema_version": SCHEMA_VERSION,
-            "model_kind": kind.value,
+            "model_kind": self.kind.value,
             "weighting": self.weighting.value,
             "part": self.part.value,
             "variant": self.variant.value,
@@ -68,7 +77,7 @@ class ModelFile:
                 "idf": None if self.vocabulary.idf is None
                 else self.vocabulary.idf.tolist(),
             },
-            "parameters": MODEL_KINDS[kind].to_params(self.model),
+            "parameters": MODEL_KINDS[self.kind].to_params(self.model),
             "reading_dictionary": None if self.reading_dictionary is None
             else self.reading_dictionary.to_json_dict(),
             "metadata": self.metadata,
@@ -106,7 +115,6 @@ class ModelFile:
             reading = doc.get("reading_dictionary")
             return cls(
                 model=MODEL_KINDS[kind].from_params(doc["parameters"], len(tokens)),
-                kind=kind,
                 weighting=weighting,
                 part=NamePart(doc["part"]),
                 variant=InputVariant(doc["variant"]),

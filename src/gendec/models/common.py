@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -150,25 +149,6 @@ def vector(values, dtype, length: Optional[int] = None,
     if array.ndim != 1 or (length is not None and array.size != length):
         raise ValueError(f"expected a flat list of numbers, got shape {array.shape}")
     return finite(array, neg_inf_ok)
-
-
-def number(value) -> float:
-    """A finite float read from a model document; a non-number (``true`` or
-    ``"1.5"`` included), NaN or an infinity is a ValueError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"expected a number, got {value!r}")
-    result = float(value)
-    if not math.isfinite(result):
-        raise ValueError(f"expected a finite number, got {result!r}")
-    return result
-
-
-def boolean(value) -> bool:
-    """``value`` when it is a JSON boolean, else ValueError; ``bool()`` would
-    read ``"false"`` or ``0`` as a flag."""
-    if not isinstance(value, bool):
-        raise ValueError(f"expected true or false, got {value!r}")
-    return value
 
 
 def check_n_features(model_features: int, X: CSR) -> None:

@@ -14,8 +14,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..errors import ConfigError
-from ..name_core import Gender, check_keys, check_values, json_count
-from .common import MatrixLike, as_csr, boolean, male_wins, training_labels
+from ..name_core import Gender, check_keys, check_values, seeded_rng
+from .common import MatrixLike, as_csr, male_wins, training_labels
 from .tree import (
     TreeModel,
     _grow_tree,
@@ -38,10 +38,6 @@ class ForestModel:
     @property
     def n_trees(self) -> int:
         return len(self.trees)
-
-
-def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, tree_index])))
 
 
 def train_forest(
@@ -73,7 +69,7 @@ def train_forest(
         )
     trees = []
     for index in range(n_trees):
-        rng = _tree_rng(seed, index)
+        rng = seeded_rng(seed, index)
         if bootstrap:
             sample = rng.integers(0, n, size=n)
             tree_matrix = matrix.take_rows(sample)
@@ -129,7 +125,9 @@ def forest_from_params(doc: dict, n_features: int) -> ForestModel:
                error=ValueError)
     values = {name: doc[name] for name in ("features_per_split", "bootstrap", "seed",
                                            "max_depth", "min_samples_leaf")}
-    check_values(ValueError, n_trees=doc["n_trees"], **values)
+    # exhaust_on_miss is a fixed field: it must be a boolean and is ignored.
+    check_values(ValueError, n_trees=doc["n_trees"], exhaust_on_miss=doc["exhaust_on_miss"],
+                 **values)
     trees = [tree_from_nodes(t, n_features, values["max_depth"], values["min_samples_leaf"])
              for t in doc["trees"]]
     if doc["n_trees"] != len(trees):
@@ -138,8 +136,7 @@ def forest_from_params(doc: dict, n_features: int) -> ForestModel:
     if values["features_per_split"] is None:
         raise ValueError("features_per_split must be the integer the forest used, got null")
     streams = doc["tree_streams"]
-    if (not isinstance(streams, list)
-            or [json_count(i) for i in streams] != list(range(len(trees)))):
+    if (not isinstance(streams, list) or not set(map(type, streams)) <= {int}
+            or streams != list(range(len(trees)))):
         raise ValueError(f"tree_streams must be [0, ..., {len(trees) - 1}], got {streams!r}")
-    boolean(doc["exhaust_on_miss"])  # a fixed field: it must be a boolean and is ignored
     return ForestModel(trees=trees, n_features=n_features, **values)

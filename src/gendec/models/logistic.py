@@ -46,7 +46,7 @@ import numpy as np
 from ..errors import NonFiniteError
 from ..name_core import Gender, check_keys, check_values
 from ..vectorize import CSR
-from .common import MatrixLike, as_csr, number, training_labels, vector
+from .common import MatrixLike, as_csr, training_labels, vector
 
 
 @dataclass
@@ -238,13 +238,13 @@ def lr_params(model: LRModel) -> dict:
 def lr_from_params(doc: dict, n_features: int) -> LRModel:
     check_keys(doc, ("weights", "bias", "l2", "learning_rate", "epochs", "training_trace"),
                error=ValueError)
-    check_values(ValueError, l2=doc["l2"], learning_rate=doc["learning_rate"],
-                 epochs=doc["epochs"])
+    check_values(ValueError, bias=doc["bias"], l2=doc["l2"],
+                 learning_rate=doc["learning_rate"], epochs=doc["epochs"])
     return LRModel(
         weights=vector(doc["weights"], np.float64, n_features),
-        bias=number(doc["bias"]),
-        l2=float(doc["l2"]),
-        learning_rate=float(doc["learning_rate"]),
+        bias=doc["bias"],
+        l2=doc["l2"],
+        learning_rate=doc["learning_rate"],
         epochs=doc["epochs"],
         training_trace=vector(doc["training_trace"], np.float64).tolist(),
     )

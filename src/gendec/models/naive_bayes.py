@@ -15,7 +15,7 @@ import numpy as np
 from ..errors import SingleClassWarning
 from ..name_core import Gender, check_keys, check_values
 from .common import (
-    MatrixLike, as_csr, boolean, check_n_features, finite, training_labels, vector,
+    MatrixLike, as_csr, check_n_features, finite, training_labels, vector,
 )
 
 
@@ -88,10 +88,10 @@ def nb_params(model: NBModel) -> dict:
 def nb_from_params(doc: dict, n_features: int) -> NBModel:
     check_keys(doc, ("alpha", "class_log_prior", "feature_log_prob", "single_class"),
                error=ValueError)
-    check_values(ValueError, alpha=doc["alpha"])
-    single_class = boolean(doc["single_class"])
+    single_class = doc["single_class"]
+    check_values(ValueError, alpha=doc["alpha"], single_class=single_class)
     return NBModel(
-        alpha=float(doc["alpha"]),
+        alpha=doc["alpha"],
         # The class a single-class model never saw has log prior -Infinity.
         class_log_prior=vector(doc["class_log_prior"], np.float64, 2,
                                neg_inf_ok=single_class),

@@ -28,8 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import NonFiniteError
-from ..name_core import Gender, check_keys, check_values
-from .common import MatrixLike, as_csr, number, training_labels, vector
+from ..name_core import Gender, check_keys, check_values, seeded_rng
+from .common import MatrixLike, as_csr, training_labels, vector
 
 
 @dataclass
@@ -70,7 +70,7 @@ def train_svm(
     indices = matrix.indices.astype(np.intp)
     rows = [(indices[start:stop], matrix.data[start:stop])
             for start, stop in zip(bounds, bounds[1:])]
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
+    rng = seeded_rng(seed)
 
     u = np.zeros(V, dtype=np.float64)
     scale = 1.0
@@ -109,11 +109,12 @@ def svm_params(model: SVMModel) -> dict:
 
 def svm_from_params(doc: dict, n_features: int) -> SVMModel:
     check_keys(doc, ("weights", "bias", "lambda", "epochs", "seed"), error=ValueError)
-    check_values(ValueError, lam=doc["lambda"], epochs=doc["epochs"], seed=doc["seed"])
+    check_values(ValueError, bias=doc["bias"], epochs=doc["epochs"], seed=doc["seed"],
+                 **{"lambda": doc["lambda"]})
     return SVMModel(
         weights=vector(doc["weights"], np.float64, n_features),
-        bias=number(doc["bias"]),
-        lam=float(doc["lambda"]),
+        bias=doc["bias"],
+        lam=doc["lambda"],
         epochs=doc["epochs"],
         seed=doc["seed"],
     )

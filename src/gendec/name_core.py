@@ -16,6 +16,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable
 
+import numpy as np
+
 from .errors import ConfigError, GendecError, LabelError, MalformedNameError, SchemaError
 
 CSV_HEADER = "romaji,kanji,hiragana,gender"
@@ -165,50 +167,51 @@ def read_json(path: str | Path, error: type[GendecError] = SchemaError):
         raise error(f"{path}: not JSON: {exc}") from None
 
 
-def json_count(value) -> int:
-    """``value`` when it is a non-negative JSON integer, else ValueError.
-
-    ``true``, ``1.5`` and ``"42"`` are rejected, not coerced: ``int()`` would
-    turn them into 1, 1 and 42.
-    """
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"expected a non-negative integer, got {value!r}")
-    return value
-
-
 def _integer(value, low: int) -> bool:
     return type(value) is int and value >= low
 
 
-def _real(value, zero_ok: bool) -> bool:
+def _real(value) -> bool:
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and (0 <= value if zero_ok else 0 < value) and value <= sys.float_info.max)
+            and abs(value) <= sys.float_info.max)
 
 
-#: One rule per hyperparameter and seed: its test and its wording.  An
-#: integer must be a Python ``int`` (no bool or numpy integer) and a number
-#: an ``int`` or ``float`` below 1.8e308 (no NaN, infinity or 10**400), so
-#: every accepted value serializes as JSON.
+#: One rule per scalar read from outside the program (hyperparameters,
+#: seeds, tokenizer and pairing values, model-file fields): its test and its
+#: wording.  An integer must be a Python ``int`` (no bool or numpy integer)
+#: and a number an ``int`` or ``float`` within +-1.8e308 (no NaN, infinity
+#: or 10**400), so every accepted value serializes as JSON and loads back
+#: as itself.
 VALUE_RULES = {
-    **dict.fromkeys(("alpha", "learning_rate", "lam"),
-                    (lambda v: _real(v, False), "a positive finite number")),
-    "l2": (lambda v: _real(v, True), "a finite number >= 0"),
-    **dict.fromkeys(("epochs", "n_trees", "min_samples_leaf"),
+    **dict.fromkeys(("alpha", "learning_rate", "lam", "lambda"),
+                    (lambda v: _real(v) and v > 0, "a positive finite number")),
+    "l2": (lambda v: _real(v) and v >= 0, "a finite number >= 0"),
+    "bias": (_real, "a finite number"),
+    **dict.fromkeys(("epochs", "n_trees", "min_samples_leaf", "k"),
                     (lambda v: _integer(v, 1), "an integer >= 1")),
+    **dict.fromkeys(("ngram_min", "ngram_max"),
+                    (lambda v: _integer(v, 1) and v <= 8, "an integer from 1 to 8")),
     **dict.fromkeys(("max_depth", "features_per_split"),
                     (lambda v: v is None or _integer(v, 1), "null or an integer >= 1")),
-    "bootstrap": (lambda v: isinstance(v, bool), "true or false"),
+    **dict.fromkeys(("bootstrap", "single_class", "exhaust_on_miss"),
+                    (lambda v: isinstance(v, bool), "true or false")),
     "seed": (lambda v: _integer(v, 0), "an integer >= 0"),
 }
 
 
 def check_values(error: type[Exception] = ConfigError, **values) -> None:
-    """Raise ``error`` for the first of ``values`` (hyperparameters or a
-    seed, by name) that breaks its rule in ``VALUE_RULES``."""
+    """Raise ``error`` for the first of ``values`` (by name) that breaks its
+    rule in ``VALUE_RULES``."""
     for name, value in values.items():
         test, wording = VALUE_RULES[name]
         if not test(value):
             raise error(f"{name} must be {wording}, got {value!r}")
+
+
+def seeded_rng(*keys: int) -> np.random.Generator:
+    """The PCG64 generator of ``keys``: a seed, then any stream ids.  One
+    key draws what ``PCG64(seed)`` draws."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(keys)))
 
 
 def check_keys(doc, required: tuple[str, ...], optional: tuple[str, ...] = (), *,

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, EmptyCorpusError, MissingIdfError
-from .name_core import check_keys, json_count
+from .name_core import check_keys, check_values
 
 
 class TokenizerMode(str, Enum):
@@ -45,11 +45,7 @@ class TokenizerConfig:
     ngram_max: int = 1
 
     def __post_init__(self) -> None:
-        if not 1 <= self.ngram_min <= self.ngram_max <= 8:
-            raise ConfigError(
-                f"need 1 <= ngram_min <= ngram_max <= 8, "
-                f"got ({self.ngram_min}, {self.ngram_max})"
-            )
+        _check_ngram_range(self.ngram_min, self.ngram_max, ConfigError)
 
     def to_json_dict(self) -> dict:
         return {
@@ -60,13 +56,17 @@ class TokenizerConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TokenizerConfig":
-        """Config from its JSON object; a missing or unknown key is a ValueError."""
+        """Config from its JSON object; a missing or unknown key, or a value
+        that breaks its rule, is a ValueError."""
         check_keys(doc, ("mode", "ngram_min", "ngram_max"), error=ValueError)
-        return cls(
-            mode=TokenizerMode(doc["mode"]),
-            ngram_min=json_count(doc["ngram_min"]),
-            ngram_max=json_count(doc["ngram_max"]),
-        )
+        _check_ngram_range(doc["ngram_min"], doc["ngram_max"], ValueError)
+        return cls(TokenizerMode(doc["mode"]), doc["ngram_min"], doc["ngram_max"])
+
+
+def _check_ngram_range(ngram_min, ngram_max, error: type[Exception]) -> None:
+    check_values(error, ngram_min=ngram_min, ngram_max=ngram_max)
+    if ngram_min > ngram_max:
+        raise error(f"ngram_min must be <= ngram_max, got ({ngram_min}, {ngram_max})")
 
 
 def tokenize(text: str, config: TokenizerConfig) -> list[str]:

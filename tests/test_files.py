@@ -315,7 +315,7 @@ def documents(scratch):
     for kind in ModelKind:
         overrides = {"n_trees": 2} if kind is ModelKind.RF else None
         model = train_cell_model(kind, X, labels, seed=1, hyperparameters=overrides)
-        model_file = ModelFile(model, kind, Weighting.TFIDF, NamePart.FULL,
+        model_file = ModelFile(model, Weighting.TFIDF, NamePart.FULL,
                                InputVariant.CONVERTED, vocab, reading, {"seed": 1})
         model_docs.append(json.loads(json.dumps(model_file.to_json_dict())))
     grid = {"train": str(corpus), "test": str(corpus), "seed": 3,

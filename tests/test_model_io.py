@@ -27,7 +27,6 @@ def _fit_cell(records, kind, weighting, variant=InputVariant.ORIGINAL, seed=42):
     model = train_cell_model(kind, X, labels, seed, hyper.get(kind.value))
     return ModelFile(
         model=model,
-        kind=kind,
         weighting=weighting,
         part=NamePart.FULL,
         variant=variant,

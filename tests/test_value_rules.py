@@ -1,9 +1,10 @@
-"""One rule per hyperparameter and seed (``name_core.VALUE_RULES``).
+"""One rule per scalar read from outside (``name_core.VALUE_RULES``).
 
-Every path that takes such a value (the trainers, ``build_dataset`` and
-``split_dataset``, ``run_cells`` and grid configs, ``gendec train`` flags
-and model-file loaders) asks ``check_values``, so a value is accepted or
-refused with the same words everywhere.
+Every path that takes a hyperparameter, seed, tokenizer or pairing value
+(the trainers, ``build_dataset`` and ``split_dataset``, ``TokenizerConfig``
+and ``PairingConfig``, ``run_cells`` and grid configs, ``gendec train``
+flags and model-file loaders) asks ``check_values``, so a value is accepted
+or refused with the same words everywhere.
 """
 
 import inspect
@@ -20,15 +21,19 @@ from hypothesis import strategies as st
 
 import gendec.evaluate as evaluate
 from gendec.cli import main
-from gendec.corpus import SplitRatios, build_dataset, split_dataset
-from gendec.errors import ConfigError
+from gendec.corpus import (
+    PairingConfig, PairingMode, SplitRatios, build_dataset, split_dataset,
+)
+from gendec.errors import ConfigError, SchemaError
 from gendec.evaluate import Cell, run_cells
 from gendec.model_io import ModelFile, load_model, save_model
 from gendec.models import MODEL_KINDS, ModelKind, predict_with_proba
 from gendec.name_core import (
     InputVariant, NamePart, VALUE_RULES, check_values, part_text, write_corpus_csv,
 )
-from gendec.vectorize import TokenizerConfig, Weighting, fit_vocabulary, transform
+from gendec.vectorize import (
+    TokenizerConfig, TokenizerMode, Weighting, fit_vocabulary, transform,
+)
 from tests.conftest import make_raw_inventories
 
 RECORDS = build_dataset(*make_raw_inventories(), seed=1)
@@ -73,19 +78,33 @@ ACCEPTED = {
 }
 
 
+def _model_file(model, kind=None) -> ModelFile:
+    return ModelFile(model, Weighting.COUNT, NamePart.FULL, InputVariant.ORIGINAL, VOCAB,
+                     None, {}, kind=kind)
+
+
+def _save_load_save(model, directory: Path):
+    """The bytes of ``model``'s file, the model loaded from it, and the bytes
+    of that loaded model's file."""
+    save_model(directory / "a.json", _model_file(model))
+    loaded = load_model(directory / "a.json").model
+    save_model(directory / "b.json", _model_file(loaded))
+    return (directory / "a.json").read_bytes(), loaded, (directory / "b.json").read_bytes()
+
+
 @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda kind: kind.value)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_accepted_values_train_save_load_and_predict_identically(kind, data):
+    """A model trained with values its rules accept, integers given for
+    numbers included, saves, loads and saves again to the same bytes."""
     spec = MODEL_KINDS[kind]
     params = {name: data.draw(ACCEPTED[name], label=name) for name in _names(kind)}
     check_values(**params)
     model = spec.train(X, LABELS, **params)
-    model_file = ModelFile(model, kind, Weighting.COUNT, NamePart.FULL,
-                           InputVariant.ORIGINAL, VOCAB, None, {})
     with tempfile.TemporaryDirectory() as tmp:
-        save_model(Path(tmp) / "m.json", model_file)
-        loaded = load_model(Path(tmp) / "m.json").model
+        first, loaded, second = _save_load_save(model, Path(tmp))
+    assert second == first
     assert spec.to_params(loaded) == spec.to_params(model)
     labels, proba = predict_with_proba(model, X)
     loaded_labels, loaded_proba = predict_with_proba(loaded, X)
@@ -184,3 +203,87 @@ def test_corpus_functions_refuse_a_bad_seed(seed):
         build_dataset(firsts, lasts, seed=seed)
     with pytest.raises(ConfigError, match="^seed must be an integer >= 0"):
         split_dataset(RECORDS, SplitRatios(0.7, 0.2, 0.1), seed=seed)
+
+
+@pytest.mark.parametrize("kind, params", [("nb", {"alpha": 2}), ("svm", {"lam": 1}),
+                                          ("lr", {"learning_rate": 1, "l2": 0})])
+def test_integer_numbers_keep_their_bytes_through_a_load(kind, params, tmp_path):
+    """A loader keeps each value as the file holds it: no ``2`` -> ``2.0``."""
+    model = MODEL_KINDS[ModelKind(kind)].train(X, LABELS, **params)
+    first, loaded, second = _save_load_save(model, tmp_path)
+    assert second == first
+    assert all(type(getattr(loaded, name)) is int for name in params)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("ngram_min", True), ("ngram_min", 1.5), ("ngram_max", np.int64(3)), ("ngram_min", 0),
+    ("ngram_max", 9)], ids=repr)
+def test_tokenizer_config_refuses_values_off_the_table(name, value):
+    with pytest.raises(ConfigError) as refused:
+        TokenizerConfig(TokenizerMode.CHAR_NGRAM, **{"ngram_min": 2, "ngram_max": 2,
+                                                     name: value})
+    assert str(refused.value) == _expected(name, value)
+
+
+@pytest.mark.parametrize("mode", list(PairingMode), ids=lambda mode: mode.value)
+@pytest.mark.parametrize("k", [True, 1.0, 0, np.int64(2)], ids=repr)
+def test_pairing_config_refuses_k_off_the_table(mode, k):
+    with pytest.raises(ConfigError) as refused:
+        PairingConfig(mode, k=k)
+    assert str(refused.value) == _expected("k", k)
+
+
+def test_model_file_kind_is_the_models_kind():
+    model = MODEL_KINDS[ModelKind.NB].train(X, LABELS)
+    model_file = _model_file(model)
+    assert model_file.kind is model_file.cell.model is ModelKind.NB
+    assert model_file.to_json_dict()["model_kind"] == "nb"
+    with pytest.raises(ConfigError, match="^kind must be the model's kind 'nb'"):
+        _model_file(model, kind=ModelKind.SVM)
+
+
+# A model-file value that breaks its rule: (kind, section, key, value).
+BAD_FILE_VALUES = [
+    ("svm", "parameters", "lambda", 0),
+    ("nb", "tokenizer", "ngram_min", 0),
+    ("lr", "tokenizer", "ngram_max", 9),
+    ("dt", "tokenizer", "ngram_min", True),
+    ("lr", "parameters", "bias", "0.5"),
+    ("svm", "parameters", "bias", math.nan),
+    ("nb", "parameters", "single_class", 0),
+    ("rf", "parameters", "exhaust_on_miss", "true"),
+]
+
+
+def _corrupt_file(kind: str, section: str, changes: dict, directory: Path) -> Path:
+    params = {"n_trees": 2} if kind == "rf" else {}
+    doc = _model_file(MODEL_KINDS[ModelKind(kind)].train(X, LABELS, **params)).to_json_dict()
+    doc[section].update(changes)
+    (directory / "m.json").write_text(json.dumps(doc))
+    return directory / "m.json"
+
+
+def _predict_error(path: Path) -> tuple[int, str]:
+    result = CliRunner().invoke(main, ["predict", "--model-file", str(path),
+                                       "--name", "Tamai Kazuyoshi"])
+    return result.exit_code, result.output
+
+
+@pytest.mark.parametrize("kind, section, key, value", BAD_FILE_VALUES,
+                         ids=[f"{k}-{key}-{v!r}" for k, _, key, v in BAD_FILE_VALUES])
+def test_bad_model_file_value_gets_the_tables_wording(kind, section, key, value, tmp_path):
+    """The error names the file's key and its rule, and is a SchemaError."""
+    path = _corrupt_file(kind, section, {key: value}, tmp_path)
+    with pytest.raises(SchemaError) as refused:
+        load_model(path)
+    assert str(refused.value) == f"malformed model file: ValueError: {_expected(key, value)}"
+    assert _predict_error(path) == (2, f"error: {refused.value}\n")
+
+
+def test_model_file_tokenizer_out_of_order_is_malformed(tmp_path):
+    path = _corrupt_file("nb", "tokenizer", {"mode": "char_ngram", "ngram_min": 3,
+                                             "ngram_max": 2}, tmp_path)
+    with pytest.raises(SchemaError, match="^malformed model file: ValueError: ngram_min "
+                                          "must be <= ngram_max, got"):
+        load_model(path)
+    assert _predict_error(path)[0] == 2
