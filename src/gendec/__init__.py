@@ -61,7 +61,6 @@ from .name_core import (
     parse_csv_row,
     part_text,
     read_corpus_csv,
-    split_parts,
     write_corpus_csv,
 )
 from .translit import (

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import click
@@ -68,12 +69,16 @@ _VARIANT_CHOICES = [v.value for v in InputVariant]
 
 
 class _ErrorBoundary(click.Group):
-    """Runs every subcommand behind one rule: a GendecError prints an
-    ``error:`` line and exits 3 for a numerical failure, 2 for any other."""
+    """Runs every subcommand behind one rule: a warning prints a ``warning:``
+    line, and a GendecError prints an ``error:`` line and exits 3 for a
+    numerical failure, 2 for any other."""
 
     def invoke(self, ctx: click.Context):
         try:
-            return super().invoke(ctx)
+            with warnings.catch_warnings():  # the filters stay as they are
+                warnings.showwarning = lambda message, *_, **__: click.echo(
+                    f"warning: {message}", err=True)
+                return super().invoke(ctx)
         except GendecError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(3 if isinstance(exc, NonFiniteError) else 2)

@@ -159,14 +159,21 @@ class Cell:
 
 @dataclass(frozen=True)
 class EvalReport:
+    """One cell's scores; the five metrics are computed from ``confusion``."""
+
     cell: Cell
-    f1_female: float
-    f1_male: float
-    macro_f1: float
-    accuracy: float
     confusion: ConfusionMatrix
     fallback_rate: float = 0.0
-    degenerate: bool = False
+    f1_female: float = field(init=False)
+    f1_male: float = field(init=False)
+    macro_f1: float = field(init=False)
+    accuracy: float = field(init=False)
+    degenerate: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        metrics = {**vars(f1_scores(self.confusion)), "accuracy": accuracy(self.confusion)}
+        for name, value in metrics.items():
+            object.__setattr__(self, name, value)
 
     def to_json_dict(self) -> dict:
         return {
@@ -306,18 +313,7 @@ def evaluate_predictions(
     cell: Cell,
     fallback_rate: float = 0.0,
 ) -> EvalReport:
-    cm = confusion(y_true, y_pred)
-    scores = f1_scores(cm)
-    return EvalReport(
-        cell=cell,
-        f1_female=scores.f1_female,
-        f1_male=scores.f1_male,
-        macro_f1=scores.macro_f1,
-        accuracy=accuracy(cm),
-        confusion=cm,
-        fallback_rate=fallback_rate,
-        degenerate=scores.degenerate,
-    )
+    return EvalReport(cell, confusion(y_true, y_pred), fallback_rate)
 
 
 def extract_texts(

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import operator
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, SchemaError
+from .errors import SchemaError
 from .evaluate import Cell
 from .models import MODEL_KINDS, ModelKind, TrainedModel, kind_of
 from .models.common import vector
@@ -43,10 +43,7 @@ def deterministic_created_at() -> str:
 
 @dataclass
 class ModelFile:
-    """In-memory form of a persisted model plus everything predict needs.
-
-    ``kind`` is always the model's own kind; passing another is a ConfigError.
-    """
+    """In-memory form of a persisted model plus everything predict needs."""
 
     model: TrainedModel
     weighting: Weighting
@@ -55,14 +52,10 @@ class ModelFile:
     vocabulary: Vocabulary
     reading_dictionary: Optional[ReadingDictionary]
     metadata: dict
-    kind: Optional[ModelKind] = field(default=None, kw_only=True)
 
-    def __post_init__(self) -> None:
-        kind = kind_of(self.model)
-        if self.kind not in (None, kind):
-            raise ConfigError(f"kind must be the model's kind {kind.value!r}, "
-                              f"got {self.kind!r}")
-        self.kind = kind
+    @property
+    def kind(self) -> ModelKind:
+        return kind_of(self.model)
 
     def to_json_dict(self) -> dict:
         return {
@@ -96,15 +89,13 @@ class ModelFile:
             check_keys(doc["vocabulary"], ("tokens", "idf"), error=ValueError)
             tokens = doc["vocabulary"]["tokens"]
             # fit_vocabulary writes distinct tokens, sorted: a repeated token
-            # would hide a column's weights from token_to_index.
+            # would hide a column's weights from the token index.
             if not (isinstance(tokens, list) and set(map(type, tokens)) <= {str}
                     and all(map(operator.lt, tokens, tokens[1:]))):
                 raise ValueError("vocabulary tokens must be distinct strings in ascending order")
-            tokens = tuple(tokens)
             idf_doc = doc["vocabulary"]["idf"]
             vocabulary = Vocabulary(
-                tokens=tokens,
-                token_to_index={tok: i for i, tok in enumerate(tokens)},
+                tokens=tuple(tokens),
                 tokenizer=TokenizerConfig.from_json_dict(doc["tokenizer"]),
                 idf=None if idf_doc is None else vector(idf_doc, np.float64, len(tokens)),
             )

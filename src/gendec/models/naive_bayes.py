@@ -24,8 +24,11 @@ class NBModel:
     alpha: float
     class_log_prior: np.ndarray  # (2,)
     feature_log_prob: np.ndarray  # (2, V)
-    n_features: int
     single_class: bool = False
+
+    @property
+    def n_features(self) -> int:
+        return self.feature_log_prob.shape[1]
 
 
 def train_naive_bayes(
@@ -58,7 +61,6 @@ def train_naive_bayes(
         alpha=alpha,
         class_log_prior=class_log_prior,
         feature_log_prob=feature_log_prob,
-        n_features=V,
         single_class=single_class,
     )
 
@@ -97,6 +99,5 @@ def nb_from_params(doc: dict, n_features: int) -> NBModel:
                                neg_inf_ok=single_class),
         feature_log_prob=finite(np.asarray(doc["feature_log_prob"], dtype=np.float64
                                            ).reshape(2, n_features)),
-        n_features=n_features,
         single_class=single_class,
     )

@@ -118,11 +118,6 @@ def part_text(romaji: str, part: NamePart) -> str:
     return norm
 
 
-def split_parts(record: NameRecord, part: NamePart) -> str:
-    """Normalized text of ``part`` of a record's stored romaji."""
-    return part_text(record.romaji, part)
-
-
 def parse_csv_row(line: str) -> NameRecord:
     """Parse one corpus CSV data row into a validated record.
 

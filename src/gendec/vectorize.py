@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import repeat
 from typing import Optional, Sequence
 
@@ -80,12 +81,15 @@ def tokenize(text: str, config: TokenizerConfig) -> list[str]:
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Token-to-column map with optional per-column idf weights."""
+    """Column tokens, in column order, with optional per-column idf weights."""
 
     tokens: tuple[str, ...]
-    token_to_index: dict[str, int]
     tokenizer: TokenizerConfig
     idf: Optional[np.ndarray] = None
+
+    @cached_property
+    def token_to_index(self) -> dict[str, int]:
+        return {tok: i for i, tok in enumerate(self.tokens)}
 
     @property
     def size(self) -> int:
@@ -175,10 +179,9 @@ class CSR:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Sparse document-term matrix with its weighting scheme."""
+    """Sparse document-term matrix."""
 
     matrix: CSR
-    weighting: Weighting
 
 
 def fit_vocabulary(
@@ -193,7 +196,6 @@ def fit_vocabulary(
     for doc in docs:
         df.update(set(tokenize(doc, config)))
     tokens = tuple(sorted(df))
-    token_to_index = {tok: i for i, tok in enumerate(tokens)}
     idf = None
     if weighting is Weighting.TFIDF:
         n = len(docs)
@@ -201,8 +203,7 @@ def fit_vocabulary(
             [np.log((1.0 + n) / (1.0 + df[tok])) + 1.0 for tok in tokens],
             dtype=np.float64,
         )
-    return Vocabulary(tokens=tokens, token_to_index=token_to_index,
-                      tokenizer=config, idf=idf)
+    return Vocabulary(tokens=tokens, tokenizer=config, idf=idf)
 
 
 def transform(
@@ -241,7 +242,7 @@ def transform(
         data=counts.astype(np.float64),
         shape=(n, V),
     )
-    counts_matrix = FeatureMatrix(matrix=matrix, weighting=Weighting.COUNT)
+    counts_matrix = FeatureMatrix(matrix=matrix)
     if weighting is Weighting.COUNT:
         return counts_matrix
     return tfidf_from_counts(counts_matrix, vocab)
@@ -265,4 +266,4 @@ def tfidf_from_counts(counts: FeatureMatrix, vocab: Vocabulary) -> FeatureMatrix
         nonzero = row_norms > 0
         scale[nonzero] = 1.0 / row_norms[nonzero]
         matrix.data *= scale[row_ids]
-    return FeatureMatrix(matrix=matrix, weighting=Weighting.TFIDF)
+    return FeatureMatrix(matrix=matrix)

@@ -6,7 +6,7 @@ from click.testing import CliRunner
 import gendec.cli as cli
 from gendec.cli import main
 from gendec.corpus import write_raw_csv
-from gendec.errors import NonFiniteError, SchemaError, SingleClassWarning
+from gendec.errors import NonFiniteError, SchemaError
 from gendec.model_io import load_model, save_model
 from gendec.name_core import read_corpus_csv, write_corpus_csv
 from tests.conftest import (
@@ -637,10 +637,11 @@ class TestNonFiniteModelFiles:
         train_csv, path = tmp_path / "female.csv", tmp_path / "nb.json"
         write_corpus_csv(train_csv, [r for r in synthetic_corpus
                                      if r.gender.value == "female"])
-        with pytest.warns(SingleClassWarning):
-            result = runner.invoke(main, ["train", "--model", "nb", "--features", "count",
-                                          "--train", str(train_csv), "--out", str(path)])
+        result = runner.invoke(main, ["train", "--model", "nb", "--features", "count",
+                                      "--train", str(train_csv), "--out", str(path)])
         assert result.exit_code == 0, result.output
+        assert result.stderr == ("warning: training labels contain a single class; "
+                                 "predictions are constant\n")
         doc = json.loads(path.read_text())
         assert doc["parameters"]["class_log_prior"] == [0.0, float("-inf")]
         save_model(tmp_path / "again.json", load_model(path))
@@ -710,6 +711,12 @@ class TestTranslit:
         result = runner.invoke(main, ["translit", "--kana", kana])
         assert result.exit_code == 0
         assert result.output.rstrip("\n") == expected
+
+    def test_warning_is_one_line_without_a_source_path(self, runner):
+        result = runner.invoke(main, ["translit", "--kana", "かっ"])
+        assert result.exit_code == 0
+        assert result.stdout == "katsu\n"
+        assert result.stderr == "warning: trailing sokuon rendered literally\n"
 
     def test_unknown_kana_exits_2(self, runner):
         result = runner.invoke(main, ["translit", "--kana", "漢字"])

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from gendec.errors import GendecError, SparseFormatError
 from gendec.models import as_csr
-from gendec.vectorize import CSR, FeatureMatrix, Weighting
+from gendec.vectorize import CSR, FeatureMatrix
 
 _values = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, width=64)
 
@@ -102,7 +102,7 @@ def test_as_csr_reads_a_scipy_csr_without_copying():
     assert own.data is matrix.data
     assert own.shape == (3, 2)
     assert as_csr(own) is own
-    assert as_csr(FeatureMatrix(own, Weighting.COUNT)) is own
+    assert as_csr(FeatureMatrix(own)) is own
     assert np.array_equal(as_csr(sp.csr_array(matrix)).toarray(), matrix.toarray())
 
 

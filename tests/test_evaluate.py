@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import gendec.evaluate as evaluate
 from gendec.corpus import SplitRatios, split_dataset
@@ -12,6 +14,8 @@ from gendec.errors import (
 )
 from gendec.evaluate import (
     Cell,
+    ConfusionMatrix,
+    EvalReport,
     ExperimentGrid,
     ablation_grid,
     accuracy,
@@ -429,6 +433,27 @@ def test_evaluate_predictions_macro_consistency():
     report = evaluate_predictions([M, M, F, F], [M, F, F, F], cell)
     assert report.macro_f1 == pytest.approx((report.f1_female + report.f1_male) / 2,
                                             abs=1e-12)
+
+
+METRICS = ("f1_female", "f1_male", "macro_f1", "accuracy", "degenerate")
+
+
+@given(counts=st.lists(st.integers(0, 50), min_size=4, max_size=4).filter(any),
+       metric=st.sampled_from(METRICS))
+def test_report_metrics_follow_from_its_confusion(counts, metric):
+    """A report's five metrics are those of its confusion matrix; none can be
+    passed in."""
+    cm = ConfusionMatrix(counts=(tuple(counts[:2]), tuple(counts[2:])))
+    cell = Cell(ModelKind.NB, Weighting.COUNT, InputVariant.ORIGINAL, NamePart.FULL)
+    report = EvalReport(cell, cm, 0.25)
+    scores = f1_scores(cm)
+    expected = {"f1_female": scores.f1_female, "f1_male": scores.f1_male,
+                "macro_f1": scores.macro_f1, "accuracy": accuracy(cm),
+                "degenerate": scores.degenerate}
+    assert {name: getattr(report, name) for name in METRICS} == expected
+    assert report.fallback_rate == 0.25
+    with pytest.raises(TypeError, match=metric):
+        EvalReport(cell, cm, **{metric: expected[metric]})
 
 
 def test_extract_texts_converted_requires_dictionary(reference_records):

@@ -7,10 +7,14 @@ from gendec.corpus import SplitRatios, split_dataset
 from gendec.errors import SchemaError
 from gendec.evaluate import extract_texts, train_cell_model
 from gendec.model_io import ModelFile, load_model, save_model
-from gendec.models import ModelKind, predict, predict_proba, supports_proba
-from gendec.name_core import InputVariant, NamePart
+from gendec.models import (
+    ModelKind, predict, predict_proba, supports_proba, train_naive_bayes,
+)
+from gendec.name_core import Gender, InputVariant, NamePart
 from gendec.translit import build_reading_dictionary
-from gendec.vectorize import TokenizerConfig, Weighting, fit_vocabulary, transform
+from gendec.vectorize import (
+    TokenizerConfig, Vocabulary, Weighting, fit_vocabulary, transform,
+)
 
 ALL_KINDS = list(ModelKind)
 
@@ -48,6 +52,26 @@ def test_round_trip_preserves_predictions(tmp_path, fixture_records, kind):
         assert np.array_equal(
             predict_proba(loaded.model, X), predict_proba(model_file.model, X)
         )
+
+
+def test_hand_built_vocabulary_predicts_the_same_after_a_round_trip(tmp_path):
+    """A vocabulary's column index follows its token order, so it cannot
+    disagree with the order the model file stores and the loader reads."""
+    with pytest.raises(TypeError, match="token_to_index"):
+        Vocabulary(tokens=("sato", "yuki"), token_to_index={"sato": 1, "yuki": 0},
+                   tokenizer=TokenizerConfig())
+    vocab = Vocabulary(tokens=("sato", "yuki"), tokenizer=TokenizerConfig())
+    assert vocab.token_to_index == {"sato": 0, "yuki": 1}
+    model = train_naive_bayes(transform(["sato", "yuki", "sato", "yuki"], vocab),
+                              [Gender.MALE, Gender.FEMALE, Gender.MALE, Gender.FEMALE])
+    path = tmp_path / "nb.json"
+    save_model(path, ModelFile(model, Weighting.COUNT, NamePart.FIRST,
+                               InputVariant.ORIGINAL, vocab, None, {}))
+    loaded = load_model(path)
+    in_memory = predict_proba(model, transform(["sato"], vocab))
+    assert in_memory[0, 1] == pytest.approx(0.75)
+    assert np.array_equal(predict_proba(loaded.model, transform(["sato"], loaded.vocabulary)),
+                          in_memory)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -55,7 +55,7 @@ def _fit(records, kind, weighting, variant):
     model = train_cell_model(kind, X, [r.gender for r in records], SEED,
                              HYPER.get(kind.value))
     model_file = ModelFile(
-        model=model, kind=kind, weighting=weighting, part=NamePart.FULL,
+        model=model, weighting=weighting, part=NamePart.FULL,
         variant=variant, vocabulary=vocab, reading_dictionary=reading,
         metadata={"train_rows": len(records), "seed": SEED,
                   "created_at": "1970-01-01T00:00:00Z", "corpus_sha256": "0" * 64},

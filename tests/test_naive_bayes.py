@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from gendec.models import predict, predict_proba, train_naive_bayes
-from gendec.errors import ConfigError, SingleClassWarning
+from gendec.models import NBModel, predict, predict_proba, train_naive_bayes
+from gendec.errors import ConfigError, DimensionMismatchError, SingleClassWarning
 from gendec.name_core import Gender
 from gendec.vectorize import Weighting, fit_vocabulary, transform
 
@@ -82,6 +82,16 @@ def test_single_class_warns_and_predicts_constant():
         model = train_naive_bayes(X, [M, M, M])
     assert model.single_class
     assert predict(model, X) == [M, M, M]
+
+
+def test_width_comes_from_the_feature_table():
+    model = NBModel(alpha=1.0, class_log_prior=np.log([0.5, 0.5]),
+                    feature_log_prob=np.zeros((2, 3)))
+    assert model.n_features == 3
+    for width in (2, 5):
+        with pytest.raises(DimensionMismatchError,
+                           match=f"^matrix has {width} columns, model expects 3$"):
+            predict(model, sp.csr_matrix(np.ones((1, width))))
 
 
 def test_alpha_must_be_positive():

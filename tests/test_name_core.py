@@ -16,7 +16,6 @@ from gendec.name_core import (
     parse_csv_row,
     part_text,
     read_corpus_csv,
-    split_parts,
     write_corpus_csv,
 )
 
@@ -51,19 +50,19 @@ def test_gender_parse_rejects_unknown():
 
 class TestSplitParts:
     def test_first(self, reference_records):
-        assert split_parts(reference_records[0], NamePart.FIRST) == "kazuyoshi"
+        assert part_text(reference_records[0].romaji, NamePart.FIRST) == "kazuyoshi"
 
     def test_full(self, reference_records):
-        assert split_parts(reference_records[0], NamePart.FULL) == "tamai kazuyoshi"
+        assert part_text(reference_records[0].romaji, NamePart.FULL) == "tamai kazuyoshi"
 
     def test_last(self, reference_records):
-        assert split_parts(reference_records[1], NamePart.LAST) == "iwama"
+        assert part_text(reference_records[1].romaji, NamePart.LAST) == "iwama"
 
     def test_full_is_last_plus_first(self, fixture_records):
         for record in fixture_records:
-            full = split_parts(record, NamePart.FULL)
-            last = split_parts(record, NamePart.LAST)
-            first = split_parts(record, NamePart.FIRST)
+            full = part_text(record.romaji, NamePart.FULL)
+            last = part_text(record.romaji, NamePart.LAST)
+            first = part_text(record.romaji, NamePart.FIRST)
             assert full == f"{last} {first}"
 
 

@@ -163,7 +163,6 @@ def test_tfidf_is_tfidf_from_counts_and_leaves_counts_alone(fit_docs, docs, char
                                  counts.matrix.indptr)]
     direct = transform(docs, vocab, Weighting.TFIDF).matrix
     split = tfidf_from_counts(counts, vocab)
-    assert split.weighting is Weighting.TFIDF
     assert direct.shape == split.matrix.shape
     for a, b in ((direct.data, split.matrix.data), (direct.indices, split.matrix.indices),
                  (direct.indptr, split.matrix.indptr)):
@@ -197,7 +196,6 @@ def counter_fit_vocabulary(docs, config=TokenizerConfig(), weighting=Weighting.C
         seen.update(doc_tokens)
         df.update(doc_tokens)
     tokens = tuple(sorted(seen))
-    token_to_index = {tok: i for i, tok in enumerate(tokens)}
     idf = None
     if weighting is Weighting.TFIDF:
         n = len(docs)
@@ -205,8 +203,7 @@ def counter_fit_vocabulary(docs, config=TokenizerConfig(), weighting=Weighting.C
             [np.log((1.0 + n) / (1.0 + df[tok])) + 1.0 for tok in tokens],
             dtype=np.float64,
         )
-    return Vocabulary(tokens=tokens, token_to_index=token_to_index,
-                      tokenizer=config, idf=idf)
+    return Vocabulary(tokens=tokens, tokenizer=config, idf=idf)
 
 
 def counter_transform(docs, vocab, weighting=Weighting.COUNT):
@@ -231,7 +228,7 @@ def counter_transform(docs, vocab, weighting=Weighting.COUNT):
         data=np.asarray(vals, dtype=np.float64),
         shape=(len(docs), vocab.size),
     )
-    counts_matrix = FeatureMatrix(matrix=matrix, weighting=Weighting.COUNT)
+    counts_matrix = FeatureMatrix(matrix=matrix)
     if weighting is Weighting.COUNT:
         return counts_matrix
     return add_at_tfidf_from_counts(counts_matrix, vocab)
@@ -252,7 +249,7 @@ def add_at_tfidf_from_counts(counts, vocab):
         nonzero = row_norms > 0
         scale[nonzero] = 1.0 / row_norms[nonzero]
         matrix.data *= scale[row_ids]
-    return FeatureMatrix(matrix=matrix, weighting=Weighting.TFIDF)
+    return FeatureMatrix(matrix=matrix)
 
 
 def assert_same_csr(new: CSR, old: CSR) -> None:
@@ -304,7 +301,6 @@ def test_text_path_equals_counter_oracle(case, weighting):
         assert vocab.idf.tobytes() == oracle.idf.tobytes()
     X = transform(docs, vocab, weighting)
     expected = counter_transform(docs, oracle, weighting)
-    assert X.weighting is expected.weighting
     assert_same_csr(X.matrix, expected.matrix)
 
 
@@ -321,10 +317,8 @@ def count_matrices(draw):
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     matrix = CSR(indptr, cols.astype(np.int32), dense[rows, cols], (n, V))
     idf = np.exp(rng.normal(size=V) * draw(st.floats(0.0, 20.0)))
-    vocab = Vocabulary(tokens=tuple(map(str, range(V))),
-                       token_to_index={str(i): i for i in range(V)},
-                       tokenizer=TokenizerConfig(), idf=idf)
-    return FeatureMatrix(matrix=matrix, weighting=Weighting.COUNT), vocab
+    vocab = Vocabulary(tokens=tuple(map(str, range(V))), tokenizer=TokenizerConfig(), idf=idf)
+    return FeatureMatrix(matrix=matrix), vocab
 
 
 @settings(max_examples=300, deadline=None)
