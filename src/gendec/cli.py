@@ -235,10 +235,11 @@ def cmd_train(model_kind, features, part, variant, train_path, out, seed, tokeni
     started = time.monotonic()
     _check_outputs([train_path, dict_path], [out])
     kind = ModelKind(model_kind)
-    # Hyperparameter flags are named after the table's defaults; flags
+    # Hyperparameter flags are named after the trainers' keywords; flags
     # the chosen kind does not take are ignored.
+    takes = MODEL_KINDS[kind].hyperparameters
     overrides = {name: value for name, value in flags.items()
-                 if value is not None and name in MODEL_KINDS[kind].defaults}
+                 if value is not None and name in takes}
     check_hyperparameters({kind.value: overrides})
     if dict_path and variant != InputVariant.CONVERTED.value:
         raise ConfigError("--dict applies only to --variant converted")

@@ -8,6 +8,7 @@ vocabularies and the reading dictionary strictly on the training split.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -351,10 +352,10 @@ def train_cell_model(
     seed: int,
     hyperparameters: Optional[dict] = None,
 ) -> TrainedModel:
-    """Train ``kind`` with its defaults overridden by ``hyperparameters``."""
+    """Train ``kind``, ``hyperparameters`` over its trainer's defaults (and ``seed``)."""
     spec = MODEL_KINDS[kind]
-    params = {**spec.defaults, **(hyperparameters or {})}
-    if spec.seeded:
+    params = dict(hyperparameters or {})
+    if "seed" in inspect.signature(spec.train).parameters:
         params["seed"] = seed
     return spec.train(X, y, **params)
 

@@ -1,16 +1,21 @@
 """Five classical binary classifiers implemented natively.
 
-``MODEL_KINDS`` is the one place that knows the kinds: how each trains,
-its default hyperparameters, its (female, male) scores, its optional
-probabilities and its model-file parameters.  Every prediction derives
-from one scoring call and every tie breaks female-first (the canonical
-gender order), so ``predict`` always equals the argmax of
-``predict_proba`` where the latter exists.  SVM models expose no
-probabilities.
+``MODEL_KINDS`` is the one place that knows the kinds: how each trains
+(its trainer's keywords and their defaults are its hyperparameters), its
+(female, male) scores, its optional probabilities and its model-file
+parameters.  Each input is checked once, where it enters: a matrix by
+``as_csr`` in the trainers, the losses and the predict functions (which
+also check its width), so a scorer takes a checked canonical CSR; labels
+by ``training_labels``, which warns on a single class; values by each
+trainer's ``check_values``.  Every prediction derives from one scoring
+call and every tie breaks female-first (the canonical gender order), so
+``predict`` always equals the argmax of ``predict_proba`` where the
+latter exists.  SVM models expose no probabilities.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Optional, Union
@@ -19,10 +24,12 @@ import numpy as np
 
 from ..errors import ConfigError, UnsupportedModelError
 from ..name_core import Gender, check_values
+from ..vectorize import CSR
 from . import forest, logistic, naive_bayes, svm, tree
 from .common import (
     MatrixLike,
     as_csr,
+    check_n_features,
     count_proba,
     ints_to_labels,
     labels_to_ints,
@@ -53,40 +60,38 @@ class KindSpec:
     """Everything the package does with one classifier kind."""
 
     model_class: type
-    train: Callable[..., Any]  # train(X, y, **defaults) -> model
-    defaults: dict  # hyperparameter name -> default value
-    seeded: bool  # whether train also takes the run seed
-    scores: Callable[[Any, MatrixLike], np.ndarray]  # (n, 2): female, male
+    train: Callable[..., Any]  # train(X, y, **hyperparameters[, seed]) -> model
+    scores: Callable[[Any, CSR], np.ndarray]  # (n, 2): female, male
     proba: Optional[Callable[[np.ndarray], np.ndarray]]  # scores -> probabilities
     to_params: Callable[[Any], dict]
     from_params: Callable[[dict, int], Any]  # (parameters, n_features) -> model
 
+    @property
+    def hyperparameters(self) -> list[str]:
+        """The trainer's keyword names but ``seed``, which is the run's."""
+        return [name for name in inspect.signature(self.train).parameters
+                if name not in ("X", "y", "seed")]
+
 
 MODEL_KINDS: dict[ModelKind, KindSpec] = {
     ModelKind.NB: KindSpec(
-        NBModel, train_naive_bayes, {"alpha": 1.0}, False,
-        naive_bayes.nb_joint_log_likelihood, naive_bayes.nb_proba,
-        naive_bayes.nb_params, naive_bayes.nb_from_params,
+        NBModel, train_naive_bayes, naive_bayes.nb_joint_log_likelihood,
+        naive_bayes.nb_proba, naive_bayes.nb_params, naive_bayes.nb_from_params,
     ),
     ModelKind.LR: KindSpec(
-        LRModel, train_logistic, {"learning_rate": 0.1, "epochs": 200, "l2": 1e-4},
-        False, linear_scores, logistic.lr_proba, logistic.lr_params,
+        LRModel, train_logistic, linear_scores, logistic.lr_proba, logistic.lr_params,
         logistic.lr_from_params,
     ),
     ModelKind.DT: KindSpec(
-        TreeModel, train_tree, {"max_depth": None, "min_samples_leaf": 1}, False,
-        tree.tree_leaf_counts, count_proba, tree.tree_params, tree.tree_from_params,
+        TreeModel, train_tree, tree.tree_leaf_counts, count_proba, tree.tree_params,
+        tree.tree_from_params,
     ),
     ModelKind.RF: KindSpec(
-        ForestModel, train_forest,
-        {"n_trees": 100, "features_per_split": None, "bootstrap": True,
-         "max_depth": None, "min_samples_leaf": 1},
-        True, forest.forest_vote_counts, count_proba, forest.forest_params,
-        forest.forest_from_params,
+        ForestModel, train_forest, forest.forest_vote_counts, count_proba,
+        forest.forest_params, forest.forest_from_params,
     ),
     ModelKind.SVM: KindSpec(
-        SVMModel, train_svm, {"lam": 1e-4, "epochs": 20}, True,
-        linear_scores, None, svm.svm_params, svm.svm_from_params,
+        SVMModel, train_svm, linear_scores, None, svm.svm_params, svm.svm_from_params,
     ),
 }
 
@@ -112,36 +117,42 @@ def check_hyperparameters(hyperparameters: dict) -> None:
         if kind not in _KIND_NAMES or not isinstance(params, dict):
             raise ConfigError(f"hyperparameters: {kind!r} must be one of "
                               f"{_KIND_NAMES} and map to an object")
-        defaults = MODEL_KINDS[ModelKind(kind)].defaults
+        names = MODEL_KINDS[ModelKind(kind)].hyperparameters
         for name in params:
-            if name not in defaults:
+            if name not in names:
                 raise ConfigError(f"unknown {kind} hyperparameter {name!r}; "
-                                  f"expected one of {sorted(defaults)}")
+                                  f"expected one of {sorted(names)}")
         check_values(**params)
+
+
+def _scores(model: TrainedModel, X: MatrixLike) -> tuple[KindSpec, np.ndarray]:
+    """The model's ``KindSpec`` and its scores of ``X``, checked once here."""
+    spec = MODEL_KINDS[kind_of(model)]
+    matrix = as_csr(X)
+    check_n_features(model.n_features, matrix)
+    return spec, spec.scores(model, matrix)
 
 
 def predict_with_proba(
     model: TrainedModel, X: MatrixLike
 ) -> tuple[list[Gender], Optional[np.ndarray]]:
     """Labels, and probabilities where the kind has them, from one scoring call."""
-    spec = MODEL_KINDS[kind_of(model)]
-    scores = spec.scores(model, X)
+    spec, scores = _scores(model, X)
     proba = None if spec.proba is None else spec.proba(scores)
     return ints_to_labels(male_wins(scores)), proba
 
 
 def predict(model: TrainedModel, X: MatrixLike) -> list[Gender]:
-    return ints_to_labels(male_wins(MODEL_KINDS[kind_of(model)].scores(model, X)))
+    return ints_to_labels(male_wins(_scores(model, X)[1]))
 
 
 def predict_proba(model: TrainedModel, X: MatrixLike) -> np.ndarray:
     """Per-row (P(female), P(male)); rows sum to 1."""
-    spec = MODEL_KINDS[kind_of(model)]
-    if spec.proba is None:
-        raise UnsupportedModelError(
-            f"{type(model).__name__} does not provide class probabilities"
-        )
-    return spec.proba(spec.scores(model, X))
+    if not supports_proba(model):
+        raise UnsupportedModelError(f"{type(model).__name__} does not provide "
+                                    "class probabilities")
+    spec, scores = _scores(model, X)
+    return spec.proba(scores)
 
 
 def supports_proba(model: TrainedModel) -> bool:

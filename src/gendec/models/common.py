@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -11,6 +12,7 @@ from ..errors import (
     EmptyInputError,
     LabelError,
     LengthMismatchError,
+    SingleClassWarning,
     SparseFormatError,
 )
 from ..name_core import GENDERS, Gender
@@ -23,33 +25,31 @@ _CSR_FIELDS = ("indptr", "indices", "data", "shape")
 
 
 def as_csr(X: MatrixLike) -> CSR:
-    """``X`` as a float64 CSR, sharing its arrays when it is canonical.
+    """``X`` as a checked float64 CSR, sharing its arrays when it is
+    canonical: the one matrix check, where a matrix enters ``gendec.models``.
 
     Any object with ``indptr``, ``indices``, ``data`` and ``shape`` is read
     as CSR, so scipy matrices work without this package importing scipy; one
     that declares another ``format`` (a CSC also has ``indptr``) is refused,
-    not silently read transposed.  A matrix whose rows store a column twice
-    or out of order, a package ``CSR`` included, is made canonical: each
-    row's columns are sorted and a column's entries summed (in stored
-    order), which is what scipy means by such a matrix and what ``CSR.dot``
-    computes.  The trees rely on it: a row has one value per column.
-    Foreign arrays that do not form a CSR of the given shape raise
-    SparseFormatError.
+    not silently read transposed.  Arrays that do not form a CSR of the
+    given shape, a package ``CSR``'s too, raise SparseFormatError.  A row
+    that stores a column twice or out of order is made canonical: columns
+    sorted and a column's entries summed (in stored order), as scipy and
+    ``CSR.dot`` read it.  The trees rely on it: one value per column.
     """
     matrix = X.matrix if isinstance(X, FeatureMatrix) else X
-    if isinstance(matrix, CSR):
-        return _canonical(matrix)
-    if (not all(hasattr(matrix, name) for name in _CSR_FIELDS)
-            or getattr(matrix, "format", "csr") != "csr"):
-        raise SparseFormatError(
-            f"expected a CSR matrix, got {type(matrix).__name__}"
-            f" (format {getattr(matrix, 'format', None)!r})")
-    n_rows, n_cols = matrix.shape
-    own = CSR(indptr=np.asarray(matrix.indptr), indices=np.asarray(matrix.indices),
-              data=np.asarray(matrix.data, dtype=np.float64),
-              shape=(int(n_rows), int(n_cols)))
-    _check_arrays(own)
-    return _canonical(own)
+    if not isinstance(matrix, CSR):
+        if (not all(hasattr(matrix, name) for name in _CSR_FIELDS)
+                or getattr(matrix, "format", "csr") != "csr"):
+            raise SparseFormatError(
+                f"expected a CSR matrix, got {type(matrix).__name__}"
+                f" (format {getattr(matrix, 'format', None)!r})")
+        n_rows, n_cols = matrix.shape
+        matrix = CSR(indptr=np.asarray(matrix.indptr), indices=np.asarray(matrix.indices),
+                     data=np.asarray(matrix.data, dtype=np.float64),
+                     shape=(int(n_rows), int(n_cols)))
+    _check_arrays(matrix)
+    return _canonical(matrix)
 
 
 def _check_arrays(matrix: CSR) -> None:
@@ -97,14 +97,24 @@ def labels_to_ints(y: Sequence[Gender]) -> np.ndarray:
     return out
 
 
-def training_labels(matrix: CSR, y: Sequence[Gender]) -> np.ndarray:
-    """``labels_to_ints(y)`` for training on ``matrix``: one label per row
-    (else LengthMismatchError) and at least one row (else EmptyInputError)."""
+def row_labels(matrix: CSR, y: Sequence[Gender]) -> np.ndarray:
+    """``labels_to_ints(y)``: one label per row of ``matrix`` (else
+    LengthMismatchError) and at least one row (else EmptyInputError)."""
     if len(y) != matrix.shape[0]:
         raise LengthMismatchError(f"{len(y)} labels for {matrix.shape[0]} matrix rows")
     if not len(y):
         raise EmptyInputError("cannot train on a matrix with no rows")
     return labels_to_ints(y)
+
+
+def training_labels(matrix: CSR, y: Sequence[Gender]) -> np.ndarray:
+    """``row_labels`` for a trainer; one class warns, as every kind then
+    predicts it for any row."""
+    labels = row_labels(matrix, y)
+    if labels.min() == labels.max():
+        warnings.warn("training labels contain a single class; predictions are constant",
+                      SingleClassWarning, stacklevel=3)  # at the trainer's caller
+    return labels
 
 
 def ints_to_labels(values: np.ndarray) -> list[Gender]:
@@ -121,11 +131,9 @@ def count_proba(counts: np.ndarray) -> np.ndarray:
     return counts / counts.sum(axis=1, keepdims=True)
 
 
-def linear_scores(model, X: MatrixLike) -> np.ndarray:
+def linear_scores(model, matrix: CSR) -> np.ndarray:
     """(0, w.x + b) per row for a model with ``weights`` and ``bias``, so a
     margin of exactly 0 predicts female."""
-    matrix = as_csr(X)
-    check_n_features(model.n_features, matrix)
     margin = matrix.dot(model.weights) + model.bias
     return np.column_stack([np.zeros_like(margin), margin])
 

@@ -15,14 +15,9 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..name_core import Gender, check_keys, check_values, seeded_rng
-from .common import MatrixLike, as_csr, male_wins, training_labels
-from .tree import (
-    TreeModel,
-    _grow_tree,
-    tree_from_nodes,
-    tree_leaf_counts,
-    tree_nodes_params,
-)
+from ..vectorize import CSR
+from .common import MatrixLike, as_csr, training_labels
+from .tree import TreeModel, _grow_tree, tree_apply, tree_from_nodes, tree_nodes_params
 
 
 @dataclass
@@ -95,14 +90,14 @@ def train_forest(
     )
 
 
-def forest_vote_counts(model: ForestModel, X: MatrixLike) -> np.ndarray:
-    """Per-row (female votes, male votes) over the forest's trees."""
-    matrix = as_csr(X)
+def forest_vote_counts(model: ForestModel, matrix: CSR) -> np.ndarray:
+    """Per-row (female votes, male votes) over the forest's trees; a tree
+    whose leaf counts tie votes female, as ``male_wins`` breaks ties."""
     male_votes = np.zeros(matrix.shape[0], dtype=np.int64)
     for tree in model.trees:
-        male_votes += male_wins(tree_leaf_counts(tree, matrix))
-    female_votes = model.n_trees - male_votes
-    return np.column_stack([female_votes, male_votes]).astype(np.float64)
+        leaves = tree_apply(tree, matrix)
+        male_votes += tree.count_male[leaves] > tree.count_female[leaves]
+    return np.column_stack([model.n_trees - male_votes, male_votes]).astype(np.float64)
 
 
 def forest_params(model: ForestModel) -> dict:

@@ -6,17 +6,14 @@ multinomial-with-fractional-counts convention.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from ..errors import SingleClassWarning
 from ..name_core import Gender, check_keys, check_values
-from .common import (
-    MatrixLike, as_csr, check_n_features, finite, training_labels, vector,
-)
+from ..vectorize import CSR
+from .common import MatrixLike, as_csr, finite, training_labels, vector
 
 
 @dataclass
@@ -40,12 +37,6 @@ def train_naive_bayes(
     n, V = matrix.shape
     class_counts = np.array([(labels == 0).sum(), (labels == 1).sum()], dtype=np.float64)
     single_class = bool((class_counts == 0).any())
-    if single_class:
-        warnings.warn(
-            "training labels contain a single class; predictions are constant",
-            SingleClassWarning,
-            stacklevel=2,
-        )
     with np.errstate(divide="ignore"):
         class_log_prior = np.log(class_counts / n)
     feature_log_prob = np.zeros((2, V), dtype=np.float64)
@@ -65,10 +56,8 @@ def train_naive_bayes(
     )
 
 
-def nb_joint_log_likelihood(model: NBModel, X: MatrixLike) -> np.ndarray:
+def nb_joint_log_likelihood(model: NBModel, matrix: CSR) -> np.ndarray:
     """Unnormalized per-class log posterior, shape (n, 2)."""
-    matrix = as_csr(X)
-    check_n_features(model.n_features, matrix)
     return matrix.dot(model.feature_log_prob.T) + model.class_log_prior
 
 

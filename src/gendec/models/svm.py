@@ -29,7 +29,7 @@ import numpy as np
 
 from ..errors import NonFiniteError
 from ..name_core import Gender, check_keys, check_values, seeded_rng
-from .common import MatrixLike, as_csr, training_labels, vector
+from .common import MatrixLike, as_csr, row_labels, training_labels, vector
 
 
 @dataclass
@@ -50,7 +50,7 @@ def hinge_loss(
 ) -> float:
     """Mean hinge loss max(0, 1 - y*(w.x + b)) without the L2 term."""
     matrix = as_csr(X)
-    signs = np.where(training_labels(matrix, y) == 1, 1.0, -1.0)
+    signs = np.where(row_labels(matrix, y) == 1, 1.0, -1.0)
     margins = signs * (matrix.dot(weights) + bias)
     return float(np.mean(np.maximum(0.0, 1.0 - margins)))
 

@@ -21,7 +21,9 @@ from one cumsum over the node's entries.
 
 Trees are stored as flat parallel arrays, which keeps serialization
 cheap and lets prediction move every row of a batch down one level per
-step instead of walking row by row.
+step instead of walking row by row.  ``tree_apply`` and the scorers take
+the CSR that ``as_csr`` checked and made canonical where the matrix
+entered a trainer or a predict function, and check nothing again.
 
 Feature values must be non-negative (count or TF-IDF weights); this is
 what lets the zero group sort below every stored value.
@@ -37,7 +39,7 @@ import numpy as np
 from ..errors import ConfigError
 from ..name_core import Gender, check_keys, check_values
 from ..vectorize import CSR
-from .common import MatrixLike, as_csr, check_n_features, training_labels, vector
+from .common import MatrixLike, as_csr, training_labels, vector
 
 # A sampler returns the sorted candidate column ids for one split search.
 FeatureSampler = Callable[[], np.ndarray]
@@ -241,18 +243,13 @@ def train_tree(
     return _grow_tree(matrix, training_labels(matrix, y), max_depth, min_samples_leaf)
 
 
-def tree_apply(model: TreeModel, X: MatrixLike) -> np.ndarray:
-    """Leaf node id per row; every row moves down one level per step.
-
-    A row goes right when its value on the node's column exceeds the
-    threshold; a missing entry is a zero and goes left.  ``as_csr`` sums a
-    foreign matrix's duplicate entries, so a row has one value per column.
-    Rows at a leaf stay there and leave the step once they are half of it.
-    A walk longer than ``n_nodes`` steps has met a cycle and raises
-    ValueError.
+def tree_apply(model: TreeModel, matrix: CSR) -> np.ndarray:
+    """Leaf node id per row of ``as_csr``'s output, one value per row and
+    column.  Every row moves down one level per step: right when its value
+    on the node's column exceeds the threshold, else left (a missing entry
+    is a zero).  Rows at a leaf leave the step once they are half of it.  A
+    walk longer than ``n_nodes`` steps has met a cycle and raises ValueError.
     """
-    matrix = as_csr(X)
-    check_n_features(model.n_features, matrix)
     leaf = model.feature < 0
     left = np.where(leaf, np.arange(model.n_nodes), model.left)
     node = np.zeros(matrix.shape[0], dtype=np.int64)
@@ -275,12 +272,11 @@ def tree_apply(model: TreeModel, X: MatrixLike) -> np.ndarray:
     raise ValueError("a tree walk passed n_nodes levels; the tree has a cycle")
 
 
-def tree_leaf_counts(model: TreeModel, X: MatrixLike) -> np.ndarray:
+def tree_leaf_counts(model: TreeModel, matrix: CSR) -> np.ndarray:
     """Per-row (female, male) training counts of the reached leaf."""
-    leaves = tree_apply(model, X)
-    return np.column_stack(
-        [model.count_female[leaves], model.count_male[leaves]]
-    ).astype(np.float64)
+    leaves = tree_apply(model, matrix)
+    return np.column_stack([model.count_female[leaves], model.count_male[leaves]]
+                           ).astype(np.float64)
 
 
 # The flat node arrays as stored in model files, with their dtypes.

@@ -12,7 +12,6 @@ Run with: pytest tests/test_acceptance.py -v -s
 from __future__ import annotations
 
 import itertools
-import math
 import os
 import string
 

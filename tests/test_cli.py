@@ -632,24 +632,28 @@ class TestNonFiniteModelFiles:
         assert not report.exists()
 
     def test_single_class_nb_round_trips(self, runner, synthetic_corpus, tmp_path):
-        """Only the prior of the class a single-class model never saw may be
-        -Infinity, and such a file still loads, predicts and re-saves."""
-        train_csv, path = tmp_path / "female.csv", tmp_path / "nb.json"
+        """Every kind trained on one class prints one warning line, and its
+        file loads, re-saves and predicts that class.  Only the prior of the
+        class a single-class nb model never saw may be -Infinity."""
+        train_csv = tmp_path / "female.csv"
         write_corpus_csv(train_csv, [r for r in synthetic_corpus
                                      if r.gender.value == "female"])
-        result = runner.invoke(main, ["train", "--model", "nb", "--features", "count",
-                                      "--train", str(train_csv), "--out", str(path)])
-        assert result.exit_code == 0, result.output
-        assert result.stderr == ("warning: training labels contain a single class; "
-                                 "predictions are constant\n")
+        for kind in ("lr", "dt", "rf", "svm", "nb"):
+            path = tmp_path / f"{kind}.json"
+            result = runner.invoke(main, [
+                "train", "--model", kind, "--features", "count", "--train", str(train_csv),
+                "--out", str(path), *(["--n-trees", "3"] if kind == "rf" else [])])
+            assert result.exit_code == 0, result.output
+            assert result.stderr == ("warning: training labels contain a single class; "
+                                     "predictions are constant\n"), kind
+            save_model(tmp_path / "again.json", load_model(path))
+            assert (tmp_path / "again.json").read_bytes() == path.read_bytes(), kind
+            result = runner.invoke(main, ["predict", "--model-file", str(path),
+                                          "--name", "Suzuki Taro"])
+            assert result.exit_code == 0, result.output
+            assert result.output.rstrip("\n").split("\t")[1] == "female", kind
         doc = json.loads(path.read_text())
         assert doc["parameters"]["class_log_prior"] == [0.0, float("-inf")]
-        save_model(tmp_path / "again.json", load_model(path))
-        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
-        result = runner.invoke(main, ["predict", "--model-file", str(path),
-                                      "--name", "Suzuki Taro"])
-        assert result.exit_code == 0, result.output
-        assert result.output.split("\t")[1] == "female"
 
         doc["parameters"]["single_class"] = False
         path.write_text(json.dumps(doc), encoding="utf-8")
@@ -810,6 +814,24 @@ class TestGrid:
             "--report-csv", str(tmp_path / "r.csv"),
         ])
         assert result.exit_code == 2
+
+    def test_single_class_split_warns_once(self, runner, synthetic_corpus, split_files,
+                                           tmp_path):
+        """The condition belongs to the training split that every cell shares,
+        so a grid prints its warning once, whichever kinds it trains."""
+        train_csv = tmp_path / "female.csv"
+        write_corpus_csv(train_csv, [r for r in synthetic_corpus
+                                     if r.gender.value == "female"])
+        result = self._grid(runner, tmp_path, {
+            "train": str(train_csv), "test": str(split_files[2]),
+            "cells": [{"model": "rf", "features": features, "variant": "original",
+                       "part": part} for features in ("count", "tfidf")
+                      for part in ("full", "first")],
+            "hyperparameters": {"rf": {"n_trees": 3}},
+        })
+        assert result.exit_code == 0, result.output
+        assert result.stderr == ("warning: training labels contain a single class; "
+                                 "predictions are constant\n")
 
     def _grid(self, runner, tmp_path, config):
         config_path = tmp_path / "grid.json"

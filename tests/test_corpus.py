@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from gendec.corpus import (
@@ -24,7 +22,7 @@ from gendec.errors import (
     RatioError,
     SchemaError,
 )
-from gendec.name_core import Gender, NamePart, NameRole, write_corpus_csv
+from gendec.name_core import Gender, NamePart, NameRole
 from tests.conftest import make_raw_inventories
 
 YUKA_A = RawNamePart("Yuka", "ゆか", "由花", Gender.FEMALE, NameRole.GIVEN)

@@ -142,6 +142,36 @@ def test_tree_module_sorts_no_node_inside_a_loop():
     assert not stray, f"models/tree.py sorts inside a loop (per node) at lines {stray}"
 
 
+# --- every import is read --------------------------------------------------
+
+def _unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) of each name a module-level import binds that the module
+    never reads; ``from __future__`` imports and names in ``__all__`` aside."""
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [(node.lineno, alias.asname or alias.name.partition(".")[0])
+                      for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(node.lineno, alias.asname or alias.name) for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "__all__" for target in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    return [(line, name) for line, name in bound if name not in read]
+
+
+def test_every_module_level_import_is_read():
+    """Package and test modules read every name they import; an
+    ``__init__.py`` re-exports, so its imports count as read."""
+    paths = [*SRC.rglob("*.py"), *Path(__file__).parent.glob("*.py")]
+    unused = [(path.name, line, name) for path in sorted(paths)
+              if path.name != "__init__.py"
+              for line, name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))]
+    assert unused == [], f"imported but never read: {unused}"
+
+
 # --- scipy stays off the import path ----------------------------------------
 
 def _scipy_imports(tree: ast.Module):

@@ -13,6 +13,7 @@ from gendec.errors import (
     DimensionMismatchError,
     EmptyInputError,
     LengthMismatchError,
+    SparseFormatError,
 )
 from gendec.models import (
     MODEL_KINDS,
@@ -28,6 +29,7 @@ from gendec.models import (
     train_tree,
 )
 from gendec.name_core import GENDERS, Gender
+from gendec.vectorize import CSR
 
 F, M = Gender.FEMALE, Gender.MALE
 
@@ -131,3 +133,33 @@ def test_trainer_refuses_non_integer_hyperparameter(trainer, name, value):
 def test_hinge_loss_checks_labels_against_rows():
     with pytest.raises(LengthMismatchError):
         hinge_loss(np.zeros(2), 0.0, sp.csr_matrix(np.eye(3, 2)), [F, M])
+
+
+def test_hinge_loss_on_one_class_does_not_warn():
+    """hinge_loss scores labels; only a trainer warns about a single class."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert hinge_loss(np.zeros(2), 0.0, sp.csr_matrix(np.eye(2)), [M, M]) == 1.0
+
+
+# Package CSRs whose arrays do not form a 2 x 3 matrix.
+MALFORMED_CSRS = {
+    "column-out-of-range": CSR(indptr=np.array([0, 1, 2]), indices=np.array([0, 7]),
+                               data=np.ones(2), shape=(2, 3)),
+    "indptr-short-of-nnz": CSR(indptr=np.array([0, 1, 1]), indices=np.array([0, 2]),
+                               data=np.ones(2), shape=(2, 3)),
+}
+
+
+@pytest.mark.parametrize("kind", list(TRAINERS))
+@pytest.mark.parametrize("malformed", list(MALFORMED_CSRS))
+def test_package_csr_is_checked_like_a_foreign_one(kind, malformed):
+    """Each trainer and ``predict`` refuse a malformed package CSR as they do
+    the same arrays in a scipy matrix, not with a raw numpy error or a
+    silent result."""
+    X = MALFORMED_CSRS[malformed]
+    with pytest.raises(SparseFormatError):
+        TRAINERS[kind](X, [F, M])
+    model = TRAINERS[kind](sp.csr_matrix(np.eye(2, 3)), [F, M])
+    with pytest.raises(SparseFormatError):
+        predict(model, X)

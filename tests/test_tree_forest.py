@@ -331,7 +331,7 @@ def trees_and_batches(draw):
 @given(case=trees_and_batches())
 def test_level_walk_equals_stack_walk(case):
     tree, X = case
-    leaves = tree_apply(tree, X)
+    leaves = tree_apply(tree, as_csr(X))
     assert leaves.dtype == np.int64
     assert np.array_equal(leaves, stack_walk_apply(tree, X))
 
@@ -341,7 +341,7 @@ def test_walk_over_a_cycle_raises_instead_of_looping():
     assert tree.n_nodes == 3
     tree.left[0] = 0
     with pytest.raises(ValueError, match="cycle"):
-        tree_apply(tree, sp.csr_matrix(np.zeros((2, 2))))
+        tree_apply(tree, as_csr(sp.csr_matrix(np.zeros((2, 2)))))
 
 
 # --- the presorted grower against the per-node sort it replaced -------------
