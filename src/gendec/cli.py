@@ -33,7 +33,7 @@ from .corpus import (
     write_char_csv,
     write_homonym_csv,
 )
-from .errors import ConfigError, GendecError, NonFiniteError
+from .errors import GendecError, NonFiniteError
 from .evaluate import (
     CellResult,
     ExperimentGrid,
@@ -59,7 +59,7 @@ from .name_core import (
     write_corpus_csv,
     write_json,
 )
-from .translit import ReadingDictionary, build_reading_dictionary, kana_to_romaji
+from .translit import build_reading_dictionary, kana_to_romaji
 from .vectorize import TokenizerConfig, TokenizerMode, Weighting, fit_vocabulary, transform
 
 _MODEL_CHOICES = [kind.value for kind in ModelKind]
@@ -216,9 +216,6 @@ def _sha256_file(path: str | Path) -> str:
 @click.option("--ngram-min", type=click.IntRange(1, 8), default=2, show_default=True,
               help="Only used with --tokenizer char_ngram.")
 @click.option("--ngram-max", type=click.IntRange(1, 8), default=4, show_default=True)
-@click.option("--dict", "dict_path", type=click.Path(exists=True, dir_okay=False),
-              default=None, help="Prebuilt reading dictionary for --variant converted "
-              "(default: build from the training CSV).")
 @click.option("--alpha", type=float, default=None, help="NB smoothing.")
 @click.option("--learning-rate", type=float, default=None, help="LR step size.")
 @click.option("--epochs", type=int, default=None, help="LR/SVM passes.")
@@ -230,10 +227,10 @@ def _sha256_file(path: str | Path) -> str:
 @click.option("--features-per-split", type=int, default=None)
 @click.option("--bootstrap/--no-bootstrap", default=None)
 def cmd_train(model_kind, features, part, variant, train_path, out, seed, tokenizer,
-              ngram_min, ngram_max, dict_path, **flags) -> None:
+              ngram_min, ngram_max, **flags) -> None:
     """Train one grid cell's model and write a self-contained model file."""
     started = time.monotonic()
-    _check_outputs([train_path, dict_path], [out])
+    _check_outputs([train_path], [out])
     kind = ModelKind(model_kind)
     # Hyperparameter flags are named after the trainers' keywords; flags
     # the chosen kind does not take are ignored.
@@ -241,8 +238,6 @@ def cmd_train(model_kind, features, part, variant, train_path, out, seed, tokeni
     overrides = {name: value for name, value in flags.items()
                  if value is not None and name in takes}
     check_hyperparameters({kind.value: overrides})
-    if dict_path and variant != InputVariant.CONVERTED.value:
-        raise ConfigError("--dict applies only to --variant converted")
     records = read_corpus_csv(train_path)
     if not records:
         raise GendecError(f"{train_path}: training CSV has no rows")
@@ -256,12 +251,8 @@ def cmd_train(model_kind, features, part, variant, train_path, out, seed, tokeni
             mode=TokenizerMode.CHAR_NGRAM, ngram_min=ngram_min, ngram_max=ngram_max
         )
 
-    reading_dict = None
-    if input_variant is InputVariant.CONVERTED:
-        if dict_path:
-            reading_dict = ReadingDictionary.load(dict_path)
-        else:
-            reading_dict, _ = build_reading_dictionary(records)
+    reading_dict = (build_reading_dictionary(records)[0]
+                    if input_variant is InputVariant.CONVERTED else None)
 
     texts, _ = extract_texts(records, name_part, input_variant, reading_dict)
     labels = [r.gender for r in records]

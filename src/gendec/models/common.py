@@ -31,32 +31,40 @@ def as_csr(X: MatrixLike) -> CSR:
     Any object with ``indptr``, ``indices``, ``data`` and ``shape`` is read
     as CSR, so scipy matrices work without this package importing scipy; one
     that declares another ``format`` (a CSC also has ``indptr``) is refused,
-    not silently read transposed.  Arrays that do not form a CSR of the
-    given shape, a package ``CSR``'s too, raise SparseFormatError.  A row
-    that stores a column twice or out of order is made canonical: columns
-    sorted and a column's entries summed (in stored order), as scipy and
-    ``CSR.dot`` read it.  The trees rely on it: one value per column.
+    not silently read transposed.  Every CSR's fields, a package ``CSR``'s
+    too, are read with ``np.asarray`` (``data`` as float64); row pointers or
+    column ids that are not integers, or arrays that do not form a CSR of
+    the given shape, raise SparseFormatError.  A row that stores a column
+    twice or out of order is made canonical: columns sorted and a column's
+    entries summed (in stored order), as scipy and ``CSR.dot`` read it.  The
+    trees rely on it: one value per column.
     """
     matrix = X.matrix if isinstance(X, FeatureMatrix) else X
-    if not isinstance(matrix, CSR):
-        if (not all(hasattr(matrix, name) for name in _CSR_FIELDS)
-                or getattr(matrix, "format", "csr") != "csr"):
-            raise SparseFormatError(
-                f"expected a CSR matrix, got {type(matrix).__name__}"
-                f" (format {getattr(matrix, 'format', None)!r})")
+    if not isinstance(matrix, CSR) and (
+            not all(hasattr(matrix, name) for name in _CSR_FIELDS)
+            or getattr(matrix, "format", "csr") != "csr"):
+        raise SparseFormatError(
+            f"expected a CSR matrix, got {type(matrix).__name__}"
+            f" (format {getattr(matrix, 'format', None)!r})")
+    fields = (matrix.indptr, matrix.indices, matrix.data)
+    arrays = (np.asarray(fields[0]), np.asarray(fields[1]),
+              np.asarray(fields[2], dtype=np.float64))
+    if not isinstance(matrix, CSR) or any(a is not f for a, f in zip(arrays, fields)):
         n_rows, n_cols = matrix.shape
-        matrix = CSR(indptr=np.asarray(matrix.indptr), indices=np.asarray(matrix.indices),
-                     data=np.asarray(matrix.data, dtype=np.float64),
-                     shape=(int(n_rows), int(n_cols)))
+        matrix = CSR(*arrays, shape=(int(n_rows), int(n_cols)))
     _check_arrays(matrix)
     return _canonical(matrix)
 
 
 def _check_arrays(matrix: CSR) -> None:
-    """SparseFormatError unless ``indptr`` runs from 0 up to the entry
-    count in ``n_rows + 1`` steps and every column id is in range."""
+    """SparseFormatError unless ``indptr`` and ``indices`` are integers,
+    ``indptr`` runs from 0 up to the entry count in ``n_rows + 1`` steps and
+    every column id is in range."""
     indptr, indices = matrix.indptr, matrix.indices
     n_rows, n_cols = matrix.shape
+    if not all(np.issubdtype(ids.dtype, np.integer) for ids in (indptr, indices)):
+        raise SparseFormatError(f"CSR row pointers and column ids must be integers, "
+                                f"got {indptr.dtype} and {indices.dtype}")
     if not (indptr.ndim == indices.ndim == matrix.data.ndim == 1
             and indptr.size == n_rows + 1 and indptr[0] == 0
             and indptr[-1] == indices.size == matrix.data.size

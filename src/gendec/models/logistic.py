@@ -39,11 +39,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ..errors import NonFiniteError
+from ..errors import DimensionMismatchError, LengthMismatchError, NonFiniteError
 from ..name_core import Gender, check_keys, check_values
 from ..vectorize import CSR
 from .common import MatrixLike, as_csr, training_labels, vector
@@ -160,17 +160,26 @@ def loss_and_gradient(
     weights: np.ndarray,
     bias: float,
     l2: float,
-    products: Optional[_Products] = None,
 ) -> tuple[float, np.ndarray, float]:
     """Regularized mean log loss and its analytic gradient for any CSR
-    ``matrix`` (see ``as_csr``); ``products`` is its ``_Products``, built
-    here when not given.
+    ``matrix`` (see ``as_csr``), one 0/1 target per row and one weight per
+    column.
 
     Uses log(1 + e^z) - y*z, which is stable for large |z|.  The bias is
     not regularized.
     """
-    if products is None:
-        products = _Products(as_csr(matrix))
+    matrix = as_csr(matrix)
+    n_rows, n_cols = matrix.shape
+    if np.shape(y01) != (n_rows,):
+        raise LengthMismatchError(f"targets of shape {np.shape(y01)} for {n_rows} rows")
+    if np.shape(weights) != (n_cols,):
+        raise DimensionMismatchError(
+            f"weights of shape {np.shape(weights)} for {n_cols} columns")
+    return _loss_and_gradient(_Products(matrix), y01, weights, bias, l2)
+
+
+def _loss_and_gradient(products: _Products, y01, weights, bias, l2):
+    """``loss_and_gradient`` over the ``_Products`` of a checked matrix."""
     n = products.shape[0]
     with np.errstate(over="ignore"):  # divergence shows up as inf loss
         z = products.dot(weights) + bias
@@ -198,13 +207,13 @@ def train_logistic(
     bias = 0.0
     trace: list[float] = []
     for _ in range(epochs):
-        loss, grad_w, grad_b = loss_and_gradient(matrix, y01, weights, bias, l2, products)
+        loss, grad_w, grad_b = _loss_and_gradient(products, y01, weights, bias, l2)
         if not np.isfinite(loss):
             raise NonFiniteError(f"logistic loss diverged to {loss!r}")
         trace.append(loss)
         weights -= learning_rate * grad_w
         bias -= learning_rate * grad_b
-    final_loss, _, _ = loss_and_gradient(matrix, y01, weights, bias, l2, products)
+    final_loss, _, _ = _loss_and_gradient(products, y01, weights, bias, l2)
     if not np.isfinite(final_loss):
         raise NonFiniteError(f"logistic loss diverged to {final_loss!r}")
     trace.append(final_loss)

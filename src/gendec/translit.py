@@ -22,13 +22,10 @@ import warnings
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import SchemaError, TransliterationWarning, UnknownKanaError
-from .name_core import (
-    NameRecord, NameRole, check_keys, normalize_romaji, read_json, write_json,
-)
+from .name_core import NameRecord, NameRole, check_keys, normalize_romaji
 
 # Single-kana syllables (gojuon plus voiced/semi-voiced rows and ん).
 _BASE = {
@@ -290,7 +287,8 @@ class ReadingDictionary:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ReadingDictionary":
-        """Dictionary from its JSON document; a malformed one raises SchemaError.
+        """Dictionary from the table a converted model file embeds; a malformed
+        one raises SchemaError.
 
         Every reading must transliterate to non-empty romaji, so converting
         a part the dictionary holds never fails.
@@ -301,7 +299,7 @@ class ReadingDictionary:
                 f"unsupported reading dictionary schema_version {version!r}"
             )
 
-        def load(role: str) -> dict[str, tuple[tuple[str, int], ...]]:
+        def read_table(role: str) -> dict[str, tuple[tuple[str, int], ...]]:
             table = {
                 kanji: tuple((reading, count) for reading, count in readings)
                 for kanji, readings in doc[role].items()
@@ -322,18 +320,11 @@ class ReadingDictionary:
 
         try:
             check_keys(doc, ("schema_version", "family", "given"), error=ValueError)
-            return cls(family=load("family"), given=load("given"))
+            return cls(family=read_table("family"), given=read_table("given"))
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise SchemaError(
                 f"malformed reading dictionary: {type(exc).__name__}: {exc}"
             ) from None
-
-    def save(self, path: str | Path) -> None:
-        write_json(path, self.to_json_dict(), ensure_ascii=False, sort_keys=True)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ReadingDictionary":
-        return cls.from_json_dict(read_json(path))
 
 
 def _sorted_readings(counts: dict[str, int]) -> tuple[tuple[str, int], ...]:

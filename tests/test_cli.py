@@ -229,6 +229,21 @@ class TestTrainEvaluatePredict:
         given = json.loads(model_path.read_text())["reading_dictionary"]["given"]
         assert given == {"和善": [["かずよし", 1]], "智子": [["ともこ", 1]]}
 
+    def test_dict_option_is_a_usage_error(self, runner, split_files, tmp_path):
+        """A converted model's dictionary comes only from its training CSV."""
+        dictionary = tmp_path / "dict.json"
+        dictionary.write_text(json.dumps({"schema_version": 1, "family": {}, "given": {}}))
+        model_path = tmp_path / "conv.json"
+        result = runner.invoke(main, [
+            "train", "--model", "nb", "--features", "count", "--variant", "converted",
+            "--train", str(split_files[0]), "--out", str(model_path),
+            "--dict", str(dictionary),
+        ])
+        assert result.exit_code == 2
+        assert _no_traceback(result)
+        assert "No such option '--dict'" in result.stderr
+        assert not model_path.exists()
+
     def test_empty_test_csv_exits_2(self, runner, split_files, tmp_path):
         train_csv, _val, _test = split_files
         model_path = tmp_path / "m.json"
@@ -777,32 +792,50 @@ class TestGrid:
         assert len(payload) == 12
 
     def test_converted_cells_match_train_and_evaluate(self, runner, split_files, tmp_path):
-        """A converted cell's grid report is the report that ``train`` and
-        ``evaluate`` write for the same cell, seed and hyperparameters."""
+        """A grid cell's report is, byte for byte, the report that ``train``
+        and ``evaluate`` write for the same cell, seed, tokenizer and
+        hyperparameters: every kind, weighting, variant and part, on word
+        tokens and on character 2-4-grams."""
         train_csv, _val, test_csv = split_files
-        cells = [("rf", "tfidf", "first", ["--n-trees", "3"]),
-                 ("nb", "count", "full", []),
-                 ("svm", "tfidf", "last", ["--epochs", "3"])]
-        result = self._grid(runner, tmp_path, {
-            "train": str(train_csv), "test": str(test_csv), "seed": 5,
-            "cells": [{"model": model, "features": features, "variant": "converted",
-                       "part": part} for model, features, part, _ in cells],
-            "hyperparameters": {"rf": {"n_trees": 3}, "svm": {"epochs": 3}},
-        })
-        assert result.exit_code == 0, result.output
-        grid_reports = {report["model"]: report
-                        for report in json.loads((tmp_path / "r.json").read_text())}
-        for model, features, part, flags in cells:
-            model_path = tmp_path / f"{model}.json"
-            report_path = tmp_path / f"{model}-report.json"
-            for args in (["train", "--model", model, "--features", features,
-                          "--variant", "converted", "--part", part, *flags, "--seed", "5",
-                          "--train", str(train_csv), "--out", str(model_path)],
-                         ["evaluate", "--model-file", str(model_path),
-                          "--test", str(test_csv), "--report", str(report_path)]):
-                result = runner.invoke(main, args)
-                assert result.exit_code == 0, result.output
-            assert json.loads(report_path.read_text()) == grid_reports[model]
+        grids = [
+            ({"mode": "word", "ngram_min": 1, "ngram_max": 1},
+             [("rf", "tfidf", "converted", "first"), ("nb", "count", "converted", "full"),
+              ("svm", "tfidf", "converted", "last"), ("lr", "count", "original", "first"),
+              ("dt", "tfidf", "original", "full")]),
+            ({"mode": "char_ngram", "ngram_min": 2, "ngram_max": 4},
+             [("lr", "tfidf", "converted", "last")]),
+        ]
+        # train ignores the flags a kind does not take.
+        flags = ["--n-trees", "3", "--epochs", "3", "--seed", "5"]
+        for tokenizer, cells in grids:
+            result = self._grid(runner, tmp_path, {
+                "train": str(train_csv), "test": str(test_csv), "seed": 5,
+                "cells": [{"model": model, "features": features, "variant": variant,
+                           "part": part} for model, features, variant, part in cells],
+                "hyperparameters": {"rf": {"n_trees": 3}, "svm": {"epochs": 3},
+                                    "lr": {"epochs": 3}},
+                "tokenizer": tokenizer,
+            })
+            assert result.exit_code == 0, result.output
+            entries = {(e["model"], e["features"], e["variant"], e["part"]): e
+                       for e in json.loads((tmp_path / "r.json").read_text())}
+            assert set(entries) == set(cells)
+            tokenizer_flags = ["--tokenizer", tokenizer["mode"],
+                               "--ngram-min", str(tokenizer["ngram_min"]),
+                               "--ngram-max", str(tokenizer["ngram_max"])]
+            for (model, features, variant, part), entry in entries.items():
+                model_path = tmp_path / "model.json"
+                report_path = tmp_path / "report.json"
+                for args in (["train", "--model", model, "--features", features,
+                              "--variant", variant, "--part", part, *flags,
+                              *tokenizer_flags, "--train", str(train_csv),
+                              "--out", str(model_path)],
+                             ["evaluate", "--model-file", str(model_path),
+                              "--test", str(test_csv), "--report", str(report_path)]):
+                    result = runner.invoke(main, args)
+                    assert result.exit_code == 0, result.output
+                expected = json.dumps(entry, indent=2, sort_keys=True) + "\n"
+                assert report_path.read_bytes() == expected.encode()
 
     def test_grid_missing_paths_exit_2(self, runner, tmp_path):
         config_path = tmp_path / "grid.json"
@@ -926,28 +959,41 @@ class TestBadFiles:
     ``error:`` line, no traceback and no output file."""
 
     @pytest.fixture
-    def files(self, tmp_path, split_files, raw_files, model_path):
+    def files(self, runner, tmp_path, split_files, raw_files, model_path):
         train_csv, _val, test_csv = split_files
         paths = {"model": model_path, "lasts": raw_files[1], "train": train_csv,
-                 "out": tmp_path / "out.txt", "out2": tmp_path / "out2.txt",
-                 "out3": tmp_path / "out3.txt"}
+                 "test": test_csv, "out": tmp_path / "out.txt",
+                 "out2": tmp_path / "out2.txt", "out3": tmp_path / "out3.txt"}
         contents = {
             "bad_corpus": NOT_UTF8_CORPUS,
             "bad_raw": NOT_UTF8_RAW,
             "bad_batch": b"Tanaka Satoko\nSuzuki \xff\xfe\n",
-            "dict_not_json": b"{not json",
-            "dict_list": b"[]",
-            "dict_no_family": b'{"schema_version": 1, "given": {}}',
-            "dict_deep": DEEP_JSON.encode(),
-            "dict_negative_count": '{"schema_version": 1, "family": {}, '
-                                   '"given": {"子": [["zzz", -5]]}}'.encode(),
-            # No training record uses 龘, so only the load check can refuse it.
-            "dict_not_kana": '{"schema_version": 1, "family": {}, '
-                             '"given": {"龘": [["zzz", 1]]}}'.encode(),
         }
         for name, data in contents.items():
             paths[name] = tmp_path / f"{name}.bin"
             paths[name].write_bytes(data)
+        # A reading dictionary is read only as the table a converted model
+        # file embeds: each of these files embeds one bad table.
+        tables = {
+            "dict_list": [],
+            "dict_no_family": {"schema_version": 1, "given": {}},
+            "dict_negative_count": {"schema_version": 1, "family": {},
+                                    "given": {"子": [["zzz", -5]]}},
+            # No training record uses 龘, so only the load check can refuse it.
+            "dict_not_kana": {"schema_version": 1, "family": {},
+                              "given": {"龘": [["zzz", 1]]}},
+        }
+        converted = tmp_path / "converted.json"
+        result = runner.invoke(main, [
+            "train", "--model", "nb", "--features", "count", "--variant", "converted",
+            "--train", str(train_csv), "--out", str(converted),
+        ])
+        assert result.exit_code == 0, result.output
+        for name, table in tables.items():
+            doc = json.loads(converted.read_text())
+            doc["reading_dictionary"] = table
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(doc), encoding="utf-8")
         paths["bad_grid"] = tmp_path / "grid.json"
         paths["bad_grid"].write_text(json.dumps({
             "train": str(paths["bad_corpus"]), "test": str(test_csv),
@@ -957,7 +1003,7 @@ class TestBadFiles:
         return paths
 
     _TRAIN = ["train", "--model", "nb", "--features", "count", "--out", "{out}"]
-    _DICT = [*_TRAIN, "--train", "{train}", "--variant", "converted", "--dict"]
+    _EVALUATE = ["evaluate", "--test", "{test}", "--report", "{out}", "--model-file"]
 
     @pytest.mark.parametrize("args", [
         ["split", "--in", "{bad_corpus}", "--train-out", "{out}",
@@ -968,20 +1014,15 @@ class TestBadFiles:
         ["grid", "--config", "{bad_grid}", "--report-json", "{out}",
          "--report-csv", "{out2}"],
         ["build-dataset", "--firsts", "{bad_raw}", "--lasts", "{lasts}", "--out", "{out}"],
-        [*_DICT, "{dict_not_json}"],
-        [*_DICT, "{dict_list}"],
-        [*_DICT, "{dict_no_family}"],
-        [*_DICT, "{dict_deep}"],
+        [*_EVALUATE, "{dict_list}"],
+        [*_EVALUATE, "{dict_no_family}"],
         ["predict", "--model-file", "{model}", "--batch", "{bad_batch}"],
-        [*_DICT, "{dict_negative_count}"],
-        [*_DICT, "{dict_not_kana}"],
-        # --dict is read only for --variant converted, so any other variant
-        # refuses it before reading it.
-        [*_TRAIN, "--train", "{train}", "--dict", "{dict_not_json}"],
+        [*_EVALUATE, "{dict_negative_count}"],
+        [*_EVALUATE, "{dict_not_kana}"],
     ], ids=["split-corpus-not-utf8", "train-corpus-not-utf8", "evaluate-test-not-utf8",
-            "grid-train-not-utf8", "build-dataset-raw-not-utf8", "dict-not-json",
-            "dict-list", "dict-no-family", "dict-nested-deep", "predict-batch-not-utf8",
-            "dict-negative-count", "dict-not-kana", "dict-without-converted"])
+            "grid-train-not-utf8", "build-dataset-raw-not-utf8", "dict-list",
+            "dict-no-family", "predict-batch-not-utf8", "dict-negative-count",
+            "dict-not-kana"])
     def test_exits_2(self, runner, files, args):
         result = runner.invoke(main, [arg.format(**files) for arg in args])
         assert result.exit_code == 2

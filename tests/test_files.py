@@ -327,7 +327,7 @@ def scratch(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def documents(scratch):
-    """A valid document for each JSON reader, built from a tiny corpus."""
+    """Valid documents for each document reader, built from a tiny corpus."""
     records = [
         NameRecord("Tamai Kazuyoshi", "玉井和善", "たまいかずよし", Gender.MALE),
         NameRecord("Iwama Satoko", "岩間智子", "いわまさとこ", Gender.FEMALE),
@@ -357,10 +357,11 @@ def documents(scratch):
             "dictionary": [reading.to_json_dict()]}
 
 
-JSON_READERS = {
-    "model": load_model,
-    "grid": ExperimentGrid.load,
-    "dictionary": ReadingDictionary.load,
+JSON_READERS = {"model": load_model, "grid": ExperimentGrid.load}
+DOCUMENT_READERS = {
+    "model": ModelFile.from_json_dict,
+    "grid": ExperimentGrid.from_json_dict,
+    "dictionary": ReadingDictionary.from_json_dict,
 }
 BYTE_READERS = {**JSON_READERS, "corpus": read_corpus_csv, "raw": read_raw_csv}
 _HEADERS = {"corpus": CSV_HEADER.encode(), "raw": b"romaji,hiragana,kanji,gender,role"}
@@ -382,6 +383,15 @@ def _loads_or_gendec_error(reader, path: Path) -> None:
         pass
 
 
+def _read_from_file(path: Path, documents, reader: str, doc) -> None:
+    """Write ``doc`` as the file that holds it and read that file: a reading
+    dictionary is read only as the table a converted model file embeds."""
+    if reader == "dictionary":
+        reader, doc = "model", {**documents["model"][0], "reading_dictionary": doc}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    _loads_or_gendec_error(JSON_READERS[reader], path)
+
+
 @pytest.mark.parametrize("reader", sorted(BYTE_READERS))
 @_SETTINGS
 @given(data=st.binary(), with_header=st.booleans())
@@ -393,13 +403,11 @@ def test_any_bytes_load_or_raise_gendec_error(scratch, reader, data, with_header
     _loads_or_gendec_error(BYTE_READERS[reader], path)
 
 
-@pytest.mark.parametrize("reader", sorted(JSON_READERS))
+@pytest.mark.parametrize("reader", sorted(DOCUMENT_READERS))
 @_SETTINGS
 @given(value=json_values)
-def test_any_json_value_loads_or_raises_gendec_error(scratch, reader, value):
-    path = scratch / f"value-{reader}.json"
-    path.write_text(json.dumps(value), encoding="utf-8")
-    _loads_or_gendec_error(JSON_READERS[reader], path)
+def test_any_json_value_loads_or_raises_gendec_error(scratch, documents, reader, value):
+    _read_from_file(scratch / f"value-{reader}.json", documents, reader, value)
 
 
 def _paths(doc, prefix=()):
@@ -418,7 +426,7 @@ def _at(doc, path):
     return doc
 
 
-@pytest.mark.parametrize("reader", sorted(JSON_READERS))
+@pytest.mark.parametrize("reader", sorted(DOCUMENT_READERS))
 @_SETTINGS
 @given(data=st.data())
 def test_valid_document_with_one_value_replaced(scratch, documents, reader, data):
@@ -430,16 +438,9 @@ def test_valid_document_with_one_value_replaced(scratch, documents, reader, data
         parent[path[-1]] = data.draw(json_values)
     else:
         del parent[path[-1]]
-    target = scratch / f"replaced-{reader}.json"
-    target.write_text(json.dumps(doc), encoding="utf-8")
-    _loads_or_gendec_error(JSON_READERS[reader], target)
+    _read_from_file(scratch / f"replaced-{reader}.json", documents, reader, doc)
 
 
-DOCUMENT_READERS = {
-    "model": ModelFile.from_json_dict,
-    "grid": ExperimentGrid.from_json_dict,
-    "dictionary": ReadingDictionary.from_json_dict,
-}
 # Objects whose keys are data, not schema: model metadata and the reading
 # tables, which map kanji to readings.
 _FREE_KEYS = {"metadata", "family", "given"}

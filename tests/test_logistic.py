@@ -10,7 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from gendec.errors import ConfigError, NonFiniteError
+from gendec.errors import (
+    ConfigError,
+    DimensionMismatchError,
+    LengthMismatchError,
+    NonFiniteError,
+)
 from gendec.models import as_csr, logistic, predict, predict_proba, train_logistic
 from gendec.models.common import MatrixLike, training_labels
 from gendec.models.logistic import LRModel, _Products, loss_and_gradient, sigmoid
@@ -321,3 +326,16 @@ def test_loss_and_gradient_equal_scipy_oracle_on_a_scipy_matrix():
         want = scipy_loss_and_gradient(matrix, y01, weights, bias, 1e-4)
         assert got[0] == want[0] and got[2] == want[2]
         assert got[1].tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("n_targets, n_weights, error", [
+    (2, 2, LengthMismatchError), (4, 2, LengthMismatchError),
+    (3, 1, DimensionMismatchError), (3, 3, DimensionMismatchError),
+], ids=["2-targets", "4-targets", "1-weight", "3-weights"])
+def test_loss_and_gradient_checks_targets_and_weights(n_targets, n_weights, error):
+    """One target per row and one weight per column of a 3 x 2 matrix, or
+    a typed error, not a numpy broadcast error or a silently clipped
+    column id."""
+    with pytest.raises(error):
+        loss_and_gradient(sp.csr_matrix(np.eye(3, 2)), np.zeros(n_targets),
+                          np.zeros(n_weights), 0.0, 1e-4)

@@ -3,6 +3,7 @@ predict with the female-first tie rule, dimension checks."""
 
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -142,24 +143,45 @@ def test_hinge_loss_on_one_class_does_not_warn():
         assert hinge_loss(np.zeros(2), 0.0, sp.csr_matrix(np.eye(2)), [M, M]) == 1.0
 
 
-# Package CSRs whose arrays do not form a 2 x 3 matrix.
+# CSRs whose fields do not form a 2 x 3 matrix: arrays that break its
+# layout, lists (read as arrays), and row pointers or column ids that are
+# not integers, in a package CSR and in a foreign one.
 MALFORMED_CSRS = {
     "column-out-of-range": CSR(indptr=np.array([0, 1, 2]), indices=np.array([0, 7]),
                                data=np.ones(2), shape=(2, 3)),
     "indptr-short-of-nnz": CSR(indptr=np.array([0, 1, 1]), indices=np.array([0, 2]),
                                data=np.ones(2), shape=(2, 3)),
+    "lists-column-out-of-range": CSR(indptr=[0, 1, 2], indices=[0, 7], data=[1.0, 1.0],
+                                     shape=(2, 3)),
+    **{f"{holder.__name__.lower()}-float-{field}": holder(
+        indptr=np.array([0, 1, 2], dtype=np.float64 if field == "indptr" else np.int64),
+        indices=np.array([0, 2], dtype=np.float64 if field == "indices" else np.int64),
+        data=np.ones(2), shape=(2, 3))
+       for holder in (CSR, SimpleNamespace) for field in ("indptr", "indices")},
 }
 
 
 @pytest.mark.parametrize("kind", list(TRAINERS))
 @pytest.mark.parametrize("malformed", list(MALFORMED_CSRS))
 def test_package_csr_is_checked_like_a_foreign_one(kind, malformed):
-    """Each trainer and ``predict`` refuse a malformed package CSR as they do
-    the same arrays in a scipy matrix, not with a raw numpy error or a
-    silent result."""
+    """Each trainer and ``predict`` refuse a malformed CSR, a package one as
+    they do the same arrays in a foreign one, not with a raw numpy error or
+    a silent result."""
     X = MALFORMED_CSRS[malformed]
     with pytest.raises(SparseFormatError):
         TRAINERS[kind](X, [F, M])
     model = TRAINERS[kind](sp.csr_matrix(np.eye(2, 3)), [F, M])
     with pytest.raises(SparseFormatError):
         predict(model, X)
+
+
+@pytest.mark.parametrize("kind", list(TRAINERS))
+def test_package_csr_with_list_fields_reads_as_arrays(kind):
+    """A package CSR's fields are read with ``np.asarray``, as a foreign
+    CSR's are, so lists give the model and predictions of the arrays."""
+    lists = CSR(indptr=[0, 1, 2], indices=[0, 2], data=[1.0, 1.0], shape=(2, 3))
+    arrays = sp.csr_matrix((np.ones(2), [0, 2], [0, 1, 2]), shape=(2, 3))
+    model = TRAINERS[kind](lists, [F, M])
+    to_params = MODEL_KINDS[ModelKind(kind)].to_params
+    assert to_params(model) == to_params(TRAINERS[kind](arrays, [F, M]))
+    assert predict(model, lists) == predict(model, arrays) == [F, M]

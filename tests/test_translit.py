@@ -161,14 +161,11 @@ class TestReadingDictionary:
         backward, _ = build_reading_dictionary(list(reversed(fixture_records)))
         assert forward == backward
 
-    def test_json_round_trip(self, tmp_path, fixture_records):
+    def test_json_round_trip(self, fixture_records):
         dictionary, _ = build_reading_dictionary(fixture_records)
-        path = tmp_path / "dict.json"
-        dictionary.save(path)
-        assert ReadingDictionary.load(path) == dictionary
-        first_bytes = path.read_bytes()
-        ReadingDictionary.load(path).save(path)
-        assert path.read_bytes() == first_bytes
+        doc = dictionary.to_json_dict()
+        assert ReadingDictionary.from_json_dict(doc) == dictionary
+        assert ReadingDictionary.from_json_dict(doc).to_json_dict() == doc
 
     @pytest.mark.parametrize("readings", [
         [["zzz", -5]], [["zzz", 0]], [], [["あい", 1], ["まな", 3]],
