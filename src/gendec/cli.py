@@ -33,7 +33,7 @@ from .corpus import (
     write_char_csv,
     write_homonym_csv,
 )
-from .errors import GendecError, NonFiniteError
+from .errors import ConfigError, EmptyInputError, GendecError, NonFiniteError
 from .evaluate import (
     CellResult,
     ExperimentGrid,
@@ -85,13 +85,17 @@ class _ErrorBoundary(click.Group):
 
 
 def _check_outputs(inputs, outputs) -> None:
-    """GendecError unless each output path (resolved, ``None`` skipped) differs
-    from every input and every other output, so no write destroys data."""
+    """ConfigError unless each output path (resolved, ``None`` skipped) lies in
+    an existing directory and differs from every input and every other
+    output, so no write destroys data or fails after the work is done."""
     taken = {Path(path).resolve() for path in inputs if path is not None}
     for path in filter(None, outputs):
-        if Path(path).resolve() in taken:
-            raise GendecError(f"{path} is both an output and an input or another output")
-        taken.add(Path(path).resolve())
+        resolved = Path(path).resolve()
+        if resolved in taken:
+            raise ConfigError(f"{path} is both an output and an input or another output")
+        if not resolved.parent.is_dir():
+            raise ConfigError(f"{path}: {resolved.parent} is not an existing directory")
+        taken.add(resolved)
 
 
 def _sidecar(path: str) -> Path:
@@ -151,11 +155,11 @@ def cmd_build_dataset(firsts, lasts, out, pairing, k, seed) -> None:
 def _parse_ratios(raw: str) -> SplitRatios:
     parts = raw.split(",")
     if len(parts) != 3:
-        raise GendecError(f"--ratios needs three comma-separated values, got {raw!r}")
+        raise ConfigError(f"--ratios needs three comma-separated values, got {raw!r}")
     try:
         train, val, test = (float(p) for p in parts)
     except ValueError:
-        raise GendecError(f"--ratios values must be numbers, got {raw!r}") from None
+        raise ConfigError(f"--ratios values must be numbers, got {raw!r}") from None
     return SplitRatios(train=train, val=val, test=test)
 
 
@@ -240,7 +244,7 @@ def cmd_train(model_kind, features, part, variant, train_path, out, seed, tokeni
     check_hyperparameters({kind.value: overrides})
     records = read_corpus_csv(train_path)
     if not records:
-        raise GendecError(f"{train_path}: training CSV has no rows")
+        raise EmptyInputError(f"{train_path}: training CSV has no rows")
     weighting = Weighting(features)
     name_part = NamePart(part)
     input_variant = InputVariant(variant)
@@ -292,7 +296,7 @@ def cmd_evaluate(model_file, test_path, report, csv_path) -> None:
     loaded = load_model(model_file)
     records = read_corpus_csv(test_path)
     if not records:
-        raise GendecError(f"{test_path}: test CSV has no rows")
+        raise EmptyInputError(f"{test_path}: test CSV has no rows")
     texts, fallback_rate = extract_texts(
         records, loaded.part, loaded.variant, loaded.reading_dictionary
     )
@@ -318,7 +322,7 @@ def cmd_predict(model_file, name, batch) -> None:
     """Predict gender for romaji names (converted-variant models fall back
     to the romaji input, since no kanji is available here)."""
     if (name is None) == (batch is None):
-        raise GendecError("provide exactly one of --name or --batch")
+        raise ConfigError("provide exactly one of --name or --batch")
     loaded = load_model(model_file)
     if name is not None:
         names = [name]
@@ -327,7 +331,7 @@ def cmd_predict(model_file, name, batch) -> None:
         lines = read_text(batch).replace("\r", "\n").split("\n")
         names = [line.strip() for line in lines if line.strip()]
         if not names:
-            raise GendecError(f"{batch} holds no names")
+            raise EmptyInputError(f"{batch} holds no names")
     # Every name is checked before anything is printed.
     texts = [part_text(n, loaded.part) for n in names]
     X = transform(texts, loaded.vocabulary, loaded.weighting)

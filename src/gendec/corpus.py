@@ -23,7 +23,6 @@ from .errors import (
     EmptyInputError,
     LabelError,
     MalformedNameError,
-    RatioError,
     SchemaError,
 )
 from .name_core import (
@@ -196,9 +195,9 @@ class SplitRatios:
     def __post_init__(self) -> None:
         for name, value in (("train", self.train), ("val", self.val), ("test", self.test)):
             if not 0.0 < value < 1.0:
-                raise RatioError(f"{name} ratio must be in (0, 1), got {value}")
+                raise ConfigError(f"{name} ratio must be in (0, 1), got {value}")
         if abs(self.train + self.val + self.test - 1.0) > 1e-9:
-            raise RatioError(
+            raise ConfigError(
                 f"ratios must sum to 1, got {self.train + self.val + self.test}"
             )
 

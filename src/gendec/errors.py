@@ -9,10 +9,6 @@ class MalformedNameError(GendecError):
     """A romaji full name does not have the 'Family Given' shape."""
 
 
-class MissingDictionaryError(GendecError):
-    """A converted-romaji operation was requested without a reading dictionary."""
-
-
 class SchemaError(GendecError):
     """A CSV row, file header, or serialized document does not match its schema."""
 
@@ -26,19 +22,8 @@ class UnknownKanaError(GendecError):
 
 
 class EmptyInputError(GendecError):
-    """An operation that requires at least one element received none."""
-
-
-class RatioError(GendecError):
-    """Split ratios are out of range or do not sum to one."""
-
-
-class EmptyCorpusError(GendecError):
-    """Vocabulary fitting was attempted on an empty document list."""
-
-
-class MissingIdfError(GendecError):
-    """TF-IDF weighting was requested from a vocabulary fitted without idf."""
+    """An operation that requires at least one element received none, such as
+    an empty document list."""
 
 
 class NonFiniteError(GendecError):
@@ -62,7 +47,9 @@ class LengthMismatchError(GendecError):
 
 
 class ConfigError(GendecError):
-    """An invalid pairing, grid, or hyperparameter configuration."""
+    """An invalid pairing, grid, hyperparameter or split-ratio configuration,
+    or inputs that do not go together (a vocabulary without idf asked for
+    TF-IDF, converted romaji without a reading dictionary)."""
 
 
 class TransliterationWarning(UserWarning):

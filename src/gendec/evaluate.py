@@ -18,7 +18,6 @@ from .errors import (
     EmptyInputError,
     GendecError,
     LengthMismatchError,
-    MissingDictionaryError,
 )
 from .models import MODEL_KINDS, ModelKind, TrainedModel, check_hyperparameters, predict
 from .name_core import (
@@ -332,7 +331,7 @@ def extract_texts(
     if variant is InputVariant.ORIGINAL:
         return [part_text(r.romaji, part) for r in records], 0.0
     if reading_dict is None:
-        raise MissingDictionaryError("converted romaji requires a reading dictionary")
+        raise ConfigError("converted romaji requires a reading dictionary")
     texts = []
     fallbacks = 0
     for record in records:

@@ -10,7 +10,6 @@ a fixed epoch unless SOURCE_DATE_EPOCH is set.
 
 from __future__ import annotations
 
-import operator
 import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -22,10 +21,9 @@ import numpy as np
 from .errors import SchemaError
 from .evaluate import Cell
 from .models import MODEL_KINDS, ModelKind, TrainedModel, kind_of
-from .models.common import vector
 from .name_core import InputVariant, NamePart, check_keys, read_json, write_json
 from .translit import ReadingDictionary
-from .vectorize import TokenizerConfig, Vocabulary, Weighting
+from .vectorize import TokenizerConfig, Vocabulary, Weighting, check_vocabulary
 
 SCHEMA_VERSION = 1
 
@@ -86,21 +84,19 @@ class ModelFile:
             check_keys(doc, ("schema_version", "model_kind", "weighting", "part", "variant",
                              "tokenizer", "vocabulary", "parameters", "metadata"),
                        ("reading_dictionary",), error=ValueError)
+            if not isinstance(doc["metadata"], dict):
+                raise ValueError("metadata must be a JSON object")
             check_keys(doc["vocabulary"], ("tokens", "idf"), error=ValueError)
-            tokens = doc["vocabulary"]["tokens"]
-            # fit_vocabulary writes distinct tokens, sorted: a repeated token
-            # would hide a column's weights from the token index.
-            if not (isinstance(tokens, list) and set(map(type, tokens)) <= {str}
-                    and all(map(operator.lt, tokens, tokens[1:]))):
-                raise ValueError("vocabulary tokens must be distinct strings in ascending order")
-            idf_doc = doc["vocabulary"]["idf"]
+            tokens, idf = doc["vocabulary"]["tokens"], doc["vocabulary"]["idf"]
+            idf = None if idf is None else np.asarray(idf, dtype=np.float64)
+            check_vocabulary(tokens, idf, ValueError)
             vocabulary = Vocabulary(
                 tokens=tuple(tokens),
                 tokenizer=TokenizerConfig.from_json_dict(doc["tokenizer"]),
-                idf=None if idf_doc is None else vector(idf_doc, np.float64, len(tokens)),
+                idf=idf,
             )
             weighting = Weighting(doc["weighting"])
-            if weighting is Weighting.TFIDF and idf_doc is None:
+            if weighting is Weighting.TFIDF and idf is None:
                 raise ValueError("a tfidf model file's vocabulary must carry idf weights")
             kind = ModelKind(doc["model_kind"])
             reading = doc.get("reading_dictionary")
@@ -112,7 +108,7 @@ class ModelFile:
                 vocabulary=vocabulary,
                 reading_dictionary=None if reading is None
                 else ReadingDictionary.from_json_dict(reading),
-                metadata=dict(doc["metadata"]),
+                metadata=doc["metadata"],
             )
         except (KeyError, IndexError, TypeError, ValueError, AttributeError,
                 OverflowError) as exc:

@@ -32,12 +32,13 @@ def as_csr(X: MatrixLike) -> CSR:
     as CSR, so scipy matrices work without this package importing scipy; one
     that declares another ``format`` (a CSC also has ``indptr``) is refused,
     not silently read transposed.  Every CSR's fields, a package ``CSR``'s
-    too, are read with ``np.asarray`` (``data`` as float64); row pointers or
-    column ids that are not integers, or arrays that do not form a CSR of
-    the given shape, raise SparseFormatError.  A row that stores a column
-    twice or out of order is made canonical: columns sorted and a column's
-    entries summed (in stored order), as scipy and ``CSR.dot`` read it.  The
-    trees rely on it: one value per column.
+    too, are read with ``np.asarray`` (``data`` as float64); ragged lists,
+    data that is not real numbers, a shape that is not two integers, row
+    pointers or column ids that are not integers, or arrays that do not
+    form a CSR of the given shape raise SparseFormatError.  A row that
+    stores a column twice or out of order is made canonical: columns sorted
+    and a column's entries summed (in stored order), as scipy and
+    ``CSR.dot`` read it.  The trees rely on it: one value per column.
     """
     matrix = X.matrix if isinstance(X, FeatureMatrix) else X
     if not isinstance(matrix, CSR) and (
@@ -47,11 +48,19 @@ def as_csr(X: MatrixLike) -> CSR:
             f"expected a CSR matrix, got {type(matrix).__name__}"
             f" (format {getattr(matrix, 'format', None)!r})")
     fields = (matrix.indptr, matrix.indices, matrix.data)
-    arrays = (np.asarray(fields[0]), np.asarray(fields[1]),
-              np.asarray(fields[2], dtype=np.float64))
+    try:
+        indptr, indices, data = (np.asarray(field) for field in fields)
+    except ValueError as exc:  # ragged nested lists
+        raise SparseFormatError(f"CSR fields must be flat arrays: {exc}") from None
+    if data.dtype.kind not in "biuf":  # bool, integers or floats
+        raise SparseFormatError(f"CSR data must be real numbers, got {data.dtype}")
+    shape = matrix.shape
+    if not (isinstance(shape, tuple) and len(shape) == 2
+            and all(isinstance(n, (int, np.integer)) and n >= 0 for n in shape)):
+        raise SparseFormatError(f"CSR shape must be two integers >= 0, got {shape!r}")
+    arrays = (indptr, indices, data.astype(np.float64, copy=False))
     if not isinstance(matrix, CSR) or any(a is not f for a, f in zip(arrays, fields)):
-        n_rows, n_cols = matrix.shape
-        matrix = CSR(*arrays, shape=(int(n_rows), int(n_cols)))
+        matrix = CSR(*arrays, shape=(int(shape[0]), int(shape[1])))
     _check_arrays(matrix)
     return _canonical(matrix)
 

@@ -106,16 +106,17 @@ class NameRecord:
 
 
 def part_text(romaji: str, part: NamePart) -> str:
-    """Normalized text of ``part`` of a "Family Given" romaji full name."""
-    norm = normalize_romaji(romaji)
-    tokens = norm.split(" ")
-    if len(tokens) != 2 or not all(tokens):
+    """Normalized text of ``part`` of a "Family Given" romaji full name,
+    which must be ASCII letters once whitespace is collapsed, as in a
+    ``NameRecord``."""
+    collapsed = collapse_whitespace(romaji)
+    if not _ROMAJI_FULL_RE.fullmatch(collapsed):
         raise MalformedNameError(f"expected 'Family Given', got {romaji!r}")
-    if part is NamePart.LAST:
-        return tokens[0]
-    if part is NamePart.FIRST:
-        return tokens[1]
-    return norm
+    norm = collapsed.lower()
+    if part is NamePart.FULL:
+        return norm
+    family, given = norm.split(" ")
+    return family if part is NamePart.LAST else given
 
 
 def parse_csv_row(line: str) -> NameRecord:
@@ -145,9 +146,10 @@ _ROW_ERRORS = (SchemaError, LabelError, MalformedNameError)
 
 
 def read_text(path: str | Path) -> str:
-    """A file's text, decoded as UTF-8 with line endings kept as they are."""
+    """A file's text, decoded as UTF-8 (one leading byte-order mark dropped)
+    with line endings kept as they are."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8: {exc}") from None
@@ -245,10 +247,14 @@ def read_csv(path: str | Path, header: str, parse_row: Callable[[str], object]) 
 
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:
-    """Write each line, LF-terminated, as UTF-8."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+    """Write each line, LF-terminated, as UTF-8; a path that cannot be
+    written raises ConfigError."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            for line in lines:
+                fh.write(line + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def write_json(path: str | Path, payload, **dump_options) -> None:

@@ -16,6 +16,7 @@ entries of all documents at once, and a ``bincount`` of their rows gives
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -25,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, EmptyCorpusError, MissingIdfError
+from .errors import ConfigError, DimensionMismatchError, EmptyInputError
 from .name_core import check_keys, check_values
 
 
@@ -70,6 +71,18 @@ def _check_ngram_range(ngram_min, ngram_max, error: type[Exception]) -> None:
         raise error(f"ngram_min must be <= ngram_max, got ({ngram_min}, {ngram_max})")
 
 
+def check_vocabulary(tokens, idf, error: type[Exception]) -> None:
+    """Raise ``error`` unless ``tokens`` is a list or tuple of distinct strings
+    in ascending order (a repeated token would hide a column's weights from
+    the token index) and ``idf`` is None or one finite float64 per token."""
+    if not (isinstance(tokens, (list, tuple)) and set(map(type, tokens)) <= {str}
+            and all(map(operator.lt, tokens, tokens[1:]))):
+        raise error("vocabulary tokens must be distinct strings in ascending order")
+    if idf is not None and not (isinstance(idf, np.ndarray) and idf.dtype == np.float64
+                                and idf.shape == (len(tokens),) and np.isfinite(idf).all()):
+        raise error("vocabulary idf must be one finite float64 weight per token")
+
+
 def tokenize(text: str, config: TokenizerConfig) -> list[str]:
     if config.mode is TokenizerMode.WORD:
         return [tok for tok in text.split(" ") if tok]
@@ -81,11 +94,19 @@ def tokenize(text: str, config: TokenizerConfig) -> list[str]:
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Column tokens, in column order, with optional per-column idf weights."""
+    """Column tokens, in column order, with optional per-column idf weights.
+
+    The tokens are distinct strings in ascending order, as ``fit_vocabulary``
+    writes them and a model file stores them, so any vocabulary saves to a
+    file that loads back; ``idf`` is one finite float64 weight per token.
+    """
 
     tokens: tuple[str, ...]
     tokenizer: TokenizerConfig
     idf: Optional[np.ndarray] = None
+
+    def __post_init__(self) -> None:
+        check_vocabulary(self.tokens, self.idf, ConfigError)
 
     @cached_property
     def token_to_index(self) -> dict[str, int]:
@@ -191,7 +212,7 @@ def fit_vocabulary(
 ) -> Vocabulary:
     """Fit the token-to-column map; compute idf when fitting for TF-IDF."""
     if len(docs) == 0:
-        raise EmptyCorpusError("cannot fit a vocabulary on zero documents")
+        raise EmptyInputError("cannot fit a vocabulary on zero documents")
     df: Counter = Counter()
     for doc in docs:
         df.update(set(tokenize(doc, config)))
@@ -255,7 +276,7 @@ def tfidf_from_counts(counts: FeatureMatrix, vocab: Vocabulary) -> FeatureMatrix
     never written to, so one count matrix can serve many callers.
     """
     if vocab.idf is None:
-        raise MissingIdfError("vocabulary was fitted without idf weights")
+        raise ConfigError("vocabulary was fitted without idf weights")
     matrix = counts.matrix.copy()
     if matrix.nnz:
         n_rows = matrix.shape[0]

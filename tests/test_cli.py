@@ -345,19 +345,21 @@ class TestPredictPaths:
     NAMES = ["Tanaka Satoko", "  Suzuki   Taro ", "Sato Kazuyoshi"]
 
     def test_name_and_batch_print_identical_lines(self, runner, model_path, tmp_path):
-        batch = tmp_path / "names.txt"
-        batch.write_text("\n".join(self.NAMES) + "\n\n", encoding="utf-8")
-        result = runner.invoke(main, ["predict", "--model-file", str(model_path),
-                                      "--batch", str(batch)])
-        assert result.exit_code == 0, result.output
         singles = []
         for name in self.NAMES:
             one = runner.invoke(main, ["predict", "--model-file", str(model_path),
                                        "--name", name.strip()])
             assert one.exit_code == 0, one.output
             singles.append(one.output)
-        assert result.output == "".join(singles)
-        assert len(result.output.splitlines()) == len(self.NAMES)
+        # A leading byte-order mark is not part of the first name.
+        for bom in ("", "\ufeff"):
+            batch = tmp_path / "names.txt"
+            batch.write_text(bom + "\n".join(self.NAMES) + "\n\n", encoding="utf-8")
+            result = runner.invoke(main, ["predict", "--model-file", str(model_path),
+                                          "--batch", str(batch)])
+            assert result.exit_code == 0, result.output
+            assert result.output == "".join(singles)
+            assert len(result.output.splitlines()) == len(self.NAMES)
 
     def test_name_without_known_tokens_warns_on_stderr(self, runner, model_path):
         known = runner.invoke(main, ["predict", "--model-file", str(model_path),
@@ -406,6 +408,19 @@ class TestPredictPaths:
         assert _no_traceback(result)
         assert result.output.startswith("error:")
         assert "'Tanaka'" in result.output
+
+    @pytest.mark.parametrize("name", ["Tamai 123", "Tamai Kazu-yoshi", "Tamai Kazuyōshi"])
+    def test_name_outside_the_corpus_rule_exits_2(self, runner, model_path, tmp_path, name):
+        """A name is ASCII letters as 'Family Given', as a corpus row is."""
+        batch = tmp_path / "names.txt"
+        batch.write_text(f"Tanaka Satoko\n{name}\n", encoding="utf-8")
+        for source in (["--name", name], ["--batch", str(batch)]):
+            result = runner.invoke(main, ["predict", "--model-file", str(model_path),
+                                          *source])
+            assert result.exit_code == 2
+            assert _no_traceback(result)
+            assert result.stdout == ""
+            assert result.stderr == f"error: expected 'Family Given', got {name!r}\n"
 
 
 # Malformed trees, each written into a dt file and into an rf file's first tree.
@@ -1075,6 +1090,52 @@ class TestCollidingPaths:
         assert _no_traceback(result)
         assert result.stdout == ""
         assert result.stderr.startswith("error:") and "is both an output" in result.stderr
+        assert {path: path.read_bytes() for path in tmp_path.rglob("*")
+                if path.is_file()} == before
+
+
+class TestMissingOutputDirectory:
+    """An output under a directory that does not exist exits 2 before any
+    corpus or model is read, and no file is written (for grid, neither
+    report)."""
+
+    @pytest.fixture
+    def files(self, tmp_path, split_files, raw_files, corpus_file, model_path):
+        train_csv, _val, test_csv = split_files
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({
+            "train": str(train_csv), "test": str(test_csv),
+            "cells": [{"model": "nb", "features": "count", "variant": "original",
+                       "part": "full"}],
+        }), encoding="utf-8")
+        return {"firsts": raw_files[0], "lasts": raw_files[1], "corpus": corpus_file,
+                "train": train_csv, "test": test_csv, "model": model_path, "grid": grid,
+                "out": tmp_path / "out.csv", "out2": tmp_path / "out2.csv",
+                "missing": tmp_path / "missing" / "out.csv"}
+
+    @pytest.mark.parametrize("args", [
+        ["build-dataset", "--firsts", "{firsts}", "--lasts", "{lasts}", "--out", "{missing}"],
+        ["split", "--in", "{corpus}", "--train-out", "{out}", "--val-out", "{out2}",
+         "--test-out", "{missing}"],
+        ["train", "--model", "nb", "--features", "count", "--train", "{train}",
+         "--out", "{missing}"],
+        ["evaluate", "--model-file", "{model}", "--test", "{test}", "--report", "{missing}"],
+        ["evaluate", "--model-file", "{model}", "--test", "{test}", "--report", "{out}",
+         "--csv", "{missing}"],
+        ["stats", "chars", "--in", "{corpus}", "--gender", "male", "--out", "{missing}"],
+        ["grid", "--config", "{grid}", "--report-json", "{missing}", "--report-csv", "{out}"],
+        ["grid", "--config", "{grid}", "--report-json", "{out}", "--report-csv", "{missing}"],
+    ], ids=["build-dataset", "split", "train", "evaluate-report", "evaluate-csv", "stats",
+            "grid-json", "grid-csv"])
+    def test_exits_2_and_writes_nothing(self, runner, files, tmp_path, args):
+        before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+        result = runner.invoke(main, [arg.format(**files) for arg in args])
+        assert result.exit_code == 2
+        assert _no_traceback(result)
+        assert result.stdout == ""
+        missing = files["missing"]
+        assert result.stderr == (f"error: {missing}: {missing.parent.resolve()} "
+                                 "is not an existing directory\n")
         assert {path: path.read_bytes() for path in tmp_path.rglob("*")
                 if path.is_file()} == before
 

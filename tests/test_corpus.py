@@ -19,7 +19,6 @@ from gendec.errors import (
     ConfigError,
     EmptyInputError,
     LabelError,
-    RatioError,
     SchemaError,
 )
 from gendec.name_core import Gender, NamePart, NameRole
@@ -143,9 +142,9 @@ class TestSplitDataset:
         assert sum(1 for r in train if r.gender is Gender.MALE) == 35
 
     def test_bad_ratios(self):
-        with pytest.raises(RatioError):
+        with pytest.raises(ConfigError, match="ratios must sum to 1, got 1.5"):
             SplitRatios(0.5, 0.5, 0.5)
-        with pytest.raises(RatioError):
+        with pytest.raises(ConfigError, match=r"train ratio must be in \(0, 1\), got 1.0"):
             SplitRatios(1.0, 0.0, 0.0)
 
     def test_empty_records(self):

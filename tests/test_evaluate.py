@@ -7,10 +7,8 @@ import gendec.evaluate as evaluate
 from gendec.corpus import SplitRatios, split_dataset
 from gendec.errors import (
     ConfigError,
-    EmptyCorpusError,
     EmptyInputError,
     LengthMismatchError,
-    MissingDictionaryError,
 )
 from gendec.evaluate import (
     Cell,
@@ -357,7 +355,7 @@ class TestSharedFeatures:
         def fails_once(*args, **kwargs):
             calls.append(1)
             if len(calls) == 1:
-                raise EmptyCorpusError("injected")
+                raise EmptyInputError("injected")
             return real(*args, **kwargs)
 
         monkeypatch.setattr(evaluate, "transform", fails_once)
@@ -457,7 +455,7 @@ def test_report_metrics_follow_from_its_confusion(counts, metric):
 
 
 def test_extract_texts_converted_requires_dictionary(reference_records):
-    with pytest.raises(MissingDictionaryError):
+    with pytest.raises(ConfigError, match="converted romaji requires a reading dictionary"):
         extract_texts(reference_records, NamePart.FULL, InputVariant.CONVERTED, None)
 
 

@@ -98,6 +98,19 @@ def test_commands_leave_gendec_errors_to_the_cli_boundary():
     assert [name for name, _line in handlers] == ["invoke"]
 
 
+def test_no_raise_of_the_bare_base_class():
+    """Every failure raises the ``GendecError`` subclass that names its kind."""
+    sites = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if _names(raised) == ["GendecError"]:
+                    sites.append((str(path.relative_to(SRC)), node.lineno))
+    assert not sites, f"bare GendecError raised at: {sites}"
+
+
 # --- the tree grower sorts once, not per node ---------------------------------
 
 # Each of these sorts or builds a table per call.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gendec.corpus import SplitRatios, split_dataset
-from gendec.errors import SchemaError
+from gendec.errors import ConfigError, SchemaError
 from gendec.evaluate import extract_texts, train_cell_model
 from gendec.model_io import ModelFile, load_model, save_model
 from gendec.models import (
@@ -72,6 +72,30 @@ def test_hand_built_vocabulary_predicts_the_same_after_a_round_trip(tmp_path):
     assert in_memory[0, 1] == pytest.approx(0.75)
     assert np.array_equal(predict_proba(loaded.model, transform(["sato"], loaded.vocabulary)),
                           in_memory)
+
+
+@pytest.mark.parametrize("tokens,idf", [
+    (("yuki", "sato"), None), (("sato", "sato"), None), (["sato", 1], None),
+    ("sato", None), (("sato", "yuki"), np.ones(3)), (("sato", "yuki"), [1.0, 1.0]),
+    (("sato", "yuki"), np.array([1.0, np.inf])), (("sato", "yuki"), np.ones(2, np.float32)),
+], ids=["descending", "repeated", "not-a-string", "a-string", "idf-too-long", "idf-list",
+        "idf-infinite", "idf-float32"])
+def test_vocabulary_a_model_file_could_not_hold_is_refused(tokens, idf):
+    """A vocabulary that would save to a file ``load_model`` refuses, or that
+    would not load back as itself, is refused when it is built."""
+    with pytest.raises(ConfigError, match="vocabulary (tokens|idf) must be"):
+        Vocabulary(tokens=tokens, tokenizer=TokenizerConfig(), idf=idf)
+
+
+def test_metadata_must_be_a_json_object(tmp_path, fixture_records):
+    model_file, _ = _fit_cell(fixture_records, ModelKind.NB, Weighting.COUNT)
+    path = tmp_path / "model.json"
+    save_model(path, model_file)
+    doc = json.loads(path.read_text())
+    doc["metadata"] = [["seed", 1]]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match="malformed model file.*metadata must be"):
+        load_model(path)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -1,8 +1,11 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from gendec.errors import (
+    ConfigError,
     LabelError,
     MalformedNameError,
     SchemaError,
@@ -17,6 +20,7 @@ from gendec.name_core import (
     part_text,
     read_corpus_csv,
     write_corpus_csv,
+    write_lines,
 )
 
 
@@ -73,7 +77,8 @@ def test_part_text_normalizes(part, expected):
     assert part_text("  IWAMA   Satoko ", part) == expected
 
 
-@pytest.mark.parametrize("name", ["", "   ", "Iwama", "Iwama Satoko Extra"])
+@pytest.mark.parametrize("name", ["", "   ", "Iwama", "Iwama Satoko Extra", "Tamai 123",
+                                  "Tamai Kazu-yoshi", "Tamai Kazuyōshi"])
 def test_part_text_rejects_malformed(name):
     with pytest.raises(MalformedNameError):
         part_text(name, NamePart.FULL)
@@ -121,6 +126,18 @@ class TestCsvRow:
         path = tmp_path / "corpus.csv"
         write_corpus_csv(path, fixture_records)
         assert read_corpus_csv(path) == fixture_records
+
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path, fixture_records):
+        path = tmp_path / "corpus.csv"
+        write_corpus_csv(path, fixture_records)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert read_corpus_csv(path) == fixture_records
+
+    def test_unwritable_path_raises_config_error(self, tmp_path):
+        path = tmp_path / "missing" / "corpus.csv"
+        with pytest.raises(ConfigError, match=f"cannot write {re.escape(str(path))}"):
+            write_lines(path, ["romaji,kanji,hiragana,gender"])
+        assert not path.parent.exists()
 
     def test_read_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -158,6 +158,15 @@ MALFORMED_CSRS = {
         indices=np.array([0, 2], dtype=np.float64 if field == "indices" else np.int64),
         data=np.ones(2), shape=(2, 3))
        for holder in (CSR, SimpleNamespace) for field in ("indptr", "indices")},
+    "lists-string-data": CSR(indptr=[0, 1, 2], indices=[0, 2], data=["a", "b"],
+                             shape=(2, 3)),
+    "lists-ragged-data": CSR(indptr=[0, 1, 2], indices=[0, 2], data=[[1.0], [1.0, 2.0]],
+                             shape=(2, 3)),
+    "simplenamespace-3d-shape": SimpleNamespace(indptr=np.array([0, 1, 2]),
+                                                indices=np.array([0, 2]), data=np.ones(2),
+                                                shape=(2, 3, 1)),
+    "csr-1d-shape": CSR(indptr=np.array([0, 1, 2]), indices=np.array([0, 2]),
+                        data=np.ones(2), shape=(2,)),
 }
 
 

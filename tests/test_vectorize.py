@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gendec.errors import ConfigError, EmptyCorpusError, MissingIdfError
+from gendec.errors import ConfigError, EmptyInputError
 from gendec.vectorize import (
     CSR,
     FeatureMatrix,
@@ -57,7 +57,7 @@ def test_ngram_bounds_validated():
 
 
 def test_empty_corpus_rejected():
-    with pytest.raises(EmptyCorpusError):
+    with pytest.raises(EmptyInputError, match="cannot fit a vocabulary on zero documents"):
         fit_vocabulary([])
 
 
@@ -85,7 +85,7 @@ def test_tfidf_equal_weights_normalize():
 
 def test_tfidf_requires_idf():
     vocab = fit_vocabulary(["a b"])
-    with pytest.raises(MissingIdfError):
+    with pytest.raises(ConfigError, match="vocabulary was fitted without idf weights"):
         transform(["a"], vocab, Weighting.TFIDF)
 
 
@@ -188,7 +188,7 @@ def extend_tokenize(text: str, config: TokenizerConfig) -> list[str]:
 
 def counter_fit_vocabulary(docs, config=TokenizerConfig(), weighting=Weighting.COUNT):
     if len(docs) == 0:
-        raise EmptyCorpusError("cannot fit a vocabulary on zero documents")
+        raise EmptyInputError("cannot fit a vocabulary on zero documents")
     df: Counter = Counter()
     seen: set[str] = set()
     for doc in docs:
@@ -236,7 +236,7 @@ def counter_transform(docs, vocab, weighting=Weighting.COUNT):
 
 def add_at_tfidf_from_counts(counts, vocab):
     if vocab.idf is None:
-        raise MissingIdfError("vocabulary was fitted without idf weights")
+        raise ConfigError("vocabulary was fitted without idf weights")
     matrix = counts.matrix.copy()
     if matrix.nnz:
         n_rows = matrix.shape[0]
@@ -317,7 +317,8 @@ def count_matrices(draw):
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     matrix = CSR(indptr, cols.astype(np.int32), dense[rows, cols], (n, V))
     idf = np.exp(rng.normal(size=V) * draw(st.floats(0.0, 20.0)))
-    vocab = Vocabulary(tokens=tuple(map(str, range(V))), tokenizer=TokenizerConfig(), idf=idf)
+    vocab = Vocabulary(tokens=tuple(f"{i:02d}" for i in range(V)), tokenizer=TokenizerConfig(),
+                       idf=idf)
     return FeatureMatrix(matrix=matrix), vocab
 
 
