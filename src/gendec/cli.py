@@ -242,6 +242,7 @@ def cmd_train(model_kind, features, part, variant, train_path, out, seed, tokeni
     overrides = {name: value for name, value in flags.items()
                  if value is not None and name in takes}
     check_hyperparameters({kind.value: overrides})
+    created_at = deterministic_created_at()
     records = read_corpus_csv(train_path)
     if not records:
         raise EmptyInputError(f"{train_path}: training CSV has no rows")
@@ -273,7 +274,7 @@ def cmd_train(model_kind, features, part, variant, train_path, out, seed, tokeni
         metadata={
             "train_rows": len(records),
             "seed": seed,
-            "created_at": deterministic_created_at(),
+            "created_at": created_at,
             "corpus_sha256": _sha256_file(train_path),
         },
     )

@@ -152,7 +152,7 @@ class Cell:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Cell":
         """Cell from its config entry; a missing or unknown key raises ConfigError."""
-        check_keys(doc, ("model", "features", "variant", "part"), error=ConfigError)
+        check_keys(doc, ("model", "features", "variant", "part"))
         return cls(ModelKind(doc["model"]), Weighting(doc["features"]),
                    InputVariant(doc["variant"]), NamePart(doc["part"]))
 
@@ -231,8 +231,7 @@ class ExperimentGrid:
         is read.  Only a missing key takes its default.
         """
         check_keys(doc, ("train", "test"),
-                   ("seed", "cells", "preset", "hyperparameters", "tokenizer"),
-                   error=ConfigError)
+                   ("seed", "cells", "preset", "hyperparameters", "tokenizer"))
         if "cells" in doc and "preset" in doc:
             raise ConfigError("grid config takes cells or preset, not both")
         try:
@@ -257,7 +256,8 @@ class ExperimentGrid:
 
     @classmethod
     def load(cls, path: str | Path) -> "ExperimentGrid":
-        return cls.from_json_dict(read_json(path, ConfigError))
+        """Grid from a config file; one not UTF-8 or not JSON raises SchemaError."""
+        return cls.from_json_dict(read_json(path))
 
 
 def _check_run(cells: Sequence[Cell], seed: int, hyperparameters: dict) -> None:

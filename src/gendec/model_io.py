@@ -5,7 +5,9 @@ config, the grid cell it was trained for, and (for converted-variant
 models) the reading dictionary, so prediction needs no side files.
 Serialization is byte-reproducible: keys are sorted, floats use
 Python's shortest round-trip repr, and the created-at stamp defaults to
-a fixed epoch unless SOURCE_DATE_EPOCH is set.
+a fixed epoch unless SOURCE_DATE_EPOCH is set.  A malformed file raises
+SchemaError naming the failed check's type: ConfigError for a missing or
+unknown key or a value off its rule, ValueError for a bad shape.
 """
 
 from __future__ import annotations
@@ -18,12 +20,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import ConfigError, SchemaError
 from .evaluate import Cell
 from .models import MODEL_KINDS, ModelKind, TrainedModel, kind_of
 from .name_core import InputVariant, NamePart, check_keys, read_json, write_json
 from .translit import ReadingDictionary
-from .vectorize import TokenizerConfig, Vocabulary, Weighting, check_vocabulary
+from .vectorize import TokenizerConfig, Vocabulary, Weighting
 
 SCHEMA_VERSION = 1
 
@@ -32,10 +34,16 @@ def deterministic_created_at() -> str:
     """ISO-8601 stamp from SOURCE_DATE_EPOCH, else a fixed epoch.
 
     A wall-clock default would break the guarantee that retraining with
-    the same inputs and seed yields a byte-identical model file.
+    the same inputs and seed yields a byte-identical model file.  A value
+    that is not an integer number of seconds (negative ones included) a
+    date can hold raises ConfigError.
     """
-    epoch = int(os.environ.get("SOURCE_DATE_EPOCH", "0"))
-    stamp = datetime.fromtimestamp(epoch, tz=timezone.utc)
+    raw = os.environ.get("SOURCE_DATE_EPOCH", "0")
+    try:
+        stamp = datetime.fromtimestamp(int(raw), tz=timezone.utc)
+    except (ValueError, OverflowError, OSError):
+        raise ConfigError("SOURCE_DATE_EPOCH must be an integer number of seconds "
+                          f"within the years 1 to 9999, got {raw!r}") from None
     return stamp.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
@@ -83,13 +91,15 @@ class ModelFile:
         try:
             check_keys(doc, ("schema_version", "model_kind", "weighting", "part", "variant",
                              "tokenizer", "vocabulary", "parameters", "metadata"),
-                       ("reading_dictionary",), error=ValueError)
+                       ("reading_dictionary",))
             if not isinstance(doc["metadata"], dict):
                 raise ValueError("metadata must be a JSON object")
-            check_keys(doc["vocabulary"], ("tokens", "idf"), error=ValueError)
+            check_keys(doc["vocabulary"], ("tokens", "idf"))
             tokens, idf = doc["vocabulary"]["tokens"], doc["vocabulary"]["idf"]
+            if not isinstance(tokens, list):  # tuple() would split a string or a dict
+                raise ConfigError("vocabulary tokens must be distinct strings in "
+                                  "ascending order")
             idf = None if idf is None else np.asarray(idf, dtype=np.float64)
-            check_vocabulary(tokens, idf, ValueError)
             vocabulary = Vocabulary(
                 tokens=tuple(tokens),
                 tokenizer=TokenizerConfig.from_json_dict(doc["tokenizer"]),
@@ -111,7 +121,7 @@ class ModelFile:
                 metadata=doc["metadata"],
             )
         except (KeyError, IndexError, TypeError, ValueError, AttributeError,
-                OverflowError) as exc:
+                OverflowError, ConfigError) as exc:
             raise SchemaError(f"malformed model file: {type(exc).__name__}: {exc}") from None
 
     @property

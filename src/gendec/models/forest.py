@@ -116,13 +116,11 @@ def forest_params(model: ForestModel) -> dict:
 
 def forest_from_params(doc: dict, n_features: int) -> ForestModel:
     check_keys(doc, ("n_trees", "features_per_split", "bootstrap", "seed", "max_depth",
-                     "min_samples_leaf", "exhaust_on_miss", "tree_streams", "trees"),
-               error=ValueError)
+                     "min_samples_leaf", "exhaust_on_miss", "tree_streams", "trees"))
     values = {name: doc[name] for name in ("features_per_split", "bootstrap", "seed",
                                            "max_depth", "min_samples_leaf")}
     # exhaust_on_miss is a fixed field: it must be a boolean and is ignored.
-    check_values(ValueError, n_trees=doc["n_trees"], exhaust_on_miss=doc["exhaust_on_miss"],
-                 **values)
+    check_values(n_trees=doc["n_trees"], exhaust_on_miss=doc["exhaust_on_miss"], **values)
     trees = [tree_from_nodes(t, n_features, values["max_depth"], values["min_samples_leaf"])
              for t in doc["trees"]]
     if doc["n_trees"] != len(trees):

@@ -245,10 +245,9 @@ def lr_params(model: LRModel) -> dict:
 
 
 def lr_from_params(doc: dict, n_features: int) -> LRModel:
-    check_keys(doc, ("weights", "bias", "l2", "learning_rate", "epochs", "training_trace"),
-               error=ValueError)
-    check_values(ValueError, bias=doc["bias"], l2=doc["l2"],
-                 learning_rate=doc["learning_rate"], epochs=doc["epochs"])
+    check_keys(doc, ("weights", "bias", "l2", "learning_rate", "epochs", "training_trace"))
+    check_values(bias=doc["bias"], l2=doc["l2"], learning_rate=doc["learning_rate"],
+                 epochs=doc["epochs"])
     return LRModel(
         weights=vector(doc["weights"], np.float64, n_features),
         bias=doc["bias"],

@@ -11,6 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..errors import NonFiniteError
 from ..name_core import Gender, check_keys, check_values
 from ..vectorize import CSR
 from .common import MatrixLike, as_csr, finite, training_labels, vector
@@ -45,9 +46,15 @@ def train_naive_bayes(
             token_counts = matrix.column_sums(labels == c)
             # Single log of the smoothed ratio (not a difference of logs),
             # so genuinely tied classes score bit-identically.
-            feature_log_prob[c] = np.log(
-                (token_counts + alpha) / (token_counts.sum() + alpha * V)
-            )
+            with np.errstate(divide="ignore"):
+                feature_log_prob[c] = np.log(
+                    (token_counts + alpha) / (token_counts.sum() + alpha * V)
+                )
+    # An alpha such as 5e-324 or 1.7e308 underflows a ratio to 0, and no
+    # model file holds the log of that.
+    if not np.isfinite(feature_log_prob).all():
+        raise NonFiniteError(f"naive Bayes feature log-probabilities are not finite "
+                             f"with alpha={alpha!r}")
     return NBModel(
         alpha=alpha,
         class_log_prior=class_log_prior,
@@ -77,10 +84,9 @@ def nb_params(model: NBModel) -> dict:
 
 
 def nb_from_params(doc: dict, n_features: int) -> NBModel:
-    check_keys(doc, ("alpha", "class_log_prior", "feature_log_prob", "single_class"),
-               error=ValueError)
+    check_keys(doc, ("alpha", "class_log_prior", "feature_log_prob", "single_class"))
     single_class = doc["single_class"]
-    check_values(ValueError, alpha=doc["alpha"], single_class=single_class)
+    check_values(alpha=doc["alpha"], single_class=single_class)
     return NBModel(
         alpha=doc["alpha"],
         # The class a single-class model never saw has log prior -Infinity.

@@ -108,8 +108,8 @@ def svm_params(model: SVMModel) -> dict:
 
 
 def svm_from_params(doc: dict, n_features: int) -> SVMModel:
-    check_keys(doc, ("weights", "bias", "lambda", "epochs", "seed"), error=ValueError)
-    check_values(ValueError, bias=doc["bias"], epochs=doc["epochs"], seed=doc["seed"],
+    check_keys(doc, ("weights", "bias", "lambda", "epochs", "seed"))
+    check_values(bias=doc["bias"], epochs=doc["epochs"], seed=doc["seed"],
                  **{"lambda": doc["lambda"]})
     return SVMModel(
         weights=vector(doc["weights"], np.float64, n_features),

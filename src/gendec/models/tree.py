@@ -299,14 +299,15 @@ def tree_from_nodes(
 ) -> TreeModel:
     """Tree from its node arrays in a model file.
 
-    A ValueError unless the tree has a node, every inner node splits a known
+    A ConfigError unless the node arrays are the known ones, and a
+    ValueError unless the tree has a node, every inner node splits a known
     column and both its children come after it, every leaf is all -1, and
     every node's (female, male) counts are non-negative with a positive sum.
     ``_grow_tree`` appends children after their parent and gives each node
     at least one row, so a trained tree passes; the order also bounds
     ``tree_apply`` at ``n_nodes`` steps.
     """
-    check_keys(doc, tuple(_NODE_ARRAYS), error=ValueError)
+    check_keys(doc, tuple(_NODE_ARRAYS))
     n_nodes = len(doc["feature"])
     tree = TreeModel(
         **{name: vector(doc[name], dtype, n_nodes) for name, dtype in _NODE_ARRAYS.items()},
@@ -341,8 +342,7 @@ def tree_params(model: TreeModel) -> dict:
 
 
 def tree_from_params(doc: dict, n_features: int) -> TreeModel:
-    check_keys(doc, ("max_depth", "min_samples_leaf", "nodes"), error=ValueError)
-    check_values(ValueError, max_depth=doc["max_depth"],
-                 min_samples_leaf=doc["min_samples_leaf"])
+    check_keys(doc, ("max_depth", "min_samples_leaf", "nodes"))
+    check_values(max_depth=doc["max_depth"], min_samples_leaf=doc["min_samples_leaf"])
     return tree_from_nodes(doc["nodes"], n_features, doc["max_depth"],
                            doc["min_samples_leaf"])

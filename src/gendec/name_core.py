@@ -18,7 +18,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import ConfigError, GendecError, LabelError, MalformedNameError, SchemaError
+from .errors import ConfigError, LabelError, MalformedNameError, SchemaError
 
 CSV_HEADER = "romaji,kanji,hiragana,gender"
 
@@ -155,13 +155,13 @@ def read_text(path: str | Path) -> str:
         raise SchemaError(f"{path}: not UTF-8: {exc}") from None
 
 
-def read_json(path: str | Path, error: type[GendecError] = SchemaError):
-    """A file's JSON document; not JSON, or nested too deep, raises ``error``."""
+def read_json(path: str | Path):
+    """A file's JSON document; not UTF-8, not JSON or too deep is a SchemaError."""
     text = read_text(path)
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
-        raise error(f"{path}: not JSON: {exc}") from None
+        raise SchemaError(f"{path}: not JSON: {exc}") from None
 
 
 def _integer(value, low: int) -> bool:
@@ -196,13 +196,13 @@ VALUE_RULES = {
 }
 
 
-def check_values(error: type[Exception] = ConfigError, **values) -> None:
-    """Raise ``error`` for the first of ``values`` (by name) that breaks its
-    rule in ``VALUE_RULES``."""
+def check_values(**values) -> None:
+    """Raise ConfigError for the first of ``values`` (by name) that breaks
+    its rule in ``VALUE_RULES``."""
     for name, value in values.items():
         test, wording = VALUE_RULES[name]
         if not test(value):
-            raise error(f"{name} must be {wording}, got {value!r}")
+            raise ConfigError(f"{name} must be {wording}, got {value!r}")
 
 
 def seeded_rng(*keys: int) -> np.random.Generator:
@@ -211,23 +211,22 @@ def seeded_rng(*keys: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(keys)))
 
 
-def check_keys(doc, required: tuple[str, ...], optional: tuple[str, ...] = (), *,
-               error: type[Exception]) -> None:
-    """Raise ``error`` unless ``doc`` is a JSON object with every ``required``
-    key and no key outside ``required`` and ``optional``.
+def check_keys(doc, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:
+    """Raise ConfigError unless ``doc`` is a JSON object with every
+    ``required`` key and no key outside ``required`` and ``optional``.
 
     An unknown key is refused rather than ignored, so a misspelled optional
     key cannot silently leave its default in place.
     """
     if not isinstance(doc, dict):
-        raise error(f"expected a JSON object, got {type(doc).__name__}")
+        raise ConfigError(f"expected a JSON object, got {type(doc).__name__}")
     missing = [key for key in required if key not in doc]
     if missing:
-        raise error(f"missing key {missing[0]!r}")
+        raise ConfigError(f"missing key {missing[0]!r}")
     known = {*required, *optional}
     unknown = sorted(str(key) for key in doc if key not in known)
     if unknown:
-        raise error(f"unknown key {unknown[0]!r}; expected keys among {sorted(known)}")
+        raise ConfigError(f"unknown key {unknown[0]!r}; expected keys among {sorted(known)}")
 
 
 def read_csv(path: str | Path, header: str, parse_row: Callable[[str], object]) -> list:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .errors import SchemaError, TransliterationWarning, UnknownKanaError
+from .errors import ConfigError, SchemaError, TransliterationWarning, UnknownKanaError
 from .name_core import NameRecord, NameRole, check_keys, normalize_romaji
 
 # Single-kana syllables (gojuon plus voiced/semi-voiced rows and ん).
@@ -319,9 +319,9 @@ class ReadingDictionary:
             return table
 
         try:
-            check_keys(doc, ("schema_version", "family", "given"), error=ValueError)
+            check_keys(doc, ("schema_version", "family", "given"))
             return cls(family=read_table("family"), given=read_table("given"))
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError, ConfigError) as exc:
             raise SchemaError(
                 f"malformed reading dictionary: {type(exc).__name__}: {exc}"
             ) from None

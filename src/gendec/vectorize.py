@@ -47,7 +47,10 @@ class TokenizerConfig:
     ngram_max: int = 1
 
     def __post_init__(self) -> None:
-        _check_ngram_range(self.ngram_min, self.ngram_max, ConfigError)
+        check_values(ngram_min=self.ngram_min, ngram_max=self.ngram_max)
+        if self.ngram_min > self.ngram_max:
+            raise ConfigError("ngram_min must be <= ngram_max, "
+                              f"got ({self.ngram_min}, {self.ngram_max})")
 
     def to_json_dict(self) -> dict:
         return {
@@ -59,28 +62,9 @@ class TokenizerConfig:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TokenizerConfig":
         """Config from its JSON object; a missing or unknown key, or a value
-        that breaks its rule, is a ValueError."""
-        check_keys(doc, ("mode", "ngram_min", "ngram_max"), error=ValueError)
-        _check_ngram_range(doc["ngram_min"], doc["ngram_max"], ValueError)
+        that breaks its rule, is a ConfigError (an unknown mode a ValueError)."""
+        check_keys(doc, ("mode", "ngram_min", "ngram_max"))
         return cls(TokenizerMode(doc["mode"]), doc["ngram_min"], doc["ngram_max"])
-
-
-def _check_ngram_range(ngram_min, ngram_max, error: type[Exception]) -> None:
-    check_values(error, ngram_min=ngram_min, ngram_max=ngram_max)
-    if ngram_min > ngram_max:
-        raise error(f"ngram_min must be <= ngram_max, got ({ngram_min}, {ngram_max})")
-
-
-def check_vocabulary(tokens, idf, error: type[Exception]) -> None:
-    """Raise ``error`` unless ``tokens`` is a list or tuple of distinct strings
-    in ascending order (a repeated token would hide a column's weights from
-    the token index) and ``idf`` is None or one finite float64 per token."""
-    if not (isinstance(tokens, (list, tuple)) and set(map(type, tokens)) <= {str}
-            and all(map(operator.lt, tokens, tokens[1:]))):
-        raise error("vocabulary tokens must be distinct strings in ascending order")
-    if idf is not None and not (isinstance(idf, np.ndarray) and idf.dtype == np.float64
-                                and idf.shape == (len(tokens),) and np.isfinite(idf).all()):
-        raise error("vocabulary idf must be one finite float64 weight per token")
 
 
 def tokenize(text: str, config: TokenizerConfig) -> list[str]:
@@ -96,9 +80,11 @@ def tokenize(text: str, config: TokenizerConfig) -> list[str]:
 class Vocabulary:
     """Column tokens, in column order, with optional per-column idf weights.
 
-    The tokens are distinct strings in ascending order, as ``fit_vocabulary``
-    writes them and a model file stores them, so any vocabulary saves to a
-    file that loads back; ``idf`` is one finite float64 weight per token.
+    The tokens (a tuple or a list) are distinct strings in ascending order,
+    as ``fit_vocabulary`` writes them and a model file stores them, so any
+    vocabulary saves to a file that loads back; a repeated token would hide
+    a column's weights from the token index.  ``idf`` is one finite float64
+    weight per token.
     """
 
     tokens: tuple[str, ...]
@@ -106,7 +92,13 @@ class Vocabulary:
     idf: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        check_vocabulary(self.tokens, self.idf, ConfigError)
+        tokens, idf = self.tokens, self.idf
+        if not (isinstance(tokens, (list, tuple)) and set(map(type, tokens)) <= {str}
+                and all(map(operator.lt, tokens, tokens[1:]))):
+            raise ConfigError("vocabulary tokens must be distinct strings in ascending order")
+        if idf is not None and not (isinstance(idf, np.ndarray) and idf.dtype == np.float64
+                                    and idf.shape == (len(tokens),) and np.isfinite(idf).all()):
+            raise ConfigError("vocabulary idf must be one finite float64 weight per token")
 
     @cached_property
     def token_to_index(self) -> dict[str, int]:

@@ -200,6 +200,47 @@ class TestTrainEvaluatePredict:
         assert result.exit_code == 0, result.output
         assert json.loads(report_path.read_text())["macro_f1"] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("alpha", ["5e-324", "1.7e308"])
+    def test_nb_alpha_without_finite_log_probabilities_exits_3(self, runner, split_files,
+                                                               tmp_path, alpha):
+        """No model file is written that ``predict`` would refuse as malformed."""
+        model_path = tmp_path / "nb.json"
+        result = runner.invoke(main, [
+            "train", "--model", "nb", "--features", "count", "--alpha", alpha,
+            "--train", str(split_files[0]), "--out", str(model_path),
+        ])
+        assert result.exit_code == 3
+        assert _no_traceback(result)
+        assert result.stderr == ("error: naive Bayes feature log-probabilities are not "
+                                 f"finite with alpha={float(alpha)!r}\n")
+        assert not model_path.exists()
+
+    def _train_nb(self, runner, train_csv, model_path, epoch):
+        return runner.invoke(main, [
+            "train", "--model", "nb", "--features", "count",
+            "--train", str(train_csv), "--out", str(model_path),
+        ], env={"SOURCE_DATE_EPOCH": epoch})
+
+    @pytest.mark.parametrize("epoch", ["abc", "1.5", "99999999999999"])
+    def test_malformed_source_date_epoch_exits_2_before_reading(self, runner, split_files,
+                                                                tmp_path, monkeypatch,
+                                                                epoch):
+        monkeypatch.setattr(cli, "read_corpus_csv", None)  # must not be reached
+        model_path = tmp_path / "m.json"
+        result = self._train_nb(runner, split_files[0], model_path, epoch)
+        assert result.exit_code == 2
+        assert _no_traceback(result)
+        assert result.stderr == ("error: SOURCE_DATE_EPOCH must be an integer number of "
+                                 f"seconds within the years 1 to 9999, got {epoch!r}\n")
+        assert not model_path.exists()
+
+    def test_source_date_epoch_sets_created_at(self, runner, split_files, tmp_path):
+        model_path = tmp_path / "m.json"
+        result = self._train_nb(runner, split_files[0], model_path, "86400")
+        assert result.exit_code == 0, result.output
+        metadata = json.loads(model_path.read_text())["metadata"]
+        assert metadata["created_at"] == "1970-01-02T00:00:00Z"
+
     def test_converted_variant_trains(self, runner, split_files, tmp_path):
         train_csv, _val, test_csv = split_files
         model_path = tmp_path / "conv.json"
@@ -963,6 +1004,25 @@ class TestGrid:
         entries = json.loads((tmp_path / "r.json").read_text())
         assert [("error" in e) for e in entries] == [False, True]
         assert len((tmp_path / "r.csv").read_text().splitlines()) == 2
+
+    def test_nb_alpha_without_finite_log_probabilities_fails_its_cell(self, runner,
+                                                                      split_files, tmp_path):
+        """The grid reports no cell whose model ``train`` could not write."""
+        train_csv, _val, test_csv = split_files
+        result = self._grid(runner, tmp_path, {
+            "train": str(train_csv), "test": str(test_csv),
+            "cells": [{"model": m, "features": "count", "variant": "original",
+                       "part": "full"} for m in ("nb", "lr")],
+            "hyperparameters": {"nb": {"alpha": 5e-324}},
+        })
+        assert result.exit_code == 3
+        assert _no_traceback(result)
+        assert ("nb/count/original/full: FAILED (NonFiniteError: naive Bayes feature "
+                "log-probabilities are not finite with alpha=5e-324)") in result.stdout
+        assert "lr/count/original/full: macro_f1=" in result.stdout
+        assert result.stderr == "error: 1 of 2 grid cells failed\n"
+        entries = json.loads((tmp_path / "r.json").read_text())
+        assert [("error" in e) for e in entries] == [True, False]
 
 
 NOT_UTF8_CORPUS = b"romaji,kanji,hiragana,gender\nTanaka Satoko,\xff\xfe,x,female\n"

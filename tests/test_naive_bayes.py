@@ -1,12 +1,15 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from gendec.models import NBModel, predict, predict_proba, train_naive_bayes
-from gendec.errors import ConfigError, DimensionMismatchError, SingleClassWarning
+from gendec.errors import (
+    ConfigError, DimensionMismatchError, NonFiniteError, SingleClassWarning,
+)
 from gendec.name_core import Gender
 from gendec.vectorize import Weighting, fit_vocabulary, transform
 
@@ -97,6 +100,18 @@ def test_width_comes_from_the_feature_table():
 def test_alpha_must_be_positive():
     with pytest.raises(ConfigError):
         train_naive_bayes(sp.csr_matrix(np.eye(2)), [F, M], alpha=0.0)
+
+
+@pytest.mark.parametrize("alpha", [5e-324, 1.7e308])
+def test_alpha_that_underflows_a_log_probability_raises(alpha):
+    """A smoothed ratio that rounds to 0 (a tiny alpha over a count of 2, or
+    alpha * V past the float range) has no finite log, and no loader would
+    accept the model; training fails instead, with no RuntimeWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match="^naive Bayes feature log-probabilities "
+                                                 "are not finite with alpha="):
+            train_naive_bayes(sp.csr_matrix(2 * np.eye(2)), [F, M], alpha=alpha)
 
 
 def test_exhaustive_small_instances_match_oracle():

@@ -10,6 +10,7 @@ or refused with the same words everywhere.
 import inspect
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -20,16 +21,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gendec.evaluate as evaluate
+import gendec.vectorize as vectorize
 from gendec.cli import main
 from gendec.corpus import (
     PairingConfig, PairingMode, SplitRatios, build_dataset, split_dataset,
 )
 from gendec.errors import ConfigError, SchemaError
-from gendec.evaluate import Cell, run_cells
+from gendec.evaluate import Cell, ExperimentGrid, run_cells
 from gendec.model_io import ModelFile, load_model, save_model
 from gendec.models import MODEL_KINDS, ModelKind, predict_with_proba
 from gendec.name_core import (
-    InputVariant, NamePart, VALUE_RULES, check_values, part_text, write_corpus_csv,
+    InputVariant, NamePart, VALUE_RULES, check_keys, check_values, part_text, read_json,
+    write_corpus_csv,
 )
 from gendec.vectorize import (
     TokenizerConfig, TokenizerMode, Weighting, fit_vocabulary, transform,
@@ -276,14 +279,65 @@ def test_bad_model_file_value_gets_the_tables_wording(kind, section, key, value,
     path = _corrupt_file(kind, section, {key: value}, tmp_path)
     with pytest.raises(SchemaError) as refused:
         load_model(path)
-    assert str(refused.value) == f"malformed model file: ValueError: {_expected(key, value)}"
+    assert str(refused.value) == f"malformed model file: ConfigError: {_expected(key, value)}"
     assert _predict_error(path) == (2, f"error: {refused.value}\n")
 
 
 def test_model_file_tokenizer_out_of_order_is_malformed(tmp_path):
     path = _corrupt_file("nb", "tokenizer", {"mode": "char_ngram", "ngram_min": 3,
                                              "ngram_max": 2}, tmp_path)
-    with pytest.raises(SchemaError, match="^malformed model file: ValueError: ngram_min "
+    with pytest.raises(SchemaError, match="^malformed model file: ConfigError: ngram_min "
                                           "must be <= ngram_max, got"):
         load_model(path)
     assert _predict_error(path)[0] == 2
+
+
+def test_each_check_raises_one_type():
+    """A rule or key check raises ConfigError and ``read_json`` SchemaError;
+    no caller picks the type."""
+    for check in (check_values, check_keys, read_json):
+        assert "error" not in inspect.signature(check).parameters, check.__name__
+    assert not hasattr(vectorize, "check_vocabulary")
+    assert not hasattr(vectorize, "_check_ngram_range")
+
+
+GRID_TOKENIZERS = [
+    {"mode": "char_ngram", "ngram_min": 0, "ngram_max": 2},
+    {"mode": "char_ngram", "ngram_min": 3, "ngram_max": 2},
+    {"mode": "char_ngram", "ngram_min": 1, "ngram_max": 9},
+    {"mode": "word", "ngram_min": True, "ngram_max": 1},
+    {"mode": "word", "ngram_min": 1},
+    {"mode": "word", "ngram_min": 1, "ngram_max": 1, "ngram_mx": 2},
+]
+
+
+@pytest.mark.parametrize("doc", GRID_TOKENIZERS, ids=lambda doc: json.dumps(doc))
+def test_grid_tokenizer_gets_the_constructors_error(doc, tmp_path):
+    """A grid config's tokenizer is refused in the words ``TokenizerConfig``
+    uses, with no ``malformed grid config`` prefix, in the library and the CLI."""
+    with pytest.raises(ConfigError) as constructor:
+        if {"ngram_min", "ngram_max"} == set(doc) - {"mode"}:
+            TokenizerConfig(TokenizerMode(doc["mode"]), doc["ngram_min"], doc["ngram_max"])
+        else:
+            check_keys(doc, ("mode", "ngram_min", "ngram_max"))
+    write_corpus_csv(tmp_path / "train.csv", TRAIN)
+    write_corpus_csv(tmp_path / "test.csv", TEST)
+    config = {"train": str(tmp_path / "train.csv"), "test": str(tmp_path / "test.csv"),
+              "tokenizer": doc}
+    with pytest.raises(ConfigError) as grid:
+        ExperimentGrid.from_json_dict(config)
+    assert str(grid.value) == str(constructor.value)
+    (tmp_path / "grid.json").write_text(json.dumps(config))
+    result = CliRunner().invoke(main, [
+        "grid", "--config", str(tmp_path / "grid.json"),
+        "--report-json", str(tmp_path / "r.json"), "--report-csv", str(tmp_path / "r.csv")])
+    assert (result.exit_code, result.output) == (2, f"error: {constructor.value}\n")
+
+
+@pytest.mark.parametrize("content", [b"{not json", b"[" * 100_000, b"{\"seed\": \xff}"],
+                         ids=["not-json", "nested-deep", "not-utf8"])
+def test_unreadable_grid_config_is_a_schema_error(content, tmp_path):
+    path = tmp_path / "grid.json"
+    path.write_bytes(content)
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: not (JSON|UTF-8): "):
+        ExperimentGrid.load(path)
