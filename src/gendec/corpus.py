@@ -133,6 +133,8 @@ class PairingConfig:
     k: int = 1
 
     def __post_init__(self) -> None:
+        if not isinstance(self.mode, PairingMode):
+            raise ConfigError(f"pairing mode must be a PairingMode, got {self.mode!r}")
         check_values(k=self.k)
         if self.mode is PairingMode.ONE_TO_ONE and self.k != 1:
             raise ConfigError(f"one-to-one pairing pairs one family per given name; "

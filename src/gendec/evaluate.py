@@ -112,12 +112,6 @@ def accuracy(cm: ConfusionMatrix) -> float:
     return (cm.counts[0][0] + cm.counts[1][1]) / cm.total
 
 
-_PART_ORDER = (NamePart.FIRST, NamePart.LAST, NamePart.FULL)
-_VARIANT_ORDER = (InputVariant.ORIGINAL, InputVariant.CONVERTED)
-_WEIGHTING_ORDER = (Weighting.COUNT, Weighting.TFIDF)
-_MODEL_ORDER = tuple(ModelKind)
-
-
 @dataclass(frozen=True)
 class Cell:
     """One grid cell: classifier x encoding x romaji variant x name part."""
@@ -127,19 +121,18 @@ class Cell:
     variant: InputVariant
     part: NamePart
 
+    def __post_init__(self) -> None:
+        axes = (ModelKind, Weighting, InputVariant, NamePart)
+        for (name, value), axis in zip(vars(self).items(), axes):
+            if not isinstance(value, axis):
+                raise ConfigError(f"cell {name} must be a {axis.__name__}, got {value!r}")
+
     def key(self) -> tuple[int, int, int, int]:
-        return (
-            _MODEL_ORDER.index(self.model),
-            _WEIGHTING_ORDER.index(self.weighting),
-            _VARIANT_ORDER.index(self.variant),
-            _PART_ORDER.index(self.part),
-        )
+        """Each field's position in its enum, whose order is the report order."""
+        return tuple(list(type(value)).index(value) for value in vars(self).values())
 
     def label(self) -> str:
-        return (
-            f"{self.model.value}/{self.weighting.value}"
-            f"/{self.variant.value}/{self.part.value}"
-        )
+        return "/".join(self.to_json_dict().values())
 
     def to_json_dict(self) -> dict:
         return {
@@ -155,6 +148,9 @@ class Cell:
         check_keys(doc, ("model", "features", "variant", "part"))
         return cls(ModelKind(doc["model"]), Weighting(doc["features"]),
                    InputVariant(doc["variant"]), NamePart(doc["part"]))
+
+
+_METRICS = ("f1_female", "f1_male", "macro_f1", "accuracy", "fallback_rate")
 
 
 @dataclass(frozen=True)
@@ -178,27 +174,17 @@ class EvalReport:
     def to_json_dict(self) -> dict:
         return {
             **self.cell.to_json_dict(),
-            "f1_female": self.f1_female,
-            "f1_male": self.f1_male,
-            "macro_f1": self.macro_f1,
-            "accuracy": self.accuracy,
+            **{name: getattr(self, name) for name in _METRICS},
             "confusion": self.confusion.as_lists(),
-            "fallback_rate": self.fallback_rate,
             "degenerate": self.degenerate,
         }
 
     def csv_row(self) -> str:
-        return (
-            f"{self.cell.model.value},{self.cell.weighting.value},"
-            f"{self.cell.variant.value},{self.cell.part.value},"
-            f"{self.f1_female:.6f},{self.f1_male:.6f},{self.macro_f1:.6f},"
-            f"{self.accuracy:.6f},{self.fallback_rate:.6f}"
-        )
+        return ",".join([*self.cell.to_json_dict().values(),
+                         *(f"{getattr(self, name):.6f}" for name in _METRICS)])
 
 
-REPORT_CSV_HEADER = (
-    "model,features,variant,part,f1_female,f1_male,macro_f1,accuracy,fallback_rate"
-)
+REPORT_CSV_HEADER = ",".join(("model", "features", "variant", "part", *_METRICS))
 
 
 @dataclass(frozen=True)
@@ -275,9 +261,9 @@ def classical_full_grid() -> list[Cell]:
     """Every classifier x encoding x variant on full names (20 cells)."""
     return [
         Cell(model=m, weighting=w, variant=v, part=NamePart.FULL)
-        for m in _MODEL_ORDER
-        for w in _WEIGHTING_ORDER
-        for v in _VARIANT_ORDER
+        for m in ModelKind
+        for w in Weighting
+        for v in InputVariant
     ]
 
 
@@ -290,8 +276,8 @@ def ablation_grid() -> list[Cell]:
     return [
         Cell(model=m, weighting=w, variant=v, part=p)
         for m, w in best
-        for v in _VARIANT_ORDER
-        for p in _PART_ORDER
+        for v in InputVariant
+        for p in NamePart
     ]
 
 

@@ -44,7 +44,7 @@ def deterministic_created_at() -> str:
     except (ValueError, OverflowError, OSError):
         raise ConfigError("SOURCE_DATE_EPOCH must be an integer number of seconds "
                           f"within the years 1 to 9999, got {raw!r}") from None
-    return stamp.strftime("%Y-%m-%dT%H:%M:%SZ")
+    return stamp.replace(tzinfo=None).isoformat() + "Z"  # 4-digit year, unlike %Y
 
 
 @dataclass

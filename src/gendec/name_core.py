@@ -38,11 +38,11 @@ class Gender(str, Enum):
 
 
 #: Canonical ordering used for tie-breaking and report rows.
-GENDERS = (Gender.FEMALE, Gender.MALE)
+GENDERS = tuple(Gender)
 
 
 class NamePart(str, Enum):
-    """Which portion of a full name feeds the classifier."""
+    """Which portion of a full name feeds the classifier, in canonical report order."""
 
     FIRST = "first"
     LAST = "last"
@@ -50,7 +50,8 @@ class NamePart(str, Enum):
 
 
 class InputVariant(str, Enum):
-    """Romaji source: the stored column, or a transliteration of the kanji."""
+    """Romaji source: the stored column, or a transliteration of the kanji,
+    in canonical report order."""
 
     ORIGINAL = "original"
     CONVERTED = "converted"

@@ -36,6 +36,8 @@ class TokenizerMode(str, Enum):
 
 
 class Weighting(str, Enum):
+    """Feature encodings, in canonical report order."""
+
     COUNT = "count"
     TFIDF = "tfidf"
 
@@ -47,6 +49,8 @@ class TokenizerConfig:
     ngram_max: int = 1
 
     def __post_init__(self) -> None:
+        if not isinstance(self.mode, TokenizerMode):
+            raise ConfigError(f"tokenizer mode must be a TokenizerMode, got {self.mode!r}")
         check_values(ngram_min=self.ngram_min, ngram_max=self.ngram_max)
         if self.ngram_min > self.ngram_max:
             raise ConfigError("ngram_min must be <= ngram_max, "

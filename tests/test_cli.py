@@ -241,6 +241,14 @@ class TestTrainEvaluatePredict:
         metadata = json.loads(model_path.read_text())["metadata"]
         assert metadata["created_at"] == "1970-01-02T00:00:00Z"
 
+    def test_source_date_epoch_before_year_1000_has_a_4_digit_year(self, runner,
+                                                                   split_files, tmp_path):
+        model_path = tmp_path / "m.json"
+        result = self._train_nb(runner, split_files[0], model_path, "-62135596800")
+        assert result.exit_code == 0, result.output
+        metadata = json.loads(model_path.read_text())["metadata"]
+        assert metadata["created_at"] == "0001-01-01T00:00:00Z"
+
     def test_converted_variant_trains(self, runner, split_files, tmp_path):
         train_csv, _val, test_csv = split_files
         model_path = tmp_path / "conv.json"

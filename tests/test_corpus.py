@@ -83,6 +83,14 @@ class TestBuildDataset:
         with pytest.raises(ConfigError, match="k must be 1, got 5"):
             PairingConfig(PairingMode.ONE_TO_ONE, k=5)
 
+    @pytest.mark.parametrize("mode", [mode.value for mode in PairingMode])
+    def test_mode_must_be_a_pairing_mode(self, mode):
+        # A plain string used to pass the one-to-one k rule, and
+        # build_dataset then paired each given name with k families.
+        with pytest.raises(ConfigError) as refused:
+            PairingConfig(mode, k=3)
+        assert str(refused.value) == f"pairing mode must be a PairingMode, got {mode!r}"
+
     def test_cross_k_exceeding_inventory(self):
         with pytest.raises(ConfigError):
             build_dataset([YUKA_A], [TAMAI], PairingConfig(PairingMode.CROSS_K, k=2))

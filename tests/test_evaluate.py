@@ -143,6 +143,36 @@ class TestGrids:
             (ModelKind.SVM, Weighting.COUNT),
         }
 
+    def test_all_preset_in_canonical_order(self):
+        labels = [cell.label() for cell in sorted(preset_cells("all"), key=Cell.key)]
+        assert labels == [
+            "nb/count/original/full", "nb/count/converted/full",
+            "nb/tfidf/original/full", "nb/tfidf/converted/full",
+            "lr/count/original/full", "lr/count/converted/full",
+            "lr/tfidf/original/full", "lr/tfidf/converted/full",
+            "dt/count/original/full", "dt/count/converted/full",
+            "dt/tfidf/original/full", "dt/tfidf/converted/full",
+            "rf/count/original/full", "rf/count/converted/full",
+            "rf/tfidf/original/first", "rf/tfidf/original/last", "rf/tfidf/original/full",
+            "rf/tfidf/converted/first", "rf/tfidf/converted/last", "rf/tfidf/converted/full",
+            "svm/count/original/first", "svm/count/original/last", "svm/count/original/full",
+            "svm/count/converted/first", "svm/count/converted/last",
+            "svm/count/converted/full",
+            "svm/tfidf/original/full", "svm/tfidf/converted/full",
+        ]
+
+    @pytest.mark.parametrize("name", ["model", "weighting", "variant", "part"])
+    def test_cell_fields_must_be_enum_members(self, name):
+        # A plain string compares equal to its member, but the package's
+        # `is` tests would take the wrong branch for it.
+        members = {"model": ModelKind.NB, "weighting": Weighting.TFIDF,
+                   "variant": InputVariant.ORIGINAL, "part": NamePart.FULL}
+        value = members[name].value
+        with pytest.raises(ConfigError) as refused:
+            Cell(**{**members, name: value})
+        assert str(refused.value) == (
+            f"cell {name} must be a {type(members[name]).__name__}, got {value!r}")
+
     def test_duplicate_cells_rejected(self, synthetic_corpus):
         cell = Cell(ModelKind.NB, Weighting.COUNT, InputVariant.ORIGINAL, NamePart.FULL)
         with pytest.raises(ConfigError):
@@ -424,6 +454,29 @@ class TestReportFiles:
         lines = csv_path.read_text().strip().split("\n")
         assert lines[0].startswith("model,features,variant,part,f1_female")
         assert len(lines) == 3
+
+    def test_csv_bytes(self, tmp_path, splits):
+        train, test = splits
+        cells = [  # one of each value on every axis, given out of order
+            Cell(ModelKind.SVM, Weighting.TFIDF, InputVariant.CONVERTED, NamePart.FIRST),
+            Cell(ModelKind.RF, Weighting.COUNT, InputVariant.ORIGINAL, NamePart.LAST),
+            Cell(ModelKind.DT, Weighting.TFIDF, InputVariant.ORIGINAL, NamePart.FULL),
+            Cell(ModelKind.LR, Weighting.COUNT, InputVariant.CONVERTED, NamePart.FULL),
+            Cell(ModelKind.NB, Weighting.TFIDF, InputVariant.CONVERTED, NamePart.LAST),
+            Cell(ModelKind.NB, Weighting.COUNT, InputVariant.ORIGINAL, NamePart.FIRST),
+        ]
+        csv_path = tmp_path / "report.csv"
+        write_reports_csv(csv_path, run_cells(cells, train, test, seed=5,
+                                              hyperparameters=FAST))
+        assert csv_path.read_bytes() == (
+            b"model,features,variant,part,f1_female,f1_male,macro_f1,accuracy,fallback_rate\n"
+            b"nb,count,original,first,1.000000,1.000000,1.000000,1.000000,0.000000\n"
+            b"nb,tfidf,converted,last,0.523810,0.454545,0.489177,0.491525,0.000000\n"
+            b"lr,count,converted,full,0.782051,0.575000,0.678526,0.711864,0.000000\n"
+            b"dt,tfidf,original,full,1.000000,1.000000,1.000000,1.000000,0.000000\n"
+            b"rf,count,original,last,0.504065,0.460177,0.482121,0.483051,0.000000\n"
+            b"svm,tfidf,converted,first,1.000000,1.000000,1.000000,1.000000,0.000000\n"
+        )
 
 
 def test_evaluate_predictions_macro_consistency():

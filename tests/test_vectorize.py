@@ -56,6 +56,14 @@ def test_ngram_bounds_validated():
         TokenizerConfig(TokenizerMode.CHAR_NGRAM, 2, 9)
 
 
+@pytest.mark.parametrize("mode", ["word", "char_ngram", "bytes"])
+def test_mode_must_be_a_tokenizer_mode(mode):
+    # A plain "word" used to tokenize as character n-grams.
+    with pytest.raises(ConfigError) as refused:
+        TokenizerConfig(mode)
+    assert str(refused.value) == f"tokenizer mode must be a TokenizerMode, got {mode!r}"
+
+
 def test_empty_corpus_rejected():
     with pytest.raises(EmptyInputError, match="cannot fit a vocabulary on zero documents"):
         fit_vocabulary([])
