@@ -5,15 +5,20 @@ config, the grid cell it was trained for, and (for converted-variant
 models) the reading dictionary, so prediction needs no side files.
 Serialization is byte-reproducible: keys are sorted, floats use
 Python's shortest round-trip repr, and the created-at stamp defaults to
-a fixed epoch unless SOURCE_DATE_EPOCH is set.  A malformed file raises
-SchemaError naming the failed check's type: ConfigError for a missing or
-unknown key or a value off its rule, ValueError for a bad shape.
+a fixed epoch unless SOURCE_DATE_EPOCH is set.  A file stores nothing
+that follows from the rest of it (schema_version 2): the loader rebuilds
+a tree's right children, a forest's tree count and a naive-Bayes model's
+single-class flag.  A file of another schema_version, such as a version
+1 file that still stores them, must be retrained.  A malformed file
+raises SchemaError naming the failed check's type: ConfigError for a
+missing or unknown key or a value off its rule, ValueError for a bad
+shape.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
@@ -27,7 +32,7 @@ from .name_core import InputVariant, NamePart, check_keys, read_json, write_json
 from .translit import ReadingDictionary
 from .vectorize import TokenizerConfig, Vocabulary, Weighting
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def deterministic_created_at() -> str:
@@ -58,10 +63,15 @@ class ModelFile:
     vocabulary: Vocabulary
     reading_dictionary: Optional[ReadingDictionary]
     metadata: dict
+    cell: Cell = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # Cell refuses a weighting, variant or part that is not its enum's member.
+        self.cell = Cell(kind_of(self.model), self.weighting, self.variant, self.part)
 
     @property
     def kind(self) -> ModelKind:
-        return kind_of(self.model)
+        return self.cell.model
 
     def to_json_dict(self) -> dict:
         return {
@@ -85,9 +95,10 @@ class ModelFile:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ModelFile":
         """Model file from its JSON document; a malformed one raises SchemaError."""
-        version = doc.get("schema_version") if isinstance(doc, dict) else None
-        if version != SCHEMA_VERSION:
-            raise SchemaError(f"unsupported model file schema_version {version!r}")
+        if isinstance(doc, dict) and doc.get("schema_version") != SCHEMA_VERSION:
+            raise SchemaError(f"malformed model file: schema_version must be "
+                              f"{SCHEMA_VERSION}, got {doc.get('schema_version')!r}; "
+                              "retrain the model")
         try:
             check_keys(doc, ("schema_version", "model_kind", "weighting", "part", "variant",
                              "tokenizer", "vocabulary", "parameters", "metadata"),
@@ -123,15 +134,6 @@ class ModelFile:
         except (KeyError, IndexError, TypeError, ValueError, AttributeError,
                 OverflowError, ConfigError) as exc:
             raise SchemaError(f"malformed model file: {type(exc).__name__}: {exc}") from None
-
-    @property
-    def cell(self) -> Cell:
-        return Cell(
-            model=self.kind,
-            weighting=self.weighting,
-            variant=self.variant,
-            part=self.part,
-        )
 
 
 def save_model(path: str | Path, model_file: ModelFile) -> None:

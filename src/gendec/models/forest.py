@@ -102,34 +102,25 @@ def forest_vote_counts(model: ForestModel, matrix: CSR) -> np.ndarray:
 
 def forest_params(model: ForestModel) -> dict:
     return {
-        "n_trees": model.n_trees,
         "features_per_split": model.features_per_split,
         "bootstrap": model.bootstrap,
         "seed": model.seed,
         "max_depth": model.max_depth,
         "min_samples_leaf": model.min_samples_leaf,
-        "exhaust_on_miss": True,  # fixed: older files may hold false; it is ignored
-        "tree_streams": list(range(model.n_trees)),
         "trees": [tree_nodes_params(tree) for tree in model.trees],
     }
 
 
 def forest_from_params(doc: dict, n_features: int) -> ForestModel:
-    check_keys(doc, ("n_trees", "features_per_split", "bootstrap", "seed", "max_depth",
-                     "min_samples_leaf", "exhaust_on_miss", "tree_streams", "trees"))
+    check_keys(doc, ("features_per_split", "bootstrap", "seed", "max_depth",
+                     "min_samples_leaf", "trees"))
     values = {name: doc[name] for name in ("features_per_split", "bootstrap", "seed",
                                            "max_depth", "min_samples_leaf")}
-    # exhaust_on_miss is a fixed field: it must be a boolean and is ignored.
-    check_values(n_trees=doc["n_trees"], exhaust_on_miss=doc["exhaust_on_miss"], **values)
-    trees = [tree_from_nodes(t, n_features, values["max_depth"], values["min_samples_leaf"])
-             for t in doc["trees"]]
-    if doc["n_trees"] != len(trees):
-        raise ValueError(f"n_trees must match the {len(trees)} trees given, "
-                         f"got {doc['n_trees']}")
+    check_values(**values)
     if values["features_per_split"] is None:
         raise ValueError("features_per_split must be the integer the forest used, got null")
-    streams = doc["tree_streams"]
-    if (not isinstance(streams, list) or not set(map(type, streams)) <= {int}
-            or streams != list(range(len(trees)))):
-        raise ValueError(f"tree_streams must be [0, ..., {len(trees) - 1}], got {streams!r}")
+    if not isinstance(doc["trees"], list) or not doc["trees"]:
+        raise ValueError("trees must be a non-empty list")
+    trees = [tree_from_nodes(t, n_features, values["max_depth"], values["min_samples_leaf"])
+             for t in doc["trees"]]
     return ForestModel(trees=trees, n_features=n_features, **values)

@@ -22,7 +22,11 @@ class NBModel:
     alpha: float
     class_log_prior: np.ndarray  # (2,)
     feature_log_prob: np.ndarray  # (2, V)
-    single_class: bool = False
+
+    @property
+    def single_class(self) -> bool:
+        """Trained on one class: the other's log prior is -Infinity."""
+        return bool(np.isneginf(self.class_log_prior).any())
 
     @property
     def n_features(self) -> int:
@@ -37,7 +41,6 @@ def train_naive_bayes(
     labels = training_labels(matrix, y)
     n, V = matrix.shape
     class_counts = np.array([(labels == 0).sum(), (labels == 1).sum()], dtype=np.float64)
-    single_class = bool((class_counts == 0).any())
     with np.errstate(divide="ignore"):
         class_log_prior = np.log(class_counts / n)
     feature_log_prob = np.zeros((2, V), dtype=np.float64)
@@ -59,7 +62,6 @@ def train_naive_bayes(
         alpha=alpha,
         class_log_prior=class_log_prior,
         feature_log_prob=feature_log_prob,
-        single_class=single_class,
     )
 
 
@@ -79,20 +81,19 @@ def nb_params(model: NBModel) -> dict:
         "alpha": model.alpha,
         "class_log_prior": model.class_log_prior.tolist(),
         "feature_log_prob": model.feature_log_prob.tolist(),
-        "single_class": model.single_class,
     }
 
 
 def nb_from_params(doc: dict, n_features: int) -> NBModel:
-    check_keys(doc, ("alpha", "class_log_prior", "feature_log_prob", "single_class"))
-    single_class = doc["single_class"]
-    check_values(alpha=doc["alpha"], single_class=single_class)
+    check_keys(doc, ("alpha", "class_log_prior", "feature_log_prob"))
+    check_values(alpha=doc["alpha"])
+    # The class a single-class model never saw has log prior -Infinity.
+    class_log_prior = vector(doc["class_log_prior"], np.float64, 2, neg_inf_ok=True)
+    if np.isneginf(class_log_prior).all():
+        raise ValueError("at most one class log prior may be -Infinity")
     return NBModel(
         alpha=doc["alpha"],
-        # The class a single-class model never saw has log prior -Infinity.
-        class_log_prior=vector(doc["class_log_prior"], np.float64, 2,
-                               neg_inf_ok=single_class),
+        class_log_prior=class_log_prior,
         feature_log_prob=finite(np.asarray(doc["feature_log_prob"], dtype=np.float64
                                            ).reshape(2, n_features)),
-        single_class=single_class,
     )

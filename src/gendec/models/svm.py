@@ -101,20 +101,19 @@ def svm_params(model: SVMModel) -> dict:
     return {
         "weights": model.weights.tolist(),
         "bias": model.bias,
-        "lambda": model.lam,
+        "lam": model.lam,
         "epochs": model.epochs,
         "seed": model.seed,
     }
 
 
 def svm_from_params(doc: dict, n_features: int) -> SVMModel:
-    check_keys(doc, ("weights", "bias", "lambda", "epochs", "seed"))
-    check_values(bias=doc["bias"], epochs=doc["epochs"], seed=doc["seed"],
-                 **{"lambda": doc["lambda"]})
+    check_keys(doc, ("weights", "bias", "lam", "epochs", "seed"))
+    check_values(bias=doc["bias"], lam=doc["lam"], epochs=doc["epochs"], seed=doc["seed"])
     return SVMModel(
         weights=vector(doc["weights"], np.float64, n_features),
         bias=doc["bias"],
-        lam=doc["lambda"],
+        lam=doc["lam"],
         epochs=doc["epochs"],
         seed=doc["seed"],
     )

@@ -279,12 +279,12 @@ def tree_leaf_counts(model: TreeModel, matrix: CSR) -> np.ndarray:
                            ).astype(np.float64)
 
 
-# The flat node arrays as stored in model files, with their dtypes.
+# The flat node arrays as stored in model files, with their dtypes; ``right``
+# is not stored, as an inner node's right child is always ``left + 1``.
 _NODE_ARRAYS = {
     "feature": np.int32,
     "threshold": np.float64,
     "left": np.int32,
-    "right": np.int32,
     "count_female": np.int64,
     "count_male": np.int64,
 }
@@ -301,36 +301,34 @@ def tree_from_nodes(
 
     A ConfigError unless the node arrays are the known ones, and a
     ValueError unless the tree has a node, every inner node splits a known
-    column and both its children come after it, every leaf is all -1, and
-    every node's (female, male) counts are non-negative with a positive sum.
-    ``_grow_tree`` appends children after their parent and gives each node
-    at least one row, so a trained tree passes; the order also bounds
-    ``tree_apply`` at ``n_nodes`` steps.
+    column and its left child comes after it with room for the right child
+    (``left + 1``) below the node count, every leaf has feature and left
+    -1, and every node's (female, male) counts are non-negative with a
+    positive sum.  ``_grow_tree`` appends the two children of a node back
+    to back after their parent and gives each node at least one row, so a
+    trained tree passes; the order also bounds ``tree_apply`` at
+    ``n_nodes`` steps.  ``right`` is rebuilt as ``left + 1`` at inner nodes.
     """
     check_keys(doc, tuple(_NODE_ARRAYS))
     n_nodes = len(doc["feature"])
-    tree = TreeModel(
-        **{name: vector(doc[name], dtype, n_nodes) for name, dtype in _NODE_ARRAYS.items()},
-        n_features=n_features,
-        max_depth=max_depth,
-        min_samples_leaf=min_samples_leaf,
-    )
+    arrays = {name: vector(doc[name], dtype, n_nodes) for name, dtype in _NODE_ARRAYS.items()}
     if n_nodes == 0:
         raise ValueError("a tree needs at least one node")
-    inner = tree.feature >= 0
-    if (tree.feature[inner] >= n_features).any():
-        raise ValueError(f"a node splits column {tree.feature[inner].max()} of {n_features}")
-    ids = np.flatnonzero(inner)
-    for child in (tree.left[inner], tree.right[inner]):
-        if ((child <= ids) | (child >= n_nodes)).any():
-            raise ValueError(f"a child node id must be above its parent's and below {n_nodes}")
-    leaf = ~inner
-    if ((tree.feature[leaf] != -1) | (tree.left[leaf] != -1) | (tree.right[leaf] != -1)).any():
-        raise ValueError("a leaf must have feature, left and right all -1")
-    female, male = tree.count_female, tree.count_male
+    feature, left = arrays["feature"], arrays["left"]
+    inner = feature >= 0
+    if (feature[inner] >= n_features).any():
+        raise ValueError(f"a node splits column {feature[inner].max()} of {n_features}")
+    if ((left[inner] <= np.flatnonzero(inner)) | (left[inner] >= n_nodes - 1)).any():
+        raise ValueError(f"a left child id must be above its parent's and below "
+                         f"{n_nodes - 1}")
+    if ((feature[~inner] != -1) | (left[~inner] != -1)).any():
+        raise ValueError("a leaf must have feature and left both -1")
+    female, male = arrays["count_female"], arrays["count_male"]
     if ((female < 0) | (male < 0) | (female + male == 0)).any():
         raise ValueError("every node needs non-negative counts with a positive sum")
-    return tree
+    return TreeModel(**arrays, right=np.where(inner, left + 1, -1).astype(np.int32),
+                     n_features=n_features, max_depth=max_depth,
+                     min_samples_leaf=min_samples_leaf)
 
 
 def tree_params(model: TreeModel) -> dict:

@@ -181,7 +181,7 @@ def _real(value) -> bool:
 #: or 10**400), so every accepted value serializes as JSON and loads back
 #: as itself.
 VALUE_RULES = {
-    **dict.fromkeys(("alpha", "learning_rate", "lam", "lambda"),
+    **dict.fromkeys(("alpha", "learning_rate", "lam"),
                     (lambda v: _real(v) and v > 0, "a positive finite number")),
     "l2": (lambda v: _real(v) and v >= 0, "a finite number >= 0"),
     "bias": (_real, "a finite number"),
@@ -191,8 +191,7 @@ VALUE_RULES = {
                     (lambda v: _integer(v, 1) and v <= 8, "an integer from 1 to 8")),
     **dict.fromkeys(("max_depth", "features_per_split"),
                     (lambda v: v is None or _integer(v, 1), "null or an integer >= 1")),
-    **dict.fromkeys(("bootstrap", "single_class", "exhaust_on_miss"),
-                    (lambda v: isinstance(v, bool), "true or false")),
+    "bootstrap": (lambda v: isinstance(v, bool), "true or false"),
     "seed": (lambda v: _integer(v, 0), "an integer >= 0"),
 }
 

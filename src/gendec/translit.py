@@ -262,8 +262,6 @@ class ReadingDictionary:
     family: dict[str, tuple[tuple[str, int], ...]]
     given: dict[str, tuple[tuple[str, int], ...]]
 
-    SCHEMA_VERSION = 1
-
     def table(self, role: NameRole) -> dict[str, tuple[tuple[str, int], ...]]:
         return self.family if role is NameRole.FAMILY else self.given
 
@@ -280,7 +278,6 @@ class ReadingDictionary:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema_version": self.SCHEMA_VERSION,
             "family": {k: [[r, c] for r, c in v] for k, v in sorted(self.family.items())},
             "given": {k: [[r, c] for r, c in v] for k, v in sorted(self.given.items())},
         }
@@ -293,11 +290,6 @@ class ReadingDictionary:
         Every reading must transliterate to non-empty romaji, so converting
         a part the dictionary holds never fails.
         """
-        version = doc.get("schema_version") if isinstance(doc, dict) else None
-        if version != cls.SCHEMA_VERSION:
-            raise SchemaError(
-                f"unsupported reading dictionary schema_version {version!r}"
-            )
 
         def read_table(role: str) -> dict[str, tuple[tuple[str, int], ...]]:
             table = {
@@ -319,7 +311,7 @@ class ReadingDictionary:
             return table
 
         try:
-            check_keys(doc, ("schema_version", "family", "given"))
+            check_keys(doc, ("family", "given"))
             return cls(family=read_table("family"), given=read_table("given"))
         except (KeyError, TypeError, ValueError, AttributeError, ConfigError) as exc:
             raise SchemaError(

@@ -281,7 +281,7 @@ class TestTrainEvaluatePredict:
     def test_dict_option_is_a_usage_error(self, runner, split_files, tmp_path):
         """A converted model's dictionary comes only from its training CSV."""
         dictionary = tmp_path / "dict.json"
-        dictionary.write_text(json.dumps({"schema_version": 1, "family": {}, "given": {}}))
+        dictionary.write_text(json.dumps({"family": {}, "given": {}}))
         model_path = tmp_path / "conv.json"
         result = runner.invoke(main, [
             "train", "--model", "nb", "--features", "count", "--variant", "converted",
@@ -309,6 +309,8 @@ class TestTrainEvaluatePredict:
         assert result.exit_code == 2
 
     def test_version_mismatch_exits_2(self, runner, split_files, tmp_path):
+        """A version 1 file, which stored fields the loader now rebuilds, is
+        refused with one message that says to retrain."""
         train_csv, _val, test_csv = split_files
         model_path = tmp_path / "m.json"
         runner.invoke(main, [
@@ -316,13 +318,16 @@ class TestTrainEvaluatePredict:
             "--train", str(train_csv), "--out", str(model_path),
         ])
         doc = json.loads(model_path.read_text())
-        doc["schema_version"] = 2
+        doc["schema_version"] = 1
         model_path.write_text(json.dumps(doc))
         result = runner.invoke(main, [
             "evaluate", "--model-file", str(model_path), "--test", str(test_csv),
             "--report", str(tmp_path / "r.json"),
         ])
         assert result.exit_code == 2
+        assert _no_traceback(result)
+        assert result.output == ("error: malformed model file: schema_version must be 2, "
+                                 "got 1; retrain the model\n")
 
     @pytest.mark.parametrize("flags", [
         ["--model", "nb", "--alpha", "nan"],
@@ -473,11 +478,11 @@ class TestPredictPaths:
 
 
 # Malformed trees, each written into a dt file and into an rf file's first tree.
-TREE_CASES = ["cycle", "child-out-of-range", "column-out-of-range", "max-depth-0",
-              "zero-counts", "negative-count", "leaf-0"]
+TREE_CASES = ["cycle", "child-out-of-range", "right-past-end", "column-out-of-range",
+              "max-depth-0", "zero-counts", "negative-count", "leaf-0"]
 # Stored hyperparameters that break their value rule: case -> (key, value).
 VALUE_CASES = {"nb-alpha-negative": ("alpha", -1), "lr-epochs-0": ("epochs", 0),
-               "svm-lambda-0": ("lambda", 0), "svm-epochs-0": ("epochs", 0)}
+               "svm-lam-0": ("lam", 0), "svm-epochs-0": ("epochs", 0)}
 
 
 class TestCorruptModelFiles:
@@ -487,10 +492,10 @@ class TestCorruptModelFiles:
                             *(f"{kind}-{case}" for kind in ("dt", "rf")
                               for case in TREE_CASES),
                             "bootstrap-string", "seed-string", "fractional-leaf",
-                            "n-trees-mismatch", "unknown-key", "misspelled-parameter",
+                            "unknown-key", "misspelled-parameter",
                             "duplicate-token", "integer-token", "swapped-tokens",
-                            "streams-string", "streams-wrong", "streams-null",
-                            "exhaust-string", "tfidf-without-idf", *VALUE_CASES])
+                            "trees-string", "trees-empty", "trees-null",
+                            "tfidf-without-idf", *VALUE_CASES])
     def corrupt_model(self, request, runner, split_files, tmp_path):
         kind = request.param.split("-")[0]
         kind = kind if kind in ("nb", "lr", "dt", "svm") else "rf"
@@ -507,11 +512,11 @@ class TestCorruptModelFiles:
             key, value = VALUE_CASES[request.param]
             params[key] = value
         elif case == "missing-keys":
-            doc = {"schema_version": 1, "model_kind": "rf"}
+            doc = {"schema_version": 2, "model_kind": "rf"}
         elif case == "missing-parameter":
             del doc["parameters"]["trees"][0]["threshold"]
         elif case == "wrong-type":
-            doc["parameters"]["n_trees"] = [5]
+            doc["parameters"]["features_per_split"] = [5]
         elif case == "wrong-length":
             doc["parameters"]["trees"][0]["left"].append(0)
         elif case == "huge-number":
@@ -519,7 +524,9 @@ class TestCorruptModelFiles:
         elif case == "cycle":
             nodes["left"][0] = 0
         elif case == "child-out-of-range":
-            nodes["right"][0] = len(nodes["feature"]) + 5
+            nodes["left"][0] = len(nodes["feature"]) + 5
+        elif case == "right-past-end":  # the right child would be node n_nodes
+            nodes["left"][0] = len(nodes["feature"]) - 1
         elif case == "column-out-of-range":
             nodes["feature"][0] = 10 ** 6
         elif case == "max-depth-0":
@@ -537,20 +544,16 @@ class TestCorruptModelFiles:
             params["seed"] = "7"
         elif case == "fractional-leaf":
             params["min_samples_leaf"] = 1.9
-        elif case == "n-trees-mismatch":
-            params["n_trees"] = 9
         elif case == "unknown-key":
             doc["bogus"] = 1
         elif case == "misspelled-parameter":
             params["n_treez"] = 9
-        elif case == "streams-string":
-            params["tree_streams"] = "garbage"
-        elif case == "streams-wrong":
-            params["tree_streams"] = [5, 9]
-        elif case == "streams-null":
-            params["tree_streams"] = None
-        elif case == "exhaust-string":
-            params["exhaust_on_miss"] = "true"
+        elif case == "trees-string":
+            params["trees"] = "garbage"
+        elif case == "trees-empty":
+            params["trees"] = []
+        elif case == "trees-null":
+            params["trees"] = None
         elif case == "tfidf-without-idf":
             doc["vocabulary"]["idf"] = None
         elif case == "duplicate-token":
@@ -590,19 +593,18 @@ class TestCorruptModelFiles:
         assert self._names_model_file(result.output, corrupt_model)
         assert not report.exists()
 
-    def test_forest_file_with_exhaust_on_miss_false_predicts(self, runner, model_path):
-        # The forest always widens a sampled search now; a file written with
-        # the old knob off still loads, and the field is ignored.
-        args = ["predict", "--model-file", str(model_path), "--name", "Tanaka Satoko"]
-        expected = runner.invoke(main, args)
-        assert expected.exit_code == 0, expected.output
+    def test_forest_file_tree_count_is_its_trees_length(self, runner, model_path):
+        """A forest file stores no tree count: cutting its trees list to one
+        tree gives a one-tree forest, whose vote is that tree's leaf."""
         doc = json.loads(model_path.read_text())
-        assert doc["parameters"]["exhaust_on_miss"] is True
-        doc["parameters"]["exhaust_on_miss"] = False
+        doc["parameters"]["trees"] = doc["parameters"]["trees"][:1]
         model_path.write_text(json.dumps(doc), encoding="utf-8")
-        result = runner.invoke(main, args)
+        forest = load_model(model_path).model
+        assert forest.n_trees == 1
+        result = runner.invoke(main, ["predict", "--model-file", str(model_path),
+                                      "--name", "Tanaka Satoko"])
         assert result.exit_code == 0, result.output
-        assert result.output == expected.output
+        assert result.output.rstrip("\n").split("\t")[2] == "1.000000"
 
     @pytest.mark.parametrize("readings", [[["zzz", -5]], [], [["a", 1], ["b", 2]],
                                           [["zzz", 1]], [["ー", 1]]],
@@ -652,7 +654,7 @@ NON_FINITE_SITES = {
     "lr": [("weights", 0), ("training_trace", 0), ("bias",)],
     "dt": [("nodes", "threshold", 0)],
     "rf": [("trees", 0, "threshold", 0)],
-    "svm": [("weights", 0), ("lambda",)],
+    "svm": [("weights", 0), ("lam",)],
 }
 NON_FINITE_CASES = [
     pytest.param((kind, path, value), id=f"{kind}-{'.'.join(map(str, path))}-{value}")
@@ -734,11 +736,13 @@ class TestNonFiniteModelFiles:
         doc = json.loads(path.read_text())
         assert doc["parameters"]["class_log_prior"] == [0.0, float("-inf")]
 
-        doc["parameters"]["single_class"] = False
+        doc["parameters"]["class_log_prior"] = [float("-inf")] * 2
         path.write_text(json.dumps(doc), encoding="utf-8")
         result = runner.invoke(main, ["predict", "--model-file", str(path),
                                       "--name", "Suzuki Taro"])
         assert result.exit_code == 2, result.output
+        assert result.output == ("error: malformed model file: ValueError: at most one "
+                                 "class log prior may be -Infinity\n")
 
 
 class TestStats:
@@ -1059,12 +1063,10 @@ class TestBadFiles:
         # file embeds: each of these files embeds one bad table.
         tables = {
             "dict_list": [],
-            "dict_no_family": {"schema_version": 1, "given": {}},
-            "dict_negative_count": {"schema_version": 1, "family": {},
-                                    "given": {"子": [["zzz", -5]]}},
+            "dict_no_family": {"given": {}},
+            "dict_negative_count": {"family": {}, "given": {"子": [["zzz", -5]]}},
             # No training record uses 龘, so only the load check can refuse it.
-            "dict_not_kana": {"schema_version": 1, "family": {},
-                              "given": {"龘": [["zzz", 1]]}},
+            "dict_not_kana": {"family": {}, "given": {"龘": [["zzz", 1]]}},
         }
         converted = tmp_path / "converted.json"
         result = runner.invoke(main, [

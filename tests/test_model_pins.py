@@ -6,6 +6,7 @@ the sha256 of each saved file is compared with the recorded value.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -25,17 +26,17 @@ HYPER = {"rf": {"n_trees": 4}, "svm": {"epochs": 4}, "lr": {"epochs": 20}}
 SEED = 7
 
 PINNED = {
-    "nb/count/original": "fae9ed96a6ec2488f5a52fbed051350466f39c23342e5a96628e64af220ac7e6",
-    "nb/tfidf/original": "326a88d13ecf28b4da22bed948e6d59349a82b34639a37ba9983061f8c219b69",
-    "lr/count/original": "5b73eb3eaadc0884de875e534589ee922ecabb4531f550956def2673ac167042",
-    "lr/tfidf/original": "80218d7ae32091ddf215490e076f5afc8b5fc64353e26abbbb8776cb5e93e246",
-    "dt/count/original": "e47a754575d9e2314bd5c6b08665114c8a1bcff46102e3954806abba3717ecc0",
-    "dt/tfidf/original": "367951c1d42337ee988f620264edee9cb018e33ac44786e34b61d59e74b62a93",
-    "rf/count/original": "7461e5312934e0726c6b23b09ab4474aef1da70117826f9bedaf525e0f0c5ba8",
-    "rf/tfidf/original": "5b2a285761eb6b91317d98bcf12fd6c4136ecc72601e03a326cddbc9db81ad55",
-    "svm/count/original": "2ce800493b3ab72ae1743a5207af2b6ff555ba64c11b091b71aeb87466219370",
-    "svm/tfidf/original": "cdeabd3a16176d6d38d91336253dfccd8b94cc7cff847b1a62f73f6b6855822a",
-    "rf/tfidf/converted": "7df187d92e9a2e56fca4e8d689801e5125fe537bb62feeb73cbbfa9b978ef7f4",
+    "nb/count/original": "bd6009ed0eb24542ce7ac6aea887731a9674da5ca4cd8d0a01c251aa28e1c881",
+    "nb/tfidf/original": "f15a3adb43ce0b38d3c1f34fc02536b8d18b15634366429312bc6287ab9e86bf",
+    "lr/count/original": "f485e2f92b5d44f489237a2984d73f592dab664d53b7a4bdd48b617aba13d2f1",
+    "lr/tfidf/original": "cf887d3a835fe0fbb9477b837bb5c0809e6dd6c1d64ab37f2b0dd04eced9ab76",
+    "dt/count/original": "4cbb98229a2341ae192545675689f576c87786e5ff1294635d0cc2295fff398b",
+    "dt/tfidf/original": "329417265872032758bd99a072e5fe47ea4b4cf4f6c3b1254a729665ca59915e",
+    "rf/count/original": "1f1d2dbc798bc5b10cead6d245c7de0ea4943274044372fc247992f8eac5c1d1",
+    "rf/tfidf/original": "c29ead2cb8f197fcedd80078115988d6b4165e7c51060e64e0d251da568820b6",
+    "svm/count/original": "558cfc02a74ead5ca92556768a9808ce811ee4e712953687bf58701a103e2384",
+    "svm/tfidf/original": "aa1e066138a859916c17e9d1706aa5ac3bec12958e8a40a43192754ddc617591",
+    "rf/tfidf/converted": "b5b2b96e431ec74969de06639e801731d1b5fef0efd79cc4ee9b79956e86b2a8",
 }
 
 
@@ -73,6 +74,45 @@ def test_model_file_bytes_pinned(tmp_path, train_records, label):
     save_model(second, load_model(first))
     assert second.read_bytes() == first.read_bytes()
     assert hashlib.sha256(first.read_bytes()).hexdigest() == PINNED[label]
+
+
+# Keys a schema_version 2 file never holds: each follows from the rest, or,
+# for ``lambda``, is now ``lam``.
+DERIVED_KEYS = {"right", "n_trees", "tree_streams", "exhaust_on_miss", "single_class",
+                "lambda"}
+
+
+def _keys(doc) -> set:
+    if isinstance(doc, list):
+        return set().union(*map(_keys, doc))
+    if isinstance(doc, dict):
+        return set(doc).union(*map(_keys, doc.values()))
+    return set()
+
+
+@pytest.mark.parametrize("label", list(PINNED))
+def test_loader_rebuilds_what_the_file_leaves_out(tmp_path, train_records, label):
+    """Every loaded tree's six node arrays, ``right`` included, and naive
+    Bayes' single-class flag equal the trained model's."""
+    kind, weighting, variant = label.split("/")
+    model_file, X = _fit(train_records, ModelKind(kind), Weighting(weighting),
+                         InputVariant(variant))
+    path = tmp_path / "m.json"
+    save_model(path, model_file)
+    doc = json.loads(path.read_text())
+    assert doc["schema_version"] == 2
+    assert not _keys(doc["parameters"]) & DERIVED_KEYS
+    assert "schema_version" not in (doc["reading_dictionary"] or {})
+    trained, loaded = model_file.model, load_model(path).model
+    trees = {"dt": lambda m: [m], "rf": lambda m: m.trees}.get(kind, lambda m: [])
+    assert len(trees(loaded)) == len(trees(trained))
+    for new, old in zip(trees(loaded), trees(trained)):
+        for name in ("feature", "threshold", "left", "right", "count_female", "count_male"):
+            assert np.array_equal(getattr(new, name), getattr(old, name)), name
+            assert getattr(new, name).dtype == getattr(old, name).dtype, name
+    if kind == "nb":
+        assert loaded.single_class is trained.single_class
+    assert predict(loaded, X) == predict(trained, X)
 
 
 @pytest.mark.parametrize("kind", list(ModelKind))

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from gendec.models import NBModel, predict, predict_proba, train_naive_bayes
+from gendec.models.naive_bayes import nb_from_params, nb_params
 from gendec.errors import (
     ConfigError, DimensionMismatchError, NonFiniteError, SingleClassWarning,
 )
@@ -85,6 +86,11 @@ def test_single_class_warns_and_predicts_constant():
         model = train_naive_bayes(X, [M, M, M])
     assert model.single_class
     assert predict(model, X) == [M, M, M]
+    # The flag is not stored: the loader reads it off the -Infinity prior.
+    loaded = nb_from_params(nb_params(model), 3)
+    assert "single_class" not in nb_params(model)
+    assert loaded.single_class
+    assert not train_naive_bayes(X, [M, F, M]).single_class
 
 
 def test_width_comes_from_the_feature_table():

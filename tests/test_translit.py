@@ -175,12 +175,12 @@ class TestReadingDictionary:
             "reading-descending", "repeated-reading", "not-kana", "no-romaji",
             "katakana-runner-up"])
     def test_load_refuses_non_canonical_readings(self, readings):
-        doc = {"schema_version": 1, "family": {}, "given": {"愛": readings}}
+        doc = {"family": {}, "given": {"愛": readings}}
         with pytest.raises(SchemaError, match="malformed reading dictionary"):
             ReadingDictionary.from_json_dict(doc)
 
     def test_load_refuses_unreadable_family_reading(self):
-        doc = {"schema_version": 1, "family": {"玉井": [["タマイ", 1]]}, "given": {}}
+        doc = {"family": {"玉井": [["タマイ", 1]]}, "given": {}}
         with pytest.raises(SchemaError, match="does not transliterate"):
             ReadingDictionary.from_json_dict(doc)
 

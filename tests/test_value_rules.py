@@ -7,6 +7,7 @@ flags and model-file loaders) asks ``check_values``, so a value is accepted
 or refused with the same words everywhere.
 """
 
+import ast
 import inspect
 import json
 import math
@@ -245,16 +246,29 @@ def test_model_file_kind_is_the_models_kind():
             _model_file(model, kind=kind)
 
 
+@pytest.mark.parametrize("name", ["weighting", "part", "variant"])
+def test_model_file_fields_must_be_enum_members(name):
+    """A plain string would save as a raw AttributeError, not a file."""
+    model = MODEL_KINDS[ModelKind.NB].train(X, LABELS)
+    members = {"weighting": Weighting.COUNT, "part": NamePart.FULL,
+               "variant": InputVariant.ORIGINAL}
+    value = members[name].value
+    with pytest.raises(ConfigError, match=f"^cell {name} must be a "
+                                          f"{type(members[name]).__name__}, got {value!r}$"):
+        ModelFile(model, vocabulary=VOCAB, reading_dictionary=None, metadata={},
+                  **{**members, name: value})
+
+
 # A model-file value that breaks its rule: (kind, section, key, value).
 BAD_FILE_VALUES = [
-    ("svm", "parameters", "lambda", 0),
+    ("svm", "parameters", "lam", 0),
     ("nb", "tokenizer", "ngram_min", 0),
     ("lr", "tokenizer", "ngram_max", 9),
     ("dt", "tokenizer", "ngram_min", True),
     ("lr", "parameters", "bias", "0.5"),
     ("svm", "parameters", "bias", math.nan),
-    ("nb", "parameters", "single_class", 0),
-    ("rf", "parameters", "exhaust_on_miss", "true"),
+    ("nb", "parameters", "alpha", 0),
+    ("rf", "parameters", "bootstrap", "true"),
 ]
 
 
@@ -341,3 +355,16 @@ def test_unreadable_grid_config_is_a_schema_error(content, tmp_path):
     path.write_bytes(content)
     with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: not (JSON|UTF-8): "):
         ExperimentGrid.load(path)
+
+
+def test_every_rule_is_named_by_a_check():
+    """Each ``VALUE_RULES`` key is a keyword of some ``check_values(...)`` call
+    under ``src/``, so a rule cannot outlive the value it was written for."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    named = set()
+    for path in src.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "check_values"):
+                named.update(keyword.arg for keyword in node.keywords if keyword.arg)
+    assert sorted(set(VALUE_RULES) - named) == []
