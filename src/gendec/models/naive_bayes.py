@@ -91,9 +91,12 @@ def nb_from_params(doc: dict, n_features: int) -> NBModel:
     class_log_prior = vector(doc["class_log_prior"], np.float64, 2, neg_inf_ok=True)
     if np.isneginf(class_log_prior).all():
         raise ValueError("at most one class log prior may be -Infinity")
+    feature_log_prob = np.asarray(doc["feature_log_prob"], dtype=np.float64)
+    if feature_log_prob.shape != (2, n_features):
+        raise ValueError(f"feature_log_prob must be 2 rows of {n_features} numbers, "
+                         f"got shape {feature_log_prob.shape}")
     return NBModel(
         alpha=doc["alpha"],
         class_log_prior=class_log_prior,
-        feature_log_prob=finite(np.asarray(doc["feature_log_prob"], dtype=np.float64
-                                           ).reshape(2, n_features)),
+        feature_log_prob=finite(feature_log_prob),
     )

@@ -302,12 +302,13 @@ def tree_from_nodes(
     A ConfigError unless the node arrays are the known ones, and a
     ValueError unless the tree has a node, every inner node splits a known
     column and its left child comes after it with room for the right child
-    (``left + 1``) below the node count, every leaf has feature and left
-    -1, and every node's (female, male) counts are non-negative with a
-    positive sum.  ``_grow_tree`` appends the two children of a node back
-    to back after their parent and gives each node at least one row, so a
-    trained tree passes; the order also bounds ``tree_apply`` at
-    ``n_nodes`` steps.  ``right`` is rebuilt as ``left + 1`` at inner nodes.
+    (``left + 1``) below the node count, every node but the root is the
+    child of exactly one node, every leaf has feature and left -1, and
+    every node's (female, male) counts are non-negative with a positive
+    sum.  ``_grow_tree`` appends the two children of a node back to back
+    after their parent and gives each node at least one row, so a trained
+    tree passes; the order also bounds ``tree_apply`` at ``n_nodes`` steps.
+    ``right`` is rebuilt as ``left + 1`` at inner nodes.
     """
     check_keys(doc, tuple(_NODE_ARRAYS))
     n_nodes = len(doc["feature"])
@@ -318,9 +319,14 @@ def tree_from_nodes(
     inner = feature >= 0
     if (feature[inner] >= n_features).any():
         raise ValueError(f"a node splits column {feature[inner].max()} of {n_features}")
-    if ((left[inner] <= np.flatnonzero(inner)) | (left[inner] >= n_nodes - 1)).any():
+    left_children = left[inner]
+    if ((left_children <= np.flatnonzero(inner)) | (left_children >= n_nodes - 1)).any():
         raise ValueError(f"a left child id must be above its parent's and below "
                          f"{n_nodes - 1}")
+    children = np.concatenate([left_children, left_children + 1])
+    parent_counts = np.bincount(children, minlength=n_nodes)
+    if (parent_counts[1:] != 1).any():
+        raise ValueError("every node but the root must be the child of exactly one node")
     if ((feature[~inner] != -1) | (left[~inner] != -1)).any():
         raise ValueError("a leaf must have feature and left both -1")
     female, male = arrays["count_female"], arrays["count_male"]

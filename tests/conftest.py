@@ -1,10 +1,16 @@
-"""Shared fixtures: reference records, synthetic name pools, corpus factories."""
+"""Shared fixtures: reference records, synthetic name pools, corpus factories,
+and the plain-loop oracles that more than one test module checks against.
+
+Nothing here imports scipy: a test module that compares with scipy asks for
+it with ``pytest.importorskip``, so the suite also runs where it is absent.
+"""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from gendec.corpus import (
     PairingConfig,
@@ -13,6 +19,7 @@ from gendec.corpus import (
     build_dataset,
     dedupe_first_names,
 )
+from gendec.models.logistic import loss_and_gradient
 from gendec.name_core import Gender, NameRecord, NameRole
 from gendec.translit import kana_to_romaji
 
@@ -39,9 +46,49 @@ UNREADABLE_GIVEN_RECORDS = [
 ]
 
 
-def to_scipy(matrix) -> sp.csr_matrix:
-    """A gendec CSR as a scipy.sparse.csr_matrix over the same arrays."""
-    return sp.csr_matrix((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)
+def brute_force_predict(X_train, y_train, X_test, alpha):
+    """Independent log-space posterior: plain loops, no vectorization."""
+    n, V = X_train.shape
+    predictions = []
+    priors = {}
+    token_totals = {}
+    for c, gender in enumerate((Gender.FEMALE, Gender.MALE)):
+        rows = [i for i in range(n) if y_train[i] is gender]
+        priors[c] = math.log(len(rows) / n) if rows else -math.inf
+        token_totals[c] = [
+            sum(X_train[i, t] for i in rows) for t in range(V)
+        ]
+    for i in range(X_test.shape[0]):
+        scores = []
+        for c in (0, 1):
+            total = sum(token_totals[c]) + alpha * V
+            likelihood = 0.0
+            for t in range(V):
+                if X_test[i, t]:
+                    likelihood += X_test[i, t] * math.log(
+                        (token_totals[c][t] + alpha) / total
+                    )
+            scores.append(likelihood + priors[c])
+        predictions.append(Gender.MALE if scores[1] > scores[0] else Gender.FEMALE)
+    return predictions
+
+
+def finite_difference_gradient(matrix, y01, weights, bias, l2, step=1e-5):
+    """Central differences over the stacked (weights, bias) vector."""
+    packed = np.concatenate([weights, [bias]])
+
+    def loss_at(vector):
+        loss, _, _ = loss_and_gradient(matrix, y01, vector[:-1], vector[-1], l2)
+        return loss
+
+    grad = np.zeros_like(packed)
+    for i in range(len(packed)):
+        up = packed.copy()
+        down = packed.copy()
+        up[i] += step
+        down[i] -= step
+        grad[i] = (loss_at(up) - loss_at(down)) / (2 * step)
+    return grad
 
 
 # Present config values that must not fall back to the default.

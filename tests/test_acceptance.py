@@ -17,7 +17,6 @@ import string
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from click.testing import CliRunner
 
 from gendec.cli import main as cli_main
@@ -60,9 +59,7 @@ from gendec.vectorize import (
     tokenize,
     transform,
 )
-from tests.conftest import to_scipy
-from tests.test_naive_bayes import brute_force_predict
-from tests.test_logistic import finite_difference_gradient
+from tests.conftest import brute_force_predict, finite_difference_gradient
 from tests.test_translit import HEPBURN_PAIRS
 
 F, M = Gender.FEMALE, Gender.MALE
@@ -177,6 +174,7 @@ def test_criterion_04_corpus_diagnostics(paper_splits):
 
 
 def test_criterion_05_nb_brute_force_oracle():
+    sp = pytest.importorskip("scipy.sparse")
     mismatches = 0
     checked = 0
     # Exhaustive: 1-3 docs over 2 tokens, counts 0..2, all label mixes.
@@ -213,6 +211,7 @@ def test_criterion_05_nb_brute_force_oracle():
 
 
 def test_criterion_06_lr_gradient_and_monotone_loss():
+    sp = pytest.importorskip("scipy.sparse")
     rng = np.random.default_rng(61)
     worst_rel = 0.0
     for _ in range(100):
@@ -270,8 +269,7 @@ def test_criterion_07_vectorizer_oracle_and_norms():
 
     tfidf_vocab = fit_vocabulary(docs, weighting=Weighting.TFIDF)
     X = transform(docs, tfidf_vocab, Weighting.TFIDF)
-    matrix = to_scipy(X.matrix)
-    norms = np.sqrt(np.asarray(matrix.multiply(matrix).sum(axis=1)).ravel())
+    norms = np.linalg.norm(X.matrix.toarray(), axis=1)
     nonzero = np.diff(X.matrix.indptr) > 0
     norms_ok = bool(np.all(np.abs(norms[nonzero] - 1.0) < 1e-9)) and bool(
         np.all(norms[~nonzero] == 0.0)
@@ -282,6 +280,7 @@ def test_criterion_07_vectorizer_oracle_and_norms():
 
 
 def test_criterion_08_degenerate_forest_equals_tree():
+    sp = pytest.importorskip("scipy.sparse")
     rng = np.random.default_rng(88)
     equal = True
     for _ in range(100):

@@ -55,20 +55,27 @@ def split_files(tmp_path, runner, corpus_file):
 
 class TestBuildDataset:
     def test_build_writes_corpus_and_metadata(self, runner, raw_files, tmp_path):
+        """The default one-to-one pairing gives each given name one family;
+        cross-k with k 3 gives it three."""
         firsts, lasts = raw_files
-        out = tmp_path / "corpus.csv"
-        result = runner.invoke(main, [
-            "build-dataset", "--firsts", str(firsts), "--lasts", str(lasts),
-            "--out", str(out), "--seed", "3",
-        ])
-        assert result.exit_code == 0, result.output
-        records = read_corpus_csv(out)
-        assert records
-        meta = json.loads((tmp_path / "corpus.csv.meta.json").read_text())
-        assert meta["seed"] == 3
-        assert meta["prng"] == "pcg64"
-        assert meta["rows"]["total"] == len(records)
-        assert "male" in result.output and "female" in result.output
+        totals = {}
+        for pairing, k, flags in (("one-to-one", 1, []),
+                                  ("cross-k", 3, ["--pairing", "cross-k", "--k", "3"])):
+            out = tmp_path / f"{pairing}.csv"
+            result = runner.invoke(main, [
+                "build-dataset", "--firsts", str(firsts), "--lasts", str(lasts),
+                "--out", str(out), "--seed", "3", *flags,
+            ])
+            assert result.exit_code == 0, result.output
+            records = read_corpus_csv(out)
+            assert records
+            meta = json.loads((tmp_path / f"{pairing}.csv.meta.json").read_text())
+            assert (meta["seed"], meta["pairing"], meta["k"]) == (3, pairing, k)
+            assert meta["prng"] == "pcg64"
+            assert meta["rows"]["total"] == len(records)
+            assert "male" in result.output and "female" in result.output
+            totals[pairing] = len(records)
+        assert totals["cross-k"] == 3 * totals["one-to-one"]
 
     def test_k_without_cross_k_pairing_exits_2(self, runner, raw_files, tmp_path):
         # One-to-one pairing draws one family per given name; a k other
@@ -127,34 +134,51 @@ class TestSplit:
 
 class TestTrainEvaluatePredict:
     def test_train_evaluate_predict_cycle(self, runner, split_files, tmp_path):
+        """nb on word counts and lr on character 2-4-gram counts: train, re-save
+        to the same bytes, evaluate with a CSV report, predict by name and by
+        batch."""
         train_csv, _val, test_csv = split_files
-        model_path = tmp_path / "model.json"
-        result = runner.invoke(main, [
-            "train", "--model", "nb", "--features", "count",
-            "--train", str(train_csv), "--out", str(model_path), "--seed", "42",
-        ])
-        assert result.exit_code == 0, result.output
+        names = ["Tanaka Satoko", "Suzuki Taro"]
+        batch = tmp_path / "names.txt"
+        batch.write_text("\n".join(names) + "\n", encoding="utf-8")
+        for flags in (["--model", "nb", "--seed", "42"],
+                      ["--model", "lr", "--tokenizer", "char_ngram", "--epochs", "20"]):
+            model_path = tmp_path / "model.json"
+            result = runner.invoke(main, [
+                "train", *flags, "--features", "count",
+                "--train", str(train_csv), "--out", str(model_path),
+            ])
+            assert result.exit_code == 0, result.output
+            save_model(tmp_path / "again.json", load_model(model_path))
+            assert (tmp_path / "again.json").read_bytes() == model_path.read_bytes()
 
-        report_path = tmp_path / "report.json"
-        csv_path = tmp_path / "report.csv"
-        result = runner.invoke(main, [
-            "evaluate", "--model-file", str(model_path), "--test", str(test_csv),
-            "--report", str(report_path), "--csv", str(csv_path),
-        ])
-        assert result.exit_code == 0, result.output
-        report = json.loads(report_path.read_text())
-        assert 0.0 <= report["macro_f1"] <= 1.0
-        assert csv_path.read_text().count("\n") == 2
+            report_path = tmp_path / "report.json"
+            csv_path = tmp_path / "report.csv"
+            result = runner.invoke(main, [
+                "evaluate", "--model-file", str(model_path), "--test", str(test_csv),
+                "--report", str(report_path), "--csv", str(csv_path),
+            ])
+            assert result.exit_code == 0, result.output
+            report = json.loads(report_path.read_text())
+            assert 0.0 <= report["macro_f1"] <= 1.0
+            assert csv_path.read_text().count("\n") == 2
 
-        result = runner.invoke(main, [
-            "predict", "--model-file", str(model_path),
-            "--name", "Tanaka Satoko",
-        ])
-        assert result.exit_code == 0, result.output
-        fields = result.output.strip().split("\t")
-        assert fields[0] == "Tanaka Satoko"
-        assert fields[1] in ("female", "male")
-        assert 0.5 <= float(fields[2]) <= 1.0
+            singles = []
+            for name in names:
+                result = runner.invoke(main, [
+                    "predict", "--model-file", str(model_path), "--name", name,
+                ])
+                assert result.exit_code == 0, result.output
+                fields = result.output.strip().split("\t")
+                assert fields[0] == name
+                assert fields[1] in ("female", "male")
+                assert 0.5 <= float(fields[2]) <= 1.0
+                singles.append(result.output)
+            result = runner.invoke(main, [
+                "predict", "--model-file", str(model_path), "--batch", str(batch),
+            ])
+            assert result.exit_code == 0, result.output
+            assert result.output == "".join(singles)
 
     def test_svm_train_and_predict_has_no_probability(self, runner, split_files,
                                                       tmp_path):
@@ -478,8 +502,9 @@ class TestPredictPaths:
 
 
 # Malformed trees, each written into a dt file and into an rf file's first tree.
-TREE_CASES = ["cycle", "child-out-of-range", "right-past-end", "column-out-of-range",
-              "max-depth-0", "zero-counts", "negative-count", "leaf-0"]
+TREE_CASES = ["cycle", "child-out-of-range", "right-past-end", "shared-children",
+              "orphan-node", "column-out-of-range", "max-depth-0", "zero-counts", "negative-count",
+              "leaf-0"]
 # Stored hyperparameters that break their value rule: case -> (key, value).
 VALUE_CASES = {"nb-alpha-negative": ("alpha", -1), "lr-epochs-0": ("epochs", 0),
                "svm-lam-0": ("lam", 0), "svm-epochs-0": ("epochs", 0)}
@@ -495,7 +520,8 @@ class TestCorruptModelFiles:
                             "unknown-key", "misspelled-parameter",
                             "duplicate-token", "integer-token", "swapped-tokens",
                             "trees-string", "trees-empty", "trees-null",
-                            "tfidf-without-idf", *VALUE_CASES])
+                            "tfidf-without-idf", "nb-log-prob-flat",
+                            "nb-log-prob-one-row", *VALUE_CASES])
     def corrupt_model(self, request, runner, split_files, tmp_path):
         kind = request.param.split("-")[0]
         kind = kind if kind in ("nb", "lr", "dt", "svm") else "rf"
@@ -527,6 +553,12 @@ class TestCorruptModelFiles:
             nodes["left"][0] = len(nodes["feature"]) + 5
         elif case == "right-past-end":  # the right child would be node n_nodes
             nodes["left"][0] = len(nodes["feature"]) - 1
+        elif case == "shared-children":  # inner nodes 1 and 2 both own nodes 3 and 4
+            nodes.update(feature=[0, 1, 1, -1, -1], threshold=[0.5] * 5,
+                         left=[1, 3, 3, -1, -1], count_female=[1] * 5, count_male=[1] * 5)
+        elif case == "orphan-node":  # node 3 is no node's child
+            nodes.update(feature=[0, -1, -1, -1], threshold=[0.5] * 4, left=[1, -1, -1, -1],
+                         count_female=[1] * 4, count_male=[1] * 4)
         elif case == "column-out-of-range":
             nodes["feature"][0] = 10 ** 6
         elif case == "max-depth-0":
@@ -554,6 +586,9 @@ class TestCorruptModelFiles:
             params["trees"] = []
         elif case == "trees-null":
             params["trees"] = None
+        elif case in ("log-prob-flat", "log-prob-one-row"):  # 2 x V numbers, not 2 rows
+            flat = [value for row in params["feature_log_prob"] for value in row]
+            params["feature_log_prob"] = flat if case == "log-prob-flat" else [flat]
         elif case == "tfidf-without-idf":
             doc["vocabulary"]["idf"] = None
         elif case == "duplicate-token":
@@ -992,6 +1027,7 @@ class TestGrid:
         assert _no_traceback(result)
         assert result.output.startswith("error:")
         assert not (tmp_path / "r.json").exists()
+        assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize("hyperparameters,code", [
         ({"rf": {"features_per_split": 10 ** 6}}, 2),  # above the vocabulary size

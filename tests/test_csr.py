@@ -8,13 +8,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gendec.errors import GendecError, SparseFormatError
 from gendec.models import as_csr
 from gendec.vectorize import CSR, FeatureMatrix
+
+sp = pytest.importorskip("scipy.sparse")
 
 _values = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, width=64)
 

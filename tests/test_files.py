@@ -246,10 +246,6 @@ def _scipy_probe(*args: str, block: bool = False
     return set(last.split()[2:]), done
 
 
-def test_cli_import_does_not_load_scipy():
-    assert _scipy_probe()[0] == set()
-
-
 def _write_names(scratch) -> Path:
     names = scratch / "scipy-probe-names.txt"
     names.write_text("Tamai Kazuyoshi\nIwama Satoko\n", encoding="utf-8")
@@ -265,6 +261,9 @@ def _predict_argv(scratch, documents, kind) -> tuple[str, ...]:
 
 @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda kind: kind.value)
 def test_predict_batch_does_not_load_scipy(scratch, documents, kind):
+    """Where scipy is installed, `predict --batch` loads none of it: a
+    runtime check that also sees an import the AST guard cannot, such as
+    one by ``importlib`` or by a dependency."""
     assert _scipy_probe(*_predict_argv(scratch, documents, kind))[0] == set()
 
 
@@ -276,6 +275,7 @@ def _lr_train_argv(scratch, tokenizer: str = "word") -> tuple[str, ...]:
 
 
 def _grid_argv(scratch, kinds) -> tuple[str, ...]:
+    """A grid of one count cell per kind in ``kinds``."""
     corpus = str(scratch / "corpus.csv")
     name = "scipy-probe-grid-" + "-".join(kind.value for kind in kinds)
     config = scratch / f"{name}.json"
@@ -297,19 +297,38 @@ def test_lr_training_does_not_load_scipy(scratch, documents):
         assert _scipy_probe(*argv)[0] == set(), argv
 
 
-@pytest.mark.parametrize("command", ["train-word", "train-char", "grid", "predict"])
+@pytest.mark.parametrize("command", ["import", "train-word", "train-char", "grid", "predict"])
 def test_commands_run_where_scipy_cannot_be_imported(scratch, documents, command):
-    """Each command succeeds in a process where `import scipy` fails, as it
-    does where scipy is not installed."""
-    argv = {
-        "train-word": _lr_train_argv(scratch),
-        "train-char": _lr_train_argv(scratch, "char_ngram"),
-        "grid": _grid_argv(scratch, list(ModelKind)),
-        "predict": _predict_argv(scratch, documents, ModelKind.LR),
-    }[command]
-    loaded, done = _scipy_probe(*argv, block=True)
-    assert loaded == {"scipy"}, argv  # the blocking None entry; nothing imported
-    assert done.stderr == "", done.stderr
+    """Importing the CLI and each command succeed in a process where
+    `import scipy` fails, as it does where scipy is not installed, and print
+    nothing on stderr. The grid trains, and ``predict --batch`` runs, every
+    kind."""
+    argvs = {"import": [()],
+             "train-word": [_lr_train_argv(scratch)],
+             "train-char": [_lr_train_argv(scratch, "char_ngram")],
+             "grid": [_grid_argv(scratch, list(ModelKind))],
+             "predict": [_predict_argv(scratch, documents, kind) for kind in ModelKind],
+             }[command]
+    for argv in argvs:
+        loaded, done = _scipy_probe(*argv, block=True)
+        assert loaded == {"scipy"}, argv  # the blocking None entry; nothing imported
+        assert done.stderr == "", done.stderr
+
+
+def test_suite_collects_where_scipy_cannot_be_imported():
+    """The test suite itself runs where scipy is absent: every module
+    imports, and the tests that compare with scipy skip."""
+    tests = Path(__file__).parent
+    script = _BLOCK_SCIPY + (
+        "import pytest\n"
+        "sys.exit(pytest.main(['--collect-only', '-q', '-p', 'no:cacheprovider',"
+        f" {str(tests)!r}]))\n")
+    done = subprocess.run([sys.executable, "-c", script], cwd=tests.parent,
+                          env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+                          capture_output=True, text=True, timeout=300)
+    tail = done.stdout.splitlines()[-20:]  # the errors, if any, and the summary
+    assert done.returncode == 0, "\n".join(tail) + done.stderr
+    assert "error" not in tail[-1] and "collected" in tail[-1], tail[-1]
 
 
 @pytest.mark.parametrize("bias", [-1000.0, 1000.0])

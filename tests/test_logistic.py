@@ -5,10 +5,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import expit
 
 from gendec.errors import (
     ConfigError,
@@ -27,7 +25,10 @@ from gendec.vectorize import (
     fit_vocabulary,
     transform,
 )
-from tests.conftest import to_scipy
+from tests.conftest import finite_difference_gradient
+
+sp = pytest.importorskip("scipy.sparse")
+expit = pytest.importorskip("scipy.special").expit
 
 F, M = Gender.FEMALE, Gender.MALE
 
@@ -41,24 +42,6 @@ def _random_instance(rng, normalize=True):
         dense = np.divide(dense, norms, out=np.zeros_like(dense), where=norms > 0)
     y01 = rng.integers(0, 2, size=n).astype(float)
     return sp.csr_matrix(dense), y01
-
-
-def finite_difference_gradient(matrix, y01, weights, bias, l2, step=1e-5):
-    """Central differences over the stacked (weights, bias) vector."""
-    packed = np.concatenate([weights, [bias]])
-
-    def loss_at(vector):
-        loss, _, _ = loss_and_gradient(matrix, y01, vector[:-1], vector[-1], l2)
-        return loss
-
-    grad = np.zeros_like(packed)
-    for i in range(len(packed)):
-        up = packed.copy()
-        down = packed.copy()
-        up[i] += step
-        down[i] -= step
-        grad[i] = (loss_at(up) - loss_at(down)) / (2 * step)
-    return grad
 
 
 def test_initial_loss_is_ln2():
@@ -195,7 +178,7 @@ def csr_inputs(draw):
 def test_products_equal_scipy_bit_for_bit(data, case, block):
     raw, n_cols = case
     matrix = as_csr(raw)  # canonical, as train_logistic sees it
-    reference = to_scipy(matrix)
+    reference = sp.csr_matrix((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)
     w = np.array(data.draw(st.lists(_values, min_size=n_cols, max_size=n_cols)),
                  dtype=np.float64)
     r = np.array(data.draw(st.lists(_values, min_size=matrix.shape[0],

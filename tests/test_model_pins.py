@@ -10,7 +10,6 @@ import json
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from gendec.corpus import SplitRatios, split_dataset
 from gendec.errors import UnsupportedModelError
@@ -19,8 +18,7 @@ from gendec.model_io import ModelFile, load_model, save_model
 from gendec.models import ModelKind, predict, predict_proba, supports_proba
 from gendec.name_core import GENDERS, InputVariant, NamePart
 from gendec.translit import build_reading_dictionary
-from gendec.vectorize import TokenizerConfig, Weighting, fit_vocabulary, transform
-from tests.conftest import to_scipy
+from gendec.vectorize import CSR, TokenizerConfig, Weighting, fit_vocabulary, transform
 
 HYPER = {"rf": {"n_trees": 4}, "svm": {"epochs": 4}, "lr": {"epochs": 20}}
 SEED = 7
@@ -119,7 +117,9 @@ def test_loader_rebuilds_what_the_file_leaves_out(tmp_path, train_records, label
 def test_predict_is_proba_argmax_female_first(train_records, kind):
     model_file, X = _fit(train_records, kind, Weighting.TFIDF, InputVariant.ORIGINAL)
     model = model_file.model
-    rows = sp.vstack([to_scipy(X.matrix), sp.csr_matrix((1, X.matrix.shape[1]))]).tocsr()
+    matrix = X.matrix  # its rows, then one all-zero row
+    rows = CSR(np.append(matrix.indptr, matrix.indptr[-1]), matrix.indices, matrix.data,
+               (matrix.shape[0] + 1, matrix.shape[1]))
     labels = predict(model, rows)
     if not supports_proba(model):
         with pytest.raises(UnsupportedModelError):

@@ -4,7 +4,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from gendec.models import NBModel, predict, predict_proba, train_naive_bayes
 from gendec.models.naive_bayes import nb_from_params, nb_params
@@ -13,35 +12,11 @@ from gendec.errors import (
 )
 from gendec.name_core import Gender
 from gendec.vectorize import Weighting, fit_vocabulary, transform
+from tests.conftest import brute_force_predict
+
+sp = pytest.importorskip("scipy.sparse")
 
 F, M = Gender.FEMALE, Gender.MALE
-
-
-def brute_force_predict(X_train, y_train, X_test, alpha):
-    """Independent log-space posterior: plain loops, no vectorization."""
-    n, V = X_train.shape
-    predictions = []
-    priors = {}
-    token_totals = {}
-    for c, gender in enumerate((F, M)):
-        rows = [i for i in range(n) if y_train[i] is gender]
-        priors[c] = math.log(len(rows) / n) if rows else -math.inf
-        token_totals[c] = [
-            sum(X_train[i, t] for i in rows) for t in range(V)
-        ]
-    for i in range(X_test.shape[0]):
-        scores = []
-        for c in (0, 1):
-            total = sum(token_totals[c]) + alpha * V
-            likelihood = 0.0
-            for t in range(V):
-                if X_test[i, t]:
-                    likelihood += X_test[i, t] * math.log(
-                        (token_totals[c][t] + alpha) / total
-                    )
-            scores.append(likelihood + priors[c])
-        predictions.append(M if scores[1] > scores[0] else F)
-    return predictions
 
 
 def test_toy_posterior():

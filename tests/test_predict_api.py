@@ -7,7 +7,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from gendec.errors import (
     ConfigError,
@@ -31,6 +30,8 @@ from gendec.models import (
 )
 from gendec.name_core import GENDERS, Gender
 from gendec.vectorize import CSR
+
+sp = pytest.importorskip("scipy.sparse")
 
 F, M = Gender.FEMALE, Gender.MALE
 

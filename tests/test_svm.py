@@ -2,7 +2,6 @@ from typing import Sequence
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +11,8 @@ from gendec.models.common import MatrixLike, as_csr, linear_scores, training_lab
 from gendec.models.svm import SVMModel
 from gendec.name_core import Gender
 from gendec.vectorize import CSR
+
+sp = pytest.importorskip("scipy.sparse")
 
 F, M = Gender.FEMALE, Gender.MALE
 

@@ -2,7 +2,6 @@ from typing import Optional
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +22,8 @@ from gendec.models.tree import (
 )
 from gendec.name_core import Gender
 from gendec.vectorize import CSR
+
+sp = pytest.importorskip("scipy.sparse")
 
 F, M = Gender.FEMALE, Gender.MALE
 

@@ -20,7 +20,6 @@ from gendec.vectorize import (
     tokenize,
     transform,
 )
-from tests.conftest import to_scipy
 
 CHAR_24 = TokenizerConfig(mode=TokenizerMode.CHAR_NGRAM, ngram_min=2, ngram_max=4)
 
@@ -124,8 +123,7 @@ def test_tfidf_rows_unit_norm(synthetic_corpus):
     docs = [r.romaji.lower() for r in synthetic_corpus[:400]]
     vocab = fit_vocabulary(docs, weighting=Weighting.TFIDF)
     X = transform(docs, vocab, Weighting.TFIDF)
-    matrix = to_scipy(X.matrix)
-    norms = np.sqrt(np.asarray(matrix.multiply(matrix).sum(axis=1)).ravel())
+    norms = np.linalg.norm(X.matrix.toarray(), axis=1)
     assert np.all(np.abs(norms - 1.0) < 1e-9)
 
 
