@@ -7,7 +7,6 @@ evaluate macro F1 over a grid of input variants and name parts.
 """
 
 from .corpus import (
-    HomonymHistogram,
     PairingConfig,
     PairingMode,
     RawNamePart,

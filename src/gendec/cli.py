@@ -359,8 +359,7 @@ def cmd_stats(statistic, corpus_path, gender, part, out) -> None:
     records = read_corpus_csv(corpus_path)
     target = Gender(gender)
     if statistic == "homonyms":
-        hist = homonym_stats(records)
-        write_homonym_csv(out, hist.for_gender(target))
+        write_homonym_csv(out, homonym_stats(records)[target])
     else:
         items = char_frequency(records, target, NamePart(part))
         write_char_csv(out, items)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -32,6 +32,7 @@ from .name_core import (
     NameRecord,
     NameRole,
     check_values,
+    enum_member,
     normalize_romaji,
     read_csv,
     seeded_rng,
@@ -64,6 +65,9 @@ class RawNamePart:
             raise MalformedNameError(
                 f"raw name part romaji must be a single token, got {self.romaji!r}"
             )
+        enum_member(NameRole, self.role, "role")
+        if self.gender is not None:
+            enum_member(Gender, self.gender, "gender")
         if self.role is NameRole.GIVEN and self.gender is None:
             raise LabelError(f"given-name row {self.romaji!r} requires a gender")
 
@@ -133,8 +137,7 @@ class PairingConfig:
     k: int = 1
 
     def __post_init__(self) -> None:
-        if not isinstance(self.mode, PairingMode):
-            raise ConfigError(f"pairing mode must be a PairingMode, got {self.mode!r}")
+        enum_member(PairingMode, self.mode, "pairing mode")
         check_values(k=self.k)
         if self.mode is PairingMode.ONE_TO_ONE and self.k != 1:
             raise ConfigError(f"one-to-one pairing pairs one family per given name; "
@@ -196,8 +199,8 @@ class SplitRatios:
 
     def __post_init__(self) -> None:
         for name, value in (("train", self.train), ("val", self.val), ("test", self.test)):
-            if not 0.0 < value < 1.0:
-                raise ConfigError(f"{name} ratio must be in (0, 1), got {value}")
+            if not (isinstance(value, (int, float)) and 0.0 < value < 1.0):
+                raise ConfigError(f"{name} ratio must be in (0, 1), got {value!r}")
         if abs(self.train + self.val + self.test - 1.0) > 1e-9:
             raise ConfigError(
                 f"ratios must sum to 1, got {self.train + self.val + self.test}"
@@ -227,7 +230,7 @@ def split_dataset(
     slices are concatenated (female block first), keeping each split's
     gender balance within one record of the corpus balance.
     """
-    check_values(seed=seed)
+    check_values(seed=seed, stratify=stratify)
     if not records:
         raise EmptyInputError("cannot split an empty record list")
     rng = seeded_rng(seed)
@@ -247,19 +250,9 @@ def split_dataset(
     return train, val, test
 
 
-@dataclass
-class HomonymHistogram:
-    """Per gender: distinct-kanji-expression count -> number of romaji names."""
-
-    female: dict[int, int] = field(default_factory=dict)
-    male: dict[int, int] = field(default_factory=dict)
-
-    def for_gender(self, gender: Gender) -> dict[int, int]:
-        return self.female if gender is Gender.FEMALE else self.male
-
-
-def homonym_stats(records: Sequence[NameRecord]) -> HomonymHistogram:
-    """Histogram of kanji spellings per romaji first name, per gender.
+def homonym_stats(records: Sequence[NameRecord]) -> dict[Gender, dict[int, int]]:
+    """Per gender, a histogram: distinct-kanji-expression count -> number of
+    romaji first names with that many spellings.
 
     Records whose scripts cannot be aligned into parts are skipped.
     """
@@ -269,11 +262,9 @@ def homonym_stats(records: Sequence[NameRecord]) -> HomonymHistogram:
             continue
         first = normalize_romaji(record.romaji).split(" ")[1]
         expressions[(record.gender, first)].add(aligned.kanji_given)
-    hist = HomonymHistogram()
+    hist = {gender: Counter() for gender in GENDERS}
     for (gender, _first), kanji_set in expressions.items():
-        table = hist.for_gender(gender)
-        k = len(kanji_set)
-        table[k] = table.get(k, 0) + 1
+        hist[gender][len(kanji_set)] += 1
     return hist
 
 
@@ -288,6 +279,8 @@ def char_frequency(
     counts the whole kanji column; first/last need script alignment and
     skip unalignable records.
     """
+    enum_member(Gender, gender, "gender")
+    enum_member(NamePart, part, "part")
     counts: Counter = Counter()
     if part is NamePart.FULL:
         for record in records:

@@ -28,6 +28,7 @@ from .name_core import (
     NameRecord,
     check_keys,
     check_values,
+    enum_member,
     part_text,
     read_corpus_csv,
     read_json,
@@ -124,8 +125,7 @@ class Cell:
     def __post_init__(self) -> None:
         axes = (ModelKind, Weighting, InputVariant, NamePart)
         for (name, value), axis in zip(vars(self).items(), axes):
-            if not isinstance(value, axis):
-                raise ConfigError(f"cell {name} must be a {axis.__name__}, got {value!r}")
+            enum_member(axis, value, f"cell {name}")
 
     def key(self) -> tuple[int, int, int, int]:
         """Each field's position in its enum, whose order is the report order."""
@@ -314,6 +314,8 @@ def extract_texts(
     part it contributes used the original romaji because its kanji was
     absent from the dictionary.
     """
+    enum_member(NamePart, part, "part")
+    enum_member(InputVariant, variant, "variant")
     if variant is InputVariant.ORIGINAL:
         return [part_text(r.romaji, part) for r in records], 0.0
     if reading_dict is None:

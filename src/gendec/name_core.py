@@ -106,10 +106,22 @@ class NameRecord:
             raise LabelError(f"gender must be a Gender, got {self.gender!r}")
 
 
+def enum_member(enum: type[Enum], value, what: str):
+    """``value`` if it is a member of ``enum``, else ConfigError.
+
+    A plain string equals its member but fails the package's ``is`` tests,
+    so every public entry that branches on an enum passes it through here.
+    """
+    if not isinstance(value, enum):
+        raise ConfigError(f"{what} must be a {enum.__name__}, got {value!r}")
+    return value
+
+
 def part_text(romaji: str, part: NamePart) -> str:
     """Normalized text of ``part`` of a "Family Given" romaji full name,
     which must be ASCII letters once whitespace is collapsed, as in a
     ``NameRecord``."""
+    enum_member(NamePart, part, "part")
     collapsed = collapse_whitespace(romaji)
     if not _ROMAJI_FULL_RE.fullmatch(collapsed):
         raise MalformedNameError(f"expected 'Family Given', got {romaji!r}")
@@ -191,7 +203,8 @@ VALUE_RULES = {
                     (lambda v: _integer(v, 1) and v <= 8, "an integer from 1 to 8")),
     **dict.fromkeys(("max_depth", "features_per_split"),
                     (lambda v: v is None or _integer(v, 1), "null or an integer >= 1")),
-    "bootstrap": (lambda v: isinstance(v, bool), "true or false"),
+    **dict.fromkeys(("bootstrap", "stratify"),
+                    (lambda v: isinstance(v, bool), "true or false")),
     "seed": (lambda v: _integer(v, 0), "an integer >= 0"),
 }
 

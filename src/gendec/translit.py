@@ -262,9 +262,6 @@ class ReadingDictionary:
     family: dict[str, tuple[tuple[str, int], ...]]
     given: dict[str, tuple[tuple[str, int], ...]]
 
-    def table(self, role: NameRole) -> dict[str, tuple[tuple[str, int], ...]]:
-        return self.family if role is NameRole.FAMILY else self.given
-
     @cached_property
     def parts(self) -> dict[NameRole, dict[str, tuple[int, str]]]:
         """Per role, each part's total count and the romaji of its canonical
@@ -273,8 +270,8 @@ class ReadingDictionary:
         out."""
         return {role: {part: (sum(count for _, count in readings),
                               kana_to_romaji(readings[0][0]))
-                       for part, readings in self.table(role).items() if readings}
-                for role in NameRole}
+                       for part, readings in table.items() if readings}
+                for role, table in zip(NameRole, (self.family, self.given))}
 
     def to_json_dict(self) -> dict:
         return {

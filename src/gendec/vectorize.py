@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, EmptyInputError
-from .name_core import check_keys, check_values
+from .name_core import check_keys, check_values, enum_member
 
 
 class TokenizerMode(str, Enum):
@@ -49,8 +49,7 @@ class TokenizerConfig:
     ngram_max: int = 1
 
     def __post_init__(self) -> None:
-        if not isinstance(self.mode, TokenizerMode):
-            raise ConfigError(f"tokenizer mode must be a TokenizerMode, got {self.mode!r}")
+        enum_member(TokenizerMode, self.mode, "tokenizer mode")
         check_values(ngram_min=self.ngram_min, ngram_max=self.ngram_max)
         if self.ngram_min > self.ngram_max:
             raise ConfigError("ngram_min must be <= ngram_max, "
@@ -207,6 +206,7 @@ def fit_vocabulary(
     weighting: Weighting = Weighting.COUNT,
 ) -> Vocabulary:
     """Fit the token-to-column map; compute idf when fitting for TF-IDF."""
+    enum_member(Weighting, weighting, "weighting")
     if len(docs) == 0:
         raise EmptyInputError("cannot fit a vocabulary on zero documents")
     df: Counter = Counter()
@@ -236,6 +236,7 @@ def transform(
     their counts, and ``indptr`` is the running sum of a ``bincount`` of
     the rows.  TF-IDF is ``tfidf_from_counts`` of the count matrix.
     """
+    enum_member(Weighting, weighting, "weighting")
     index = vocab.token_to_index
     V = vocab.size
     cols: list[int] = []

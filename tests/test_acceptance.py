@@ -156,7 +156,7 @@ def test_criterion_04_corpus_diagnostics(paper_splits):
 
     hist = homonym_stats(records)
     concentration_ok = True
-    for table in (hist.female, hist.male):
+    for table in (hist[F], hist[M]):
         total = sum(table.values())
         below_20 = sum(count for k, count in table.items() if k < 20)
         concentration_ok &= total > 0 and below_20 / total >= 0.90

@@ -154,6 +154,8 @@ class TestSplitDataset:
             SplitRatios(0.5, 0.5, 0.5)
         with pytest.raises(ConfigError, match=r"train ratio must be in \(0, 1\), got 1.0"):
             SplitRatios(1.0, 0.0, 0.0)
+        with pytest.raises(ConfigError, match=r"train ratio must be in \(0, 1\), got '0.7'"):
+            SplitRatios("0.7", 0.2, 0.1)
 
     def test_empty_records(self):
         with pytest.raises(EmptyInputError):
@@ -163,17 +165,17 @@ class TestSplitDataset:
 class TestHomonymStats:
     def test_reference_pairs(self, reference_records):
         hist = homonym_stats(reference_records)
-        assert hist.female.get(2) == 1  # yuka: two kanji spellings
-        assert hist.male.get(2) == 1  # kunishige: two kanji spellings
+        assert hist[Gender.FEMALE].get(2) == 1  # yuka: two kanji spellings
+        assert hist[Gender.MALE].get(2) == 1  # kunishige: two kanji spellings
 
     def test_single_record(self, reference_records):
         hist = homonym_stats(reference_records[:1])
-        assert hist.male == {1: 1}
-        assert hist.female == {}
+        assert hist[Gender.MALE] == {1: 1}
+        assert hist[Gender.FEMALE] == {}
 
     def test_total_mass_is_distinct_first_names(self, fixture_records):
         hist = homonym_stats(fixture_records)
-        for gender, table in ((Gender.FEMALE, hist.female), (Gender.MALE, hist.male)):
+        for gender, table in hist.items():
             distinct = {
                 r.romaji.split(" ")[1].lower()
                 for r in fixture_records

@@ -454,7 +454,7 @@ class UnknownKanjiError(Exception):
 
 
 def best_reading(reading_dict: ReadingDictionary, kanji_part: str, role: NameRole) -> str:
-    readings = reading_dict.table(role).get(kanji_part)
+    readings = getattr(reading_dict, role.value).get(kanji_part)
     if not readings:
         raise UnknownKanjiError(
             f"no {role.value} reading recorded for {kanji_part!r}"
@@ -464,7 +464,7 @@ def best_reading(reading_dict: ReadingDictionary, kanji_part: str, role: NameRol
 
 def part_weight(reading_dict: ReadingDictionary, kanji_part: str, role: NameRole) -> int:
     """Total observation count for a part, 0 when absent."""
-    readings = reading_dict.table(role).get(kanji_part)
+    readings = getattr(reading_dict, role.value).get(kanji_part)
     return sum(count for _, count in readings) if readings else 0
 
 

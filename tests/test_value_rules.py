@@ -208,6 +208,14 @@ def test_corpus_functions_refuse_a_bad_seed(seed):
         split_dataset(RECORDS, SplitRatios(0.7, 0.2, 0.1), seed=seed)
 
 
+@pytest.mark.parametrize("stratify", ["no", 0, 1, None], ids=repr)
+def test_split_dataset_refuses_a_bad_stratify(stratify):
+    """A truthy string such as "no" used to stratify the split."""
+    with pytest.raises(ConfigError) as refused:
+        split_dataset(RECORDS, SplitRatios(0.7, 0.2, 0.1), seed=1, stratify=stratify)
+    assert str(refused.value) == _expected("stratify", stratify)
+
+
 @pytest.mark.parametrize("kind, params", [("nb", {"alpha": 2}), ("svm", {"lam": 1}),
                                           ("lr", {"learning_rate": 1, "l2": 0})])
 def test_integer_numbers_keep_their_bytes_through_a_load(kind, params, tmp_path):
