@@ -48,7 +48,10 @@ PRNG_ID = "pcg64"
 
 @dataclass(frozen=True)
 class RawNamePart:
-    """One raw inventory row: a single family or given name in three scripts."""
+    """One raw inventory row: a single family or given name in three scripts.
+
+    A given-name row carries a ``Gender``; a family-name row carries none.
+    """
 
     romaji: str
     hiragana: str
@@ -66,10 +69,14 @@ class RawNamePart:
                 f"raw name part romaji must be a single token, got {self.romaji!r}"
             )
         enum_member(NameRole, self.role, "role")
-        if self.gender is not None:
-            enum_member(Gender, self.gender, "gender")
-        if self.role is NameRole.GIVEN and self.gender is None:
+        if self.role is NameRole.FAMILY:
+            if self.gender is not None:
+                raise LabelError(f"family-name row {self.romaji!r} takes no gender, "
+                                 f"got {self.gender!r}")
+        elif self.gender is None:
             raise LabelError(f"given-name row {self.romaji!r} requires a gender")
+        elif not isinstance(self.gender, Gender):  # a label, as in a NameRecord
+            raise LabelError(f"gender must be a Gender, got {self.gender!r}")
 
 
 def parse_raw_row(line: str) -> RawNamePart:

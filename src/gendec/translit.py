@@ -21,11 +21,10 @@ from __future__ import annotations
 import warnings
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import ConfigError, SchemaError, TransliterationWarning, UnknownKanaError
-from .name_core import NameRecord, NameRole, check_keys, normalize_romaji
+from .name_core import NameRecord, check_keys, normalize_romaji
 
 # Single-kana syllables (gojuon plus voiced/semi-voiced rows and ん).
 _BASE = {
@@ -252,59 +251,42 @@ def align_records(records: Sequence[NameRecord]) -> list[Optional[AlignedName]]:
 
 @dataclass(frozen=True)
 class ReadingDictionary:
-    """Kanji name parts mapped to observed kana readings with counts.
+    """Kanji name parts mapped to what conversion reads of them.
 
-    Lookup is exact-match on the whole part.  Reading lists are sorted by
-    descending count, then lexicographically, so the first entry is the
-    canonical reading.
+    Each role's table maps a part to ``(count, romaji)``: the number of
+    aligned training records that spell it, and the romaji of its most
+    frequent kana reading (ties to the lowest kana in code-point order).
+    Lookup is exact-match on the whole part.
     """
 
-    family: dict[str, tuple[tuple[str, int], ...]]
-    given: dict[str, tuple[tuple[str, int], ...]]
-
-    @cached_property
-    def parts(self) -> dict[NameRole, dict[str, tuple[int, str]]]:
-        """Per role, each part's total count and the romaji of its canonical
-        reading, transliterated once per dictionary on first use, so the
-        tables must not change after it.  A part with no readings is left
-        out."""
-        return {role: {part: (sum(count for _, count in readings),
-                              kana_to_romaji(readings[0][0]))
-                       for part, readings in table.items() if readings}
-                for role, table in zip(NameRole, (self.family, self.given))}
+    family: dict[str, tuple[int, str]]
+    given: dict[str, tuple[int, str]]
 
     def to_json_dict(self) -> dict:
-        return {
-            "family": {k: [[r, c] for r, c in v] for k, v in sorted(self.family.items())},
-            "given": {k: [[r, c] for r, c in v] for k, v in sorted(self.given.items())},
-        }
+        return {"family": {k: list(v) for k, v in sorted(self.family.items())},
+                "given": {k: list(v) for k, v in sorted(self.given.items())}}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ReadingDictionary":
         """Dictionary from the table a converted model file embeds; a malformed
         one raises SchemaError.
 
-        Every reading must transliterate to non-empty romaji, so converting
-        a part the dictionary holds never fails.
+        Each entry is ``[count, romaji]``: an integer count of at least 1 and
+        one or more lowercase ASCII letters, so converting a part the
+        dictionary holds never fails.
         """
 
-        def read_table(role: str) -> dict[str, tuple[tuple[str, int], ...]]:
-            table = {
-                kanji: tuple((reading, count) for reading, count in readings)
-                for kanji, readings in doc[role].items()
-            }
-            for kanji, readings in table.items():
-                if not all(isinstance(r, str) and type(c) is int for r, c in readings):
-                    raise TypeError(f"{role} readings must be [string, integer] pairs")
-                canonical = _sorted_readings(dict(readings))
-                if not readings or readings != canonical or readings[-1][1] < 1:
-                    raise ValueError(
-                        f"{role} readings of {kanji!r} must be a non-empty list of distinct "
-                        f"readings, counts at least 1, by count descending, then reading")
-                for reading, _ in readings:
-                    if not _romaji_or_none(reading):
-                        raise ValueError(f"{role} reading {reading!r} of {kanji!r} does "
-                                         "not transliterate to romaji")
+        def read_table(role: str) -> dict[str, tuple[int, str]]:
+            table = {}
+            for kanji, entry in doc[role].items():
+                count, romaji = (entry if isinstance(entry, list) and len(entry) == 2
+                                 else (0, ""))
+                if not (type(count) is int and count >= 1 and isinstance(romaji, str)
+                        and romaji.isascii() and romaji.isalpha() and romaji.islower()):
+                    raise ValueError(f"{role} entry of {kanji!r} must be [count, romaji] with "
+                                     "an integer count of at least 1 and romaji of one or "
+                                     f"more lowercase ASCII letters, got {entry!r}")
+                table[kanji] = (count, romaji)
             return table
 
         try:
@@ -316,15 +298,13 @@ class ReadingDictionary:
             ) from None
 
 
-def _sorted_readings(counts: dict[str, int]) -> tuple[tuple[str, int], ...]:
-    return tuple(sorted(counts.items(), key=lambda item: (-item[1], item[0])))
-
-
 def build_reading_dictionary(records: Sequence[NameRecord]) -> tuple[ReadingDictionary, int]:
-    """Build part-reading tables from a record list (training split only).
+    """Build part tables from a record list (training split only).
 
-    Returns the dictionary and the number of records skipped because
-    their hiragana could not be aligned to the romaji family token.
+    Each part's canonical reading is transliterated here, once, so its
+    TransliterationWarnings fire when the dictionary is built.  Returns the
+    dictionary and the number of records skipped because their hiragana
+    could not be aligned to the romaji family token.
     """
     aligned_records = align_records(records)
     family: dict[str, Counter] = defaultdict(Counter)
@@ -332,11 +312,13 @@ def build_reading_dictionary(records: Sequence[NameRecord]) -> tuple[ReadingDict
     for aligned in filter(None, aligned_records):
         family[aligned.kanji_family][aligned.kana_family] += 1
         given[aligned.kanji_given][aligned.kana_given] += 1
-    dictionary = ReadingDictionary(
-        family={k: _sorted_readings(c) for k, c in family.items()},
-        given={k: _sorted_readings(c) for k, c in given.items()},
-    )
-    return dictionary, aligned_records.count(None)
+
+    def entries(table: dict[str, Counter]) -> dict[str, tuple[int, str]]:
+        return {part: (sum(readings.values()), kana_to_romaji(
+                    min(readings, key=lambda kana: (-readings[kana], kana))))
+                for part, readings in table.items()}
+
+    return ReadingDictionary(entries(family), entries(given)), aligned_records.count(None)
 
 
 @dataclass(frozen=True)
@@ -362,8 +344,7 @@ def convert_name(record: NameRecord, reading_dict: ReadingDictionary) -> Convert
     kanji = record.kanji
     if len(kanji) < 2:
         return ConvertedName(family_token, given_token, True, True)
-    family_parts = reading_dict.parts[NameRole.FAMILY]
-    given_parts = reading_dict.parts[NameRole.GIVEN]
+    family_parts, given_parts = reading_dict.family, reading_dict.given
     best_cut, score = _best_cut(kanji, lambda cut: (
         family_parts.get(kanji[:cut], (0, None))[0]
         + given_parts.get(kanji[cut:], (0, None))[0]))

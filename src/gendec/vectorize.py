@@ -54,6 +54,9 @@ class TokenizerConfig:
         if self.ngram_min > self.ngram_max:
             raise ConfigError("ngram_min must be <= ngram_max, "
                               f"got ({self.ngram_min}, {self.ngram_max})")
+        if self.mode is TokenizerMode.WORD and self.ngram_max != 1:
+            raise ConfigError("a word tokenizer's ngram_min and ngram_max must be 1, "
+                              f"got ({self.ngram_min}, {self.ngram_max})")
 
     def to_json_dict(self) -> dict:
         return {

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import pytest
@@ -12,6 +13,22 @@ from gendec.name_core import read_corpus_csv, write_corpus_csv
 from tests.conftest import (
     MALFORMED_CONFIG_VALUES, UNREADABLE_GIVEN_RECORDS, make_raw_inventories,
 )
+
+# Reading-dictionary entries a model file's loader refuses: a valid one is
+# [count, romaji], an int count of at least 1 and lowercase ASCII letters.
+MALFORMED_ENTRIES = {
+    "length-1": [1],
+    "length-3": [1, "ai", 1],
+    "count-0": [0, "ai"],
+    "count-true": [True, "ai"],
+    "count-string": ["1", "ai"],
+    "count-float": [1.0, "ai"],
+    "romaji-empty": [1, ""],
+    "romaji-capitalized": [1, "Tamai"],
+    "romaji-space": [1, "ta mai"],
+    "romaji-int": [1, 7],
+    "version-2": [["たまい", 1]],
+}
 
 # JSON nested deeper than the parser's recursion limit.
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
@@ -300,7 +317,7 @@ class TestTrainEvaluatePredict:
         ])
         assert result.exit_code == 0, result.output
         given = json.loads(model_path.read_text())["reading_dictionary"]["given"]
-        assert given == {"和善": [["かずよし", 1]], "智子": [["ともこ", 1]]}
+        assert given == {"和善": [1, "kazuyoshi"], "智子": [1, "tomoko"]}
 
     def test_dict_option_is_a_usage_error(self, runner, split_files, tmp_path):
         """A converted model's dictionary comes only from its training CSV."""
@@ -333,16 +350,17 @@ class TestTrainEvaluatePredict:
         assert result.exit_code == 2
 
     def test_version_mismatch_exits_2(self, runner, split_files, tmp_path):
-        """A version 1 file, which stored fields the loader now rebuilds, is
-        refused with one message that says to retrain."""
+        """A version 2 file, whose reading dictionary stored every kana reading
+        of a part, is refused with one message that says to retrain."""
         train_csv, _val, test_csv = split_files
         model_path = tmp_path / "m.json"
         runner.invoke(main, [
-            "train", "--model", "nb", "--features", "count",
+            "train", "--model", "nb", "--features", "count", "--variant", "converted",
             "--train", str(train_csv), "--out", str(model_path),
         ])
         doc = json.loads(model_path.read_text())
-        doc["schema_version"] = 1
+        doc["schema_version"] = 2
+        doc["reading_dictionary"]["family"] = {"玉井": [["たまい", 1]]}
         model_path.write_text(json.dumps(doc))
         result = runner.invoke(main, [
             "evaluate", "--model-file", str(model_path), "--test", str(test_csv),
@@ -350,8 +368,8 @@ class TestTrainEvaluatePredict:
         ])
         assert result.exit_code == 2
         assert _no_traceback(result)
-        assert result.output == ("error: malformed model file: schema_version must be 2, "
-                                 "got 1; retrain the model\n")
+        assert result.output == ("error: malformed model file: schema_version must be 3, "
+                                 "got 2; retrain the model\n")
 
     @pytest.mark.parametrize("flags", [
         ["--model", "nb", "--alpha", "nan"],
@@ -413,6 +431,19 @@ def _train_tfidf(runner, train_csv, path, kind="rf"):
 @pytest.fixture
 def model_path(runner, split_files, tmp_path):
     return _train_tfidf(runner, split_files[0], tmp_path / "rf.json")
+
+
+@pytest.fixture(scope="module")
+def converted_model_doc(tmp_path_factory, synthetic_corpus):
+    """The JSON document of a converted-variant naive-Bayes model file."""
+    root = tmp_path_factory.mktemp("converted")
+    write_corpus_csv(root / "train.csv", synthetic_corpus[::2])
+    result = CliRunner().invoke(main, [
+        "train", "--model", "nb", "--features", "count", "--variant", "converted",
+        "--train", str(root / "train.csv"), "--out", str(root / "conv.json"),
+    ])
+    assert result.exit_code == 0, result.output
+    return json.loads((root / "conv.json").read_text())
 
 
 def _no_traceback(result):
@@ -641,19 +672,17 @@ class TestCorruptModelFiles:
         assert result.exit_code == 0, result.output
         assert result.output.rstrip("\n").split("\t")[2] == "1.000000"
 
-    @pytest.mark.parametrize("readings", [[["zzz", -5]], [], [["a", 1], ["b", 2]],
-                                          [["zzz", 1]], [["ー", 1]]],
-                             ids=["negative-count", "empty", "out-of-order",
-                                  "not-kana", "no-romaji"])
-    def test_converted_model_with_bad_readings_exits_2(self, runner, split_files, tmp_path,
-                                                       readings):
+    # The first five entries are in the version-2 layout, [reading, count]
+    # pairs, and each was refused by that layout's loader as well.
+    @pytest.mark.parametrize("readings", [
+        [["zzz", -5]], [], [["a", 1], ["b", 2]], [["zzz", 1]], [["ー", 1]],
+        *MALFORMED_ENTRIES.values(),
+    ], ids=["negative-count", "empty", "out-of-order", "not-kana", "no-romaji",
+            *MALFORMED_ENTRIES])
+    def test_converted_model_with_bad_readings_exits_2(self, runner, converted_model_doc,
+                                                       tmp_path, readings):
         path = tmp_path / "conv.json"
-        result = runner.invoke(main, [
-            "train", "--model", "nb", "--features", "count", "--variant", "converted",
-            "--train", str(split_files[0]), "--out", str(path),
-        ])
-        assert result.exit_code == 0, result.output
-        doc = json.loads(path.read_text())
+        doc = copy.deepcopy(converted_model_doc)
         doc["reading_dictionary"]["given"]["子"] = readings
         path.write_text(json.dumps(doc), encoding="utf-8")
         result = runner.invoke(main, ["predict", "--model-file", str(path),
@@ -1100,9 +1129,10 @@ class TestBadFiles:
         tables = {
             "dict_list": [],
             "dict_no_family": {"given": {}},
-            "dict_negative_count": {"family": {}, "given": {"子": [["zzz", -5]]}},
-            # No training record uses 龘, so only the load check can refuse it.
-            "dict_not_kana": {"family": {}, "given": {"龘": [["zzz", 1]]}},
+            "dict_negative_count": {"family": {}, "given": {"子": [-5, "ko"]}},
+            # No training record uses 龘, so only the load check can refuse its
+            # romaji, which is kana.
+            "dict_not_kana": {"family": {}, "given": {"龘": [1, "りゅう"]}},
         }
         converted = tmp_path / "converted.json"
         result = runner.invoke(main, [

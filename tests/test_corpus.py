@@ -222,6 +222,14 @@ class TestRawCsv:
         with pytest.raises(LabelError):
             parse_raw_row("Yuka,ゆか,由花,,given")
 
+    def test_family_row_takes_no_gender(self):
+        """A family row with a gender would lose it on a CSV round trip, since
+        the reader drops a family row's label; the constructor refuses it."""
+        for gender in Gender:
+            with pytest.raises(LabelError, match="family-name row 'Tamai' takes no gender"):
+                RawNamePart("Tamai", "たまい", "玉井", gender, NameRole.FAMILY)
+        assert parse_raw_row("Tamai,たまい,玉井,male,family") == TAMAI
+
     def test_bad_role(self):
         with pytest.raises(SchemaError):
             parse_raw_row("Yuka,ゆか,由花,female,middle")

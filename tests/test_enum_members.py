@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from gendec.corpus import RawNamePart, char_frequency
-from gendec.errors import ConfigError
+from gendec.errors import ConfigError, LabelError
 from gendec.evaluate import extract_texts
 from gendec.name_core import (
     Gender, InputVariant, NamePart, NameRecord, NameRole, enum_member, part_text,
@@ -60,12 +60,14 @@ SITES = {
 }
 ENUMS = {"part": NamePart, "variant": InputVariant, "weighting": Weighting,
          "gender": Gender, "role": NameRole}
+# A name row's gender is a label, as a NameRecord's is: LabelError, not ConfigError.
+LABEL_SITES = {"RawNamePart-gender"}
 
 
 @pytest.mark.parametrize("site", SITES)
 def test_plain_string_is_refused(site):
     call, what, value = SITES[site]
-    with pytest.raises(ConfigError) as refused:
+    with pytest.raises(LabelError if site in LABEL_SITES else ConfigError) as refused:
         call()
     assert str(refused.value) == f"{what} must be a {ENUMS[what].__name__}, got {value!r}"
 

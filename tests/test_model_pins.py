@@ -24,17 +24,17 @@ HYPER = {"rf": {"n_trees": 4}, "svm": {"epochs": 4}, "lr": {"epochs": 20}}
 SEED = 7
 
 PINNED = {
-    "nb/count/original": "bd6009ed0eb24542ce7ac6aea887731a9674da5ca4cd8d0a01c251aa28e1c881",
-    "nb/tfidf/original": "f15a3adb43ce0b38d3c1f34fc02536b8d18b15634366429312bc6287ab9e86bf",
-    "lr/count/original": "f485e2f92b5d44f489237a2984d73f592dab664d53b7a4bdd48b617aba13d2f1",
-    "lr/tfidf/original": "cf887d3a835fe0fbb9477b837bb5c0809e6dd6c1d64ab37f2b0dd04eced9ab76",
-    "dt/count/original": "4cbb98229a2341ae192545675689f576c87786e5ff1294635d0cc2295fff398b",
-    "dt/tfidf/original": "329417265872032758bd99a072e5fe47ea4b4cf4f6c3b1254a729665ca59915e",
-    "rf/count/original": "1f1d2dbc798bc5b10cead6d245c7de0ea4943274044372fc247992f8eac5c1d1",
-    "rf/tfidf/original": "c29ead2cb8f197fcedd80078115988d6b4165e7c51060e64e0d251da568820b6",
-    "svm/count/original": "558cfc02a74ead5ca92556768a9808ce811ee4e712953687bf58701a103e2384",
-    "svm/tfidf/original": "aa1e066138a859916c17e9d1706aa5ac3bec12958e8a40a43192754ddc617591",
-    "rf/tfidf/converted": "b5b2b96e431ec74969de06639e801731d1b5fef0efd79cc4ee9b79956e86b2a8",
+    "nb/count/original": "2cb018aab0247ffde5a86a31028f4db0b89be8b1a47a159a1bc97379da19417f",
+    "nb/tfidf/original": "f20532d01d3d5456b11491ac945a4307aae3fe0da8cbf9a871449b7d0cdbb8af",
+    "lr/count/original": "da1d7b2e43f6b2abe0f4fdcb451c76c6e245eea5ff0c621b0dc5d9cb7b97ad8c",
+    "lr/tfidf/original": "a62f08e6bba5feccf6129c353fcb2e87fae7177f7f10cee4f6eafb8b2b51c79c",
+    "dt/count/original": "4d6e642e61ab241ee07786ea263c63b7798f1a752212cf65d37a4138c224a43a",
+    "dt/tfidf/original": "31ffea69174bec28d39cfc4cf1fbaa9dae4dd2d7b9ce28cbfd6ba20ea1ac1600",
+    "rf/count/original": "dedcaa9ef8f0053b4e28887523a257ca1930af1dfced6e19cd48bc43884f0fe5",
+    "rf/tfidf/original": "5ef5886121ff62069cba72a659db514c5fc2cf1a599211723613f124698c833b",
+    "svm/count/original": "efbcfff3404ebb85e42c504d3a60f703d7bdd0beb0c0b87196951cce328fbdc0",
+    "svm/tfidf/original": "e0a205d230fcafb16d8b28cb03bc20ac37aa1167e78576fe201ce16ac53a4c3a",
+    "rf/tfidf/converted": "35a3aca80f79faa9185a4aa724318b8f352869afe43de22b3428a6586836d1ff",
 }
 
 
@@ -74,7 +74,7 @@ def test_model_file_bytes_pinned(tmp_path, train_records, label):
     assert hashlib.sha256(first.read_bytes()).hexdigest() == PINNED[label]
 
 
-# Keys a schema_version 2 file never holds: each follows from the rest, or,
+# Keys a schema_version 3 file never holds: each follows from the rest, or,
 # for ``lambda``, is now ``lam``.
 DERIVED_KEYS = {"right", "n_trees", "tree_streams", "exhaust_on_miss", "single_class",
                 "lambda"}
@@ -98,9 +98,12 @@ def test_loader_rebuilds_what_the_file_leaves_out(tmp_path, train_records, label
     path = tmp_path / "m.json"
     save_model(path, model_file)
     doc = json.loads(path.read_text())
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     assert not _keys(doc["parameters"]) & DERIVED_KEYS
     assert "schema_version" not in (doc["reading_dictionary"] or {})
+    # A reading dictionary entry is [count, romaji], not a list of readings.
+    for table in (doc["reading_dictionary"] or {}).values():
+        assert all(type(count) is int and romaji.isalpha() for count, romaji in table.values())
     trained, loaded = model_file.model, load_model(path).model
     trees = {"dt": lambda m: [m], "rf": lambda m: m.trees}.get(kind, lambda m: [])
     assert len(trees(loaded)) == len(trees(trained))

@@ -1,5 +1,6 @@
 import warnings
-from collections import Counter
+from collections import Counter, defaultdict
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import pytest
@@ -123,8 +124,8 @@ class TestReadingDictionary:
     def test_single_record(self, reference_records):
         dictionary, skipped = build_reading_dictionary(reference_records[:1])
         assert skipped == 0
-        assert dictionary.family == {"玉井": (("たまい", 1),)}
-        assert dictionary.given == {"和善": (("かずよし", 1),)}
+        assert dictionary.family == {"玉井": (1, "tamai")}
+        assert dictionary.given == {"和善": (1, "kazuyoshi")}
 
     def test_empty(self):
         dictionary, skipped = build_reading_dictionary([])
@@ -134,27 +135,32 @@ class TestReadingDictionary:
     def test_homonym_given_names(self, reference_records):
         # Two distinct kanji spellings sharing one reading.
         dictionary, _ = build_reading_dictionary(reference_records[2:4])
-        assert dictionary.given["由花"] == (("ゆか", 1),)
-        assert dictionary.given["悠果"] == (("ゆか", 1),)
+        assert dictionary.given["由花"] == (1, "yuka")
+        assert dictionary.given["悠果"] == (1, "yuka")
 
     def test_lookup(self, reference_records):
         dictionary, _ = build_reading_dictionary(reference_records)
-        assert dictionary.parts[NameRole.FAMILY]["玉井"] == (1, "tamai")
-        assert dictionary.parts[NameRole.GIVEN]["国重"] == (1, "kunishige")
-        assert dictionary.parts[NameRole.GIVEN]["邦重"] == (1, "kunishige")
+        assert dictionary.family["玉井"] == (1, "tamai")
+        assert dictionary.given["国重"] == (1, "kunishige")
+        assert dictionary.given["邦重"] == (1, "kunishige")
 
     def test_unknown_kanji(self):
         empty = ReadingDictionary(family={}, given={})
-        assert empty.parts == {NameRole.FAMILY: {}, NameRole.GIVEN: {}}
+        record = NameRecord("Aoki Midori", "青木翠", "あおきみどり", Gender.FEMALE)
+        assert convert_name(record, empty) == ConvertedName("aoki", "midori", True, True)
 
     def test_highest_count_wins_then_lexicographic(self):
-        dictionary = ReadingDictionary(
-            family={},
-            given={"愛": (("あい", 3), ("まな", 1)), "光": (("こう", 2), ("ひかり", 2))},
-        )
-        assert dictionary.parts[NameRole.GIVEN]["愛"] == (4, "ai")
-        # Equal counts: lexicographically smallest reading.
-        assert dictionary.parts[NameRole.GIVEN]["光"] == (4, "kou")
+        def tamai(given: str, kana: str) -> NameRecord:
+            return NameRecord(f"Tamai {kana_to_romaji(kana)}", "玉井" + given,
+                              "たまい" + kana, Gender.FEMALE)
+
+        records = [tamai("愛子", "あいこ")] * 3 + [tamai("愛子", "まなこ")]
+        records += [tamai("光子", "みつこ")] * 2 + [tamai("光子", "こうこ")] * 2
+        dictionary, _ = build_reading_dictionary(records)
+        assert dictionary.given["愛子"] == (4, "aiko")
+        # Equal counts: the lowest kana in code-point order (こ before み).
+        assert dictionary.given["光子"] == (4, "kouko")
+        assert dictionary.family == {"玉井": (8, "tamai")}
 
     def test_order_independence(self, fixture_records):
         forward, _ = build_reading_dictionary(fixture_records)
@@ -164,9 +170,12 @@ class TestReadingDictionary:
     def test_json_round_trip(self, fixture_records):
         dictionary, _ = build_reading_dictionary(fixture_records)
         doc = dictionary.to_json_dict()
+        assert doc["family"]["玉井"] == [1, "tamai"]
         assert ReadingDictionary.from_json_dict(doc) == dictionary
         assert ReadingDictionary.from_json_dict(doc).to_json_dict() == doc
 
+    # Entries in the version-2 layout, a list of [reading, count] pairs, each
+    # of which that layout refused as well.
     @pytest.mark.parametrize("readings", [
         [["zzz", -5]], [["zzz", 0]], [], [["あい", 1], ["まな", 3]],
         [["まな", 2], ["あい", 2]], [["あい", 2], ["あい", 1]],
@@ -180,15 +189,19 @@ class TestReadingDictionary:
             ReadingDictionary.from_json_dict(doc)
 
     def test_load_refuses_unreadable_family_reading(self):
-        doc = {"family": {"玉井": [["タマイ", 1]]}, "given": {}}
-        with pytest.raises(SchemaError, match="does not transliterate"):
+        doc = {"family": {"玉井": [1, "タマイ"]}, "given": {}}
+        with pytest.raises(SchemaError) as refused:
             ReadingDictionary.from_json_dict(doc)
+        assert str(refused.value) == (
+            "malformed reading dictionary: ValueError: family entry of '玉井' must be "
+            "[count, romaji] with an integer count of at least 1 and romaji of one or "
+            "more lowercase ASCII letters, got [1, 'タマイ']")
 
     def test_skips_records_with_unreadable_given_kana(self):
         dictionary, skipped = build_reading_dictionary(UNREADABLE_GIVEN_RECORDS)
         assert skipped == 2
-        assert dictionary.family == {"玉井": (("たまい", 1),), "岩間": (("いわま", 1),)}
-        assert dictionary.given == {"和善": (("かずよし", 1),), "智子": (("ともこ", 1),)}
+        assert dictionary.family == {"玉井": (1, "tamai"), "岩間": (1, "iwama")}
+        assert dictionary.given == {"和善": (1, "kazuyoshi"), "智子": (1, "tomoko")}
         assert ReadingDictionary.from_json_dict(dictionary.to_json_dict()) == dictionary
 
     def test_skips_unalignable_records(self):
@@ -197,6 +210,16 @@ class TestReadingDictionary:
         dictionary, skipped = build_reading_dictionary([bad])
         assert skipped == 1
         assert dictionary.family == {}
+
+    def test_warnings_fire_when_the_dictionary_is_built(self):
+        record = NameRecord("Tamai Katsu", "玉井勝子", "たまいかっ", Gender.MALE)
+        with pytest.warns(TransliterationWarning, match="trailing sokuon"):
+            dictionary, _ = build_reading_dictionary([record])
+        assert dictionary.given == {"勝子": (1, "katsu")}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = ReadingDictionary.from_json_dict(dictionary.to_json_dict())
+            assert convert_name(record, loaded).given == "katsu"
 
 
 class TestConvertName:
@@ -441,10 +464,46 @@ class RecordAligner:
             )
 
 
-# --- oracle: per-record conversion before the part table ---
+# --- oracle: reading lists and per-record conversion before the part table ---
 #
-# Kept verbatim from the ``ReadingDictionary`` methods and helpers that
-# ``ReadingDictionary.parts`` replaced (the methods now take the dictionary
+# Kept verbatim (renamed) from the version-2 reading dictionary, which stored
+# every kana reading of a part with its count, sorted by count descending,
+# then reading; its first entry was the canonical reading.
+
+
+@dataclass(frozen=True)
+class ReadingLists:
+    """Kanji name parts mapped to observed kana readings with counts."""
+
+    family: dict[str, tuple[tuple[str, int], ...]]
+    given: dict[str, tuple[tuple[str, int], ...]]
+
+
+def _sorted_readings(counts: dict[str, int]) -> tuple[tuple[str, int], ...]:
+    return tuple(sorted(counts.items(), key=lambda item: (-item[1], item[0])))
+
+
+def build_reading_lists(records: Sequence[NameRecord]) -> tuple[ReadingLists, int]:
+    """Build part-reading tables from a record list (training split only).
+
+    Returns the dictionary and the number of records skipped because
+    their hiragana could not be aligned to the romaji family token.
+    """
+    aligned_records = align_records(records)
+    family: dict[str, Counter] = defaultdict(Counter)
+    given: dict[str, Counter] = defaultdict(Counter)
+    for aligned in filter(None, aligned_records):
+        family[aligned.kanji_family][aligned.kana_family] += 1
+        given[aligned.kanji_given][aligned.kana_given] += 1
+    dictionary = ReadingLists(
+        family={k: _sorted_readings(c) for k, c in family.items()},
+        given={k: _sorted_readings(c) for k, c in given.items()},
+    )
+    return dictionary, aligned_records.count(None)
+
+
+# Kept verbatim from the ``ReadingDictionary`` methods and helpers that a
+# per-dictionary part table replaced (the methods now take the reading lists
 # as their first argument); the old conversion re-summed counts and
 # transliterated the canonical reading for every record.
 
@@ -453,7 +512,7 @@ class UnknownKanjiError(Exception):
     """A kanji name part is absent from the reading dictionary."""
 
 
-def best_reading(reading_dict: ReadingDictionary, kanji_part: str, role: NameRole) -> str:
+def best_reading(reading_dict: ReadingLists, kanji_part: str, role: NameRole) -> str:
     readings = getattr(reading_dict, role.value).get(kanji_part)
     if not readings:
         raise UnknownKanjiError(
@@ -462,20 +521,20 @@ def best_reading(reading_dict: ReadingDictionary, kanji_part: str, role: NameRol
     return readings[0][0]
 
 
-def part_weight(reading_dict: ReadingDictionary, kanji_part: str, role: NameRole) -> int:
+def part_weight(reading_dict: ReadingLists, kanji_part: str, role: NameRole) -> int:
     """Total observation count for a part, 0 when absent."""
     readings = getattr(reading_dict, role.value).get(kanji_part)
     return sum(count for _, count in readings) if readings else 0
 
 
 def kanji_to_romaji(
-    kanji_part: str, role: NameRole, reading_dict: ReadingDictionary
+    kanji_part: str, role: NameRole, reading_dict: ReadingLists
 ) -> str:
     """Romaji of a kanji part via its most frequent recorded reading."""
     return kana_to_romaji(best_reading(reading_dict, kanji_part, role))
 
 
-def loop_convert_name(record: NameRecord, reading_dict: ReadingDictionary) -> ConvertedName:
+def loop_convert_name(record: NameRecord, reading_dict: ReadingLists) -> ConvertedName:
     """Convert a record's kanji to romaji using only the dictionary.
 
     The kanji is split at the boundary whose parts the dictionary has
@@ -583,16 +642,41 @@ def test_align_records_equals_record_aligner(synthetic_corpus, fixture_records):
     )
 
 
+def _part_tables(lists: ReadingLists) -> ReadingDictionary:
+    """What conversion read of reading lists: each part's summed counts and
+    the romaji of its first reading; a part with no readings is left out."""
+    return ReadingDictionary(*(
+        {part: (sum(count for _, count in readings), kana_to_romaji(readings[0][0]))
+         for part, readings in table.items() if readings}
+        for table in (lists.family, lists.given)))
+
+
+def _assert_equals_reading_lists(train: list[NameRecord], records: list[NameRecord]):
+    """The dictionary built from ``train`` holds what the reading lists' oracle
+    helpers read, and converts ``records`` as the oracle does."""
+    with warnings.catch_warnings():  # the oracle transliterates as it converts
+        warnings.simplefilter("ignore", TransliterationWarning)
+        dictionary, skipped = build_reading_dictionary(train)
+        lists, oracle_skipped = build_reading_lists(train)
+        assert (dictionary, skipped) == (_part_tables(lists), oracle_skipped)
+        for role in NameRole:
+            table = getattr(dictionary, role.value)
+            assert table == {part: (part_weight(lists, part, role),
+                                    kanji_to_romaji(part, role, lists)) for part in table}
+        converted = [convert_name(r, dictionary) for r in records]
+        assert converted == [loop_convert_name(r, lists) for r in records]
+    return converted
+
+
 def test_convert_name_equals_cut_loop(synthetic_corpus, fixture_records):
     records = synthetic_corpus + fixture_records + _ODD_RECORDS
     for train in (synthetic_corpus[::2], fixture_records):
-        dictionary, _ = build_reading_dictionary(train)
-        converted = [convert_name(r, dictionary) for r in records]
-        assert converted == [loop_convert_name(r, dictionary) for r in records]
+        converted = _assert_equals_reading_lists(train, records)
         assert converted[-1] == ConvertedName("aoki", "midori", True, True)
     # A cut is taken only when it scores above 0, even where a part is listed.
-    zero = ReadingDictionary(family={"青": (("あお", 0),)}, given={})
-    assert convert_name(_ODD_RECORDS[-1], zero) == loop_convert_name(_ODD_RECORDS[-1], zero)
+    zero = ReadingLists(family={"青": (("あお", 0),)}, given={})
+    assert (convert_name(_ODD_RECORDS[-1], _part_tables(zero))
+            == loop_convert_name(_ODD_RECORDS[-1], zero))
 
 
 # Hand-built dictionaries over a few kanji: counts may be 0, a part may list no
@@ -615,23 +699,52 @@ _PART_TABLES = st.dictionaries(
 @example(family={"青": ()}, given_table={"木": (("き", 1),)}, kanji="青木")
 @example(family={"青": (("", 1),)}, given_table={}, kanji="青存")
 def test_convert_name_equals_cut_loop_on_hand_built_tables(family, given_table, kanji):
-    dictionary = ReadingDictionary(family=family, given=given_table)
+    lists = ReadingLists(family=family, given=given_table)
     record = NameRecord("Aoki Midori", kanji, "あおきみどり", Gender.FEMALE)
-    assert convert_name(record, dictionary) == loop_convert_name(record, dictionary)
+    assert convert_name(record, _part_tables(lists)) == loop_convert_name(record, lists)
+
+
+def _drawn_record(family: str, family_kana: str, given: str, given_kana: str) -> NameRecord:
+    given_token = _oracle_romaji_or_none(given_kana) or "x"
+    return NameRecord(f"{kana_to_romaji(family_kana)} {given_token}", family + given,
+                      family_kana + given_kana, Gender.FEMALE)
+
+
+# Records over the kanji and kana above: a given kana may be degenerate, outside
+# the rule table or not split off, and a kanji may be one character long.
+_RECORDS = st.lists(st.builds(
+    _drawn_record, st.text(_PART_KANJI, min_size=1, max_size=2),
+    st.sampled_from(["あお", "き", "はやし", "さとう"]), st.text(_NAME_KANJI, max_size=2),
+    kana_strings), max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(train=_RECORDS, names=_RECORDS)
+@example(train=[_drawn_record("青", "あお", "木", "きっ")] * 2
+         + [_drawn_record("青", "あお", "木", "き")] * 2, names=[])
+def test_built_dictionary_equals_reading_lists_on_drawn_records(train, names):
+    _assert_equals_reading_lists(train, train + names)
 
 
 def test_extract_texts_transliterates_each_part_once(synthetic_corpus, monkeypatch):
+    """Building the dictionary transliterates each part's canonical reading
+    once; loading it and converting names transliterate nothing."""
     train, _val, test = split_dataset(synthetic_corpus, SplitRatios(0.7, 0.2, 0.1), seed=42)
-    dictionary, _ = build_reading_dictionary(train)
     calls = Counter()
 
-    def counting_kana_to_romaji(kana: str) -> str:
-        calls[kana] += 1
-        return kana_to_romaji(kana)
+    def counting(function):
+        def counted(kana, *args):
+            calls[kana] += 1
+            return function(kana, *args)
+        return counted
 
-    monkeypatch.setattr(translit, "kana_to_romaji", counting_kana_to_romaji)
+    monkeypatch.setattr(translit, "kana_to_romaji", counting(kana_to_romaji))
+    dictionary, _ = build_reading_dictionary(train)
+    assert sum(calls.values()) == len(dictionary.family) + len(dictionary.given) > 0
+    calls.clear()
+    monkeypatch.setattr(translit, "_syllables", counting(translit._syllables))
+    loaded = ReadingDictionary.from_json_dict(dictionary.to_json_dict())
     for records in (train, test):
         for part in NamePart:
-            extract_texts(records, part, InputVariant.CONVERTED, dictionary)
-    n_parts = len(dictionary.family) + len(dictionary.given)
-    assert 0 < sum(calls.values()) <= n_parts
+            extract_texts(records, part, InputVariant.CONVERTED, loaded)
+    assert not calls

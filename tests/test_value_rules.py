@@ -314,6 +314,16 @@ def test_model_file_tokenizer_out_of_order_is_malformed(tmp_path):
     assert _predict_error(path)[0] == 2
 
 
+def test_model_file_word_tokenizer_with_an_ngram_range_is_malformed(tmp_path):
+    path = _corrupt_file("nb", "tokenizer", {"mode": "word", "ngram_min": 2,
+                                             "ngram_max": 4}, tmp_path)
+    with pytest.raises(SchemaError) as refused:
+        load_model(path)
+    assert str(refused.value) == ("malformed model file: ConfigError: a word tokenizer's "
+                                  "ngram_min and ngram_max must be 1, got (2, 4)")
+    assert _predict_error(path) == (2, f"error: {refused.value}\n")
+
+
 def test_each_check_raises_one_type():
     """A rule or key check raises ConfigError and ``read_json`` SchemaError;
     no caller picks the type."""
@@ -328,6 +338,8 @@ GRID_TOKENIZERS = [
     {"mode": "char_ngram", "ngram_min": 3, "ngram_max": 2},
     {"mode": "char_ngram", "ngram_min": 1, "ngram_max": 9},
     {"mode": "word", "ngram_min": True, "ngram_max": 1},
+    {"mode": "word", "ngram_min": 2, "ngram_max": 4},
+    {"mode": "word", "ngram_min": 1, "ngram_max": 2},
     {"mode": "word", "ngram_min": 1},
     {"mode": "word", "ngram_min": 1, "ngram_max": 1, "ngram_mx": 2},
 ]

@@ -55,6 +55,17 @@ def test_ngram_bounds_validated():
         TokenizerConfig(TokenizerMode.CHAR_NGRAM, 2, 9)
 
 
+@pytest.mark.parametrize("ngrams", [(2, 4), (1, 2), (2, 2)])
+def test_word_tokens_take_no_ngram_range(ngrams):
+    # A word tokenizer used to accept a range and ignore it: fit_vocabulary
+    # then gave ('kazu', 'tamai').
+    with pytest.raises(ConfigError) as refused:
+        fit_vocabulary(["tamai kazu"], TokenizerConfig(TokenizerMode.WORD, *ngrams))
+    assert str(refused.value) == ("a word tokenizer's ngram_min and ngram_max must be 1, "
+                                  f"got {ngrams}")
+    assert TokenizerConfig(TokenizerMode.WORD, 1, 1) == TokenizerConfig()
+
+
 @pytest.mark.parametrize("mode", ["word", "char_ngram", "bytes"])
 def test_mode_must_be_a_tokenizer_mode(mode):
     # A plain "word" used to tokenize as character n-grams.
