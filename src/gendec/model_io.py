@@ -7,11 +7,13 @@ Serialization is byte-reproducible: keys are sorted, floats use
 Python's shortest round-trip repr, and the created-at stamp defaults to
 a fixed epoch unless SOURCE_DATE_EPOCH is set.  A file stores nothing
 that follows from the rest of it or that prediction never reads
-(schema_version 3): the loader rebuilds a tree's right children, a
-forest's tree count and a naive-Bayes model's single-class flag, and the
-reading dictionary keeps one count and one romaji per kanji part.  A file
-of another schema_version, such as a version 2 file that still stores
-every kana reading, must be retrained.  A malformed file
+(schema_version 4): a tree, its nodes in pre-order, is its split columns,
+split thresholds and leaf counts, and the loader rebuilds its child links
+and inner-node counts, a forest's tree count and a naive-Bayes model's
+single-class flag; the reading dictionary keeps one count and one romaji
+per kanji part.  A file of another schema_version, such as a version 3
+file that still stores every tree node's left child and counts, must be
+retrained.  A malformed file
 raises SchemaError naming the failed check's type: ConfigError for a
 missing or unknown key or a value off its rule, ValueError for a bad
 shape.
@@ -34,7 +36,7 @@ from .name_core import InputVariant, NamePart, check_keys, read_json, write_json
 from .translit import ReadingDictionary
 from .vectorize import TokenizerConfig, Vocabulary, Weighting
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 def deterministic_created_at() -> str:

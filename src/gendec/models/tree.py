@@ -25,6 +25,14 @@ step instead of walking row by row.  ``tree_apply`` and the scorers take
 the CSR that ``as_csr`` checked and made canonical where the matrix
 entered a trainer or a predict function, and check nothing again.
 
+Node ids are depth-first pre-order: the grower gives a node its id when
+it pops the node off its stack, left child first.  An inner node's left
+child is the next id, its subtree is one contiguous id range, and its
+right child starts where the left child's subtree ends, so the leaves in
+id order run left to right.  A model file therefore stores only the
+``feature`` flags (-1 at a leaf), the inner nodes' thresholds and the
+leaves' label counts; ``tree_from_nodes`` rebuilds the rest.
+
 Feature values must be non-negative (count or TF-IDF weights); this is
 what lets the zero group sort below every stored value.
 """
@@ -47,7 +55,9 @@ FeatureSampler = Callable[[], np.ndarray]
 
 @dataclass
 class TreeModel:
-    """Flat-array binary tree; feature == -1 marks a leaf."""
+    """Flat-array binary tree with node ids in depth-first pre-order;
+    feature == -1 marks a leaf.  At an inner node p, left[p] is p + 1 and
+    right[p] is the first id past the left child's subtree."""
 
     feature: np.ndarray  # (nodes,) int32, -1 for leaves
     threshold: np.ndarray  # (nodes,) float64, 0.0 for leaves
@@ -156,29 +166,21 @@ def _grow_tree(
 
     feature: list[int] = []
     threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
     count_f: list[int] = []
     count_m: list[int] = []
 
-    def new_node(n_rows: int, n_female: int) -> int:
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        count_f.append(n_female)
-        count_m.append(n_rows - n_female)
-        return len(feature) - 1
-
     # Scratch marks of one node's right rows, cleared after each split.
     goes_right = np.zeros(labels.size, dtype=bool)
-    # Stack entries: (node id, depth, entry rows/cols/vals); entry rows are
-    # global row ids and index ``labels`` at every node.
-    stack = [(new_node(labels.size, int(np.count_nonzero(labels == 0))), 0, er, ec, ev)]
+    # Stack entries: (depth, row count, female count, entry rows/cols/vals);
+    # entry rows are global row ids and index ``labels`` at every node.  A
+    # node takes the next id when it is popped, so ids run in pre-order.
+    stack = [(0, labels.size, int(np.count_nonzero(labels == 0)), er, ec, ev)]
     while stack:
-        node, depth, ner, nec, nev = stack.pop()
-        nf = count_f[node]
-        n = nf + count_m[node]
+        depth, n, nf, ner, nec, nev = stack.pop()
+        feature.append(-1)
+        threshold.append(0.0)
+        count_f.append(nf)
+        count_m.append(n - nf)
         if (
             nf == 0
             or nf == n
@@ -208,28 +210,67 @@ def _grow_tree(
         goes_right[marked] = False
 
         nf_right = int(np.count_nonzero(labels[marked] == 0))
-        feature[node] = col
-        threshold[node] = thr
-        left[node] = left_id = new_node(n - marked.size, nf - nf_right)
-        right[node] = right_id = new_node(marked.size, nf_right)
+        feature[-1] = col
+        threshold[-1] = thr
         # Push right first so the left child is processed (and draws any
         # sampled features) first: deterministic depth-first, left-first.
-        stack.append((right_id, depth + 1, ner[entry_side], nec[entry_side],
-                      nev[entry_side]))
-        stack.append((left_id, depth + 1, ner[~entry_side], nec[~entry_side],
-                      nev[~entry_side]))
+        stack.append((depth + 1, marked.size, nf_right, ner[entry_side],
+                      nec[entry_side], nev[entry_side]))
+        stack.append((depth + 1, n - marked.size, nf - nf_right, ner[~entry_side],
+                      nec[~entry_side], nev[~entry_side]))
 
+    flags = np.asarray(feature, dtype=np.int32)
+    left, right, _ = _pre_order_links(flags)
     return TreeModel(
-        feature=np.asarray(feature, dtype=np.int32),
+        feature=flags,
         threshold=np.asarray(threshold, dtype=np.float64),
-        left=np.asarray(left, dtype=np.int32),
-        right=np.asarray(right, dtype=np.int32),
+        left=left,
+        right=right,
         count_female=np.asarray(count_f, dtype=np.int64),
         count_male=np.asarray(count_m, dtype=np.int64),
         n_features=matrix.shape[1],
         max_depth=max_depth,
         min_samples_leaf=min_samples_leaf,
     )
+
+
+def _pre_order_links(feature: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Left and right child ids, and one past the last id of each node's
+    subtree, for a tree whose ``feature`` flags (-1 at a leaf) are listed in
+    pre-order.
+
+    ``level[i]`` sums +1 per inner node and -1 per leaf over the ids below
+    i.  The flags list one tree exactly when the level stays at 0 or above
+    up to the last node and is -1 after it; anything else is a ValueError.
+    Node i's subtree then ends at the first id after i whose level is below
+    ``level[i]``, and an inner node's right child is where its left child's
+    (the next id's) subtree ends.
+    """
+    n = feature.size
+    inner = feature >= 0
+    level = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.where(inner, 1, -1), out=level[1:])
+    if level[-1] != -1 or level[1:-1].min(initial=0) < 0:
+        raise ValueError("feature must list one tree in pre-order: its leaf flags (-1) "
+                         "must close the tree at the last node, not before or after")
+    # lowest[k][i]: the lowest level at ids i to i + 2**k - 1; a window that
+    # runs past the end meets the final -1, below every node's level.
+    lowest = [level]
+    while 2 ** len(lowest) < n:
+        low, half = lowest[-1], 2 ** (len(lowest) - 1)
+        lowest.append(low.copy())
+        np.minimum(low[:-half], low[half:], out=lowest[-1][:-half])
+    # From the id after each node, step over every window that stays at or
+    # above the node's level, widest first: the first id below it remains.
+    end = np.arange(1, n + 1)
+    for k in reversed(range(len(lowest))):
+        end += (lowest[k][end] >= level[:-1]) << k
+    split = np.flatnonzero(inner)
+    left = np.full(n, -1, dtype=np.int32)
+    right = np.full(n, -1, dtype=np.int32)
+    left[split] = split + 1
+    right[split] = end[split + 1]
+    return left, right, end
 
 
 def train_tree(
@@ -247,8 +288,11 @@ def tree_apply(model: TreeModel, matrix: CSR) -> np.ndarray:
     """Leaf node id per row of ``as_csr``'s output, one value per row and
     column.  Every row moves down one level per step: right when its value
     on the node's column exceeds the threshold, else left (a missing entry
-    is a zero).  Rows at a leaf leave the step once they are half of it.  A
-    walk longer than ``n_nodes`` steps has met a cycle and raises ValueError.
+    is a zero).  Rows at a leaf leave the step once they are half of it.
+    Every child id of a pre-order tree is above its parent's, so a grown or
+    loaded tree cannot cycle; the bound of ``n_nodes`` steps guards only a
+    hand-built ``TreeModel``, whose walk that long has met a cycle and
+    raises ValueError.
     """
     leaf = model.feature < 0
     left = np.where(leaf, np.arange(model.n_nodes), model.left)
@@ -279,62 +323,55 @@ def tree_leaf_counts(model: TreeModel, matrix: CSR) -> np.ndarray:
                            ).astype(np.float64)
 
 
-# The flat node arrays as stored in model files, with their dtypes; ``right``
-# is not stored, as an inner node's right child is always ``left + 1``.
-_NODE_ARRAYS = {
-    "feature": np.int32,
-    "threshold": np.float64,
-    "left": np.int32,
-    "count_female": np.int64,
-    "count_male": np.int64,
-}
-
-
 def tree_nodes_params(tree: TreeModel) -> dict:
-    return {name: getattr(tree, name).tolist() for name in _NODE_ARRAYS}
+    """A tree's node blocks in a model file: every node's ``feature``, the
+    inner nodes' ``threshold`` and the leaves' counts, each in id order."""
+    inner = tree.feature >= 0
+    return {
+        "feature": tree.feature.tolist(),
+        "threshold": tree.threshold[inner].tolist(),
+        "count_female": tree.count_female[~inner].tolist(),
+        "count_male": tree.count_male[~inner].tolist(),
+    }
 
 
 def tree_from_nodes(
     doc: dict, n_features: int, max_depth: Optional[int], min_samples_leaf: int
 ) -> TreeModel:
-    """Tree from its node arrays in a model file.
+    """Tree from its node blocks in a model file.
 
-    A ConfigError unless the node arrays are the known ones, and a
-    ValueError unless the tree has a node, every inner node splits a known
-    column and its left child comes after it with room for the right child
-    (``left + 1``) below the node count, every node but the root is the
-    child of exactly one node, every leaf has feature and left -1, and
-    every node's (female, male) counts are non-negative with a positive
-    sum.  ``_grow_tree`` appends the two children of a node back to back
-    after their parent and gives each node at least one row, so a trained
-    tree passes; the order also bounds ``tree_apply`` at ``n_nodes`` steps.
-    ``right`` is rebuilt as ``left + 1`` at inner nodes.
+    A ConfigError unless the blocks are the known ones, and a ValueError
+    unless every ``feature`` is -1 or a known column, the flags list one
+    tree in pre-order (see ``_pre_order_links``), ``threshold`` holds one
+    number per inner node and each count list one per leaf, and every
+    node's (female, male) counts are non-negative with a positive sum.  The
+    loader rebuilds ``left`` and ``right``, a leaf's threshold 0.0, and an
+    inner node's counts as the sums over the leaves of its subtree's id
+    range.  A tree that ``_grow_tree`` grew passes and loads equal to it.
     """
-    check_keys(doc, tuple(_NODE_ARRAYS))
-    n_nodes = len(doc["feature"])
-    arrays = {name: vector(doc[name], dtype, n_nodes) for name, dtype in _NODE_ARRAYS.items()}
-    if n_nodes == 0:
-        raise ValueError("a tree needs at least one node")
-    feature, left = arrays["feature"], arrays["left"]
+    check_keys(doc, ("feature", "threshold", "count_female", "count_male"))
+    feature = vector(doc["feature"], np.int32)
+    if ((feature < -1) | (feature >= n_features)).any():
+        raise ValueError(f"a node's feature must be -1 or a column below {n_features}")
+    left, right, end = _pre_order_links(feature)
     inner = feature >= 0
-    if (feature[inner] >= n_features).any():
-        raise ValueError(f"a node splits column {feature[inner].max()} of {n_features}")
-    left_children = left[inner]
-    if ((left_children <= np.flatnonzero(inner)) | (left_children >= n_nodes - 1)).any():
-        raise ValueError(f"a left child id must be above its parent's and below "
-                         f"{n_nodes - 1}")
-    children = np.concatenate([left_children, left_children + 1])
-    parent_counts = np.bincount(children, minlength=n_nodes)
-    if (parent_counts[1:] != 1).any():
-        raise ValueError("every node but the root must be the child of exactly one node")
-    if ((feature[~inner] != -1) | (left[~inner] != -1)).any():
-        raise ValueError("a leaf must have feature and left both -1")
-    female, male = arrays["count_female"], arrays["count_male"]
+    n_inner = int(np.count_nonzero(inner))
+    threshold = np.zeros(feature.size, dtype=np.float64)
+    threshold[inner] = vector(doc["threshold"], np.float64, n_inner)
+    counts = []
+    for name in ("count_female", "count_male"):
+        # Prefix sums of the leaf counts over node ids: a subtree's count is
+        # the difference across its id range.
+        total = np.zeros(feature.size + 1, dtype=np.int64)
+        total[1:][~inner] = vector(doc[name], np.int64, feature.size - n_inner)
+        np.cumsum(total, out=total)
+        counts.append(total[end] - total[:-1])
+    female, male = counts
     if ((female < 0) | (male < 0) | (female + male == 0)).any():
         raise ValueError("every node needs non-negative counts with a positive sum")
-    return TreeModel(**arrays, right=np.where(inner, left + 1, -1).astype(np.int32),
-                     n_features=n_features, max_depth=max_depth,
-                     min_samples_leaf=min_samples_leaf)
+    return TreeModel(feature=feature, threshold=threshold, left=left, right=right,
+                     count_female=female, count_male=male, n_features=n_features,
+                     max_depth=max_depth, min_samples_leaf=min_samples_leaf)
 
 
 def tree_params(model: TreeModel) -> dict:

@@ -350,17 +350,18 @@ class TestTrainEvaluatePredict:
         assert result.exit_code == 2
 
     def test_version_mismatch_exits_2(self, runner, split_files, tmp_path):
-        """A version 2 file, whose reading dictionary stored every kana reading
-        of a part, is refused with one message that says to retrain."""
+        """A version 3 file, whose tree stored every node's left child and
+        counts, is refused with one message that says to retrain."""
         train_csv, _val, test_csv = split_files
         model_path = tmp_path / "m.json"
         runner.invoke(main, [
-            "train", "--model", "nb", "--features", "count", "--variant", "converted",
+            "train", "--model", "dt", "--features", "count",
             "--train", str(train_csv), "--out", str(model_path),
         ])
         doc = json.loads(model_path.read_text())
-        doc["schema_version"] = 2
-        doc["reading_dictionary"]["family"] = {"玉井": [["たまい", 1]]}
+        doc["schema_version"] = 3
+        doc["parameters"]["nodes"] = {"feature": [-1], "threshold": [0.0], "left": [-1],
+                                      "count_female": [1], "count_male": [1]}
         model_path.write_text(json.dumps(doc))
         result = runner.invoke(main, [
             "evaluate", "--model-file", str(model_path), "--test", str(test_csv),
@@ -368,8 +369,8 @@ class TestTrainEvaluatePredict:
         ])
         assert result.exit_code == 2
         assert _no_traceback(result)
-        assert result.output == ("error: malformed model file: schema_version must be 3, "
-                                 "got 2; retrain the model\n")
+        assert result.output == ("error: malformed model file: schema_version must be 4, "
+                                 "got 3; retrain the model\n")
 
     @pytest.mark.parametrize("flags", [
         ["--model", "nb", "--alpha", "nan"],
@@ -533,9 +534,8 @@ class TestPredictPaths:
 
 
 # Malformed trees, each written into a dt file and into an rf file's first tree.
-TREE_CASES = ["cycle", "child-out-of-range", "right-past-end", "shared-children",
-              "orphan-node", "column-out-of-range", "max-depth-0", "zero-counts", "negative-count",
-              "leaf-0"]
+TREE_CASES = ["right-past-end", "orphan-node", "leaf-count-short", "column-out-of-range",
+              "max-depth-0", "zero-counts", "negative-count", "leaf-0"]
 # Stored hyperparameters that break their value rule: case -> (key, value).
 VALUE_CASES = {"nb-alpha-negative": ("alpha", -1), "lr-epochs-0": ("epochs", 0),
                "svm-lam-0": ("lam", 0), "svm-epochs-0": ("epochs", 0)}
@@ -574,31 +574,28 @@ class TestCorruptModelFiles:
             del doc["parameters"]["trees"][0]["threshold"]
         elif case == "wrong-type":
             doc["parameters"]["features_per_split"] = [5]
-        elif case == "wrong-length":
-            doc["parameters"]["trees"][0]["left"].append(0)
+        elif case == "wrong-length":  # one threshold more than the inner nodes
+            doc["parameters"]["trees"][0]["threshold"].append(0.5)
         elif case == "huge-number":
             doc["vocabulary"]["idf"][0] = 10 ** 400
-        elif case == "cycle":
-            nodes["left"][0] = 0
-        elif case == "child-out-of-range":
-            nodes["left"][0] = len(nodes["feature"]) + 5
-        elif case == "right-past-end":  # the right child would be node n_nodes
-            nodes["left"][0] = len(nodes["feature"]) - 1
-        elif case == "shared-children":  # inner nodes 1 and 2 both own nodes 3 and 4
-            nodes.update(feature=[0, 1, 1, -1, -1], threshold=[0.5] * 5,
-                         left=[1, 3, 3, -1, -1], count_female=[1] * 5, count_male=[1] * 5)
-        elif case == "orphan-node":  # node 3 is no node's child
-            nodes.update(feature=[0, -1, -1, -1], threshold=[0.5] * 4, left=[1, -1, -1, -1],
-                         count_female=[1] * 4, count_male=[1] * 4)
+        elif case == "right-past-end":  # the flags never close: node 0's right child
+            # would be node 2, past the end
+            nodes.update(feature=[0, -1], threshold=[0.5], count_female=[1],
+                         count_male=[1])
+        elif case == "orphan-node":  # the flags close before the last node, so
+            # nodes 1 to 3 are no node's child
+            nodes.update(feature=[-1, 0, -1, -1], threshold=[0.5], count_female=[1] * 3,
+                         count_male=[1] * 3)
+        elif case == "leaf-count-short":
+            nodes["count_male"].pop()
         elif case == "column-out-of-range":
             nodes["feature"][0] = 10 ** 6
         elif case == "max-depth-0":
             params["max_depth"] = 0
         elif case == "leaf-0":
             params["min_samples_leaf"] = 0
-        elif case == "zero-counts":
-            leaf = nodes["feature"].index(-1)
-            nodes["count_female"][leaf] = nodes["count_male"][leaf] = 0
+        elif case == "zero-counts":  # at the first leaf
+            nodes["count_female"][0] = nodes["count_male"][0] = 0
         elif case == "negative-count":
             nodes["count_female"][0] = -3
         elif case == "bootstrap-string":
@@ -634,29 +631,34 @@ class TestCorruptModelFiles:
         model_path.write_text(json.dumps(doc), encoding="utf-8")
         return model_path
 
-    @staticmethod
-    def _names_model_file(output, path):
-        """The error is about the file: it names the path or the model file."""
-        return str(path) in output or "model file" in output
+    # Node blocks whose shape no pre-order tree has.
+    SHAPE_CASES = {"wrong-length", *(f"{kind}-{case}" for kind in ("dt", "rf")
+                                     for case in ("right-past-end", "orphan-node",
+                                                  "leaf-count-short"))}
 
-    def test_predict_exits_2(self, runner, corrupt_model):
-        result = runner.invoke(main, ["predict", "--model-file", str(corrupt_model),
-                                      "--name", "Tanaka Satoko"])
+    @classmethod
+    def _assert_refused(cls, result, path, case):
+        """Exit 2 with an error about the file: it names the path or the
+        model file, and a bad node-block shape is a ValueError."""
         assert result.exit_code == 2
         assert _no_traceback(result)
         assert result.output.startswith("error:")
-        assert self._names_model_file(result.output, corrupt_model)
+        assert str(path) in result.output or "model file" in result.output
+        if case in cls.SHAPE_CASES:
+            assert result.output.startswith("error: malformed model file: ValueError: ")
 
-    def test_evaluate_exits_2(self, runner, corrupt_model, split_files, tmp_path):
+    def test_predict_exits_2(self, runner, corrupt_model, request):
+        result = runner.invoke(main, ["predict", "--model-file", str(corrupt_model),
+                                      "--name", "Tanaka Satoko"])
+        self._assert_refused(result, corrupt_model, request.node.callspec.id)
+
+    def test_evaluate_exits_2(self, runner, corrupt_model, split_files, tmp_path, request):
         report = tmp_path / "r.json"
         result = runner.invoke(main, [
             "evaluate", "--model-file", str(corrupt_model),
             "--test", str(split_files[2]), "--report", str(report),
         ])
-        assert result.exit_code == 2
-        assert _no_traceback(result)
-        assert result.output.startswith("error:")
-        assert self._names_model_file(result.output, corrupt_model)
+        self._assert_refused(result, corrupt_model, request.node.callspec.id)
         assert not report.exists()
 
     def test_forest_file_tree_count_is_its_trees_length(self, runner, model_path):

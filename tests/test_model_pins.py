@@ -24,17 +24,17 @@ HYPER = {"rf": {"n_trees": 4}, "svm": {"epochs": 4}, "lr": {"epochs": 20}}
 SEED = 7
 
 PINNED = {
-    "nb/count/original": "2cb018aab0247ffde5a86a31028f4db0b89be8b1a47a159a1bc97379da19417f",
-    "nb/tfidf/original": "f20532d01d3d5456b11491ac945a4307aae3fe0da8cbf9a871449b7d0cdbb8af",
-    "lr/count/original": "da1d7b2e43f6b2abe0f4fdcb451c76c6e245eea5ff0c621b0dc5d9cb7b97ad8c",
-    "lr/tfidf/original": "a62f08e6bba5feccf6129c353fcb2e87fae7177f7f10cee4f6eafb8b2b51c79c",
-    "dt/count/original": "4d6e642e61ab241ee07786ea263c63b7798f1a752212cf65d37a4138c224a43a",
-    "dt/tfidf/original": "31ffea69174bec28d39cfc4cf1fbaa9dae4dd2d7b9ce28cbfd6ba20ea1ac1600",
-    "rf/count/original": "dedcaa9ef8f0053b4e28887523a257ca1930af1dfced6e19cd48bc43884f0fe5",
-    "rf/tfidf/original": "5ef5886121ff62069cba72a659db514c5fc2cf1a599211723613f124698c833b",
-    "svm/count/original": "efbcfff3404ebb85e42c504d3a60f703d7bdd0beb0c0b87196951cce328fbdc0",
-    "svm/tfidf/original": "e0a205d230fcafb16d8b28cb03bc20ac37aa1167e78576fe201ce16ac53a4c3a",
-    "rf/tfidf/converted": "35a3aca80f79faa9185a4aa724318b8f352869afe43de22b3428a6586836d1ff",
+    "nb/count/original": "bafa5c5b21d2bbf0fb802e388ec71d6c5da8c58272f21d734404936ca2a22abd",
+    "nb/tfidf/original": "73d6b56868089dbd0858da1a6e1133cf4b9e2f3745044da461dc8455b3fb544c",
+    "lr/count/original": "597056d5ff3d27ee09ad46c79c19b7981cc45a09b4193059a42ac08fae32e5e5",
+    "lr/tfidf/original": "06e9be50f3f7c4c7799f891ce906d4ec881c937b735806d06fe325052945d2e4",
+    "dt/count/original": "4d96c50be6a6dc2651a1428b49504a393543bdcd0ea537323f9444593224f88e",
+    "dt/tfidf/original": "496d7a333faeb0ae6eb6ffcc0d04bf307557c2832d287a145da13c23985d923b",
+    "rf/count/original": "bb11911a26135ecc1e02c40539d66caf46bc174be0d83c88b7a630662e4ab3d0",
+    "rf/tfidf/original": "6a3e86b42fda1b03bd0cb15cb44b95fa1e386594b17dcbd722b851afbb266153",
+    "svm/count/original": "fc59dfcaa13df505c037f8b9a50dfa7e1f10d37dd8dc9aa3f9a2d29a3acd0960",
+    "svm/tfidf/original": "24b62ec111163b11b37e4b0a0e38d751393cc3638cd316591c04ff9fbb491791",
+    "rf/tfidf/converted": "80d884a9b4b9da1011d63d4dd4f73838913a486e87adcc6df1b2c40182c77386",
 }
 
 
@@ -74,10 +74,10 @@ def test_model_file_bytes_pinned(tmp_path, train_records, label):
     assert hashlib.sha256(first.read_bytes()).hexdigest() == PINNED[label]
 
 
-# Keys a schema_version 3 file never holds: each follows from the rest, or,
+# Keys a schema_version 4 file never holds: each follows from the rest, or,
 # for ``lambda``, is now ``lam``.
-DERIVED_KEYS = {"right", "n_trees", "tree_streams", "exhaust_on_miss", "single_class",
-                "lambda"}
+DERIVED_KEYS = {"left", "right", "n_trees", "tree_streams", "exhaust_on_miss",
+                "single_class", "lambda"}
 
 
 def _keys(doc) -> set:
@@ -90,7 +90,8 @@ def _keys(doc) -> set:
 
 @pytest.mark.parametrize("label", list(PINNED))
 def test_loader_rebuilds_what_the_file_leaves_out(tmp_path, train_records, label):
-    """Every loaded tree's six node arrays, ``right`` included, and naive
+    """Every loaded tree's six node arrays, ``left`` and ``right`` and the
+    inner nodes' counts included, and naive
     Bayes' single-class flag equal the trained model's."""
     kind, weighting, variant = label.split("/")
     model_file, X = _fit(train_records, ModelKind(kind), Weighting(weighting),
@@ -98,7 +99,7 @@ def test_loader_rebuilds_what_the_file_leaves_out(tmp_path, train_records, label
     path = tmp_path / "m.json"
     save_model(path, model_file)
     doc = json.loads(path.read_text())
-    assert doc["schema_version"] == 3
+    assert doc["schema_version"] == 4
     assert not _keys(doc["parameters"]) & DERIVED_KEYS
     assert "schema_version" not in (doc["reading_dictionary"] or {})
     # A reading dictionary entry is [count, romaji], not a list of readings.
@@ -107,6 +108,14 @@ def test_loader_rebuilds_what_the_file_leaves_out(tmp_path, train_records, label
     trained, loaded = model_file.model, load_model(path).model
     trees = {"dt": lambda m: [m], "rf": lambda m: m.trees}.get(kind, lambda m: [])
     assert len(trees(loaded)) == len(trees(trained))
+    params = doc["parameters"]
+    blocks = [params["nodes"]] if kind == "dt" else params.get("trees", [])
+    assert len(blocks) == len(trees(trained))
+    for block, tree in zip(blocks, trees(trained)):
+        # A threshold per inner node and a count of each label per leaf.
+        inner = tree.feature >= 0
+        assert len(block["threshold"]) == np.count_nonzero(inner)
+        assert len(block["count_female"]) == len(block["count_male"]) == np.count_nonzero(~inner)
     for new, old in zip(trees(loaded), trees(trained)):
         for name in ("feature", "threshold", "left", "right", "count_female", "count_male"):
             assert np.array_equal(getattr(new, name), getattr(old, name)), name

@@ -1,8 +1,9 @@
+import json
 from typing import Optional
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gendec.errors import ConfigError, DimensionMismatchError
@@ -19,6 +20,8 @@ from gendec.models.tree import (
     _best_split,
     _grow_tree,
     tree_apply,
+    tree_from_nodes,
+    tree_nodes_params,
 )
 from gendec.name_core import Gender
 from gendec.vectorize import CSR
@@ -580,21 +583,134 @@ def _sampler(V, features, seed):
     return lambda: np.sort(rng.choice(V, size=features, replace=False))
 
 
+NODE_ARRAYS = ("feature", "threshold", "left", "right", "count_female", "count_male")
+
+
+def _pre_order(tree: TreeModel) -> TreeModel:
+    """``tree`` with its nodes renumbered in depth-first, left-first order,
+    the order in which ``_grow_tree`` numbers them."""
+    order = []
+    stack = [0]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if tree.feature[node] >= 0:
+            stack += [tree.right[node], tree.left[node]]
+    new_id = np.empty(len(order), dtype=np.int64)
+    new_id[order] = np.arange(len(order))
+
+    def relink(ids):
+        return np.where(ids >= 0, new_id[ids], -1).astype(ids.dtype)
+
+    return TreeModel(feature=tree.feature[order], threshold=tree.threshold[order],
+                     left=relink(tree.left[order]), right=relink(tree.right[order]),
+                     count_female=tree.count_female[order],
+                     count_male=tree.count_male[order], n_features=tree.n_features,
+                     max_depth=tree.max_depth, min_samples_leaf=tree.min_samples_leaf)
+
+
+def _assert_same_nodes(new: TreeModel, old: TreeModel) -> None:
+    for name in NODE_ARRAYS:
+        assert np.array_equal(getattr(new, name), getattr(old, name)), name
+        assert getattr(new, name).dtype == getattr(old, name).dtype, name
+
+
+def _grow(grow, matrix, labels, max_depth, min_samples_leaf, sampler):
+    """``grow``'s tree, with a fresh sampler from (features, seed) if given."""
+    options = {}
+    if sampler is not None:
+        options = {"feature_sampler": _sampler(matrix.shape[1], *sampler)}
+    return grow(matrix, labels, max_depth, min_samples_leaf, **options)
+
+
 @settings(max_examples=400, deadline=None)
 @given(case=grow_cases())
 def test_presorted_grower_equals_per_node_sort(case):
-    matrix, labels, max_depth, min_samples_leaf, sampler = case
-    trees = []
-    for grow in (_grow_tree, per_node_sort_grow_tree):
-        options = {}
-        if sampler is not None:
-            features, seed = sampler
-            options = {"feature_sampler": _sampler(matrix.shape[1], features, seed)}
-        trees.append(grow(matrix, labels, max_depth, min_samples_leaf, **options))
-    new, old = trees
-    for name in ("feature", "threshold", "left", "right", "count_female", "count_male"):
-        assert np.array_equal(getattr(new, name), getattr(old, name)), name
-        assert getattr(new, name).dtype == getattr(old, name).dtype, name
+    # The oracle numbers a split's two children back to back; the grower
+    # numbers nodes in pre-order.  Splits, thresholds and counts must match.
+    new, old = (_grow(grow, *case) for grow in (_grow_tree, per_node_sort_grow_tree))
+    _assert_same_nodes(new, _pre_order(old))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=grow_cases())
+def test_node_blocks_round_trip(case):
+    """A grown tree, with or without a forest's feature sampler, saves to
+    node blocks that load back to the same six arrays."""
+    matrix, labels, max_depth, min_samples_leaf, _sampler = case
+    assume(labels.size)  # the trainers refuse an empty matrix
+    tree = _grow(_grow_tree, *case)
+    doc = json.loads(json.dumps(tree_nodes_params(tree)))
+    inner = tree.feature >= 0
+    assert len(doc["threshold"]) == np.count_nonzero(inner)
+    assert len(doc["count_female"]) == len(doc["count_male"]) == np.count_nonzero(~inner)
+    loaded = tree_from_nodes(doc, matrix.shape[1], max_depth, min_samples_leaf)
+    _assert_same_nodes(loaded, tree)
+
+
+def _stack_links(flags):
+    """Reference for the loader's pre-order parse: left and right child ids
+    of pre-order ``feature`` flags by a walk with a stack of the inner nodes
+    still waiting for a right child, or None if the flags are no one tree."""
+    left, right = [-1] * len(flags), [-1] * len(flags)
+    waiting = []
+    for node, flag in enumerate(flags):
+        if node:
+            if flags[node - 1] >= 0:
+                left[node - 1] = node
+            elif waiting:
+                right[waiting.pop()] = node
+            else:
+                return None  # the tree closed before this node
+        if flag >= 0:
+            waiting.append(node)
+    return (left, right) if flags and not waiting else None
+
+
+@st.composite
+def flag_lists(draw, n_features):
+    """``feature`` flags: one tree's in pre-order, cut short, run on with
+    more flags, or any list of -1, columns and the values just past them."""
+    flag = st.integers(-2, n_features)
+    tree = draw(st.recursive(
+        st.just([-1]),
+        lambda sub: st.builds(lambda col, left, right: [col, *left, *right],
+                              st.integers(0, n_features - 1), sub, sub),
+        max_leaves=16))
+    edit = draw(st.sampled_from(["tree", "cut", "run-on", "any"]))
+    if edit == "cut":
+        return tree[:draw(st.integers(0, len(tree) - 1))]
+    if edit == "run-on":
+        return tree + draw(st.lists(flag, min_size=1, max_size=3))
+    if edit == "any":
+        return draw(st.lists(flag, max_size=12))
+    return tree
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data(), n_features=st.integers(1, 3))
+def test_any_flags_decode_to_their_tree_or_raise_value_error(data, n_features):
+    flags = data.draw(flag_lists(n_features))
+    n_inner = sum(flag >= 0 for flag in flags)
+    counts = st.lists(st.integers(1, 5), min_size=len(flags) - n_inner,
+                      max_size=len(flags) - n_inner)
+    doc = {"feature": flags,
+           "threshold": data.draw(st.lists(st.floats(0.01, 3.0), min_size=n_inner,
+                                           max_size=n_inner)),
+           "count_female": data.draw(counts), "count_male": data.draw(counts)}
+    links = _stack_links(flags)
+    if links is None or not all(-1 <= flag < n_features for flag in flags):
+        with pytest.raises(ValueError):
+            tree_from_nodes(doc, n_features, None, 1)
+        return
+    tree = tree_from_nodes(doc, n_features, None, 1)
+    assert tree_nodes_params(tree) == doc
+    assert (tree.left.tolist(), tree.right.tolist()) == links
+    for name in ("count_female", "count_male"):
+        counts = getattr(tree, name)
+        inner = np.flatnonzero(tree.feature >= 0)
+        assert np.array_equal(counts[inner],
+                              counts[tree.left[inner]] + counts[tree.right[inner]])
 
 
 def _depth(tree: TreeModel) -> int:
@@ -612,16 +728,10 @@ def test_chain_tree_equals_per_node_sort(sampler):
     n = 500
     matrix = CSR(np.arange(n + 1), np.arange(n), 1.0 + np.arange(n) % 3, (n, n))
     labels = (np.arange(n) % 2).astype(np.int8)
-    trees = []
-    for grow in (_grow_tree, per_node_sort_grow_tree):
-        options = {}
-        if sampler is not None:
-            options = {"feature_sampler": _sampler(n, *sampler)}
-        trees.append(grow(matrix, labels, None, 1, **options))
-    new, old = trees
+    new, old = (_grow(grow, matrix, labels, None, 1, sampler)
+                for grow in (_grow_tree, per_node_sort_grow_tree))
     assert _depth(new) >= 200
-    for name in ("feature", "threshold", "left", "right", "count_female", "count_male"):
-        assert np.array_equal(getattr(new, name), getattr(old, name)), name
+    _assert_same_nodes(new, _pre_order(old))
 
 
 @st.composite
