@@ -16,7 +16,7 @@ file that still stores every tree node's left child and counts, must be
 retrained.  A malformed file
 raises SchemaError naming the failed check's type: ConfigError for a
 missing or unknown key or a value off its rule, ValueError for a bad
-shape.
+shape or an array item of the wrong JSON type.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import numpy as np
 from .errors import ConfigError, SchemaError
 from .evaluate import Cell
 from .models import MODEL_KINDS, ModelKind, TrainedModel, kind_of
+from .models.common import vector
 from .name_core import InputVariant, NamePart, check_keys, read_json, write_json
 from .translit import ReadingDictionary
 from .vectorize import TokenizerConfig, Vocabulary, Weighting
@@ -99,14 +100,15 @@ class ModelFile:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ModelFile":
         """Model file from its JSON document; a malformed one raises SchemaError."""
-        if isinstance(doc, dict) and doc.get("schema_version") != SCHEMA_VERSION:
-            raise SchemaError(f"malformed model file: schema_version must be "
-                              f"{SCHEMA_VERSION}, got {doc.get('schema_version')!r}; "
-                              "retrain the model")
+        if isinstance(doc, dict):
+            version = doc.get("schema_version")
+            if type(version) is not int or version != SCHEMA_VERSION:  # 4.0 is not 4
+                raise SchemaError(f"malformed model file: schema_version must be "
+                                  f"{SCHEMA_VERSION}, got {version!r}; retrain the model")
         try:
             check_keys(doc, ("schema_version", "model_kind", "weighting", "part", "variant",
-                             "tokenizer", "vocabulary", "parameters", "metadata"),
-                       ("reading_dictionary",))
+                             "tokenizer", "vocabulary", "parameters", "reading_dictionary",
+                             "metadata"))
             if not isinstance(doc["metadata"], dict):
                 raise ValueError("metadata must be a JSON object")
             check_keys(doc["vocabulary"], ("tokens", "idf"))
@@ -114,7 +116,8 @@ class ModelFile:
             if not isinstance(tokens, list):  # tuple() would split a string or a dict
                 raise ConfigError("vocabulary tokens must be distinct strings in "
                                   "ascending order")
-            idf = None if idf is None else np.asarray(idf, dtype=np.float64)
+            idf = None if idf is None else vector(idf, np.float64, "idf",
+                                                  (len(tokens), "vocabulary token"))
             vocabulary = Vocabulary(
                 tokens=tuple(tokens),
                 tokenizer=TokenizerConfig.from_json_dict(doc["tokenizer"]),
@@ -124,7 +127,7 @@ class ModelFile:
             if weighting is Weighting.TFIDF and idf is None:
                 raise ValueError("a tfidf model file's vocabulary must carry idf weights")
             kind = ModelKind(doc["model_kind"])
-            reading = doc.get("reading_dictionary")
+            reading = doc["reading_dictionary"]
             return cls(
                 model=MODEL_KINDS[kind].from_params(doc["parameters"], len(tokens)),
                 weighting=weighting,
@@ -138,6 +141,8 @@ class ModelFile:
         except (KeyError, IndexError, TypeError, ValueError, AttributeError,
                 OverflowError, ConfigError) as exc:
             raise SchemaError(f"malformed model file: {type(exc).__name__}: {exc}") from None
+        except SchemaError as exc:  # from the reading dictionary
+            raise SchemaError(f"malformed model file: {exc}") from None
 
 
 def save_model(path: str | Path, model_file: ModelFile) -> None:
@@ -145,4 +150,11 @@ def save_model(path: str | Path, model_file: ModelFile) -> None:
 
 
 def load_model(path: str | Path) -> ModelFile:
-    return ModelFile.from_json_dict(read_json(path))
+    """The model file at ``path``.  A file that is not one (not UTF-8, not
+    JSON, an object that repeats a key, or a malformed document) raises a
+    SchemaError that starts with ``malformed model file:``."""
+    try:
+        doc = read_json(path)
+    except SchemaError as exc:
+        raise SchemaError(f"malformed model file: {exc}") from None
+    return ModelFile.from_json_dict(doc)

@@ -155,25 +155,33 @@ def linear_scores(model, matrix: CSR) -> np.ndarray:
     return np.column_stack([np.zeros_like(margin), margin])
 
 
-def finite(array: np.ndarray, neg_inf_ok: bool = False) -> np.ndarray:
-    """``array`` read from a model document; NaN or an infinity is a ValueError
-    (-Infinity too, unless ``neg_inf_ok``)."""
+def vector(values, dtype, name: str, length: Optional[tuple[int, str]] = None,
+           neg_inf_ok: bool = False) -> np.ndarray:
+    """The finite 1-D array that the model document's list ``name`` holds,
+    read as written: JSON integers for an integer ``dtype``, integers or
+    floats for a float one, never a bool.  ``length``, when given, is the
+    item count and what one item stands for, ``(n_inner, "inner node")``.
+    Anything else, NaN or an infinity (-Infinity too, unless ``neg_inf_ok``)
+    is a ValueError that names ``name``."""
+    integers = np.issubdtype(dtype, np.integer)
+    if not isinstance(values, list):
+        raise ValueError(f"{name} must be a list, got {type(values).__name__}")
+    allowed = {int} if integers else {int, float}
+    wrong = [value for value in values if type(value) not in allowed]
+    if wrong:
+        raise ValueError(f"{name} must hold only {'integers' if integers else 'numbers'}, "
+                         f"got {wrong[0]!r}")
+    if length is not None and len(values) != length[0]:
+        count, unit = length
+        raise ValueError(f"{name} must hold {count} number{'s' * (count != 1)}, "
+                         f"1 per {unit}, got {len(values)}")
+    array = np.array(values, dtype=dtype)
     bad = ~np.isfinite(array)
     if neg_inf_ok:
         bad &= ~np.isneginf(array)
     if bad.any():
-        raise ValueError(f"expected finite numbers, got {array[bad].flat[0]!r}")
+        raise ValueError(f"{name} must hold finite numbers, got {float(array[bad][0])}")
     return array
-
-
-def vector(values, dtype, length: Optional[int] = None,
-           neg_inf_ok: bool = False) -> np.ndarray:
-    """A finite 1-D array read from a model document; any other shape, NaN or
-    an infinity (see ``finite``) is a ValueError."""
-    array = np.asarray(values, dtype=dtype)
-    if array.ndim != 1 or (length is not None and array.size != length):
-        raise ValueError(f"expected a flat list of numbers, got shape {array.shape}")
-    return finite(array, neg_inf_ok)
 
 
 def check_n_features(model_features: int, X: CSR) -> None:

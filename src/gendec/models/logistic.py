@@ -249,10 +249,10 @@ def lr_from_params(doc: dict, n_features: int) -> LRModel:
     check_values(bias=doc["bias"], l2=doc["l2"], learning_rate=doc["learning_rate"],
                  epochs=doc["epochs"])
     return LRModel(
-        weights=vector(doc["weights"], np.float64, n_features),
+        weights=vector(doc["weights"], np.float64, "weights", (n_features, "vocabulary token")),
         bias=doc["bias"],
         l2=doc["l2"],
         learning_rate=doc["learning_rate"],
         epochs=doc["epochs"],
-        training_trace=vector(doc["training_trace"], np.float64).tolist(),
+        training_trace=vector(doc["training_trace"], np.float64, "training_trace").tolist(),
     )

@@ -14,7 +14,7 @@ import numpy as np
 from ..errors import NonFiniteError
 from ..name_core import Gender, check_keys, check_values
 from ..vectorize import CSR
-from .common import MatrixLike, as_csr, finite, training_labels, vector
+from .common import MatrixLike, as_csr, training_labels, vector
 
 
 @dataclass
@@ -88,15 +88,17 @@ def nb_from_params(doc: dict, n_features: int) -> NBModel:
     check_keys(doc, ("alpha", "class_log_prior", "feature_log_prob"))
     check_values(alpha=doc["alpha"])
     # The class a single-class model never saw has log prior -Infinity.
-    class_log_prior = vector(doc["class_log_prior"], np.float64, 2, neg_inf_ok=True)
+    class_log_prior = vector(doc["class_log_prior"], np.float64, "class_log_prior",
+                             (2, "class"), neg_inf_ok=True)
     if np.isneginf(class_log_prior).all():
         raise ValueError("at most one class log prior may be -Infinity")
-    feature_log_prob = np.asarray(doc["feature_log_prob"], dtype=np.float64)
-    if feature_log_prob.shape != (2, n_features):
-        raise ValueError(f"feature_log_prob must be 2 rows of {n_features} numbers, "
-                         f"got shape {feature_log_prob.shape}")
+    rows = doc["feature_log_prob"]
+    if not (isinstance(rows, list) and len(rows) == 2):
+        raise ValueError("feature_log_prob must hold 2 rows, 1 per class")
     return NBModel(
         alpha=doc["alpha"],
         class_log_prior=class_log_prior,
-        feature_log_prob=finite(feature_log_prob),
+        feature_log_prob=np.stack([
+            vector(row, np.float64, "a feature_log_prob row", (n_features, "vocabulary token"))
+            for row in rows]),
     )

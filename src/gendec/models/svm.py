@@ -111,7 +111,7 @@ def svm_from_params(doc: dict, n_features: int) -> SVMModel:
     check_keys(doc, ("weights", "bias", "lam", "epochs", "seed"))
     check_values(bias=doc["bias"], lam=doc["lam"], epochs=doc["epochs"], seed=doc["seed"])
     return SVMModel(
-        weights=vector(doc["weights"], np.float64, n_features),
+        weights=vector(doc["weights"], np.float64, "weights", (n_features, "vocabulary token")),
         bias=doc["bias"],
         lam=doc["lam"],
         epochs=doc["epochs"],

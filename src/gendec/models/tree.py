@@ -350,20 +350,21 @@ def tree_from_nodes(
     range.  A tree that ``_grow_tree`` grew passes and loads equal to it.
     """
     check_keys(doc, ("feature", "threshold", "count_female", "count_male"))
-    feature = vector(doc["feature"], np.int32)
+    feature = vector(doc["feature"], np.int32, "feature")
     if ((feature < -1) | (feature >= n_features)).any():
         raise ValueError(f"a node's feature must be -1 or a column below {n_features}")
     left, right, end = _pre_order_links(feature)
     inner = feature >= 0
     n_inner = int(np.count_nonzero(inner))
     threshold = np.zeros(feature.size, dtype=np.float64)
-    threshold[inner] = vector(doc["threshold"], np.float64, n_inner)
+    threshold[inner] = vector(doc["threshold"], np.float64, "threshold",
+                              (n_inner, "inner node"))
     counts = []
     for name in ("count_female", "count_male"):
         # Prefix sums of the leaf counts over node ids: a subtree's count is
         # the difference across its id range.
         total = np.zeros(feature.size + 1, dtype=np.int64)
-        total[1:][~inner] = vector(doc[name], np.int64, feature.size - n_inner)
+        total[1:][~inner] = vector(doc[name], np.int64, name, (feature.size - n_inner, "leaf"))
         np.cumsum(total, out=total)
         counts.append(total[end] - total[:-1])
     female, male = counts

@@ -169,10 +169,20 @@ def read_text(path: str | Path) -> str:
 
 
 def read_json(path: str | Path):
-    """A file's JSON document; not UTF-8, not JSON or too deep is a SchemaError."""
+    """A file's JSON document; not UTF-8, not JSON, too deep or an object
+    that repeats a key is a SchemaError."""
+
+    def unique_keys(pairs: list) -> dict:
+        doc = dict(pairs)
+        if len(doc) < len(pairs):
+            keys = [key for key, _ in pairs]
+            repeated = next(key for i, key in enumerate(keys) if key in keys[:i])
+            raise SchemaError(f"{path}: repeated key {repeated!r}")
+        return doc
+
     text = read_text(path)
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique_keys)
     except (ValueError, RecursionError) as exc:
         raise SchemaError(f"{path}: not JSON: {exc}") from None
 

@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -552,7 +553,9 @@ class TestCorruptModelFiles:
                             "duplicate-token", "integer-token", "swapped-tokens",
                             "trees-string", "trees-empty", "trees-null",
                             "tfidf-without-idf", "nb-log-prob-flat",
-                            "nb-log-prob-one-row", *VALUE_CASES])
+                            "nb-log-prob-one-row", "dt-float-feature", "dt-fractional-count",
+                            "rf-bool-count", "nb-bool-log-prob", "svm-duplicate-key",
+                            *VALUE_CASES])
     def corrupt_model(self, request, runner, split_files, tmp_path):
         kind = request.param.split("-")[0]
         kind = kind if kind in ("nb", "lr", "dt", "svm") else "rf"
@@ -564,6 +567,10 @@ class TestCorruptModelFiles:
         texts = {"not-json": "{not json", "nested-deep": DEEP_JSON}
         if case in texts:
             model_path.write_text(texts[case], encoding="utf-8")
+            return model_path
+        if case == "duplicate-key":  # a stray "lam" before the real one
+            text = json.dumps(doc).replace('"parameters": {', '"parameters": {"lam": 123.0, ', 1)
+            model_path.write_text(text, encoding="utf-8")
             return model_path
         if request.param in VALUE_CASES:
             key, value = VALUE_CASES[request.param]
@@ -588,6 +595,15 @@ class TestCorruptModelFiles:
                          count_male=[1] * 3)
         elif case == "leaf-count-short":
             nodes["count_male"].pop()
+        elif case == "float-feature":
+            nodes.update(feature=[0.7, -1, -1], threshold=[0.5], count_female=[1, 1],
+                         count_male=[1, 1])
+        elif case == "fractional-count":
+            nodes["count_female"][0] = 1.9
+        elif case == "bool-count":
+            nodes["count_female"][0] = True
+        elif case == "bool-log-prob":
+            params["feature_log_prob"][0][0] = True
         elif case == "column-out-of-range":
             nodes["feature"][0] = 10 ** 6
         elif case == "max-depth-0":
@@ -636,16 +652,32 @@ class TestCorruptModelFiles:
                                      for case in ("right-past-end", "orphan-node",
                                                   "leaf-count-short"))}
 
+    # The error each of these cases names: the key, and what it must hold.
+    MESSAGES = {
+        "wrong-length": r"ValueError: threshold must hold \d+ numbers, 1 per inner node, "
+                        r"got \d+$",
+        "dt-float-feature": "ValueError: feature must hold only integers, got 0.7$",
+        "dt-fractional-count": "ValueError: count_female must hold only integers, got 1.9$",
+        "rf-bool-count": "ValueError: count_female must hold only integers, got True$",
+        "nb-bool-log-prob": "ValueError: a feature_log_prob row must hold only numbers, "
+                            "got True$",
+        "svm-duplicate-key": ".*: repeated key 'lam'$",
+    }
+
     @classmethod
     def _assert_refused(cls, result, path, case):
-        """Exit 2 with an error about the file: it names the path or the
-        model file, and a bad node-block shape is a ValueError."""
+        """Exit 2 with one error line about the file: it names the path or
+        the model file, and a bad node-block shape is a ValueError."""
         assert result.exit_code == 2
         assert _no_traceback(result)
         assert result.output.startswith("error:")
+        assert result.output.count("\n") == 1
         assert str(path) in result.output or "model file" in result.output
         if case in cls.SHAPE_CASES:
             assert result.output.startswith("error: malformed model file: ValueError: ")
+        if case in cls.MESSAGES:
+            assert re.match("error: malformed model file: " + cls.MESSAGES[case],
+                            result.output.rstrip("\n")), result.output
 
     def test_predict_exits_2(self, runner, corrupt_model, request):
         result = runner.invoke(main, ["predict", "--model-file", str(corrupt_model),
@@ -999,6 +1031,18 @@ class TestGrid:
         assert result.exit_code == 0, result.output
         assert result.stderr == ("warning: training labels contain a single class; "
                                  "predictions are constant\n")
+
+    def test_config_that_repeats_a_key_exits_2(self, runner, split_files, tmp_path):
+        """A stray earlier "seed" is refused, not overridden by the later one."""
+        train_csv, _val, test_csv = split_files
+        config = json.dumps({"train": str(train_csv), "test": str(test_csv), "seed": 42,
+                             "cells": [{"model": "nb", "features": "count",
+                                        "variant": "original", "part": "full"}]})
+        result = self._grid(runner, tmp_path, config.replace('"seed"', '"seed": 7, "seed"'))
+        assert result.exit_code == 2
+        assert _no_traceback(result)
+        assert result.output == f"error: {tmp_path / 'grid.json'}: repeated key 'seed'\n"
+        assert not (tmp_path / "r.json").exists()
 
     def _grid(self, runner, tmp_path, config):
         config_path = tmp_path / "grid.json"

@@ -5,6 +5,7 @@ import ast
 import copy
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 import gendec
 import gendec.errors
 from gendec.corpus import read_raw_csv
-from gendec.errors import GendecError
+from gendec.errors import GendecError, SchemaError
 from gendec.evaluate import ExperimentGrid, extract_texts, train_cell_model
 from gendec.model_io import ModelFile, load_model
 from gendec.models import ModelKind
@@ -539,3 +540,16 @@ def test_json_round_trip(scratch, doc, options):
     path = scratch / "round-trip.json"
     write_json(path, doc, **options)
     assert read_json(path) == doc
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"a": 1, "a": 1}', "a"),
+    ('[{"b": {"c": null, "d": 2, "c": 3}}]', "c"),
+    ('{"x": {}, "e": 1, "f": 2, "e": 3, "f": 4}', "e"),
+], ids=["top-level", "nested", "first-of-two"])
+def test_read_json_refuses_a_repeated_key(scratch, text, key):
+    """At any depth, the first key an object repeats is named."""
+    path = scratch / "repeated.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: repeated key '{key}'$"):
+        read_json(path)

@@ -5,14 +5,19 @@ a fixed seed, for both encodings, plus one converted-variant cell, and
 the sha256 of each saved file is compared with the recorded value.
 """
 
+import copy
 import hashlib
 import json
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gendec.cli import main
 from gendec.corpus import SplitRatios, split_dataset
-from gendec.errors import UnsupportedModelError
+from gendec.errors import SchemaError, UnsupportedModelError
 from gendec.evaluate import extract_texts, train_cell_model
 from gendec.model_io import ModelFile, load_model, save_model
 from gendec.models import ModelKind, predict, predict_proba, supports_proba
@@ -123,6 +128,122 @@ def test_loader_rebuilds_what_the_file_leaves_out(tmp_path, train_records, label
     if kind == "nb":
         assert loaded.single_class is trained.single_class
     assert predict(loaded, X) == predict(trained, X)
+
+
+class Pairs(list):
+    """A JSON object as its (key, value) pairs, so an edit can repeat a key."""
+
+
+def _text(node) -> str:
+    """JSON text as ``save_model`` writes it, keys sorted and no spaces; a
+    repeated key is written twice."""
+    if isinstance(node, Pairs):
+        pairs = sorted(node, key=lambda pair: pair[0])
+        return "{" + ",".join(f"{json.dumps(key)}:{_text(value)}" for key, value in pairs) + "}"
+    if isinstance(node, list):
+        return "[" + ",".join(map(_text, node)) + "]"
+    return json.dumps(node)
+
+
+def _slots(container, pattern=()):
+    """Every value below a list or object as (pattern, container, index):
+    ``pattern`` is the keys down to the value, "*" standing for list indices."""
+    for index, item in enumerate(container):
+        key, value = item if isinstance(container, Pairs) else ("*", item)
+        yield pattern + (key,), container, index
+        if isinstance(value, list):  # an object too: Pairs is a list
+            yield from _slots(value, pattern + (key,))
+
+
+def _value(container, index):
+    return container[index][1] if isinstance(container, Pairs) else container[index]
+
+
+def _is_number(value) -> bool:
+    return type(value) in (int, float)
+
+
+# Edits that replace a number: the number, a draw -> the new value.
+NUMBER_EDITS = {
+    "float": lambda v, draw: v / 2 if type(v) is float else float(v),
+    "bool": lambda v, draw: draw(st.booleans()),
+    "string": lambda v, draw: str(v),
+    "null": lambda v, draw: None,
+}
+# Edits of a list or an object in place: (what they apply to, the edit).
+SHAPE_EDITS = {
+    "grow": (lambda v: type(v) is list,
+             lambda v, draw: v.append(copy.deepcopy(v[-1]) if v else 0)),
+    "shrink": (lambda v: type(v) is list and v, lambda v, draw: v.pop()),
+    "repeat-key": (lambda v: type(v) is Pairs and v,
+                   lambda v, draw: v.insert(0, v[draw(st.integers(0, len(v) - 1))])),
+    "drop-key": (lambda v: type(v) is Pairs and v,
+                 lambda v, draw: v.pop(draw(st.integers(0, len(v) - 1)))),
+    "add-key": (lambda v: type(v) is Pairs, lambda v, draw: v.append(("added", 0))),
+}
+
+
+class PinnedTexts(dict):
+    """Each pinned cell's saved text, and a directory for edited copies."""
+
+    def __init__(self, directory):
+        super().__init__()
+        self.directory = directory
+
+    def __repr__(self) -> str:  # what hypothesis prints for a failing example
+        return f"<{len(self)} pinned model files>"
+
+
+@pytest.fixture(scope="module")
+def pinned_texts(tmp_path_factory, train_records):
+    texts = PinnedTexts(tmp_path_factory.mktemp("pinned"))
+    path = texts.directory / "m.json"
+    for label in PINNED:
+        kind, weighting, variant = label.split("/")
+        model_file, _ = _fit(train_records, ModelKind(kind), Weighting(weighting),
+                             InputVariant(variant))
+        save_model(path, model_file)
+        texts[label] = path.read_text(encoding="utf-8")
+        assert _text(json.loads(texts[label], object_pairs_hook=Pairs)) + "\n" == texts[label]
+    return texts
+
+
+@settings(max_examples=250, deadline=None)
+@given(data=st.data())
+def test_an_edited_pinned_file_is_refused_or_read_as_written(pinned_texts, data):
+    """One edit of a pinned file: a number turned into a float, a bool, a
+    string or null; a list one longer or shorter; or an object's key
+    repeated, dropped or added.  ``predict`` refuses the file with one
+    ``malformed model file`` line, or it loads and saves back to the edited
+    bytes: nothing is coerced, and no later key silently wins."""
+    label = data.draw(st.sampled_from(sorted(pinned_texts)), label="cell")
+    name = data.draw(st.sampled_from(sorted({*NUMBER_EDITS, *SHAPE_EDITS})), label="edit")
+    applies, edit = SHAPE_EDITS.get(name, (_is_number, None))
+    root = [json.loads(pinned_texts[label], object_pairs_hook=Pairs)]
+    slots = [slot for slot in _slots(root) if applies(_value(*slot[1:]))]
+    # Each distinct key path is as likely as any other, however long its lists.
+    pattern = data.draw(st.sampled_from(sorted({slot[0] for slot in slots})), label="at")
+    slots = [slot for slot in slots if slot[0] == pattern]
+    _, container, index = slots[data.draw(st.integers(0, len(slots) - 1), label="slot")]
+    if edit is not None:
+        edit(_value(container, index), data.draw)
+    else:
+        value = NUMBER_EDITS[name](_value(container, index), data.draw)
+        container[index] = (container[index][0], value) if type(container) is Pairs else value
+    path = pinned_texts.directory / "edited.json"
+    path.write_text(_text(root[0]) + "\n", encoding="utf-8")
+    result = CliRunner().invoke(main, ["predict", "--model-file", str(path),
+                                       "--name", "Tamai Kazuyoshi"])
+    if result.exit_code == 2:
+        assert result.output.startswith("error: malformed model file: ")
+        assert result.output.count("\n") == 1, result.output
+        with pytest.raises(SchemaError):
+            load_model(path)
+    else:
+        assert result.exit_code == 0, result.output
+        again = path.with_name("again.json")
+        save_model(again, load_model(path))
+        assert again.read_bytes() == path.read_bytes()
 
 
 @pytest.mark.parametrize("kind", list(ModelKind))

@@ -377,6 +377,14 @@ def test_unreadable_grid_config_is_a_schema_error(content, tmp_path):
         ExperimentGrid.load(path)
 
 
+def test_grid_config_that_repeats_a_key_is_a_schema_error(tmp_path):
+    """The later value of a repeated key never silently wins."""
+    path = tmp_path / "grid.json"
+    path.write_text('{"seed": 42, "tokenizer": {"mode": "word", "mode": "char_ngram"}}')
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: repeated key 'mode'$"):
+        ExperimentGrid.load(path)
+
+
 def test_every_rule_is_named_by_a_check():
     """Each ``VALUE_RULES`` key is a keyword of some ``check_values(...)`` call
     under ``src/``, so a rule cannot outlive the value it was written for."""

@@ -1,4 +1,6 @@
+import random
 import string
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -345,3 +347,29 @@ def test_bincount_row_norms_equal_add_at(case):
     counts, vocab = case
     assert_same_csr(tfidf_from_counts(counts, vocab).matrix,
                     add_at_tfidf_from_counts(counts, vocab).matrix)
+
+
+def test_transform_peak_memory_per_token():
+    """``transform`` holds at most 48 traced bytes per token occurrence at its
+    peak, over what it returns too: the token list, the sorted key array and
+    its run bounds, where an ``np.unique`` of the keys with its masked
+    copies and ``divmod`` pair reaches about 70.  Bytes are counted, not
+    timed, so the bound does not depend on the machine."""
+    rng = random.Random(31)
+    morae = "ka ki ku shi su ta chi to na ni no ha hi fu ma mi yu yo ri ro wa n".split()
+
+    def word() -> str:
+        return "".join(rng.choice(morae) for _ in range(rng.randint(1, 4)))
+
+    docs = [f"{word()} {word()}" for _ in range(2000)]
+    vocab = fit_vocabulary(docs[:1500], CHAR_24)  # the rest holds unseen tokens
+    n_tokens = sum(len(tokenize(doc, CHAR_24)) for doc in docs)
+    vocab.token_to_index  # built once per vocabulary, before any transform
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        transform(docs, vocab)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - before) / n_tokens <= 48
