@@ -34,11 +34,12 @@ def as_csr(X: MatrixLike) -> CSR:
     not silently read transposed.  Every CSR's fields, a package ``CSR``'s
     too, are read with ``np.asarray`` (``data`` as float64); ragged lists,
     data that is not real numbers, a shape that is not two integers, row
-    pointers or column ids that are not integers, or arrays that do not
-    form a CSR of the given shape raise SparseFormatError.  A row that
-    stores a column twice or out of order is made canonical: columns sorted
-    and a column's entries summed (in stored order), as scipy and
-    ``CSR.dot`` read it.  The trees rely on it: one value per column.
+    pointers or column ids that are not integers, arrays that do not form
+    a CSR of the given shape, or NaN or an infinity in ``data`` raise
+    SparseFormatError.  A row that stores a column twice or out of order is
+    made canonical: columns sorted and a column's entries summed (in stored
+    order), as scipy and ``CSR.dot`` read it.  The trees rely on it: one
+    value per column.
     """
     matrix = X.matrix if isinstance(X, FeatureMatrix) else X
     if not isinstance(matrix, CSR) and (
@@ -54,6 +55,8 @@ def as_csr(X: MatrixLike) -> CSR:
         raise SparseFormatError(f"CSR fields must be flat arrays: {exc}") from None
     if data.dtype.kind not in "biuf":  # bool, integers or floats
         raise SparseFormatError(f"CSR data must be real numbers, got {data.dtype}")
+    if data.dtype.kind == "f" and not np.isfinite(data).all():
+        raise SparseFormatError(f"CSR data must be finite, got {data[~np.isfinite(data)][0]}")
     shape = matrix.shape
     if not (isinstance(shape, tuple) and len(shape) == 2
             and all(isinstance(n, (int, np.integer)) and n >= 0 for n in shape)):
@@ -158,18 +161,18 @@ def linear_scores(model, matrix: CSR) -> np.ndarray:
 def vector(values, dtype, name: str, length: Optional[tuple[int, str]] = None,
            neg_inf_ok: bool = False) -> np.ndarray:
     """The finite 1-D array that the model document's list ``name`` holds,
-    read as written: JSON integers for an integer ``dtype``, integers or
-    floats for a float one, never a bool.  ``length``, when given, is the
+    read as written: JSON integers for an integer ``dtype``, JSON floats
+    for a float one, never a bool.  ``length``, when given, is the
     item count and what one item stands for, ``(n_inner, "inner node")``.
     Anything else, NaN or an infinity (-Infinity too, unless ``neg_inf_ok``)
     is a ValueError that names ``name``."""
     integers = np.issubdtype(dtype, np.integer)
     if not isinstance(values, list):
         raise ValueError(f"{name} must be a list, got {type(values).__name__}")
-    allowed = {int} if integers else {int, float}
-    wrong = [value for value in values if type(value) not in allowed]
+    kind = int if integers else float
+    wrong = [value for value in values if type(value) is not kind]
     if wrong:
-        raise ValueError(f"{name} must hold only {'integers' if integers else 'numbers'}, "
+        raise ValueError(f"{name} must hold only {'integers' if integers else 'floats'}, "
                          f"got {wrong[0]!r}")
     if length is not None and len(values) != length[0]:
         count, unit = length

@@ -17,7 +17,7 @@ from ..errors import ConfigError
 from ..name_core import Gender, check_keys, check_values, seeded_rng
 from ..vectorize import CSR
 from .common import MatrixLike, as_csr, training_labels
-from .tree import TreeModel, _grow_tree, tree_apply, tree_from_nodes, tree_nodes_params
+from .tree import TreeModel, _grow_tree, exit_leaves, tree_from_nodes, tree_nodes_params
 
 
 @dataclass
@@ -93,10 +93,8 @@ def train_forest(
 def forest_vote_counts(model: ForestModel, matrix: CSR) -> np.ndarray:
     """Per-row (female votes, male votes) over the forest's trees; a tree
     whose leaf counts tie votes female, as ``male_wins`` breaks ties."""
-    male_votes = np.zeros(matrix.shape[0], dtype=np.int64)
-    for tree in model.trees:
-        leaves = tree_apply(tree, matrix)
-        male_votes += tree.count_male[leaves] > tree.count_female[leaves]
+    male_leaf = np.concatenate([tree.count_male > tree.count_female for tree in model.trees])
+    male_votes = male_leaf[exit_leaves(model.trees, matrix)].sum(axis=1)
     return np.column_stack([model.n_trees - male_votes, male_votes]).astype(np.float64)
 
 

@@ -19,19 +19,14 @@ scan counts each boundary's right side as the rest of its column (the
 column's end minus the position) and takes the right-side label counts
 from one cumsum over the node's entries.
 
-Trees are stored as flat parallel arrays, which keeps serialization
-cheap and lets prediction move every row of a batch down one level per
-step instead of walking row by row.  ``tree_apply`` and the scorers take
-the CSR that ``as_csr`` checked and made canonical where the matrix
-entered a trainer or a predict function, and check nothing again.
-
-Node ids are depth-first pre-order: the grower gives a node its id when
-it pops the node off its stack, left child first.  An inner node's left
-child is the next id, its subtree is one contiguous id range, and its
-right child starts where the left child's subtree ends, so the leaves in
-id order run left to right.  A model file therefore stores only the
-``feature`` flags (-1 at a leaf), the inner nodes' thresholds and the
-leaves' label counts; ``tree_from_nodes`` rebuilds the rest.
+A tree holds what its model file stores: ``feature`` per node (-1 at a
+leaf), ``threshold`` per inner node and the label counts per leaf.  Node
+ids are depth-first pre-order (the grower numbers a node when it pops
+it, left child first), so an inner node's left child is the next id, its
+subtree is one contiguous id range, and the leaves in id order run left
+to right.  ``exit_leaves`` scores the CSR that ``as_csr`` checked and
+made canonical, feature-major and in a fixed number of vectorized passes
+whatever the depth, and checks nothing again.
 
 Feature values must be non-negative (count or TF-IDF weights); this is
 what lets the zero group sort below every stored value.
@@ -55,16 +50,13 @@ FeatureSampler = Callable[[], np.ndarray]
 
 @dataclass
 class TreeModel:
-    """Flat-array binary tree with node ids in depth-first pre-order;
-    feature == -1 marks a leaf.  At an inner node p, left[p] is p + 1 and
-    right[p] is the first id past the left child's subtree."""
+    """Binary tree with node ids in depth-first pre-order, held as the
+    arrays its model file stores."""
 
-    feature: np.ndarray  # (nodes,) int32, -1 for leaves
-    threshold: np.ndarray  # (nodes,) float64, 0.0 for leaves
-    left: np.ndarray  # (nodes,) int32, -1 for leaves
-    right: np.ndarray  # (nodes,) int32, -1 for leaves
-    count_female: np.ndarray  # (nodes,) int64 training labels reaching the node
-    count_male: np.ndarray  # (nodes,) int64
+    feature: np.ndarray  # (nodes,) int32 split column, -1 at a leaf
+    threshold: np.ndarray  # (inner nodes,) float64, in id order
+    count_female: np.ndarray  # (leaves,) int64 training labels, left to right
+    count_male: np.ndarray  # (leaves,) int64
     n_features: int
     max_depth: Optional[int]
     min_samples_leaf: int
@@ -72,6 +64,16 @@ class TreeModel:
     @property
     def n_nodes(self) -> int:
         return len(self.feature)
+
+    # Child ids (-1 at a leaf) derived on each read, for ``bench/traced.py``.
+    @property
+    def left(self) -> np.ndarray:
+        return np.where(self.feature >= 0, np.arange(1, self.n_nodes + 1), -1).astype(np.int32)
+
+    @property
+    def right(self) -> np.ndarray:
+        ends = np.append(_subtree_ends(self.feature)[1:], -1)
+        return np.where(self.feature >= 0, ends, -1).astype(np.int32)
 
 
 def _best_split(
@@ -177,16 +179,11 @@ def _grow_tree(
     stack = [(0, labels.size, int(np.count_nonzero(labels == 0)), er, ec, ev)]
     while stack:
         depth, n, nf, ner, nec, nev = stack.pop()
-        feature.append(-1)
-        threshold.append(0.0)
+        feature.append(-1)  # a leaf until it splits
         count_f.append(nf)
         count_m.append(n - nf)
-        if (
-            nf == 0
-            or nf == n
-            or (max_depth is not None and depth >= max_depth)
-            or n < 2 * min_samples_leaf
-        ):
+        if (nf in (0, n) or (max_depth is not None and depth >= max_depth)
+                or n < 2 * min_samples_leaf):
             continue
         eg = labels[ner]
         split = None
@@ -211,7 +208,8 @@ def _grow_tree(
 
         nf_right = int(np.count_nonzero(labels[marked] == 0))
         feature[-1] = col
-        threshold[-1] = thr
+        threshold.append(thr)
+        del count_f[-1], count_m[-1]  # only leaves keep their counts
         # Push right first so the left child is processed (and draws any
         # sampled features) first: deterministic depth-first, left-first.
         stack.append((depth + 1, marked.size, nf_right, ner[entry_side],
@@ -219,13 +217,9 @@ def _grow_tree(
         stack.append((depth + 1, n - marked.size, nf - nf_right, ner[~entry_side],
                       nec[~entry_side], nev[~entry_side]))
 
-    flags = np.asarray(feature, dtype=np.int32)
-    left, right, _ = _pre_order_links(flags)
     return TreeModel(
-        feature=flags,
+        feature=np.asarray(feature, dtype=np.int32),
         threshold=np.asarray(threshold, dtype=np.float64),
-        left=left,
-        right=right,
         count_female=np.asarray(count_f, dtype=np.int64),
         count_male=np.asarray(count_m, dtype=np.int64),
         n_features=matrix.shape[1],
@@ -234,43 +228,28 @@ def _grow_tree(
     )
 
 
-def _pre_order_links(feature: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Left and right child ids, and one past the last id of each node's
-    subtree, for a tree whose ``feature`` flags (-1 at a leaf) are listed in
-    pre-order.
+def _levels(feature: np.ndarray) -> np.ndarray:
+    """``level[i]``, i in 0..n: +1 per inner node and -1 per leaf below id i."""
+    level = np.zeros(feature.size + 1, dtype=np.int64)
+    np.cumsum(np.where(feature >= 0, 1, -1), out=level[1:])
+    return level
 
-    ``level[i]`` sums +1 per inner node and -1 per leaf over the ids below
-    i.  The flags list one tree exactly when the level stays at 0 or above
-    up to the last node and is -1 after it; anything else is a ValueError.
-    Node i's subtree then ends at the first id after i whose level is below
-    ``level[i]``, and an inner node's right child is where its left child's
-    (the next id's) subtree ends.
+
+def _subtree_ends(feature: np.ndarray) -> np.ndarray:
+    """One past the last id of each node's subtree, for the ``feature``
+    flags of one or more trees listed back to back, each in pre-order.
+
+    A subtree's flags sum to -1 and every proper prefix of them to 0 or
+    more, so node i's subtree ends at the first id after i whose level is
+    ``level[i] - 1``.  One sort of (level, id) keys puts each level's ids in
+    order, and a search finds that id.
     """
     n = feature.size
-    inner = feature >= 0
-    level = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.where(inner, 1, -1), out=level[1:])
-    if level[-1] != -1 or level[1:-1].min(initial=0) < 0:
-        raise ValueError("feature must list one tree in pre-order: its leaf flags (-1) "
-                         "must close the tree at the last node, not before or after")
-    # lowest[k][i]: the lowest level at ids i to i + 2**k - 1; a window that
-    # runs past the end meets the final -1, below every node's level.
-    lowest = [level]
-    while 2 ** len(lowest) < n:
-        low, half = lowest[-1], 2 ** (len(lowest) - 1)
-        lowest.append(low.copy())
-        np.minimum(low[:-half], low[half:], out=lowest[-1][:-half])
-    # From the id after each node, step over every window that stays at or
-    # above the node's level, widest first: the first id below it remains.
-    end = np.arange(1, n + 1)
-    for k in reversed(range(len(lowest))):
-        end += (lowest[k][end] >= level[:-1]) << k
-    split = np.flatnonzero(inner)
-    left = np.full(n, -1, dtype=np.int32)
-    right = np.full(n, -1, dtype=np.int32)
-    left[split] = split + 1
-    right[split] = end[split + 1]
-    return left, right, end
+    level = _levels(feature)
+    keys = (level - level.min()) * (n + 1) + np.arange(n + 1)
+    keys.sort()
+    below = (level[:-1] - 1 - level.min()) * (n + 1) + np.arange(1, n + 1)
+    return keys[keys.searchsorted(below)] % (n + 1)
 
 
 def train_tree(
@@ -284,55 +263,80 @@ def train_tree(
     return _grow_tree(matrix, training_labels(matrix, y), max_depth, min_samples_leaf)
 
 
-def tree_apply(model: TreeModel, matrix: CSR) -> np.ndarray:
-    """Leaf node id per row of ``as_csr``'s output, one value per row and
-    column.  Every row moves down one level per step: right when its value
-    on the node's column exceeds the threshold, else left (a missing entry
-    is a zero).  Rows at a leaf leave the step once they are half of it.
-    Every child id of a pre-order tree is above its parent's, so a grown or
-    loaded tree cannot cycle; the bound of ``n_nodes`` steps guards only a
-    hand-built ``TreeModel``, whose walk that long has met a cycle and
-    raises ValueError.
+def exit_leaves(trees: Sequence[TreeModel], matrix: CSR) -> np.ndarray:
+    """(rows, trees) exit leaf of each row of ``as_csr``'s output (one
+    value per row and column) in each tree, numbered over the trees' leaves
+    listed back to back, each tree's left to right.
+
+    A row goes right at a node when it stores a value above the node's
+    threshold on the node's column; a missing entry goes left.  So an entry
+    (c, v) makes each node that splits column c at a threshold below v a
+    false node, and a false node excludes the leaves of its left subtree
+    (ids ``p + 1`` to that subtree's end).  The exit leaf is the tree's
+    first leaf that no excluded interval covers: the path never excludes
+    it, and each leaf to its left lies in the left subtree of the path node
+    where the two part, which the row leaves to the right.
     """
-    leaf = model.feature < 0
-    left = np.where(leaf, np.arange(model.n_nodes), model.left)
-    node = np.zeros(matrix.shape[0], dtype=np.int64)
-    live = np.arange(node.size)
-    rows, cols, vals = matrix.row_ids(), matrix.indices, matrix.data
-    for _ in range(model.n_nodes):
-        here = node[live]
-        inner = ~leaf[here]
-        if not inner.any():
-            return node
-        at = node[rows]
-        if 2 * np.count_nonzero(inner) <= live.size:
-            live, here = live[inner], here[inner]
-            keep = ~leaf[at]
-            rows, cols, vals, at = rows[keep], cols[keep], vals[keep], at[keep]
-        on = np.flatnonzero(cols == model.feature[at])
-        on = on[vals[on] > model.threshold[at[on]]]
-        node[live] = left[here]
-        node[rows[on]] = model.right[at[on]]
-    raise ValueError("a tree walk passed n_nodes levels; the tree has a cycle")
+    flags = np.concatenate([tree.feature for tree in trees])
+    split = np.flatnonzero(flags >= 0)
+    # leaf_id[i]: the leaves with an id below i, over the trees back to back.
+    leaf_id = np.zeros(flags.size + 1, dtype=np.int64)
+    np.cumsum(flags < 0, out=leaf_id[1:])
+    sizes = [tree.n_nodes for tree in trees]
+    first_leaf = leaf_id[np.cumsum([0] + sizes[:-1])]
+    node_tree = np.repeat(np.arange(len(trees)), sizes)[split]
+    node_col = flags[split]
+    node_start = leaf_id[split]
+    node_end = leaf_id[_subtree_ends(flags)[split + 1]]
+
+    # Merge the inner nodes with the entries by (column, value), an entry
+    # before a node of its own value: a node is false below a greater value.
+    rows, cols = matrix.row_ids(), matrix.indices
+    values = np.concatenate([tree.threshold for tree in trees] + [matrix.data])
+    is_node = np.arange(values.size) < split.size
+    order = np.lexsort((is_node, values, np.concatenate([node_col, cols])))
+    merged_node = is_node[order]
+    nodes = order[merged_node]  # the inner nodes in (column, threshold) order
+    entry = order[~merged_node] - split.size
+    # An entry's false nodes run from its column's first node to the last
+    # node merged before it.
+    hi = np.cumsum(merged_node)[~merged_node]
+    lo = node_col[nodes].searchsorted(cols[entry])
+    count = hi - lo
+    node = nodes[np.repeat(lo - (np.cumsum(count) - count), count) + np.arange(count.sum())]
+    row = np.repeat(rows[entry], count)
+
+    # Sort the excluded intervals by (row, tree, start): with each row's leaf
+    # ids shifted above the last row's, that is the order of their starts.
+    shift = row * leaf_id[-1]
+    by = np.argsort(node_start[node] + shift)
+    node, row, shift = node[by], row[by], shift[by]
+    start, end, tree = node_start[node] + shift, node_end[node] + shift, node_tree[node]
+    # Before each interval its (row, tree) pair is covered up to its tree's
+    # first leaf or the furthest end so far; the exit leaf is the first such
+    # point that the next interval starts past, else the furthest end.
+    reach = np.maximum.accumulate(end)
+    covered = np.maximum(np.append(0, reach[:-1]), first_leaf[tree] + shift)
+    head = np.flatnonzero(np.diff(row * len(trees) + tree, prepend=-1))
+    last = np.append(head, start.size)[1:] - 1
+    gap = np.where(start > covered, covered, np.iinfo(np.int64).max)
+    out = np.tile(first_leaf, (matrix.shape[0], 1))
+    out[row[head], tree[head]] = (np.minimum(np.minimum.reduceat(gap, head), reach[last])
+                                  - shift[head])
+    return out
 
 
 def tree_leaf_counts(model: TreeModel, matrix: CSR) -> np.ndarray:
     """Per-row (female, male) training counts of the reached leaf."""
-    leaves = tree_apply(model, matrix)
+    leaves = exit_leaves([model], matrix)[:, 0]
     return np.column_stack([model.count_female[leaves], model.count_male[leaves]]
                            ).astype(np.float64)
 
 
 def tree_nodes_params(tree: TreeModel) -> dict:
-    """A tree's node blocks in a model file: every node's ``feature``, the
-    inner nodes' ``threshold`` and the leaves' counts, each in id order."""
-    inner = tree.feature >= 0
-    return {
-        "feature": tree.feature.tolist(),
-        "threshold": tree.threshold[inner].tolist(),
-        "count_female": tree.count_female[~inner].tolist(),
-        "count_male": tree.count_male[~inner].tolist(),
-    }
+    """A tree's node blocks in a model file, its four arrays as lists."""
+    return {name: getattr(tree, name).tolist()
+            for name in ("feature", "threshold", "count_female", "count_male")}
 
 
 def tree_from_nodes(
@@ -342,37 +346,29 @@ def tree_from_nodes(
 
     A ConfigError unless the blocks are the known ones, and a ValueError
     unless every ``feature`` is -1 or a known column, the flags list one
-    tree in pre-order (see ``_pre_order_links``), ``threshold`` holds one
-    number per inner node and each count list one per leaf, and every
-    node's (female, male) counts are non-negative with a positive sum.  The
-    loader rebuilds ``left`` and ``right``, a leaf's threshold 0.0, and an
-    inner node's counts as the sums over the leaves of its subtree's id
-    range.  A tree that ``_grow_tree`` grew passes and loads equal to it.
+    tree in pre-order (their level stays at 0 or above up to the last node
+    and is -1 after it), ``threshold`` holds one number per inner node and
+    each count list one per leaf, and every leaf's (female, male) counts
+    are non-negative with a positive sum.  A tree that ``_grow_tree`` grew
+    passes and loads equal to it.
     """
     check_keys(doc, ("feature", "threshold", "count_female", "count_male"))
     feature = vector(doc["feature"], np.int32, "feature")
     if ((feature < -1) | (feature >= n_features)).any():
         raise ValueError(f"a node's feature must be -1 or a column below {n_features}")
-    left, right, end = _pre_order_links(feature)
-    inner = feature >= 0
-    n_inner = int(np.count_nonzero(inner))
-    threshold = np.zeros(feature.size, dtype=np.float64)
-    threshold[inner] = vector(doc["threshold"], np.float64, "threshold",
-                              (n_inner, "inner node"))
-    counts = []
-    for name in ("count_female", "count_male"):
-        # Prefix sums of the leaf counts over node ids: a subtree's count is
-        # the difference across its id range.
-        total = np.zeros(feature.size + 1, dtype=np.int64)
-        total[1:][~inner] = vector(doc[name], np.int64, name, (feature.size - n_inner, "leaf"))
-        np.cumsum(total, out=total)
-        counts.append(total[end] - total[:-1])
-    female, male = counts
+    level = _levels(feature)
+    if level[-1] != -1 or level[1:-1].min(initial=0) < 0:
+        raise ValueError("feature must list one tree in pre-order: its leaf flags (-1) "
+                         "must close the tree at the last node, not before or after")
+    n_inner = int(np.count_nonzero(feature >= 0))
+    threshold = vector(doc["threshold"], np.float64, "threshold", (n_inner, "inner node"))
+    female, male = (vector(doc[name], np.int64, name, (feature.size - n_inner, "leaf"))
+                    for name in ("count_female", "count_male"))
     if ((female < 0) | (male < 0) | (female + male == 0)).any():
-        raise ValueError("every node needs non-negative counts with a positive sum")
-    return TreeModel(feature=feature, threshold=threshold, left=left, right=right,
-                     count_female=female, count_male=male, n_features=n_features,
-                     max_depth=max_depth, min_samples_leaf=min_samples_leaf)
+        raise ValueError("every leaf needs non-negative counts with a positive sum")
+    return TreeModel(feature=feature, threshold=threshold, count_female=female,
+                     count_male=male, n_features=n_features, max_depth=max_depth,
+                     min_samples_leaf=min_samples_leaf)
 
 
 def tree_params(model: TreeModel) -> dict:

@@ -659,7 +659,7 @@ class TestCorruptModelFiles:
         "dt-float-feature": "ValueError: feature must hold only integers, got 0.7$",
         "dt-fractional-count": "ValueError: count_female must hold only integers, got 1.9$",
         "rf-bool-count": "ValueError: count_female must hold only integers, got True$",
-        "nb-bool-log-prob": "ValueError: a feature_log_prob row must hold only numbers, "
+        "nb-bool-log-prob": "ValueError: a feature_log_prob row must hold only floats, "
                             "got True$",
         "svm-duplicate-key": ".*: repeated key 'lam'$",
     }

@@ -168,6 +168,12 @@ MALFORMED_CSRS = {
                                                 shape=(2, 3, 1)),
     "csr-1d-shape": CSR(indptr=np.array([0, 1, 2]), indices=np.array([0, 2]),
                         data=np.ones(2), shape=(2,)),
+    # Not read into a 1-node tree, a skipped svm row, NaN probabilities or a
+    # fit that seems to diverge.
+    **{f"{holder.__name__.lower()}-{value}-data": holder(
+        indptr=np.array([0, 1, 2]), indices=np.array([0, 2]), data=np.array([1.0, value]),
+        shape=(2, 3))
+       for holder in (CSR, SimpleNamespace) for value in (math.nan, math.inf, -math.inf)},
 }
 
 

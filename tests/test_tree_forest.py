@@ -1,4 +1,5 @@
 import json
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -19,7 +20,7 @@ from gendec.models.tree import (
     TreeModel,
     _best_split,
     _grow_tree,
-    tree_apply,
+    exit_leaves,
     tree_from_nodes,
     tree_nodes_params,
 )
@@ -85,9 +86,7 @@ class TestTree:
         dense = rng.random((30, 3))
         y = _labels(rng.integers(0, 2, size=30))
         model = train_tree(sp.csr_matrix(dense), y, min_samples_leaf=5)
-        leaves = model.feature == -1
-        totals = model.count_female[leaves] + model.count_male[leaves]
-        assert totals.min() >= 5
+        assert (model.count_female + model.count_male).min() >= 5
 
     def test_internal_nodes_have_two_children(self):
         rng = np.random.default_rng(8)
@@ -125,7 +124,7 @@ class TestTree:
         model = train_tree(X, [F, M, M])
         assert model.n_nodes == 3
         assert model.threshold[0] == pytest.approx(0.65)
-        assert model.count_female.tolist() == [1, 0, 1]
+        assert model.count_female.tolist() == [0, 1]
         assert predict(model, X) == [F, M, M]
 
     def test_proba_is_leaf_frequency(self):
@@ -207,9 +206,7 @@ class TestForest:
         def leaf(nf, nm):
             return TreeModel(
                 feature=np.array([-1], dtype=np.int32),
-                threshold=np.array([0.0]),
-                left=np.array([-1], dtype=np.int32),
-                right=np.array([-1], dtype=np.int32),
+                threshold=np.array([]),
                 count_female=np.array([nf], dtype=np.int64),
                 count_male=np.array([nm], dtype=np.int64),
                 n_features=2,
@@ -253,8 +250,12 @@ def test_depth_and_leaf_limits_checked_by_both_trainers(train, params):
 
 
 def stack_walk_apply(model, X):
-    """Reference for ``tree_apply``: routes row sets down the tree with an
-    explicit stack, re-numbering each node's entries for its children."""
+    """Reference for ``exit_leaves``: routes row sets down the tree with an
+    explicit stack, re-numbering each node's entries for its children, and
+    returns each row's leaf node id."""
+    threshold = np.zeros(model.n_nodes)  # a per-node view: 0.0 at a leaf
+    threshold[model.feature >= 0] = model.threshold
+    left, right = model.left, model.right
     matrix = as_csr(X)
     check_n_features(model.n_features, matrix)
     n = matrix.shape[0]
@@ -274,7 +275,7 @@ def stack_walk_apply(model, X):
             out[nrows] = node
             continue
         on_col = nec == col
-        right_rows = ner[on_col][nev[on_col] > model.threshold[node]]
+        right_rows = ner[on_col][nev[on_col] > threshold[node]]
         side = np.zeros(nrows.size, dtype=bool)
         side[right_rows] = True
         left_index = np.cumsum(~side) - 1
@@ -282,7 +283,7 @@ def stack_walk_apply(model, X):
         entry_side = side[ner]
         stack.append(
             (
-                int(model.right[node]),
+                int(right[node]),
                 nrows[side],
                 right_index[ner[entry_side]],
                 nec[entry_side],
@@ -291,7 +292,7 @@ def stack_walk_apply(model, X):
         )
         stack.append(
             (
-                int(model.left[node]),
+                int(left[node]),
                 nrows[~side],
                 left_index[ner[~entry_side]],
                 nec[~entry_side],
@@ -303,49 +304,58 @@ def stack_walk_apply(model, X):
 
 @st.composite
 def trees_and_batches(draw):
-    """A trained tree (a forest's, a plain one, or a root-only one) and a
-    scipy CSR batch whose rows may be empty and whose column entries may
-    repeat or come unsorted."""
+    """Trees trained on one matrix, packed as a forest packs its trees (a
+    forest's trees, a plain tree, a root-only tree, or several of these
+    back to back), and a scipy CSR batch whose rows may be empty and whose
+    column entries may repeat or come unsorted."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     X = _random_matrix(rng)
     n, V = X.shape
-    max_depth = draw(st.none() | st.integers(1, 6))
-    kind = draw(st.sampled_from(["tree", "forest", "root"]))
-    if kind == "tree":
-        tree = train_tree(X, _labels(rng.integers(0, 2, size=n)), max_depth=max_depth)
-    elif kind == "forest":
-        forest = train_forest(X, _labels(rng.integers(0, 2, size=n)), n_trees=3,
-                              seed=int(rng.integers(0, 100)), max_depth=max_depth)
-        tree = forest.trees[draw(st.integers(0, 2))]
-    else:
-        tree = train_tree(X, [M] * n)
-        assert tree.n_nodes == 1
-    # Values on and around the split thresholds, plus stored zeros.
-    values = st.sampled_from([0.0, 1.0, *tree.threshold.tolist()]) | st.floats(-1.0, 4.0)
+    trees = []
+    for kind in draw(st.lists(st.sampled_from(["tree", "forest", "root"]), min_size=1,
+                              max_size=3)):
+        max_depth = draw(st.none() | st.integers(1, 6))
+        if kind == "tree":
+            trees.append(train_tree(X, _labels(rng.integers(0, 2, size=n)),
+                                    max_depth=max_depth))
+        elif kind == "forest":
+            forest = train_forest(X, _labels(rng.integers(0, 2, size=n)),
+                                  n_trees=draw(st.integers(1, 4)),
+                                  seed=int(rng.integers(0, 100)), max_depth=max_depth)
+            trees += forest.trees
+        else:
+            trees.append(train_tree(X, [M] * n))
+            assert trees[-1].n_nodes == 1
+    # Values on and next to the split thresholds, negative ones, and stored
+    # zeros.
+    thresholds = np.concatenate([tree.threshold for tree in trees])
+    near = np.concatenate([thresholds, np.nextafter(thresholds, -np.inf),
+                           np.nextafter(thresholds, np.inf)])
+    values = st.sampled_from([0.0, 1.0, *near.tolist()]) | st.floats(-1.0, 4.0)
     batch = draw(st.lists(st.lists(st.tuples(st.integers(0, V - 1), values), max_size=6),
                           max_size=8))
     indptr = np.cumsum([0] + [len(row) for row in batch])
     entries = [entry for row in batch for entry in row]
     indices = np.array([col for col, _ in entries], dtype=np.int32)
     data = np.array([value for _, value in entries], dtype=np.float64)
-    return tree, sp.csr_matrix((data, indices, indptr), shape=(len(batch), V))
+    return trees, sp.csr_matrix((data, indices, indptr), shape=(len(batch), V))
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=trees_and_batches())
-def test_level_walk_equals_stack_walk(case):
-    tree, X = case
-    leaves = tree_apply(tree, as_csr(X))
+def test_exit_leaves_equal_stack_walk(case):
+    """Each row's exit leaf in each packed tree, numbered over the trees'
+    leaves back to back, is the leaf the oracle's walk reaches."""
+    trees, X = case
+    leaves = exit_leaves(trees, as_csr(X))
     assert leaves.dtype == np.int64
-    assert np.array_equal(leaves, stack_walk_apply(tree, X))
-
-
-def test_walk_over_a_cycle_raises_instead_of_looping():
-    tree = train_tree(sp.csr_matrix(np.eye(2)), [F, M])
-    assert tree.n_nodes == 3
-    tree.left[0] = 0
-    with pytest.raises(ValueError, match="cycle"):
-        tree_apply(tree, as_csr(sp.csr_matrix(np.zeros((2, 2)))))
+    assert leaves.shape == (X.shape[0], len(trees))
+    first = 0
+    for column, tree in zip(leaves.T, trees):
+        leaf_nodes = np.flatnonzero(tree.feature < 0)  # left to right
+        assert ((column >= first) & (column < first + leaf_nodes.size)).all()
+        assert np.array_equal(leaf_nodes[column - first], stack_walk_apply(tree, X))
+        first += leaf_nodes.size
 
 
 # --- the presorted grower against the per-node sort it replaced -------------
@@ -424,6 +434,22 @@ def per_node_sort_best_split(
 
 
 
+@dataclass
+class OracleTree:
+    """The six node arrays the oracle grows: every node's flag, threshold
+    (0.0 at a leaf), child ids (-1 at a leaf) and label counts."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    count_female: np.ndarray
+    count_male: np.ndarray
+    n_features: int
+    max_depth: Optional[int]
+    min_samples_leaf: int
+
+
 def per_node_sort_grow_tree(
     matrix: CSR,
     labels: np.ndarray,
@@ -431,7 +457,7 @@ def per_node_sort_grow_tree(
     min_samples_leaf: int,
     feature_sampler: Optional[FeatureSampler] = None,
     exhaust_on_miss: bool = True,
-) -> TreeModel:
+) -> OracleTree:
     """Depth-first growth with an explicit stack (trees can be very deep).
 
     When a feature sampler is given, the split search is restricted to
@@ -540,7 +566,7 @@ def per_node_sort_grow_tree(
             )
         )
 
-    return TreeModel(
+    return OracleTree(
         feature=np.asarray(feature, dtype=np.int32),
         threshold=np.asarray(threshold, dtype=np.float64),
         left=np.asarray(left, dtype=np.int32),
@@ -583,10 +609,10 @@ def _sampler(V, features, seed):
     return lambda: np.sort(rng.choice(V, size=features, replace=False))
 
 
-NODE_ARRAYS = ("feature", "threshold", "left", "right", "count_female", "count_male")
+STORED_ARRAYS = ("feature", "threshold", "count_female", "count_male")
 
 
-def _pre_order(tree: TreeModel) -> TreeModel:
+def _pre_order(tree: OracleTree) -> OracleTree:
     """``tree`` with its nodes renumbered in depth-first, left-first order,
     the order in which ``_grow_tree`` numbers them."""
     order = []
@@ -602,17 +628,23 @@ def _pre_order(tree: TreeModel) -> TreeModel:
     def relink(ids):
         return np.where(ids >= 0, new_id[ids], -1).astype(ids.dtype)
 
-    return TreeModel(feature=tree.feature[order], threshold=tree.threshold[order],
-                     left=relink(tree.left[order]), right=relink(tree.right[order]),
-                     count_female=tree.count_female[order],
-                     count_male=tree.count_male[order], n_features=tree.n_features,
-                     max_depth=tree.max_depth, min_samples_leaf=tree.min_samples_leaf)
+    return OracleTree(feature=tree.feature[order], threshold=tree.threshold[order],
+                      left=relink(tree.left[order]), right=relink(tree.right[order]),
+                      count_female=tree.count_female[order],
+                      count_male=tree.count_male[order], n_features=tree.n_features,
+                      max_depth=tree.max_depth, min_samples_leaf=tree.min_samples_leaf)
 
 
-def _assert_same_nodes(new: TreeModel, old: TreeModel) -> None:
-    for name in NODE_ARRAYS:
-        assert np.array_equal(getattr(new, name), getattr(old, name)), name
-        assert getattr(new, name).dtype == getattr(old, name).dtype, name
+def _assert_same_nodes(new: TreeModel, old: OracleTree) -> None:
+    """``new`` stores the pre-order oracle's flags, its inner nodes'
+    thresholds and its leaves' counts, and derives its child ids."""
+    inner = old.feature >= 0
+    expected = {"feature": old.feature, "threshold": old.threshold[inner],
+                "count_female": old.count_female[~inner],
+                "count_male": old.count_male[~inner], "left": old.left, "right": old.right}
+    for name, array in expected.items():
+        assert np.array_equal(getattr(new, name), array), name
+        assert getattr(new, name).dtype == array.dtype, name
 
 
 def _grow(grow, matrix, labels, max_depth, min_samples_leaf, sampler):
@@ -636,7 +668,7 @@ def test_presorted_grower_equals_per_node_sort(case):
 @given(case=grow_cases())
 def test_node_blocks_round_trip(case):
     """A grown tree, with or without a forest's feature sampler, saves to
-    node blocks that load back to the same six arrays."""
+    node blocks that load back to the same stored arrays."""
     matrix, labels, max_depth, min_samples_leaf, _sampler = case
     assume(labels.size)  # the trainers refuse an empty matrix
     tree = _grow(_grow_tree, *case)
@@ -645,7 +677,9 @@ def test_node_blocks_round_trip(case):
     assert len(doc["threshold"]) == np.count_nonzero(inner)
     assert len(doc["count_female"]) == len(doc["count_male"]) == np.count_nonzero(~inner)
     loaded = tree_from_nodes(doc, matrix.shape[1], max_depth, min_samples_leaf)
-    _assert_same_nodes(loaded, tree)
+    for name in STORED_ARRAYS:
+        assert np.array_equal(getattr(loaded, name), getattr(tree, name)), name
+        assert getattr(loaded, name).dtype == getattr(tree, name).dtype, name
 
 
 def _stack_links(flags):
@@ -706,17 +740,13 @@ def test_any_flags_decode_to_their_tree_or_raise_value_error(data, n_features):
     tree = tree_from_nodes(doc, n_features, None, 1)
     assert tree_nodes_params(tree) == doc
     assert (tree.left.tolist(), tree.right.tolist()) == links
-    for name in ("count_female", "count_male"):
-        counts = getattr(tree, name)
-        inner = np.flatnonzero(tree.feature >= 0)
-        assert np.array_equal(counts[inner],
-                              counts[tree.left[inner]] + counts[tree.right[inner]])
 
 
 def _depth(tree: TreeModel) -> int:
     depth = np.zeros(tree.n_nodes, dtype=np.int64)
+    left, right = tree.left, tree.right
     for node in np.flatnonzero(tree.feature >= 0):  # parents come before children
-        depth[tree.left[node]] = depth[tree.right[node]] = depth[node] + 1
+        depth[left[node]] = depth[right[node]] = depth[node] + 1
     return int(depth.max())
 
 
