@@ -5,19 +5,22 @@ distinct values (the implicit zeros of a sparse column included) and is
 fully vectorized over all candidate boundaries of a node at once.  Ties
 break toward the lowest column index, then the lowest threshold.
 
-A tree sorts its matrix entries by (column, value) once, at the root.
-Each split partitions the entries stably, so every child keeps that
-order and no node sorts again.  A node on the grower's stack is only its
-entries (with global row ids, by which labels are read) and its two label
-counts: a canonical CSR holds a row at most once per column, so the split
-column's right-going entries are the right child's rows.
+A tree sorts its matrix entries by (column, value) once, at the root,
+and keeps that one order for the whole tree, as SLIQ's class list does
+(Mehta, Agrawal & Rissanen, EDBT 1996): a row-to-slot table names the
+node that holds each row, and a node's entries are the root's entries
+whose row is in its slot, in the root's order, ties included.  A node on
+the grower's stack is four numbers: its depth, its row and female counts
+and its slot.  A split moves only the right child's rows to a fresh slot;
+a canonical CSR holds a row at most once per column, so those rows are
+the node's entries above the threshold in the split column.
 
-In that order a column's entries at a node are one contiguous range, so
-a forest's sampled columns and a split's column are found as
-``np.searchsorted`` ranges, with no pass that tests every entry.  The
-scan counts each boundary's right side as the rest of its column (the
-column's end minus the position) and takes the right-side label counts
-from one cumsum over the node's entries.
+In that order a column's entries are one contiguous range, found through
+a column pointer, so a forest's sampled columns and a split's column are
+read with no pass over every entry.  The scan counts each boundary's
+right side as the rest of its column (the column's end minus the
+position) and takes the right-side label counts from one cumsum over the
+node's entries.
 
 A tree holds what its model file stores: ``feature`` per node (-1 at a
 leaf), ``threshold`` per inner node and the label counts per leaf.  Node
@@ -76,6 +79,14 @@ class TreeModel:
         return np.where(self.feature >= 0, ends, -1).astype(np.int32)
 
 
+def _column_entries(col_ptr: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Positions of the sorted ``columns``' entries, in order, where column
+    j's entries are the range ``col_ptr[j]:col_ptr[j + 1]``."""
+    lo = col_ptr[columns]
+    lengths = col_ptr[columns + 1] - lo
+    return np.repeat(lo - (lengths.cumsum() - lengths), lengths) + np.arange(lengths.sum())
+
+
 def _best_split(
     c: np.ndarray,
     v: np.ndarray,
@@ -83,25 +94,16 @@ def _best_split(
     n: int,
     nf: int,
     min_samples_leaf: int,
-    allowed: Optional[np.ndarray],
 ) -> Optional[tuple[int, float]]:
     """Lowest-weighted-Gini (column, threshold) over all boundaries, or None.
 
     c/v/g are the node's nonzero entries in (column, value) order: column,
-    value (> 0), and the 0/1 label of the owning row.  ``allowed``, when
-    given, holds sorted column ids.  A boundary sits before each entry that
-    starts a column or a new value; its right side is the rest of the
-    column, its left side the column's zeros and the values below.
-    Boundaries are evaluated in entry order, so the first minimum realizes
-    the documented tie-break.
+    value (> 0), and the 0/1 label of the owning row.  A boundary sits
+    before each entry that starts a column or a new value; its right side
+    is the rest of the column, its left side the column's zeros and the
+    values below.  Boundaries are evaluated in entry order, so the first
+    minimum realizes the documented tie-break.
     """
-    if allowed is not None:
-        # Each allowed column's entries are one range of ``c``.
-        lo = c.searchsorted(allowed)
-        lengths = c.searchsorted(allowed, side="right") - lo
-        shift = np.repeat(lo - (lengths.cumsum() - lengths), lengths)
-        take = shift + np.arange(shift.size)
-        c, v, g = c[take], v[take], g[take]
     m = c.size
     if m == 0:
         return None
@@ -151,71 +153,77 @@ def _grow_tree(
     """Depth-first growth with an explicit stack (trees can be very deep).
 
     ``matrix`` is canonical (``as_csr``'s output): one entry per (row,
-    column).  When a feature sampler is given, the split search is first
-    restricted to its columns; if none of them yields a valid split, it
-    falls back to all columns so impure nodes are not stranded by an
-    unlucky draw.
+    column).  The entries stay in their root (column, value) order, and
+    ``slot[row]`` names the node that holds the row: a split keeps its
+    left rows in the node's slot and moves its right rows to slot
+    ``len(feature)``, one past the node's id, which no earlier split handed
+    out.  When a feature sampler is given, the
+    split search is first restricted to its columns' entries; if none of
+    them yields a valid split, it falls back to all columns so impure
+    nodes are not stranded by an unlucky draw.
     """
     if matrix.nnz and matrix.data.min() < 0:
         raise ConfigError("tree features must be non-negative")
-    # One (column, value) order for the whole tree; lexsort is stable, so
-    # every child's stable partition of it is the order a per-node sort
-    # would give, ties included.
+    # One (column, value) order for the whole tree; lexsort is stable, so a
+    # node's entries in it are the order a per-node sort would give, ties
+    # included.
     order = np.lexsort((matrix.data, matrix.indices))
     er = matrix.row_ids()[order]
     ec = matrix.indices[order].astype(np.int64)
     ev = matrix.data[order].astype(np.float64)
+    eg = labels[er]
+    col_ptr = ec.searchsorted(np.arange(matrix.shape[1] + 1))
+    slot = np.zeros(labels.size, dtype=np.int32)
 
     feature: list[int] = []
     threshold: list[float] = []
     count_f: list[int] = []
     count_m: list[int] = []
 
-    # Scratch marks of one node's right rows, cleared after each split.
-    goes_right = np.zeros(labels.size, dtype=bool)
-    # Stack entries: (depth, row count, female count, entry rows/cols/vals);
-    # entry rows are global row ids and index ``labels`` at every node.  A
-    # node takes the next id when it is popped, so ids run in pre-order.
-    stack = [(0, labels.size, int(np.count_nonzero(labels == 0)), er, ec, ev)]
+    # Stack entries: (depth, row count, female count, slot).  A node takes
+    # the next id when it is popped, so ids run in pre-order.
+    stack = [(0, labels.size, int(np.count_nonzero(labels == 0)), 0)]
     while stack:
-        depth, n, nf, ner, nec, nev = stack.pop()
+        depth, n, nf, s = stack.pop()
         feature.append(-1)  # a leaf until it splits
         count_f.append(nf)
         count_m.append(n - nf)
         if (nf in (0, n) or (max_depth is not None and depth >= max_depth)
                 or n < 2 * min_samples_leaf):
             continue
-        eg = labels[ner]
         split = None
         if feature_sampler is not None:
-            split = _best_split(nec, nev, eg, n, nf, min_samples_leaf, feature_sampler())
+            sampled = _column_entries(col_ptr, feature_sampler())
+            sampled = sampled[slot[er[sampled]] == s]
+            split = _best_split(ec[sampled], ev[sampled], eg[sampled], n, nf, min_samples_leaf)
         if split is None:
-            split = _best_split(nec, nev, eg, n, nf, min_samples_leaf, None)
+            # These stay bound until the next full search replaces them:
+            # freed at every node, they let glibc trim its heap, and the
+            # pages fault back in at the next node.
+            at = np.flatnonzero(slot[er] == s)
+            c, v, g = ec[at], ev[at], eg[at]
+            split = _best_split(c, v, g, n, nf, min_samples_leaf)
         if split is None:
             continue
         col, thr = split
 
-        # The split column's entries are one range of ``nec``, with each of
-        # the node's rows at most once: ``marked`` is the right child's rows.
-        lo = nec.searchsorted(col)
-        hi = nec.searchsorted(col, side="right")
-        marked = ner[lo:hi][nev[lo:hi] > thr]
-        if marked.size == 0 or marked.size == n:
+        # The node's entries above ``thr`` in the split column's range are
+        # the right child's rows, each at most once.
+        lo, hi = col_ptr[col], col_ptr[col + 1]
+        above = lo + ev[lo:hi].searchsorted(thr, side="right")
+        right = above + np.flatnonzero(slot[er[above:hi]] == s)
+        if right.size == 0 or right.size == n:
             continue  # degenerate midpoint rounding; keep the node a leaf
-        goes_right[marked] = True
-        entry_side = goes_right[ner]
-        goes_right[marked] = False
+        slot[er[right]] = len(feature)
 
-        nf_right = int(np.count_nonzero(labels[marked] == 0))
+        nf_right = int(np.count_nonzero(eg[right] == 0))
         feature[-1] = col
         threshold.append(thr)
         del count_f[-1], count_m[-1]  # only leaves keep their counts
         # Push right first so the left child is processed (and draws any
         # sampled features) first: deterministic depth-first, left-first.
-        stack.append((depth + 1, marked.size, nf_right, ner[entry_side],
-                      nec[entry_side], nev[entry_side]))
-        stack.append((depth + 1, n - marked.size, nf - nf_right, ner[~entry_side],
-                      nec[~entry_side], nev[~entry_side]))
+        stack.append((depth + 1, right.size, nf_right, len(feature)))
+        stack.append((depth + 1, n - right.size, nf - nf_right, s))
 
     return TreeModel(
         feature=np.asarray(feature, dtype=np.int32),

@@ -19,6 +19,7 @@ from gendec.models.tree import (
     FeatureSampler,
     TreeModel,
     _best_split,
+    _column_entries,
     _grow_tree,
     exit_leaves,
     tree_from_nodes,
@@ -142,7 +143,7 @@ class TestBestSplit:
             np.array([0, 0, 1, 1]),
             np.array([1.0, 2.0, 1.0, 2.0]),
             np.array([0, 1, 0, 1], dtype=np.int8),
-            2, 1, 1, None,
+            2, 1, 1,
         )
         col, thr = split
         assert col == 0
@@ -153,14 +154,14 @@ class TestBestSplit:
             np.array([0], dtype=np.int64),
             np.array([2.0]),
             np.array([1], dtype=np.int8),
-            3, 2, 1, None,
+            3, 2, 1,
         )
         assert split == (0, 1.0)
 
     def test_no_candidates_returns_none(self):
         assert _best_split(
             np.array([], dtype=np.int64), np.array([]),
-            np.array([], dtype=np.int8), 2, 1, 1, None,
+            np.array([], dtype=np.int8), 2, 1, 1,
         ) is None
 
 
@@ -764,6 +765,21 @@ def test_chain_tree_equals_per_node_sort(sampler):
     _assert_same_nodes(new, _pre_order(old))
 
 
+@pytest.mark.parametrize("sampler", [None, (20, 7)], ids=["all-columns", "sampled"])
+def test_chain_tree_with_repeated_rows_equals_per_node_sort(sampler):
+    # The chain's rows drawn with repeats, as a bootstrap draws them: each
+    # copy of a row is its own row, with entries equal to the other copies'.
+    n = 500
+    matrix = CSR(np.arange(n + 1), np.arange(n), 1.0 + np.arange(n) % 3, (n, n))
+    sample = np.random.default_rng(5).integers(0, n, size=n)
+    assert np.unique(sample).size < n
+    labels = (sample % 2).astype(np.int8)
+    new, old = (_grow(grow, matrix.take_rows(sample), labels, None, 1, sampler)
+                for grow in (_grow_tree, per_node_sort_grow_tree))
+    assert _depth(new) >= 100
+    _assert_same_nodes(new, _pre_order(old))
+
+
 @st.composite
 def split_cases(draw):
     """One node's entries in (column, value) order, its row count and label
@@ -796,6 +812,11 @@ def split_cases(draw):
 @settings(max_examples=500, deadline=None)
 @given(case=split_cases())
 def test_column_range_split_equals_per_node_sort(case):
+    # The grower selects a sampled search's entries through the column
+    # pointer; ids up to V + 2 name columns with no entry at the node.
     c, v, g, n, nf, _nm, min_samples_leaf, allowed = case
-    assert (_best_split(c, v, g, n, nf, min_samples_leaf, allowed)
+    if allowed is not None:
+        take = _column_entries(c.searchsorted(np.arange(allowed.max() + 2)), allowed)
+        c, v, g = c[take], v[take], g[take]
+    assert (_best_split(c, v, g, n, nf, min_samples_leaf)
             == per_node_sort_best_split(*case))
