@@ -10,17 +10,22 @@ and keeps that one order for the whole tree, as SLIQ's class list does
 (Mehta, Agrawal & Rissanen, EDBT 1996): a row-to-slot table names the
 node that holds each row, and a node's entries are the root's entries
 whose row is in its slot, in the root's order, ties included.  A node on
-the grower's stack is four numbers: its depth, its row and female counts
-and its slot.  A split moves only the right child's rows to a fresh slot;
-a canonical CSR holds a row at most once per column, so those rows are
-the node's entries above the threshold in the split column.
+the grower's stack is numbers only: its depth, its row, female and entry
+counts, its slot, and a range of ascending entry positions that holds its
+entries among at most as many of other nodes'.  A node that holds fewer
+than half of its range copies its own positions past the range and reads
+only them from then on, so a search reads at most twice the node's
+entries and a larger child reads its parent's range without a copy.  A
+split moves only the right child's rows to a fresh slot; a canonical CSR
+holds a row at most once per column, so those rows are the node's
+entries above the threshold in the split column.
 
 In that order a column's entries are one contiguous range, found through
-a column pointer, so a forest's sampled columns and a split's column are
-read with no pass over every entry.  The scan counts each boundary's
-right side as the rest of its column (the column's end minus the
-position) and takes the right-side label counts from one cumsum over the
-node's entries.
+a column pointer, so a node finds a forest's sampled columns and a
+split's column in its range by binary search, with no pass over its
+other entries.  The scan counts each boundary's right side as the rest
+of its column (the column's end minus the position) and takes the
+right-side label counts from one cumsum over the node's entries.
 
 A tree holds what its model file stores: ``feature`` per node (-1 at a
 leaf), ``threshold`` per inner node and the label counts per leaf.  Node
@@ -79,11 +84,9 @@ class TreeModel:
         return np.where(self.feature >= 0, ends, -1).astype(np.int32)
 
 
-def _column_entries(col_ptr: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """Positions of the sorted ``columns``' entries, in order, where column
-    j's entries are the range ``col_ptr[j]:col_ptr[j + 1]``."""
-    lo = col_ptr[columns]
-    lengths = col_ptr[columns + 1] - lo
+def _ranges(lo: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Every position of the ranges ``lo[i]:lo[i] + lengths[i]``, range by
+    range."""
     return np.repeat(lo - (lengths.cumsum() - lengths), lengths) + np.arange(lengths.sum())
 
 
@@ -157,10 +160,15 @@ def _grow_tree(
     ``slot[row]`` names the node that holds the row: a split keeps its
     left rows in the node's slot and moves its right rows to slot
     ``len(feature)``, one past the node's id, which no earlier split handed
-    out.  When a feature sampler is given, the
-    split search is first restricted to its columns' entries; if none of
-    them yields a valid split, it falls back to all columns so impure
-    nodes are not stranded by an unlucky draw.
+    out.  A node reads the range ``pos[a:b]``: ascending entry positions,
+    its own among at most as many of other nodes'.  When a node holds
+    fewer than half of its range, it copies its own to ``pos[b:]``, which
+    only finished nodes have written, and reads that copy instead; the
+    copies along a path at least halve, so ``pos`` needs 2 * nnz slots.
+    When a feature sampler is given, the split search is first restricted
+    to its columns' entries; if none of them yields a valid split, it
+    falls back to all columns so impure nodes are not stranded by an
+    unlucky draw.
     """
     if matrix.nnz and matrix.data.min() < 0:
         raise ConfigError("tree features must be non-negative")
@@ -173,48 +181,57 @@ def _grow_tree(
     ev = matrix.data[order].astype(np.float64)
     eg = labels[er]
     col_ptr = ec.searchsorted(np.arange(matrix.shape[1] + 1))
+    row_nnz = np.diff(matrix.indptr)
     slot = np.zeros(labels.size, dtype=np.int32)
+    pos = np.arange(2 * ec.size)
 
     feature: list[int] = []
     threshold: list[float] = []
     count_f: list[int] = []
     count_m: list[int] = []
 
-    # Stack entries: (depth, row count, female count, slot).  A node takes
-    # the next id when it is popped, so ids run in pre-order.
-    stack = [(0, labels.size, int(np.count_nonzero(labels == 0)), 0)]
+    # Stack entries: (depth, row count, female count, slot, range start,
+    # range end, entry count).  A node takes the next id when it is
+    # popped, so ids run in pre-order.
+    stack = [(0, labels.size, int(np.count_nonzero(labels == 0)), 0, 0, ec.size, ec.size)]
     while stack:
-        depth, n, nf, s = stack.pop()
+        depth, n, nf, s, a, b, k = stack.pop()
         feature.append(-1)  # a leaf until it splits
         count_f.append(nf)
         count_m.append(n - nf)
         if (nf in (0, n) or (max_depth is not None and depth >= max_depth)
                 or n < 2 * min_samples_leaf):
             continue
+        span = pos[a:b]
+        if span.size > 2 * k:
+            a, b = b, b + k
+            span = pos[a:b] = span[slot[er[span]] == s]
         split = None
         if feature_sampler is not None:
-            sampled = _column_entries(col_ptr, feature_sampler())
+            columns = feature_sampler()
+            lo = span.searchsorted(col_ptr[columns])
+            sampled = span[_ranges(lo, span.searchsorted(col_ptr[columns + 1]) - lo)]
             sampled = sampled[slot[er[sampled]] == s]
             split = _best_split(ec[sampled], ev[sampled], eg[sampled], n, nf, min_samples_leaf)
         if split is None:
             # These stay bound until the next full search replaces them:
             # freed at every node, they let glibc trim its heap, and the
             # pages fault back in at the next node.
-            at = np.flatnonzero(slot[er] == s)
+            at = span if span.size == k else span[slot[er[span]] == s]
             c, v, g = ec[at], ev[at], eg[at]
             split = _best_split(c, v, g, n, nf, min_samples_leaf)
         if split is None:
             continue
         col, thr = split
 
-        # The node's entries above ``thr`` in the split column's range are
-        # the right child's rows, each at most once.
-        lo, hi = col_ptr[col], col_ptr[col + 1]
-        above = lo + ev[lo:hi].searchsorted(thr, side="right")
-        right = above + np.flatnonzero(slot[er[above:hi]] == s)
+        # The node's entries above ``thr`` in the split column are the
+        # right child's rows, each at most once.
+        right = span[slice(*span.searchsorted(col_ptr[col:col + 2]))]
+        right = right[(slot[er[right]] == s) & (ev[right] > thr)]
         if right.size == 0 or right.size == n:
             continue  # degenerate midpoint rounding; keep the node a leaf
         slot[er[right]] = len(feature)
+        k_right = int(row_nnz[er[right]].sum())
 
         nf_right = int(np.count_nonzero(eg[right] == 0))
         feature[-1] = col
@@ -222,8 +239,8 @@ def _grow_tree(
         del count_f[-1], count_m[-1]  # only leaves keep their counts
         # Push right first so the left child is processed (and draws any
         # sampled features) first: deterministic depth-first, left-first.
-        stack.append((depth + 1, right.size, nf_right, len(feature)))
-        stack.append((depth + 1, n - right.size, nf - nf_right, s))
+        stack.append((depth + 1, right.size, nf_right, len(feature), a, b, k_right))
+        stack.append((depth + 1, n - right.size, nf - nf_right, s, a, b, k - k_right))
 
     return TreeModel(
         feature=np.asarray(feature, dtype=np.int32),
@@ -311,7 +328,7 @@ def exit_leaves(trees: Sequence[TreeModel], matrix: CSR) -> np.ndarray:
     hi = np.cumsum(merged_node)[~merged_node]
     lo = node_col[nodes].searchsorted(cols[entry])
     count = hi - lo
-    node = nodes[np.repeat(lo - (np.cumsum(count) - count), count) + np.arange(count.sum())]
+    node = nodes[_ranges(lo, count)]
     row = np.repeat(rows[entry], count)
 
     # Sort the excluded intervals by (row, tree, start): with each row's leaf

@@ -154,12 +154,12 @@ def _sorts_in_loops(tree: ast.Module):
 
 
 def test_tree_module_sorts_no_node_inside_a_loop():
-    """The grower (``_grow_tree``, ``_column_entries`` and ``_best_split``)
+    """The grower (``_grow_tree``, ``_ranges`` and ``_best_split``)
     sorts once, at the root, and nothing in ``models/tree.py`` sorts inside
     a loop."""
     tree = ast.parse((SRC / "models" / "tree.py").read_text(encoding="utf-8"))
     grower = [node for node in tree.body if isinstance(node, ast.FunctionDef)
-              and node.name in ("_grow_tree", "_column_entries", "_best_split")]
+              and node.name in ("_grow_tree", "_ranges", "_best_split")]
     assert len(grower) == 3
     sorts = [node.lineno for function in grower for node in ast.walk(function)
              if isinstance(node, ast.Call) and _called_name(node) in _SORTS]

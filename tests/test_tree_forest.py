@@ -19,8 +19,8 @@ from gendec.models.tree import (
     FeatureSampler,
     TreeModel,
     _best_split,
-    _column_entries,
     _grow_tree,
+    _ranges,
     exit_leaves,
     tree_from_nodes,
     tree_nodes_params,
@@ -751,32 +751,23 @@ def _depth(tree: TreeModel) -> int:
     return int(depth.max())
 
 
-@pytest.mark.parametrize("sampler", [None, (20, 7)], ids=["all-columns", "sampled"])
-def test_chain_tree_equals_per_node_sort(sampler):
+@pytest.mark.parametrize("sampler, rows", [
+    (None, "distinct"), ((20, 7), "distinct"), (None, "bootstrap"), ((20, 7), "bootstrap")],
+    ids=["all-columns", "sampled", "bootstrap-all-columns", "bootstrap-sampled"])
+def test_chain_tree_equals_per_node_sort(sampler, rows):
     # Each row holds its own token, so every split peels one row off, and
     # alternating labels keep the remaining node impure: a chain, like the
-    # deep word-token trees, far deeper than the property's trees.
+    # deep word-token trees, far deeper than the property's trees.  A
+    # bootstrap sample repeats rows: each copy is its own row, with entries
+    # equal to the other copies'.
     n = 500
     matrix = CSR(np.arange(n + 1), np.arange(n), 1.0 + np.arange(n) % 3, (n, n))
-    labels = (np.arange(n) % 2).astype(np.int8)
-    new, old = (_grow(grow, matrix, labels, None, 1, sampler)
+    rows = (np.arange(n) if rows == "distinct"
+            else np.random.default_rng(5).integers(0, n, size=n))
+    labels = (rows % 2).astype(np.int8)
+    new, old = (_grow(grow, matrix.take_rows(rows), labels, None, 1, sampler)
                 for grow in (_grow_tree, per_node_sort_grow_tree))
-    assert _depth(new) >= 200
-    _assert_same_nodes(new, _pre_order(old))
-
-
-@pytest.mark.parametrize("sampler", [None, (20, 7)], ids=["all-columns", "sampled"])
-def test_chain_tree_with_repeated_rows_equals_per_node_sort(sampler):
-    # The chain's rows drawn with repeats, as a bootstrap draws them: each
-    # copy of a row is its own row, with entries equal to the other copies'.
-    n = 500
-    matrix = CSR(np.arange(n + 1), np.arange(n), 1.0 + np.arange(n) % 3, (n, n))
-    sample = np.random.default_rng(5).integers(0, n, size=n)
-    assert np.unique(sample).size < n
-    labels = (sample % 2).astype(np.int8)
-    new, old = (_grow(grow, matrix.take_rows(sample), labels, None, 1, sampler)
-                for grow in (_grow_tree, per_node_sort_grow_tree))
-    assert _depth(new) >= 100
+    assert _depth(new) >= 0.4 * np.unique(rows).size
     _assert_same_nodes(new, _pre_order(old))
 
 
@@ -816,7 +807,8 @@ def test_column_range_split_equals_per_node_sort(case):
     # pointer; ids up to V + 2 name columns with no entry at the node.
     c, v, g, n, nf, _nm, min_samples_leaf, allowed = case
     if allowed is not None:
-        take = _column_entries(c.searchsorted(np.arange(allowed.max() + 2)), allowed)
+        ptr = c.searchsorted(np.arange(allowed.max() + 2))
+        take = _ranges(ptr[allowed], ptr[allowed + 1] - ptr[allowed])
         c, v, g = c[take], v[take], g[take]
     assert (_best_split(c, v, g, n, nf, min_samples_leaf)
             == per_node_sort_best_split(*case))
