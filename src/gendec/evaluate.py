@@ -376,9 +376,10 @@ def run_cells(
     """Run grid cells in canonical key order; failures stay per-cell.
 
     The reading dictionary for converted cells is built once, from the
-    training records only.  Each (variant, part) is featurized once and its
-    count matrices are shared by every cell that uses it; TF-IDF cells
-    weight a copy.
+    training records only, and dropped once no later cell needs it to
+    featurize.  Each (variant, part) is featurized once and its count
+    matrices are shared by every cell that uses it; a TF-IDF cell weights
+    new values over the count matrices' index arrays.
     """
     hyperparameters = {} if hyperparameters is None else hyperparameters
     _check_run(cells, seed, hyperparameters)
@@ -394,7 +395,8 @@ def run_cells(
 
     features: dict[tuple[InputVariant, NamePart], tuple] = {}
     results = []
-    for cell in sorted(cells, key=Cell.key):
+    cells = sorted(cells, key=Cell.key)
+    for i, cell in enumerate(cells):
         try:
             encoding = (cell.variant, cell.part)
             if encoding not in features:  # stored only once it is whole
@@ -402,6 +404,10 @@ def run_cells(
                     train_records, test_records, cell.part, cell.variant,
                     reading_dict, tokenizer,
                 )
+            if reading_dict is not None and all(
+                    (c.variant, c.part) in features for c in cells[i + 1:]
+                    if c.variant is InputVariant.CONVERTED):
+                reading_dict = None  # no later cell featurizes with it: free it now
             X_train, X_test, vocab, fallback_rate = features[encoding]
             if cell.weighting is Weighting.TFIDF:
                 X_train = tfidf_from_counts(X_train, vocab)

@@ -90,10 +90,15 @@ def _check_arrays(matrix: CSR) -> None:
 def _canonical(matrix: CSR) -> CSR:
     """``matrix`` itself if every row's columns strictly increase, else a
     new CSR with each row's columns sorted and duplicates summed."""
-    rows, cols = matrix.row_ids(), matrix.indices
-    same_row = rows[1:] == rows[:-1]
-    if not (same_row & (cols[1:] <= cols[:-1])).any():
+    cols = matrix.indices
+    # out_of_order[i]: entry i's column is not above entry i - 1's.  Row
+    # starts are cleared (indptr[-1] is one past the last entry).
+    out_of_order = np.zeros(cols.size + 1, dtype=bool)
+    np.less_equal(cols[1:], cols[:-1], out=out_of_order[1:-1])
+    out_of_order[matrix.indptr] = False
+    if not out_of_order.any():
         return matrix
+    rows = matrix.row_ids()
     order = np.lexsort((cols, rows))  # stable: duplicates keep stored order
     rows, cols = rows[order], cols[order]
     first = np.ones(rows.size, dtype=bool)

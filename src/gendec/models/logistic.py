@@ -21,9 +21,13 @@ the same order from +0.0:
 The layout holds 24 bytes per stored entry beside the CSR: a column id
 and a value in rank-major order for the first product, and the column
 ids again as 8-byte integers for ``np.bincount``, which would otherwise
-convert int32 ids on every call.  Each ``X.T @ r`` also allocates one
-8-byte product per entry while it runs.  The first product's buffer
-holds one block of ranks (``_BLOCK`` entries plus at most one rank).
+convert int32 ids on every call.  It is gathered rank by rank, with
+temporaries of one row count each, so nothing else per entry is held
+while it is built.  The first product's buffer holds one block of ranks
+(``_BLOCK`` entries plus at most one rank), 8 bytes per entry on a
+one-block matrix, and each ``X.T @ r`` allocates one 8-byte product per
+entry while it runs: a fit's peak is about 40 bytes per entry beside
+the CSR.
 
 The sigmoid is ``1 / (1 + exp(-z))`` with the C library's ``exp``, the
 same floats as ``scipy.special.expit`` without importing scipy.special.
@@ -100,26 +104,30 @@ class _Products:
         n = matrix.shape[0]
         self.shape = matrix.shape
         lengths = np.diff(matrix.indptr).astype(np.intp)
-        rows = matrix.row_ids()
-        rank = np.arange(matrix.nnz) - matrix.indptr[rows]  # of each entry in its row
         # Rows by decreasing length, so the rows with a k-th entry come first.
+        order = np.argsort(-lengths, kind="stable")
         self._position = np.empty(n, dtype=np.intp)
-        self._position[np.argsort(-lengths, kind="stable")] = np.arange(n)
-        rows_at_rank = np.bincount(rank)
+        self._position[order] = np.arange(n)
+        rows_at_rank = n - np.cumsum(np.bincount(lengths))[:-1]  # rows longer than k
         starts = np.zeros(rows_at_rank.size, dtype=np.intp)
         np.cumsum(rows_at_rank[:-1], out=starts[1:])
-        slot = starts[rank] + self._position[rows]
+        ranks = list(zip(starts.tolist(), rows_at_rank.tolist()))  # (start, count)
+        # Rank by rank, the next entry of each leading row: no temporary
+        # holds one item per entry.
         rank_cols = np.empty(matrix.nnz, dtype=np.intp)
-        rank_cols[slot] = matrix.indices
         rank_data = np.empty(matrix.nnz)
-        rank_data[slot] = matrix.data
+        entry = matrix.indptr[order].astype(np.intp)  # each ordered row's next entry
+        for start, count in ranks:
+            at = entry[:count]
+            rank_cols[start:start + count] = matrix.indices[at]
+            rank_data[start:start + count] = matrix.data[at]
+            at += 1
         self._sums = np.empty(n)
         # Blocks of whole ranks, each of _BLOCK entries or more (bar the
         # last): (column ids, values, products, [(leading sums, products
         # of one rank)]), all views made once.
         buffer = np.empty(min(matrix.nnz, _BLOCK + n))
         self._blocks = []
-        ranks = list(zip(starts.tolist(), rows_at_rank.tolist()))
         first = 0
         for last, (start, count) in enumerate(ranks):
             begin, end = ranks[first][0], start + count

@@ -191,7 +191,7 @@ class CSR:
 
     def column_sums(self, row_mask) -> np.ndarray:
         """Per-column sum over the rows where ``row_mask`` is true."""
-        keep = np.asarray(row_mask, dtype=bool)[self.row_ids()]
+        keep = np.repeat(np.asarray(row_mask, dtype=bool), np.diff(self.indptr))
         return _sums(self.indices[keep], self.data[keep], self.shape[1])
 
 
@@ -284,19 +284,19 @@ def transform(
 def tfidf_from_counts(counts: FeatureMatrix, vocab: Vocabulary) -> FeatureMatrix:
     """TF-IDF of a count matrix: counts times idf, then each row L2-normalized.
 
-    All-zero rows stay all-zero.  The result is a new matrix; ``counts`` is
-    never written to, so one count matrix can serve many callers.
+    All-zero rows stay all-zero.  The result has new values over the count
+    matrix's own ``indptr`` and ``indices``, which neither side writes to;
+    ``counts`` is never written to, so one count matrix can serve many
+    callers.
     """
     if vocab.idf is None:
         raise ConfigError("vocabulary was fitted without idf weights")
-    matrix = counts.matrix.copy()
-    if matrix.nnz:
-        n_rows = matrix.shape[0]
-        matrix.data *= vocab.idf[matrix.indices]
-        row_ids = matrix.row_ids()
-        row_norms = np.sqrt(_sums(row_ids, matrix.data ** 2, n_rows))
-        scale = np.ones(n_rows)
-        nonzero = row_norms > 0
-        scale[nonzero] = 1.0 / row_norms[nonzero]
-        matrix.data *= scale[row_ids]
-    return FeatureMatrix(matrix=matrix)
+    matrix = counts.matrix
+    data = np.take(vocab.idf, matrix.indices)
+    data *= matrix.data
+    row_norms = np.sqrt(_sums(matrix.row_ids(), data ** 2, matrix.shape[0]))
+    scale = np.ones(matrix.shape[0])
+    nonzero = row_norms > 0
+    scale[nonzero] = 1.0 / row_norms[nonzero]
+    data *= np.repeat(scale, np.diff(matrix.indptr))
+    return FeatureMatrix(matrix=CSR(matrix.indptr, matrix.indices, data, matrix.shape))

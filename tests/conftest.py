@@ -8,6 +8,8 @@ it with ``pytest.importorskip``, so the suite also runs where it is absent.
 from __future__ import annotations
 
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,6 +94,30 @@ def finite_difference_gradient(matrix, y01, weights, bias, l2, step=1e-5):
 
 
 # Present config values that must not fall back to the default.
+def romaji_names(n: int, seed: int) -> list[str]:
+    """``n`` seeded two-word romaji names of 1-4 morae a word."""
+    rng = random.Random(seed)
+    morae = "ka ki ku shi su ta chi to na ni no ha hi fu ma mi yu yo ri ro wa n".split()
+
+    def word() -> str:
+        return "".join(rng.choice(morae) for _ in range(rng.randint(1, 4)))
+
+    return [f"{word()} {word()}" for _ in range(n)]
+
+
+def traced_peak(call) -> int:
+    """Bytes of traced memory that ``call()`` holds at its peak, over what
+    was held before it, what it returns included.  Bytes are counted, not
+    timed, so a bound on them does not depend on the machine."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
 MALFORMED_CONFIG_VALUES = [
     pytest.param({"hyperparameters": {"nb": {"alpha": float("nan")}}}, id="nan-alpha"),
     pytest.param({"hyperparameters": {"nb": {"alpha": float("inf")}}}, id="infinite-alpha"),

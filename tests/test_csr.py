@@ -13,7 +13,15 @@ from hypothesis import strategies as st
 
 from gendec.errors import GendecError, SparseFormatError
 from gendec.models import as_csr
-from gendec.vectorize import CSR, FeatureMatrix
+from gendec.vectorize import (
+    CSR,
+    FeatureMatrix,
+    TokenizerConfig,
+    TokenizerMode,
+    fit_vocabulary,
+    transform,
+)
+from tests.conftest import romaji_names, traced_peak
 
 sp = pytest.importorskip("scipy.sparse")
 
@@ -128,6 +136,16 @@ def test_as_csr_sorts_columns_and_sums_duplicates_as_scipy(data):
         assert np.array_equal(got, want)
     assert own.data.dtype == np.float64
     assert (own.data is matrix.data) == matrix.has_canonical_format
+
+
+def test_as_csr_of_a_canonical_matrix_allocates_little():
+    """Checking a canonical matrix holds at most 2 traced bytes per entry:
+    one bool per entry for the finite check, then one for the column order,
+    where int64 row ids and three bool masks took 11."""
+    docs = romaji_names(2000, seed=35)
+    X = transform(docs, fit_vocabulary(docs, TokenizerConfig(TokenizerMode.CHAR_NGRAM, 2, 4)))
+    assert as_csr(X) is X.matrix
+    assert traced_peak(lambda: as_csr(X)) / X.matrix.nnz <= 2
 
 
 @pytest.mark.parametrize("matrix", [

@@ -1,3 +1,6 @@
+import warnings
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -344,18 +347,50 @@ class TestSharedFeatures:
             (v, p) for v in InputVariant for p in NamePart}
         assert {r.cell: r.report.to_json_dict() for r in results} == reference
 
-    def test_failing_cells_leave_the_others_unchanged(self, splits, all_preset_reference):
+    def test_failing_cells_leave_the_others_unchanged(self, splits, all_preset_reference,
+                                                      monkeypatch):
+        """The failed cells' neighbours report as before, no warning is raised,
+        and the reading dictionary is gone before any cell after the last
+        converted featurization trains."""
         train, test = splits
         tokenizer, reference = all_preset_reference
-        results = run_cells(preset_cells("all"), train, test, seed=5,
-                            hyperparameters={**FAST, "rf": {"features_per_split": 10 ** 6}},
-                            tokenizer=tokenizer)
+        events = []  # each featurization's variant; at each training, the dictionary alive?
+        dictionary = []
+        real_build = evaluate.build_reading_dictionary
+        real_featurize = evaluate._featurize
+        real_train = evaluate.train_cell_model
+
+        def build(records):
+            built, skipped = real_build(records)
+            dictionary.append(weakref.ref(built))
+            return built, skipped
+
+        def featurize(train, test, part, variant, *rest):
+            events.append(variant)
+            return real_featurize(train, test, part, variant, *rest)
+
+        def train_model(*args, **kwargs):
+            events.append(dictionary[0]() is not None)
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "build_reading_dictionary", build)
+        monkeypatch.setattr(evaluate, "_featurize", featurize)
+        monkeypatch.setattr(evaluate, "train_cell_model", train_model)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            results = run_cells(preset_cells("all"), train, test, seed=5,
+                                hyperparameters={**FAST, "rf": {"features_per_split": 10 ** 6}},
+                                tokenizer=tokenizer)
         failed = {r.cell: r.error for r in results if r.report is None}
         assert set(failed) == {cell for cell in reference if cell.model is ModelKind.RF}
         assert all("ConfigError" in error for error in failed.values())
         assert {r.cell: r.report.to_json_dict() for r in results
                 if r.report is not None} == {
             cell: doc for cell, doc in reference.items() if cell.model is not ModelKind.RF}
+        assert caught == []
+        last = max(i for i, e in enumerate(events) if e is InputVariant.CONVERTED)
+        trained_after = [e for e in events[last + 1:] if isinstance(e, bool)]
+        assert len(trained_after) >= 3 and not any(trained_after)
 
     def test_classical_full_featurizes_each_encoding_once(self, splits, monkeypatch):
         train, test = splits
@@ -380,21 +415,22 @@ class TestSharedFeatures:
     def test_failed_featurization_is_not_cached(self, splits, monkeypatch):
         train, test = splits
         real = evaluate.transform
-        calls = []
+        for variant in InputVariant:  # a converted retry needs the dictionary still
+            calls = []
 
-        def fails_once(*args, **kwargs):
-            calls.append(1)
-            if len(calls) == 1:
-                raise EmptyInputError("injected")
-            return real(*args, **kwargs)
+            def fails_once(*args, **kwargs):
+                calls.append(1)
+                if len(calls) == 1:
+                    raise EmptyInputError("injected")
+                return real(*args, **kwargs)
 
-        monkeypatch.setattr(evaluate, "transform", fails_once)
-        cells = [Cell(m, Weighting.COUNT, InputVariant.ORIGINAL, NamePart.FULL)
-                 for m in (ModelKind.NB, ModelKind.LR)]
-        first, second = run_cells(cells, train, test, hyperparameters=FAST)
-        assert first.report is None and "injected" in first.error
-        assert second.report.to_json_dict() == reference_reports(
-            cells[1:], train, test, 42, FAST, TokenizerConfig())[cells[1]]
+            monkeypatch.setattr(evaluate, "transform", fails_once)
+            cells = [Cell(m, Weighting.COUNT, variant, NamePart.FULL)
+                     for m in (ModelKind.NB, ModelKind.LR)]
+            first, second = run_cells(cells, train, test, hyperparameters=FAST)
+            assert first.report is None and "injected" in first.error
+            assert second.report.to_json_dict() == reference_reports(
+                cells[1:], train, test, 42, FAST, TokenizerConfig())[cells[1]]
 
     @pytest.mark.parametrize("weighting", list(Weighting))
     @pytest.mark.parametrize("kind", list(ModelKind))

@@ -25,7 +25,7 @@ from gendec.vectorize import (
     fit_vocabulary,
     transform,
 )
-from tests.conftest import finite_difference_gradient
+from tests.conftest import finite_difference_gradient, romaji_names, traced_peak
 
 sp = pytest.importorskip("scipy.sparse")
 expit = pytest.importorskip("scipy.special").expit
@@ -322,3 +322,16 @@ def test_loss_and_gradient_checks_targets_and_weights(n_targets, n_weights, erro
     with pytest.raises(error):
         loss_and_gradient(sp.csr_matrix(np.eye(3, 2)), np.zeros(n_targets),
                           np.zeros(n_weights), 0.0, 1e-4)
+
+
+def test_fit_peak_memory_per_entry():
+    """``train_logistic`` holds at most 48 traced bytes per stored entry at
+    its peak, the layout and the epochs included: the layout's 24 bytes,
+    the ``X @ w`` buffer (8 on a one-block matrix) and the products of
+    ``X.T @ r`` (8), where a layout built from per-entry row, rank and slot
+    arrays reached 57."""
+    docs = romaji_names(2000, seed=33)
+    X = transform(docs, fit_vocabulary(docs, TokenizerConfig(TokenizerMode.CHAR_NGRAM, 2, 4)))
+    assert X.matrix.nnz < logistic._BLOCK
+    y = [M if i % 3 else F for i in range(len(docs))]
+    assert traced_peak(lambda: train_logistic(X, y, epochs=3)) / X.matrix.nnz <= 48

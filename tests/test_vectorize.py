@@ -1,6 +1,4 @@
-import random
 import string
-import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -22,6 +20,7 @@ from gendec.vectorize import (
     tokenize,
     transform,
 )
+from tests.conftest import romaji_names, traced_peak
 
 CHAR_24 = TokenizerConfig(mode=TokenizerMode.CHAR_NGRAM, ngram_min=2, ngram_max=4)
 
@@ -353,23 +352,23 @@ def test_transform_peak_memory_per_token():
     """``transform`` holds at most 48 traced bytes per token occurrence at its
     peak, over what it returns too: the token list, the sorted key array and
     its run bounds, where an ``np.unique`` of the keys with its masked
-    copies and ``divmod`` pair reaches about 70.  Bytes are counted, not
-    timed, so the bound does not depend on the machine."""
-    rng = random.Random(31)
-    morae = "ka ki ku shi su ta chi to na ni no ha hi fu ma mi yu yo ri ro wa n".split()
-
-    def word() -> str:
-        return "".join(rng.choice(morae) for _ in range(rng.randint(1, 4)))
-
-    docs = [f"{word()} {word()}" for _ in range(2000)]
+    copies and ``divmod`` pair reaches about 70."""
+    docs = romaji_names(2000, seed=31)
     vocab = fit_vocabulary(docs[:1500], CHAR_24)  # the rest holds unseen tokens
     n_tokens = sum(len(tokenize(doc, CHAR_24)) for doc in docs)
     vocab.token_to_index  # built once per vocabulary, before any transform
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        transform(docs, vocab)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (peak - before) / n_tokens <= 48
+    assert traced_peak(lambda: transform(docs, vocab)) / n_tokens <= 48
+
+
+def test_tfidf_peak_memory_per_entry_and_shared_index_arrays():
+    """``tfidf_from_counts`` holds at most 26 traced bytes per stored entry
+    at its peak, its values included: the values, the row ids and their
+    squares for the row norms, where weighting a copy of the count matrix
+    reached 29.  The result reads the count matrix's index arrays."""
+    docs = romaji_names(2000, seed=34)
+    vocab = fit_vocabulary(docs, CHAR_24, Weighting.TFIDF)
+    counts = transform(docs, vocab)
+    tfidf = tfidf_from_counts(counts, vocab)
+    assert tfidf.matrix.indptr is counts.matrix.indptr
+    assert tfidf.matrix.indices is counts.matrix.indices
+    assert traced_peak(lambda: tfidf_from_counts(counts, vocab)) / counts.matrix.nnz <= 26
